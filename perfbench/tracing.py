@@ -33,69 +33,69 @@ import numpy as np
 LAYER_METRICS = [
     # (metric, unit, span, derivation, moves)
     ("bench_cli.closed_loop_sim.us_per_sample", "us", "bench_cli.closed_loop_sim",
-     "time_per_size", "op_us@compare; setup_s elsewhere"),
+     "time_per_size", "op_ms@compare; setup_s elsewhere"),
     ("bench_cli.time_filter_step.ms", "ms", "bench_cli.time_filter_step",
-     "time", "op_us@compare"),
+     "time", "op_ms@compare"),
     ("bench_cli.time_window_step.ms", "ms", "bench_cli.time_window_step",
-     "time", "op_us@compare"),
+     "time", "op_ms@compare"),
     ("bench_cli.ellipse_stats.ms", "ms", "bench_cli.ellipse_stats",
-     "time", "op_us@compare (expected flat)"),
+     "time", "op_ms@compare (expected flat)"),
     ("bench_cli.main.estimate.self_ms", "ms", "bench_cli.main.estimate",
-     "self_time", "op_us@estimate"),
+     "self_time", "op_ms@estimate"),
     ("sysid_markov.identify_xi.ms", "ms", "sysid_markov.identify_xi",
-     "time", "op_us@identify; op_us@compare"),
+     "time", "op_ms@design; op_ms@compare"),
     ("sysid_markov.regressor_cells", "count", "sysid_markov.identify_xi",
-     "size", "op_us@identify; op_us@compare"),
+     "size", "op_ms@design; op_ms@compare"),
     ("markov_design.design_filter_from_xi.ms", "ms", "markov_design.design_filter_from_xi",
-     "time", "op_us@design; op_us@compare"),
+     "time", "op_ms@design; op_ms@compare"),
     ("markov_design.expand.ms", "ms", ("markov_design.fault_markov", "markov_design.z_markov"),
-     "time", "op_us@design; op_us@compare"),
+     "time", "op_ms@design; op_ms@compare"),
     ("markov_design.inverse_markov.ms", "ms", "markov_design.inverse_markov",
-     "time", "op_us@design; op_us@compare"),
+     "time", "op_ms@design; op_ms@compare"),
     ("markov_design.convolve_R.ms", "ms", "markov_design.convolve_R",
-     "time", "op_us@design; op_us@compare"),
+     "time", "op_ms@design; op_ms@compare"),
     ("markov_design.convolve_Q.ms", "ms", "markov_design.convolve_Q",
-     "time", "op_us@design; op_us@compare"),
+     "time", "op_ms@design; op_ms@compare"),
     ("markov_design.realize.ms", "ms", "markov_design.realize",
-     "time", "op_us@design; op_us@compare"),
+     "time", "op_ms@design; op_ms@compare"),
     ("markov_design.assemble_filter.ms", "ms", "markov_design.assemble_filter",
-     "time", "op_us@design; op_us@compare"),
+     "time", "op_ms@design; op_ms@compare"),
     ("markov_design.predictor_from_xi.ms", "ms", "markov_design.predictor_from_xi",
-     "time", "op_us@compare"),
+     "time", "op_ms@compare"),
     ("markov_design.block_products", "count", "markov_design.design_filter_from_xi",
-     "size", "op_us@design; op_us@compare"),
+     "size", "op_ms@design; op_ms@compare"),
     ("markov_design.hankel_cells", "count", "lti_core.block_hankel",
-     "size", "op_us@design; op_us@compare"),
+     "size", "op_ms@design; op_ms@compare"),
     ("inverse_filter.stabilizing_gain.riccati.ms", "ms",
-     "inverse_filter.stabilizing_gain.riccati", "time", "op_us@design"),
+     "inverse_filter.stabilizing_gain.riccati", "time", "op_ms@design"),
     ("inverse_filter.stabilizing_gain.pole_placement.ms", "ms",
-     "inverse_filter.stabilizing_gain.pole_placement", "time", "op_us@design; op_us@compare"),
+     "inverse_filter.stabilizing_gain.pole_placement", "time", "op_ms@design; op_ms@compare"),
     ("inverse_filter.open_loop_inverse.ms", "ms", "inverse_filter.open_loop_inverse",
-     "time", "op_us@compare"),
+     "time", "op_ms@compare"),
     ("inverse_filter.reduced_filter.ms", "ms", "inverse_filter.reduced_filter",
-     "time", "op_us@compare"),
+     "time", "op_ms@compare"),
     ("inverse_filter.run_filter.us_per_sample", "us", "inverse_filter.run_filter",
-     "time_per_size", "op_us@estimate; op_us@compare"),
+     "time_per_size", "op_ms@estimate; op_ms@compare"),
     ("inverse_filter.step.us", "us", "inverse_filter.step",
-     "time", "op_us@step"),
+     "time", "op_ms@estimate"),
     ("inverse_filter.from_csv.ms", "ms", "inverse_filter.from_csv",
-     "time", "op_us@estimate"),
+     "time", "op_ms@estimate"),
     ("inverse_filter.matvec_ns", "ns", "inverse_filter.matvec",
-     "value", "none (floor under op_us@step)"),
+     "value", "none (floor under inverse_filter.step.us)"),
     ("lti_core.to_predictor.ms", "ms", "lti_core.to_predictor",
-     "time", "op_us@compare"),
+     "time", "op_ms@compare"),
     ("lti_core.LinearSystem.run.us_per_sample", "us", "lti_core.LinearSystem.run",
-     "time_per_size", "op_us@mhe; op_us@compare"),
+     "time_per_size", "op_ms@estimate; op_ms@compare"),
     ("lti_core.IOData.from_csv.us_per_row", "us", "lti_core.IOData.from_csv",
-     "time_per_size", "op_us@estimate; setup_s"),
+     "time_per_size", "op_ms@estimate; setup_s"),
     ("lti_core.IOData.to_csv.us_per_row", "us", "lti_core.IOData.to_csv",
      "time_per_size", "setup_s@estimate"),
     ("lti_core.csv_bytes", "count", "lti_core.csv",
-     "per_op", "op_us@estimate"),
+     "per_op", "op_ms@estimate"),
     ("mhe_baseline.build_mhe.ms", "ms", "mhe_baseline.build_mhe",
-     "time", "op_us@compare"),
+     "time", "op_ms@compare"),
     ("mhe_baseline.run_mhe.us_per_sample", "us", "mhe_baseline.run_mhe",
-     "time_per_size", "op_us@mhe"),
+     "time_per_size", "op_ms@estimate"),
 ]
 
 # Every span reports "<span>.calls", its calls per loop operation.
@@ -103,7 +103,7 @@ COUNTED_SPANS = sorted(
     {s for _, _, span, how, _ in LAYER_METRICS if how not in ("value", "per_op")
      for s in (span if isinstance(span, tuple) else (span,))})
 
-EXTRA_LAYER_METRICS = [("tracing_overhead_us", "us")]
+EXTRA_LAYER_METRICS = [("tracing_overhead_ms", "ms")]
 
 
 def layer_metric_names():
@@ -308,8 +308,8 @@ def trace_steps(tracer: Tracer, filt) -> None:
     """Trace ``step`` on one filter instance only.
 
     ``run`` calls ``step`` once per sample, so a class-level wrapper
-    would put a span on every sample of every batch run; the streaming
-    workload calls ``step`` directly and is the one that measures it.
+    would put a span on every sample of every batch run; the estimate
+    workload streams through an instance of its own, which is traced.
     """
     step = filt.step
 
@@ -327,7 +327,7 @@ def layer_metrics(tracer: Tracer, ops: int) -> dict:
     """Per-layer values from the spans of a traced run of ``ops`` operations.
 
     Timings and sizes use set-up spans as well as loop spans, so a layer
-    a workload only touches while setting up (the estimate family
+    a workload only touches while setting up (the estimate workload
     identifies and designs its filter there) still has a number; call
     counts are per loop operation.  A layer the workload never reaches
     reads 0.

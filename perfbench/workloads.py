@@ -4,13 +4,14 @@ Every workload is a closed loop with one caller: the next operation
 starts only after the previous one returned.  ``setup`` builds all
 inputs from the workload seed (the package only sees the generated
 arrays and files) and warms up the timed path, so first-call costs land
-in set-up.  ``op`` runs one operation, timing only the call into the
-package, then checks its output; it returns the latencies it measured
-(one per unit of work) and how many units it attempted and failed.
-``summary`` returns accuracy figures for the result file and ``checks``
-any whole-run check, as (attempted, failed).  Accuracy is checked
-through the failure count, not gated as a metric: the design error
-spreads by half its median across seeds.
+in set-up.  ``op`` runs one operation, timing only the calls into the
+package, then checks their output; it returns the operation's time in
+seconds and how many units of work it attempted and failed.  It also
+adds each part's time to ``parts`` for the result file.  ``summary``
+returns accuracy figures for the result file and ``checks`` any
+whole-run check, as (attempted, failed).  Accuracy is checked through
+the failure count, not gated as a metric: the design error spreads by
+half its median across seeds.
 
 Only the public API is used, imported after the runner has pinned BLAS
 to one thread and put the checkout's ``src`` first on the path.
@@ -18,6 +19,7 @@ to one thread and put the checkout's ``src`` first on the path.
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import os
 import time
@@ -64,7 +66,17 @@ def _markov_stack(filt, blocks: int = 20) -> np.ndarray:
 
 
 class Workload:
-    """Defaults for the optional hooks."""
+    """Part timings and defaults for the optional hooks."""
+
+    def __init__(self):
+        self.parts = {}
+
+    def timed(self, part, fn, *args, **kwargs):
+        """Call ``fn``, adding its wall time to ``parts[part]``."""
+        t0 = time.perf_counter()
+        result = fn(*args, **kwargs)
+        self.parts.setdefault(part, []).append(time.perf_counter() - t0)
+        return result
 
     def trace(self, tracer):
         """Hook for tracing that needs the set-up's objects."""
@@ -84,7 +96,7 @@ class Compare(Workload):
     def op(self, i):
         s = self.seeds[i % len(self.seeds)]
         t0 = time.perf_counter()
-        report = run_comparison(BenchConfig(seed=s))
+        report = self.timed("run_comparison", run_comparison, BenchConfig(seed=s))
         dt = time.perf_counter() - t0
         k0, k1 = report.window
         failed = 0
@@ -96,7 +108,7 @@ class Compare(Workload):
                 err = res.estimates[k0:k1] - report.fault[k0:k1]
                 mse[res.name] = float(np.mean(err ** 2))
         self.scores.setdefault(s, mse)
-        return [dt * 1e6], len(report.results), failed
+        return dt, len(report.results), failed
 
     def summary(self):
         diag = {}
@@ -106,41 +118,13 @@ class Compare(Workload):
         return diag
 
 
-class Identify(Workload):
-    """``identify_xi`` (p = 100, delay assumed) on 10^4-sample records."""
-
-    RECORDS = 6
-
-    def setup(self, seed, workdir):
-        model, ctrl = ff.get_plant("unstable4").factory(q=1e-6, r=1e-4)
-        faulty = ff.sensor_fault_plant(model, 0)
-        self.truth = ff.xi_from_predictor(ff.to_predictor(faulty), P).stacked()
-        self.records = [collect_identification_data(faulty, ctrl, N_IDENT, seed=s)
-                        for s in _seeds(seed, self.RECORDS)]
-        self.errors = {}
-        self.first = {}
-        ff.identify_xi(self.records[0], P, assume_delay=True)  # warm-up
-
-    def op(self, i):
-        r = i % len(self.records)
-        t0 = time.perf_counter()
-        xi = ff.identify_xi(self.records[r], P, assume_delay=True)
-        dt = time.perf_counter() - t0
-        got = xi.stacked()
-        err = float(np.linalg.norm(got - self.truth) / np.linalg.norm(self.truth))
-        first = self.first.setdefault(r, got)
-        # same record, same estimate; and close to the true predictor
-        failed = not (np.all(np.isfinite(got)) and np.max(np.abs(got - first)) <= EXACT
-                      and err <= IDENT_BOUND)
-        self.errors[r] = err
-        return [dt * 1e6], 1, int(failed)
-
-    def summary(self):
-        return {"xi_rel_err": float(np.median(list(self.errors.values())))}
-
-
 class Design(Workload):
-    """``design_filter_from_xi`` for sensors {0, 1} x {riccati, pole placement}."""
+    """Offline data-driven design from one fault-free record.
+
+    One operation identifies ξ with ``identify_xi`` (p = 100, delay
+    assumed) on a 10^4-sample record, then designs from that ξ for
+    sensors {0, 1} x {pole placement, riccati}.
+    """
 
     RECORDS = 3
     CASES = [(0, "pole_placement"), (0, "riccati"),
@@ -149,10 +133,9 @@ class Design(Workload):
     def setup(self, seed, workdir):
         model, ctrl = ff.get_plant("unstable4").factory(q=1e-6, r=1e-4)
         faulty = ff.sensor_fault_plant(model, 0)
-        self.xis = []
-        for s in _seeds(seed, self.RECORDS):
-            data = collect_identification_data(faulty, ctrl, N_IDENT, seed=s)
-            self.xis.append(ff.identify_xi(data, P, assume_delay=True))
+        self.truth = ff.xi_from_predictor(ff.to_predictor(faulty), P).stacked()
+        self.records = [collect_identification_data(faulty, ctrl, N_IDENT, seed=s)
+                        for s in _seeds(seed, self.RECORDS)]
         self.reference = {}
         for sensor, strategy in self.CASES:
             pred = ff.to_predictor(ff.sensor_fault_plant(model, sensor))
@@ -162,23 +145,42 @@ class Design(Workload):
             self.reference[sensor, strategy] = _markov_stack(
                 ff.reduced_filter(pred, Kr, strategy=strategy))
         self.configs = {case: _design_config(*case) for case in self.CASES}
+        self.first = {}
+        self.xi_errors = {}
         self.errors = {}
-        ff.design_filter_from_xi(self.xis[0], self.configs[self.CASES[0]])  # warm-up
+        xi = ff.identify_xi(self.records[0], P, assume_delay=True)  # warm-up
+        ff.design_filter_from_xi(xi, self.configs[self.CASES[0]])
 
     def op(self, i):
-        r, case = divmod(i % (len(self.xis) * len(self.CASES)), len(self.CASES))
-        case = self.CASES[case]
+        r = i % len(self.records)
         t0 = time.perf_counter()
-        try:
-            filt = ff.design_filter_from_xi(self.xis[r], self.configs[case])
-        except ff.FaultFilterError:
-            return [(time.perf_counter() - t0) * 1e6], 1, 1
+        xi = self.timed("identify_xi", ff.identify_xi, self.records[r], P,
+                        assume_delay=True)
+        designs = {}
+        failed = 0
+        for case in self.CASES:
+            try:
+                designs[case] = self.timed("design_filter_from_xi",
+                                           ff.design_filter_from_xi, xi,
+                                           self.configs[case])
+            except ff.FaultFilterError:
+                failed += 1
         dt = time.perf_counter() - t0
-        ref = self.reference[case]
-        err = float(np.linalg.norm(_markov_stack(filt) - ref) / np.linalg.norm(ref))
-        self.errors[r, case] = err
-        ok = np.all(np.isfinite(filt.step_matrix())) and ff.spectral_radius(filt.Af) < 1.0
-        return [dt * 1e6], 1, int(not ok)
+
+        got = xi.stacked()
+        err = float(np.linalg.norm(got - self.truth) / np.linalg.norm(self.truth))
+        first = self.first.setdefault(r, got)
+        # same record, same estimate; and close to the true predictor
+        failed += not (np.all(np.isfinite(got)) and np.max(np.abs(got - first)) <= EXACT
+                       and err <= IDENT_BOUND)
+        self.xi_errors[r] = err
+        for case, filt in designs.items():
+            ref = self.reference[case]
+            self.errors[r, case] = float(
+                np.linalg.norm(_markov_stack(filt) - ref) / np.linalg.norm(ref))
+            failed += not (np.all(np.isfinite(filt.step_matrix()))
+                           and ff.spectral_radius(filt.Af) < 1.0)
+        return dt, 1 + len(self.CASES), failed
 
     def checks(self):
         # Acceptance 08 bounds the median over records of the sensor-0
@@ -197,29 +199,40 @@ class Design(Workload):
         diag["records_over_bound"] = sum(
             e > DESIGN_BOUND for (r, c), e in self.errors.items()
             if c == (0, "pole_placement"))
+        diag["xi_rel_err"] = float(np.median(list(self.xi_errors.values())))
         return diag
 
 
-class _FilterAndLog(Workload):
-    """A data-driven sensor-0 filter and a long faulty closed-loop log.
+class Estimate(Workload):
+    """One designed filter and the MHE baseline over a long faulty log.
 
-    The log is cut into ``SEGMENT``-sample segments and one operation
-    handles one segment, so a run holds enough operations for its 10th
-    percentile to come from a quiet stretch of the host.
+    The filter is identified and designed in set-up.  The log is cut into
+    ``SEGMENT``-sample CSV files; one operation takes one segment through
+    the CLI ``estimate`` (CSV read, batch run, CSV write), runs ``step()``
+    sample by sample over its first ``STREAM`` samples, and runs the
+    residual generator and ``run_mhe`` over it.
     """
 
     LOG = 5 * 10 ** 4
     SEGMENT = 10 ** 4
+    STREAM = 2000
+    SPOT_CHECKS = 3
 
-    def build(self, seed, design=True):
+    def setup(self, seed, workdir):
         s_ident, s_log = _seeds(seed, 2)
         model, ctrl = ff.get_plant("unstable4").factory()
         faulty = ff.sensor_fault_plant(model, 0)
         ident = collect_identification_data(faulty, ctrl, N_IDENT, seed=s_ident)
-        self.xi = ff.identify_xi(ident, P, assume_delay=True)
-        if design:
-            self.filt = ff.design_filter_from_xi(
-                self.xi, _design_config(0, "pole_placement"))
+        xi = ff.identify_xi(ident, P, assume_delay=True)
+        self.filt = ff.design_filter_from_xi(xi, _design_config(0, "pole_placement"))
+        # a second instance streams, so that tracing its step() leaves the
+        # batch runs that give the reference estimates untraced
+        self.stream = copy.deepcopy(self.filt)
+        base, _ = ff.predictor_from_xi(xi, HANKEL, HANKEL, order=ORDER)
+        pred = ff.sensor_fault_channel(base, [0])
+        self.problem = ff.build_mhe(pred, L)
+        self.resgen = ff.residual_generator(pred)
+
         log, fault = closed_loop_sim(faulty, ctrl, self.LOG,
                                      np.random.default_rng(s_log),
                                      scenario=FaultScenario())
@@ -227,21 +240,6 @@ class _FilterAndLog(Workload):
         self.segments = [ff.IOData(log.u[k:k + self.SEGMENT], log.y[k:k + self.SEGMENT])
                          for k in cuts]
         self.faults = [fault[k:k + self.SEGMENT, 0] for k in cuts]
-        self.errors = {}
-
-    def rmse(self) -> float:
-        """RMS error after warm-up, pooled over the segments scored so far."""
-        return float(np.sqrt(np.mean(list(self.errors.values()))))
-
-    def score(self, k, estimate) -> None:
-        self.errors.setdefault(k, _rmse(estimate, self.faults[k]) ** 2)
-
-
-class Estimate(_FilterAndLog):
-    """CLI ``estimate`` on CSV files: read filter and log, batch run, write."""
-
-    def setup(self, seed, workdir):
-        self.build(seed)
         self.dir = workdir
         self.filter_csv = os.path.join(workdir, "filter.csv")
         self.filt.to_csv(self.filter_csv)
@@ -249,112 +247,75 @@ class Estimate(_FilterAndLog):
         for k, seg in enumerate(self.segments):
             self.data_csv.append(os.path.join(workdir, f"log{k}.csv"))
             seg.to_csv(self.data_csv[k])
+        self.spots = np.random.default_rng(seed).integers(L - 1, self.SEGMENT,
+                                                          self.SPOT_CHECKS)
         self.reference = {}
+        self.errors = {"cli": {}, "mhe": {}}
+        self.out = np.empty(self.STREAM)
         self._cli(self.data_csv[0])  # warm-up
+        self._stream(0)
+        self._mhe(0)
 
     def _cli(self, data_csv):
         with contextlib.redirect_stdout(io.StringIO()):
             return bench_cli.main(["estimate", "--filter", self.filter_csv,
                                    "--data", data_csv, "--out", self.dir])
 
+    def _stream(self, k):
+        seg, filt, out = self.segments[k], self.stream, self.out
+        filt.reset()
+        for j, u, y in zip(range(self.STREAM), seg.u, seg.y):
+            out[j] = filt.step(u, y)[0]
+        return out
+
+    def _mhe(self, k):
+        seg = self.segments[k]
+        res = self.resgen.run(np.hstack([seg.u, seg.y]))
+        return res, ff.run_mhe(self.problem, res)
+
     def op(self, i):
         k = i % len(self.segments)
         t0 = time.perf_counter()
-        code = self._cli(self.data_csv[k])
+        code = self.timed("cli_estimate", self._cli, self.data_csv[k])
+        stream = self.timed("step", self._stream, k)
+        res, est_mhe = self.timed("mhe", self._mhe, k)
         dt = time.perf_counter() - t0
-        if code != 0:
-            return [dt * 1e6 / self.SEGMENT], 1, 1
-        est = np.loadtxt(os.path.join(self.dir, "estimates.csv"), delimiter=",",
-                         skiprows=1, usecols=1)
+
         if k not in self.reference:
-            # the CLI must reproduce the in-memory batch run exactly
             seg = self.segments[k]
             self.reference[k] = self.filt.run(seg.u, seg.y)[:, 0].copy()
         ref = self.reference[k]
-        ok = est.shape == ref.shape and np.max(np.abs(est - ref)) <= EXACT
-        self.score(k, est)
-        return [dt * 1e6 / self.SEGMENT], 1, int(not ok)
-
-    def summary(self):
-        return {"estimate_rmse": self.rmse()}
-
-
-class Step(_FilterAndLog):
-    """Online ``FaultEstimationFilter.step()``, one sample per call."""
-
-    LOG = _FilterAndLog.SEGMENT
-
-    def setup(self, seed, workdir):
-        self.build(seed)
-        seg = self.segments[0]
-        self.reference = self.filt.run(seg.u, seg.y)[:, 0].copy()
-        self.rows = list(zip(seg.u, seg.y))
-        self.out = np.empty(len(self.rows))
-        self.times = np.empty(len(self.rows))
-        self.op(0)  # warm-up
+        failed = int(code != 0)
+        if code == 0:
+            # the CLI must reproduce the in-memory batch run exactly
+            est = np.loadtxt(os.path.join(self.dir, "estimates.csv"), delimiter=",",
+                             skiprows=1, usecols=1)
+            failed += not (est.shape == ref.shape and np.max(np.abs(est - ref)) <= EXACT)
+            self.errors["cli"].setdefault(k, _rmse(est, self.faults[k]) ** 2)
+        # streaming step() must reproduce batch run() sample for sample
+        failed += not np.all(np.abs(stream - ref[:self.STREAM]) <= EXACT)
+        # the sliding MHE sweep must agree with the one-window estimator
+        ok = bool(np.all(np.isfinite(est_mhe[L - 1:])))
+        for j in self.spots:
+            one = ff.mhe_estimate(self.problem, res[j - L + 1:j + 1])[-est_mhe.shape[1]:]
+            ok = ok and np.max(np.abs(one - est_mhe[j])) <= 1e-9 * max(1.0, np.max(np.abs(one)))
+        failed += not ok
+        self.errors["mhe"].setdefault(k, _rmse(est_mhe[:, 0], self.faults[k]) ** 2)
+        return dt, 3, failed
 
     def trace(self, tracer):
         # the bare step_matrix() matvec, the floor under step(); traced
         # time_filter_step records it as inverse_filter.matvec_ns
         bench_cli.time_filter_step(self.filt, 2000)
-        tracing.trace_steps(tracer, self.filt)
-
-    def op(self, i):
-        filt, out, times = self.filt, self.out, self.times
-        filt.reset()
-        clock = time.perf_counter_ns
-        for k, (u, y) in enumerate(self.rows):
-            t0 = clock()
-            fh = filt.step(u, y)
-            times[k] = clock() - t0
-            out[k] = fh[0]
-        bad = int(np.count_nonzero(~(np.abs(out - self.reference) <= EXACT)))
-        self.score(0, out)
-        return times * 1e-3, len(self.rows), bad
+        tracing.trace_steps(tracer, self.stream)
 
     def summary(self):
-        return {"step_rmse": self.rmse()}
-
-
-class Mhe(_FilterAndLog):
-    """MHE baseline: residual generator ``LinearSystem.run`` then ``run_mhe``."""
-
-    SPOT_CHECKS = 10
-
-    def setup(self, seed, workdir):
-        self.build(seed, design=False)
-        base, _ = ff.predictor_from_xi(self.xi, HANKEL, HANKEL, order=ORDER)
-        pred = ff.sensor_fault_channel(base, [0])
-        self.problem = ff.build_mhe(pred, L)
-        self.resgen = ff.residual_generator(pred)
-        self.inputs = [np.hstack([seg.u, seg.y]) for seg in self.segments]
-        self.spots = np.random.default_rng(seed).integers(L - 1, self.SEGMENT,
-                                                          self.SPOT_CHECKS)
-        ff.run_mhe(self.problem, self.resgen.run(self.inputs[0]))  # warm-up
-
-    def op(self, i):
-        k = i % len(self.segments)
-        t0 = time.perf_counter()
-        res = self.resgen.run(self.inputs[k])
-        est = ff.run_mhe(self.problem, res)
-        dt = time.perf_counter() - t0
-        # the sliding sweep must agree with the one-window estimator
-        ok = bool(np.all(np.isfinite(est[L - 1:])))
-        for j in self.spots:
-            one = ff.mhe_estimate(self.problem, res[j - L + 1:j + 1])[-est.shape[1]:]
-            ok = ok and np.max(np.abs(one - est[j])) <= 1e-9 * max(1.0, np.max(np.abs(one)))
-        self.score(k, est[:, 0])
-        return [dt * 1e6 / self.SEGMENT], 1, int(not ok)
-
-    def summary(self):
-        return {"mhe_rmse": self.rmse()}
+        return {f"{name}_rmse": float(np.sqrt(np.mean(list(errs.values()))))
+                for name, errs in self.errors.items()}
 
 
 WORKLOADS = {
     "compare": Compare,
-    "identify": Identify,
     "design": Design,
     "estimate": Estimate,
-    "step": Step,
-    "mhe": Mhe,
 }

@@ -26,6 +26,7 @@ from .lti_core import (
     block_toeplitz,
     dare_fixed_point,
     extended_observability,
+    lti_recursion,
     markov_from_ss,
     markov_parameters,
     psd_factor,

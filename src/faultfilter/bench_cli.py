@@ -48,9 +48,12 @@ from .inverse_filter import (
 )
 from .lti_core import (
     IOData,
+    LinearSystem,
     StateSpaceModel,
+    _FMT,
     _sensor_list,
     block_toeplitz,
+    lti_recursion,
     psd_factor,
     sensor_fault_channel,
     sensor_fault_plant,
@@ -86,8 +89,6 @@ __all__ = [
     "main",
     "entry",
 ]
-
-_FMT = "%.17g"
 
 # Closed loop poles requested for the 4-state registry plant; a spread of
 # well damped real poles that every gain strategy can reach.
@@ -232,6 +233,43 @@ class PlantEntry:
 _REGISTRY: dict = {}
 
 
+def _closed_loop_system(model: StateSpaceModel, gain) -> LinearSystem:
+    """The plant under static output feedback u = -gain y + eta as one system.
+
+    Input [eta, w, v, f], output [u, y]; the controller sees the faulty
+    measurement.  With M = (I + gain D)^-1 and P = I - D M gain,
+
+        x(k+1) = (A - B M gain C) x + B M eta + F w - B M gain (v + G f) + E f
+        [u; y] = [-M gain C; P C] x + [M; D M] eta + [-M gain; P] (v + G f)
+
+    Raises ValidationError for a gain of the wrong shape, an I + gain D
+    singular to working precision, or a loop that is not strictly stable.
+    """
+    A, B, C, D, E, G = model.A, model.B, model.C, model.D, model.E, model.G
+    nu, ny = model.n_inputs, model.n_outputs
+    if gain.shape != (nu, ny):
+        raise ValidationError(f"controller gain must be {nu} x {ny}, got {gain.shape}")
+    loop = np.eye(nu) + gain @ D
+    # measured against the terms that form it, so that a gain such as
+    # -inv(D), which cancels I only up to rounding, counts as singular
+    s_min = np.linalg.svd(loop, compute_uv=False)[-1]
+    if s_min <= 1e-12 * (1.0 + np.linalg.norm(gain @ D, 2)):
+        raise ValidationError("feedback loop is algebraically singular")
+    M = np.linalg.inv(loop)
+    MK, nw = M @ gain, model.F.shape[1]
+    P = np.eye(ny) - D @ MK
+    Acl = A - B @ MK @ C
+    rho = spectral_radius(Acl)
+    if rho >= 1.0:
+        raise ValidationError("controller fails to stabilize the loop: closed loop "
+                              f"unstable (spectral radius {rho:.4f})")
+    return LinearSystem(
+        Acl, np.hstack([B @ M, model.F, -B @ MK, E - B @ MK @ G]),
+        np.vstack([-MK @ C, P @ C]),
+        np.block([[M, np.zeros((nu, nw)), -MK, -MK @ G],
+                  [D @ M, np.zeros((ny, nw)), P, P @ G]]))
+
+
 def register_plant(name: str, factory, description: str = "") -> None:
     """Add a plant to the registry.
 
@@ -241,18 +279,10 @@ def register_plant(name: str, factory, description: str = "") -> None:
     once and rejects controllers that fail to stabilize the plant.
     """
     model, ctrl = factory()
-    loop = np.eye(model.n_inputs) + ctrl.gain @ model.D
     try:
-        inv_loop = np.linalg.inv(loop)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(
-            f"plant {name!r}: feedback loop is algebraically singular") from exc
-    Acl = model.A - model.B @ inv_loop @ ctrl.gain @ model.C
-    rho = spectral_radius(Acl)
-    if rho >= 1.0:
-        raise ValidationError(
-            f"plant {name!r}: controller fails to stabilize the loop "
-            f"(spectral radius {rho:.4f})")
+        _closed_loop_system(model, ctrl.gain)
+    except ValidationError as exc:
+        raise ValidationError(f"plant {name!r}: {exc}") from exc
     _REGISTRY[name] = PlantEntry(name, factory, description)
 
 
@@ -317,19 +347,8 @@ def closed_loop_sim(model: StateSpaceModel, controller: FeedbackController,
     Returns:
         (IOData, fault_series) with the applied fault values.
     """
-    n, nu, ny = model.n_states, model.n_inputs, model.n_outputs
-    Fg = controller.gain
-    if Fg.shape != (nu, ny):
-        raise ValidationError(f"controller gain must be {nu} x {ny}, got {Fg.shape}")
-    loop = np.eye(nu) + Fg @ model.D
-    try:
-        loop_inv = np.linalg.inv(loop)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError("feedback loop is algebraically singular") from exc
-    rho = spectral_radius(model.A - model.B @ loop_inv @ Fg @ model.C)
-    if rho >= 1.0:
-        raise ValidationError(
-            f"closed loop unstable (spectral radius {rho:.4f}); refusing to simulate")
+    nu, ny = model.n_inputs, model.n_outputs
+    loop = _closed_loop_system(model, controller.gain)
 
     if controller.reference is not None:
         if controller.reference.shape[0] < N:
@@ -351,17 +370,9 @@ def closed_loop_sim(model: StateSpaceModel, controller: FeedbackController,
     else:
         fault = np.zeros((N, nf))
 
-    x = np.zeros(n)
-    U = np.empty((N, nu))
-    Y = np.empty((N, ny))
-    for k in range(N):
-        ycore = model.C @ x + model.G @ fault[k] + V[k]
-        u = loop_inv @ (eta[k] - Fg @ ycore)
-        y = ycore + model.D @ u
-        U[k] = u
-        Y[k] = y
-        x = model.A @ x + model.B @ u + model.E @ fault[k] + model.F @ W[k]
-    return IOData(U, Y), fault
+    UY, _ = lti_recursion(loop.A, loop.B, loop.C, loop.D,
+                          np.hstack([eta, W, V, fault]))
+    return IOData(UY[:, :nu], UY[:, nu:]), fault
 
 
 def collect_identification_data(plant: StateSpaceModel,

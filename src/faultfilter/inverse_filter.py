@@ -39,8 +39,10 @@ from .lti_core import (
     IOData,
     LinearSystem,
     PredictorModel,
+    _FMT,
     _as_matrix,
     dare_fixed_point,
+    lti_recursion,
     spectral_radius,
 )
 
@@ -57,8 +59,6 @@ __all__ = [
     "cascade_filter",
     "run_filter",
 ]
-
-_FMT = "%.17g"
 
 
 def left_inverse(G) -> np.ndarray:
@@ -277,10 +277,11 @@ class FaultEstimationFilter:
         x(k+1) = Af x(k) + Bu u(k) + By y(k)
         fh(k)  = Cf x(k) + Du u(k) + Dy y(k)
 
-    ``state`` is the internal x and is advanced by :meth:`step`;
-    :meth:`run` resets it first, so a filter instance serves one stream
-    at a time.  ``strategy`` records how the injection gain was chosen
-    and travels with saved filter files.
+    ``state`` is the internal x, advanced by :meth:`step` (the streaming
+    path); :meth:`run` resets it first and leaves it where step would at
+    the end of the record, so an instance serves one stream at a time.
+    ``strategy`` records how the injection gain was chosen and travels
+    with saved filter files.
     """
 
     Af: np.ndarray
@@ -355,9 +356,9 @@ class FaultEstimationFilter:
                 f"expected widths ({self.n_inputs}, {self.n_outputs}), "
                 f"got ({U.shape[1]}, {Y.shape[1]})")
         self.reset(x0)
-        out = np.empty((U.shape[0], self.n_faults))
-        for k in range(U.shape[0]):
-            out[k] = self.step(U[k], Y[k])
+        out, self.state = lti_recursion(
+            self.Af, np.hstack([self.Bu, self.By]), self.Cf,
+            np.hstack([self.Du, self.Dy]), np.hstack([U, Y]), self.state)
         return out
 
     def to_csv(self, path) -> None:

@@ -22,6 +22,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_discrete_are
 
 from .errors import RiccatiError, ValidationError
 
@@ -31,6 +32,7 @@ __all__ = [
     "PredictorModel",
     "LinearSystem",
     "IOData",
+    "lti_recursion",
     "dare_fixed_point",
     "solve_dare",
     "to_predictor",
@@ -268,13 +270,7 @@ class LinearSystem:
         if U.shape[1] != self.B.shape[1]:
             raise ValidationError(
                 f"input width {U.shape[1]} does not match B ({self.B.shape[1]} columns)")
-        n = self.A.shape[0]
-        x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-        out = np.empty((U.shape[0], self.C.shape[0]))
-        for k in range(U.shape[0]):
-            out[k] = self.C @ x + self.D @ U[k]
-            x = self.A @ x + self.B @ U[k]
-        return out
+        return lti_recursion(self.A, self.B, self.C, self.D, U, x0)[0]
 
     def markov(self, L: int) -> MarkovSequence:
         return markov_from_ss(self.A, self.B, self.C, self.D, L)
@@ -329,13 +325,28 @@ class IOData:
         return cls(data[:, :nu], data[:, nu:nu + ny])
 
 
-def dare_fixed_point(A, C, Q, R, F=None, tol=1e-12, max_iter=100000):
-    """Steady state filter Riccati equation by fixed point iteration.
+def lti_recursion(A, B, C, D, inputs, x0=None):
+    """x(k+1) = A x(k) + B z(k), out(k) = C x(k) + D z(k) over an (N, n_in) record.
 
-    Iterates P <- A P A^T - A P C^T (C P C^T + R)^-1 C P A^T + F Q F^T
-    from P0 = F Q F^T + I until the relative update drops below ``tol``.
-    The identity offset in P0 avoids the spurious fixed point P = 0 that
-    exists when unstable modes carry no process noise.
+    The package's one record-length state recursion.  The input and
+    readout terms are one matrix product each, so the per-sample loop
+    only applies A.  Returns (out, x(N)); callers validate shapes.
+    """
+    n = A.shape[0]
+    X = np.empty((inputs.shape[0] + 1, n))
+    X[0] = 0.0 if x0 is None else np.asarray(x0, dtype=float).reshape(n)
+    X[1:] = inputs @ B.T
+    rows = list(X)  # row views: each step adds A x(k) into x(k+1) in place
+    for k in range(inputs.shape[0]):
+        rows[k + 1] += A.dot(rows[k])
+    return X[:-1] @ C.T + inputs @ D.T, X[-1].copy()
+
+
+def dare_fixed_point(A, C, Q, R, F=None):
+    """Steady state filter Riccati equation, stabilizing solution.
+
+    Solves P = A P A^T - A P C^T (C P C^T + R)^-1 C P A^T + F Q F^T with
+    :func:`scipy.linalg.solve_discrete_are` on the dual (control) pair.
 
     Args:
         A, C: system and output matrices of the pair to filter.
@@ -348,8 +359,8 @@ def dare_fixed_point(A, C, Q, R, F=None, tol=1e-12, max_iter=100000):
         gain K = A P C^T (C P C^T + R)^-1 and SigmaE = C P C^T + R.
 
     Raises:
-        RiccatiError: iteration diverged or hit ``max_iter`` without
-            meeting the tolerance (typically a non detectable pair).
+        RiccatiError: no stabilizing solution was found (typically a non
+            detectable pair).
     """
     A = _as_matrix(A, name="A")
     n = A.shape[0]
@@ -361,47 +372,38 @@ def dare_fixed_point(A, C, Q, R, F=None, tol=1e-12, max_iter=100000):
     w = np.linalg.eigvalsh(0.5 * (R + R.T))
     if w.size == 0 or w.min() <= 0:
         raise ValidationError("R must be positive definite")
-
+    # homogeneous in (Q, R, P): solved at unit scale, as R = 1e-30 I fails otherwise
     Qt = F @ Q @ F.T
-    P = Qt + np.eye(n)
-    for _ in range(int(max_iter)):
-        S = C @ P @ C.T + R
-        APC = A @ P @ C.T
-        Pn = A @ P @ A.T - APC @ np.linalg.solve(S, APC.T) + Qt
-        Pn = 0.5 * (Pn + Pn.T)
-        norm = np.linalg.norm(Pn)
-        if not np.isfinite(norm) or norm > 1e100:
-            raise RiccatiError("Riccati divergence: iterates are unbounded")
-        if np.linalg.norm(Pn - P) <= tol * max(1.0, norm):
-            P = Pn
-            break
-        P = Pn
-    else:
-        raise RiccatiError(
-            f"Riccati iteration did not reach tolerance {tol:g} in {int(max_iter)} steps")
+    scale = max(np.abs(Qt).max(initial=0.0), w.max())
+    try:
+        P = scale * solve_discrete_are(A.T, C.T, Qt / scale, R / scale)
+    except np.linalg.LinAlgError as exc:
+        raise RiccatiError(f"no stabilizing Riccati solution: {exc}") from exc
     S = C @ P @ C.T + R
     K = np.linalg.solve(S.T, (A @ P @ C.T).T).T
+    rho = spectral_radius(A - K @ C)
+    if not rho < 1.0:
+        raise RiccatiError(f"Riccati solution is not stabilizing (spectral radius {rho:.6g})")
     return P, K, S
 
 
-def solve_dare(model: StateSpaceModel, tol=1e-12, max_iter=100000):
+def solve_dare(model: StateSpaceModel):
     """Riccati solution (P, K, SigmaE) for a plant's one step predictor.
 
     Thin wrapper around :func:`dare_fixed_point` that pulls the matrices
     out of the model.  Requires a detectable (A, C) pair and positive
-    definite R; divergence raises RiccatiError.
+    definite R; a pair without a stabilizing solution raises RiccatiError.
     """
-    return dare_fixed_point(model.A, model.C, model.Q, model.R, model.F,
-                            tol=tol, max_iter=max_iter)
+    return dare_fixed_point(model.A, model.C, model.Q, model.R, model.F)
 
 
-def to_predictor(model: StateSpaceModel, tol=1e-12, max_iter=100000) -> PredictorModel:
+def to_predictor(model: StateSpaceModel) -> PredictorModel:
     """Kalman predictor form of a plant model.
 
     Solves the plant's filter Riccati equation and assembles Phi, Bt and
     the fault channel Et = E - K G.
     """
-    P, K, SigmaE = solve_dare(model, tol=tol, max_iter=max_iter)
+    P, K, SigmaE = solve_dare(model)
     return PredictorModel(
         Phi=model.A - K @ model.C,
         Bt=model.B - K @ model.D,
@@ -493,13 +495,11 @@ def simulate(model: StateSpaceModel, u, f=None, x0=None, seed=0) -> IOData:
     Sr = psd_factor(model.R)
     W = rng.standard_normal((N, Sq.shape[1])) @ Sq.T
     V = rng.standard_normal((N, Sr.shape[1])) @ Sr.T
-    n = model.n_states
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    Y = np.empty((N, model.n_outputs))
-    for k in range(N):
-        Y[k] = model.C @ x + model.D @ U[k] + model.G @ Fser[k] + V[k]
-        x = model.A @ x + model.B @ U[k] + model.E @ Fser[k] + model.F @ W[k]
-    return IOData(U, Y)
+    n, ny, nw = model.n_states, model.n_outputs, model.F.shape[1]
+    plant = LinearSystem(  # one system with the stacked input [u, f, w, v]
+        model.A, np.hstack([model.B, model.E, model.F, np.zeros((n, ny))]),
+        model.C, np.hstack([model.D, model.G, np.zeros((ny, nw)), np.eye(ny)]))
+    return IOData(U, plant.run(np.hstack([U, Fser, W, V]), x0))
 
 
 def markov_from_ss(A, B, C, D, L: int) -> MarkovSequence:

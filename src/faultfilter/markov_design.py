@@ -22,7 +22,6 @@ identified-model baseline.
 from __future__ import annotations
 
 import configparser
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -57,8 +56,6 @@ __all__ = [
     "design_filter_from_data",
     "design_filter_from_xi",
 ]
-
-_FMT = "%.17g"
 
 
 def fault_markov(Hy: MarkovSequence, sensor, L: int = None) -> MarkovSequence:
@@ -294,19 +291,6 @@ class RealizedSystem:
     @property
     def n_faults(self) -> int:
         return self.C1_hat.shape[0]
-
-    def to_csv(self, path) -> None:
-        """Audit dump: singular values followed by every matrix."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["singular_values", len(self.singular_values)])
-            w.writerow([_FMT % v for v in self.singular_values])
-            for name in ("Phi1_hat", "Bf_hat", "Kf_hat", "C1_hat", "C2_hat",
-                         "Df1_hat", "D1_hat", "Df2_hat", "Gf2_hat"):
-                M = getattr(self, name)
-                w.writerow(["matrix", name, M.shape[0], M.shape[1]])
-                for row in M:
-                    w.writerow([_FMT % v for v in row])
 
 
 def _pick_order(s: np.ndarray, max_order: int) -> int:

@@ -21,11 +21,9 @@ import numpy as np
 from scipy.linalg import lstsq
 
 from .errors import ExcitationError, ValidationError
-from .lti_core import IOData, MarkovSequence, PredictorModel, markov_parameters
+from .lti_core import IOData, MarkovSequence, PredictorModel, _FMT, markov_parameters
 
 __all__ = ["IdentifiedXi", "xi_from_predictor", "identify_xi", "xi_residuals"]
-
-_FMT = "%.17g"
 
 
 @dataclass

@@ -31,6 +31,46 @@ from faultfilter.bench_cli import (
 from conftest import planted_zero_predictor
 
 
+def per_sample_closed_loop(model, controller, N, rng, scenario=None,
+                           excite_cov=None):
+    """Reference closed loop: the controller solved sample by sample.
+
+    Draws eta, process noise and measurement noise in the same order as
+    closed_loop_sim, then steps u = (I + gain D)^-1 (eta - gain ycore).
+    """
+    nu, ny = model.n_inputs, model.n_outputs
+    Fg = controller.gain
+    loop_inv = np.linalg.inv(np.eye(nu) + Fg @ model.D)
+    if controller.reference is not None:
+        eta = controller.reference[:N]
+    elif excite_cov is not None:
+        eta = rng.standard_normal((N, nu)) @ ff.psd_factor(excite_cov).T
+    else:
+        eta = np.zeros((N, nu))
+    W = rng.standard_normal((N, model.F.shape[1])) @ ff.psd_factor(model.Q).T
+    V = rng.standard_normal((N, ny)) @ ff.psd_factor(model.R).T
+    fault = (np.zeros((N, model.n_faults)) if scenario is None
+             else scenario.evaluate(N))
+    x = np.zeros(model.n_states)
+    U = np.empty((N, nu))
+    Y = np.empty((N, ny))
+    for k in range(N):
+        ycore = model.C @ x + model.G @ fault[k] + V[k]
+        U[k] = loop_inv @ (eta[k] - Fg @ ycore)
+        Y[k] = ycore + model.D @ U[k]
+        x = model.A @ x + model.B @ U[k] + model.E @ fault[k] + model.F @ W[k]
+    return U, Y
+
+
+# feedthrough the registry controller still stabilizes (rho 0.80)
+D_PLANT = np.array([[0.3, -0.2], [0.25, 0.4]])
+
+
+def with_feedthrough(model, D):
+    return ff.StateSpaceModel(model.A, model.B, model.C, D=D,
+                              Q=model.Q, R=model.R)
+
+
 def small_cfg(**kw):
     """Comparison settings scaled down for test speed."""
     base = dict(p=40, markov_length=40, hankel_rows=12, hankel_cols=12,
@@ -182,6 +222,39 @@ class TestClosedLoopSim:
         with pytest.raises(ValidationError, match="faults"):
             closed_loop_sim(both, self.ctrl, 10, rng,
                             scenario=FaultScenario(onset=2, sensors=(0,)))
+
+    @pytest.mark.parametrize("case", ["registry", "feedthrough_two_sensors",
+                                      "preset_reference"])
+    def test_matches_per_sample_loop(self, case):
+        model, ctrl, sensors = self.model, self.ctrl, (0,)
+        excite = 0.5 * np.eye(2)
+        if case != "registry":
+            model, sensors = with_feedthrough(self.model, D_PLANT), (0, 1)
+        if case == "preset_reference":
+            ref = np.random.default_rng(2).standard_normal((150, 2))
+            ctrl = FeedbackController(self.ctrl.gain, reference=ref)
+        faulty = ff.sensor_fault_plant(model, sensors)
+        scen = FaultScenario(onset=30, sensors=sensors,
+                             signals=("step 2", "0.5 sin 0.3")[:len(sensors)])
+        data, fault = closed_loop_sim(faulty, ctrl, 150,
+                                      np.random.default_rng(4), scenario=scen,
+                                      excite_cov=excite)
+        U, Y = per_sample_closed_loop(faulty, ctrl, 150,
+                                      np.random.default_rng(4), scenario=scen,
+                                      excite_cov=excite)
+        assert np.array_equal(fault, scen.evaluate(150))
+        for got, want in ((data.u, U), (data.y, Y)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.abs(want).max())
+
+    def test_near_singular_loop_rejected(self):
+        # gain -inv(D) makes I + gain D vanish up to rounding only
+        model = with_feedthrough(self.model, D_PLANT)
+        ctrl = FeedbackController(-np.linalg.inv(D_PLANT))
+        with pytest.raises(ValidationError, match="algebraically singular"):
+            closed_loop_sim(model, ctrl, 10, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="algebraically singular"):
+            ff.register_plant("cancelled", lambda q=None, r=None: (model, ctrl))
+        assert "cancelled" not in ff.list_plants()
 
     def test_collect_identification_data(self):
         a = collect_identification_data(self.model, self.ctrl, 200, seed=11)

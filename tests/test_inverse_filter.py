@@ -239,6 +239,23 @@ class TestFaultEstimationFilter:
         got = np.array([filt.step(u[k], y[k]) for k in range(N)])
         assert np.allclose(got, ref, atol=1e-12)
 
+    def test_run_leaves_state_where_step_does(self, rng):
+        pred, filt = self.make_filter(rng)
+        N = 50
+        u = rng.standard_normal((N, 2))
+        y = rng.standard_normal((N, 2))
+        x0 = rng.standard_normal(filt.n_states)
+        batch = filt.run(u, y, x0=x0)
+        x_end = filt.state.copy()
+        filt.reset(x0)
+        streamed = np.array([filt.step(u[k], y[k]) for k in range(N)])
+        scale = 1.0 + np.abs(streamed).max()
+        assert np.max(np.abs(batch - streamed)) <= 1e-12 * scale
+        assert np.max(np.abs(x_end - filt.state)) <= 1e-12 * (1.0 + np.abs(filt.state).max())
+        # run_filter documents the same end-of-record state
+        run_filter(filt, IOData(u, y), x_f0=x0)
+        assert np.array_equal(filt.state, x_end)
+
     def test_run_filter_resets_state(self, rng):
         pred, filt = self.make_filter(rng)
         data = IOData(rng.standard_normal((30, 2)), rng.standard_normal((30, 2)))

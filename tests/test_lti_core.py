@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faultfilter as ff
 from faultfilter import (
@@ -14,6 +16,7 @@ from faultfilter import (
     block_toeplitz,
     dare_fixed_point,
     extended_observability,
+    lti_recursion,
     markov_from_ss,
     markov_parameters,
     psd_factor,
@@ -26,6 +29,42 @@ from faultfilter import (
 )
 
 from conftest import random_model, random_predictor
+
+
+def per_sample_run(A, B, C, D, Z, x0):
+    """Reference loop: out(k) = C x + D z(k), then x = A x + B z(k)."""
+    x = np.array(x0, dtype=float)
+    out = np.empty((Z.shape[0], C.shape[0]))
+    for k in range(Z.shape[0]):
+        out[k] = C @ x + D @ Z[k]
+        x = A @ x + B @ Z[k]
+    return out, x
+
+
+class TestLtiRecursion:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           n_in=st.integers(1, 4), n_out=st.integers(1, 3),
+           rho=st.floats(0.0, 1.6), N=st.integers(0, 60), zero_x0=st.booleans())
+    def test_matches_per_sample_loop(self, seed, n, n_in, n_out, rho, N, zero_x0):
+        # rho(A) > 1 grows the state geometrically, so unstable draws
+        # keep the record short
+        if rho > 1.0:
+            N = min(N, 25)
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        A *= rho / max(spectral_radius(A), 1e-12)
+        B = rng.standard_normal((n, n_in))
+        C = rng.standard_normal((n_out, n))
+        D = rng.standard_normal((n_out, n_in))
+        x0 = np.zeros(n) if zero_x0 else rng.standard_normal(n)
+        Z = rng.standard_normal((N, n_in))
+        out, x_end = lti_recursion(A, B, C, D, Z, None if zero_x0 else x0)
+        ref, x_ref = per_sample_run(A, B, C, D, Z, x0)
+        assert out.shape == (N, n_out)
+        scale = 1.0 + np.abs(ref).max(initial=0.0)
+        assert np.max(np.abs(out - ref), initial=0.0) <= 1e-12 * scale
+        assert np.max(np.abs(x_end - x_ref)) <= 1e-12 * (1.0 + np.abs(x_ref).max())
 
 
 class TestDare:
@@ -52,12 +91,24 @@ class TestDare:
         pred = to_predictor(model)
         assert spectral_radius(pred.Phi) < 1.0
 
+    @pytest.mark.parametrize("r", [1.0, 1e-30])
+    def test_zero_process_noise_mirrors_unstable_poles(self, rng, r):
+        # with Q = 0 the stabilizing solution keeps the stable poles of A
+        # and reflects the unstable ones to 1/conj(lambda), at any scale
+        # of R; a tiny R once gave a non-stabilizing solution
+        model = random_model(rng, n=4, q=0.0, r=r, unstable=True)
+        pred = to_predictor(model)
+        lam = np.abs(np.linalg.eigvals(model.A))
+        want = np.sort(np.minimum(lam, 1.0 / lam))
+        got = np.sort(np.abs(np.linalg.eigvals(pred.Phi)))
+        assert np.allclose(got, want, atol=1e-8)
+
     def test_riccati_error_on_undetectable_pair(self):
         # unstable mode invisible from the output
         A = np.diag([1.3, 0.5])
         C = np.array([[0.0, 1.0]])
         with pytest.raises(RiccatiError):
-            dare_fixed_point(A, C, np.eye(2), np.eye(1), max_iter=2000)
+            dare_fixed_point(A, C, np.eye(2), np.eye(1))
 
     def test_rejects_indefinite_R(self, rng):
         model = random_model(rng)
@@ -205,6 +256,27 @@ class TestSimulate:
         data = simulate(noise_free, np.zeros((20, model.n_inputs)), f=f)
         assert np.allclose(data.y[5:, 0], 2.0)
         assert np.allclose(data.y[:, 1], 0.0)
+
+    def test_matches_per_sample_plant_loop(self, rng):
+        base = random_model(rng, n=4, n_u=2, n_y=3)
+        model = sensor_fault_plant(
+            StateSpaceModel(A=base.A, B=base.B, C=base.C,
+                            D=rng.standard_normal((3, 2)), Q=base.Q, R=base.R),
+            [0, 2])
+        N = 40
+        u = rng.standard_normal((N, 2))
+        f = rng.standard_normal((N, 2))
+        x0 = rng.standard_normal(4)
+        data = simulate(model, u, f=f, x0=x0, seed=3)
+        # same draws as simulate: process noise first, then measurement
+        noise = np.random.default_rng(3)
+        W = noise.standard_normal((N, 4)) @ psd_factor(model.Q).T
+        V = noise.standard_normal((N, 3)) @ psd_factor(model.R).T
+        x = x0.copy()
+        for k in range(N):
+            y = model.C @ x + model.D @ u[k] + model.G @ f[k] + V[k]
+            assert np.allclose(data.y[k], y, rtol=1e-12, atol=1e-12)
+            x = model.A @ x + model.B @ u[k] + model.E @ f[k] + model.F @ W[k]
 
     def test_seed_reproducible(self, rng):
         model = random_model(rng)

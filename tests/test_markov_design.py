@@ -224,15 +224,6 @@ class TestRealize:
         assert np.allclose(realized.D1_hat, W0[:1, 2:])
         assert np.allclose(realized.Gf2_hat, W0[1:, 2:])
 
-    def test_csv_audit_dump(self, rng, tmp_path):
-        pred = stable_invertible_predictor(rng)
-        realized = realize(self.build_windows(pred),
-                           DesignConfig(sensor=0, markov_length=100, order=4))
-        path = tmp_path / "realized.csv"
-        realized.to_csv(path)
-        text = path.read_text()
-        assert "Phi1_hat" in text and "singular_values" in text
-
 
 class TestDesignPipeline:
     def test_exact_data_matches_model_based_filter(self, rng):

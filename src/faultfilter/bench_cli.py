@@ -52,6 +52,7 @@ from .lti_core import (
     StateSpaceModel,
     _FMT,
     _sensor_list,
+    _write_csv,
     block_toeplitz,
     lti_recursion,
     psd_factor,
@@ -62,6 +63,9 @@ from .lti_core import (
 )
 from .markov_design import (
     DesignConfig,
+    _design_section,
+    _ini_values,
+    _one_based,
     design_filter_from_xi,
     predictor_from_xi,
     z_markov,
@@ -538,20 +542,12 @@ class ExperimentReport:
         import os
         os.makedirs(out_dir, exist_ok=True)
         nf = self.fault.shape[1]
-        with open(os.path.join(out_dir, "estimates.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            head = ["k"] + [f"f{i+1}" for i in range(nf)]
-            for res in self.results:
-                if res.ok:
-                    head += [f"{res.name}_f{i+1}" for i in range(nf)]
-            w.writerow(head)
-            N = self.fault.shape[0]
-            for k in range(N):
-                row = [k] + [_FMT % v for v in self.fault[k]]
-                for res in self.results:
-                    if res.ok:
-                        row += [_FMT % v for v in res.estimates[k]]
-                w.writerow(row)
+        ok = [res for res in self.results if res.ok]
+        _write_csv(os.path.join(out_dir, "estimates.csv"),
+                   [["k"] + [f"f{i+1}" for i in range(nf)]
+                    + [f"{res.name}_f{i+1}" for res in ok for i in range(nf)]],
+                   np.column_stack([np.arange(len(self.fault)), self.fault]
+                                   + [res.estimates for res in ok]))
         with open(os.path.join(out_dir, "stats.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["algorithm", "ok", "samples", "mean", "covariance",
@@ -918,24 +914,25 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def _plant_from_section(sec) -> StateSpaceModel:
-    kwargs = {}
-    for key in ("A", "B", "C", "D", "E", "G", "F", "Q", "R"):
-        if key in sec:
-            kwargs[key] = parse_matrix(sec[key])
+    kwargs = _ini_values(sec, dict.fromkeys("ABCDEGFQR", parse_matrix))
     for key in ("A", "B", "C"):
         if key not in kwargs:
             raise ValidationError(f"[plant] section must define {key}")
     model = StateSpaceModel(**kwargs)
-    if "q" in sec and "Q" not in kwargs:
-        model = StateSpaceModel(A=model.A, B=model.B, C=model.C, D=model.D,
-                                E=model.E, G=model.G, F=model.F,
-                                Q=float(sec["q"]) * np.eye(model.F.shape[1]),
-                                R=model.R)
-    if "r" in sec and "R" not in kwargs:
-        model = StateSpaceModel(A=model.A, B=model.B, C=model.C, D=model.D,
-                                E=model.E, G=model.G, F=model.F, Q=model.Q,
-                                R=float(sec["r"]) * np.eye(model.n_outputs))
-    return model
+    scalars = _ini_values(sec, {"q": float, "r": float})
+    if "q" in scalars and "Q" not in kwargs:
+        kwargs["Q"] = scalars["q"] * np.eye(model.F.shape[1])
+    if "r" in scalars and "R" not in kwargs:
+        kwargs["R"] = scalars["r"] * np.eye(model.n_outputs)
+    return StateSpaceModel(**kwargs)
+
+
+def _boolean(raw: str) -> bool:
+    """INI boolean in any spelling configparser accepts (yes/no, on/off, ...)."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
 
 
 def load_bench_config(config_path=None, plant=None, seed=None,
@@ -978,59 +975,36 @@ def load_bench_config(config_path=None, plant=None, seed=None,
             kwargs["plant"] = sec["name"]
         elif "A" in sec:
             kwargs["model"] = _plant_from_section(sec)
-        if "q" in sec:
-            kwargs["q"] = float(sec["q"])
-        if "r" in sec:
-            kwargs["r"] = float(sec["r"])
+        kwargs.update(_ini_values(sec, {"q": float, "r": float}))
     if "controller" in plant_parser and "gain" in plant_parser["controller"]:
         kwargs["controller"] = FeedbackController(
             parse_matrix(plant_parser["controller"]["gain"]))
 
     if "scenario" in parser:
-        sec = parser["scenario"]
-        scen_kwargs = {}
-        if "onset" in sec:
-            scen_kwargs["onset"] = sec.getint("onset")
-        if "sensors" in sec:
-            vals = [int(v) for v in sec["sensors"].replace(",", " ").split()]
-            if any(v < 1 for v in vals):
-                raise ValidationError("config sensor indices are one based")
-            scen_kwargs["sensors"] = [v - 1 for v in vals]
-        if "signals" in sec:
-            scen_kwargs["signals"] = [s.strip() for s in sec["signals"].split(";")]
-        kwargs["scenario"] = FaultScenario(**scen_kwargs)
+        kwargs["scenario"] = FaultScenario(**_ini_values(parser["scenario"], {
+            "onset": int,
+            "sensors": _one_based,
+            "signals": lambda raw: [part.strip() for part in raw.split(";")],
+        }))
 
     if "identify" in parser:
-        sec = parser["identify"]
-        if "p" in sec:
-            kwargs["p"] = sec.getint("p")
-        if "n_samples" in sec:
-            kwargs["n_ident"] = sec.getint("n_samples")
-        if "ridge" in sec:
-            kwargs["ridge"] = sec.getfloat("ridge")
-        if "assume_delay" in sec:
-            kwargs["assume_delay"] = sec.getboolean("assume_delay")
+        ident = _ini_values(parser["identify"], {
+            "p": int, "n_samples": int, "ridge": float, "assume_delay": _boolean})
+        if "n_samples" in ident:
+            ident["n_ident"] = ident.pop("n_samples")
+        kwargs.update(ident)
 
     if "design" in parser:
-        sec = parser["design"]
-        for key in ("markov_length", "hankel_rows", "hankel_cols"):
-            if key in sec:
-                kwargs[key] = sec.getint(key)
-        if "order" in sec:
-            raw = sec["order"].strip()
-            kwargs["order"] = raw if raw == "auto" else int(raw)
-        if "strategy" in sec:
-            kwargs["strategy"] = sec["strategy"].strip()
-        if "poles" in sec:
-            raw = sec["poles"].strip()
-            kwargs["poles"] = (None if raw == "none" else
-                               [float(v) for v in raw.replace(",", " ").split()])
+        design = _design_section(parser["design"])
+        if "sensor" in design:
+            raise ValidationError(
+                "[design] sensor is not used by benchmark configs; set the "
+                "faulty sensors with [scenario] sensors")
+        kwargs.update(design)
 
     if "bench" in parser:
-        sec = parser["bench"]
-        for key in ("run_samples", "window_start", "window_stop", "timing_steps"):
-            if key in sec:
-                kwargs[key] = sec.getint(key)
+        kwargs.update(_ini_values(parser["bench"], dict.fromkeys(
+            ("run_samples", "window_start", "window_stop", "timing_steps"), int)))
 
     if seed is not None:
         kwargs["seed"] = int(seed)
@@ -1044,19 +1018,18 @@ def load_bench_config(config_path=None, plant=None, seed=None,
 # command line interface
 
 
-def _cli_collect(cfg: BenchConfig) -> IOData:
-    model, controller = cfg.resolve_plant()
-    return collect_identification_data(model, controller, cfg.n_ident,
-                                       cfg.seed)
-
-
-def _cmd_identify(args, cfg: BenchConfig) -> int:
+def _cli_identify(args, cfg: BenchConfig):
+    """(xi, data) identified from the --data record or a simulated one."""
     if args.data is not None:
         data = IOData.from_csv(args.data)
     else:
-        data = _cli_collect(cfg)
-    xi = identify_xi(data, cfg.p, ridge=cfg.ridge,
-                     assume_delay=cfg.assume_delay)
+        model, controller = cfg.resolve_plant()
+        data = collect_identification_data(model, controller, cfg.n_ident, cfg.seed)
+    return identify_xi(data, cfg.p, ridge=cfg.ridge, assume_delay=cfg.assume_delay), data
+
+
+def _cmd_identify(args, cfg: BenchConfig) -> int:
+    xi, data = _cli_identify(args, cfg)
     out = _out_path(args, "xi.csv")
     xi.to_csv(out)
     print(f"identified p={xi.p} blocks from {data.n_samples} samples -> {out}")
@@ -1064,15 +1037,8 @@ def _cmd_identify(args, cfg: BenchConfig) -> int:
 
 
 def _cmd_design(args, cfg: BenchConfig) -> int:
-    if args.xi is not None:
-        xi = IdentifiedXi.from_csv(args.xi)
-    else:
-        if args.data is not None:
-            data = IOData.from_csv(args.data)
-        else:
-            data = _cli_collect(cfg)
-        xi = identify_xi(data, cfg.p, ridge=cfg.ridge,
-                         assume_delay=cfg.assume_delay)
+    xi = (IdentifiedXi.from_csv(args.xi) if args.xi is not None
+          else _cli_identify(args, cfg)[0])
     filt = design_filter_from_xi(xi, _design_config(cfg))
     out = _out_path(args, "filter.csv")
     filt.to_csv(out)
@@ -1088,11 +1054,8 @@ def _cmd_estimate(args, cfg: BenchConfig) -> int:
     data = IOData.from_csv(args.data)
     estimates = run_filter(filt, data)
     out = _out_path(args, "estimates.csv")
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k"] + [f"fhat{i+1}" for i in range(filt.n_faults)])
-        for k in range(estimates.shape[0]):
-            w.writerow([k] + [_FMT % v for v in estimates[k]])
+    _write_csv(out, [["k"] + [f"fhat{i+1}" for i in range(filt.n_faults)]],
+               np.column_stack([np.arange(len(estimates)), estimates]))
     print(f"estimated {estimates.shape[0]} samples -> {out}")
     return 0
 

@@ -39,6 +39,7 @@ from .lti_core import (
     IOData,
     LinearSystem,
     PredictorModel,
+    _CsvRows,
     _FMT,
     _as_matrix,
     dare_fixed_point,
@@ -376,27 +377,25 @@ class FaultEstimationFilter:
 
     @classmethod
     def from_csv(cls, path) -> "FaultEstimationFilter":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if len(rows) < 2 or rows[0] != ["n", "n_u", "n_y", "n_f", "strategy"]:
-            raise ValidationError(f"{path}: not a filter bundle (bad manifest)")
+        rows = _CsvRows(path)
+        if (len(rows) < 2 or rows[0] != ["n", "n_u", "n_y", "n_f", "strategy"]
+                or len(rows[1]) != 5):
+            raise rows.error("not a filter bundle (bad manifest)")
         strategy = rows[1][4]
         mats = {}
         i = 2
         while i < len(rows):
             tag = rows[i]
             if len(tag) != 4 or tag[0] != "matrix":
-                raise ValidationError(f"{path}: expected a matrix header at row {i + 1}")
-            name, nr, nc = tag[1], int(tag[2]), int(tag[3])
-            block = rows[i + 1:i + 1 + nr]
-            if len(block) != nr:
-                raise ValidationError(f"{path}: truncated matrix {name}")
-            mats[name] = np.array(
-                [[float(v) for v in r] for r in block]).reshape(nr, nc)
+                raise rows.error(f"expected a matrix header at row {i + 1}")
+            name, (nr, nc) = tag[1], rows.sizes(i, slice(2, 4))
+            if i + 1 + nr > len(rows):
+                raise rows.error(f"truncated matrix {name}")
+            mats[name] = rows.floats(i + 1, i + 1 + nr, nc)
             i += 1 + nr
         missing = {"Af", "Bu", "By", "Cf", "Du", "Dy"} - set(mats)
         if missing:
-            raise ValidationError(f"{path}: missing matrices {sorted(missing)}")
+            raise rows.error(f"missing matrices {sorted(missing)}")
         return cls(strategy=strategy, **mats)
 
 

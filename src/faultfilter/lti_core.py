@@ -276,6 +276,52 @@ class LinearSystem:
         return markov_from_ss(self.A, self.B, self.C, self.D, L)
 
 
+def _write_csv(path, head, *tables) -> None:
+    """Write the ``head`` rows as given, then each table's rows at full precision."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerows(head)
+        for table in tables:
+            w.writerows([_FMT % v for v in row] for row in table)
+
+
+class _CsvRows(list):
+    """The rows of a CSV file, read for every ``from_csv`` of the package.
+
+    An unreadable file, a non-numeric cell and a row of the wrong width
+    raise a ValidationError that names the file.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        try:
+            with open(path, newline="") as fh:
+                super().__init__(csv.reader(fh))
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise self.error(f"cannot read: {exc}") from exc
+
+    def error(self, message: str) -> ValidationError:
+        return ValidationError(f"{self.path}: {message}")
+
+    def sizes(self, i: int, fields: slice = slice(None)) -> list:
+        """Nonnegative integers in the given fields of row i."""
+        cells = self[i][fields]
+        if not all(v.isdecimal() for v in cells):
+            raise self.error(f"row {i + 1}: expected sizes, got {cells}")
+        return [int(v) for v in cells]
+
+    def floats(self, start: int, stop: int, width: int) -> np.ndarray:
+        """Rows start .. stop-1 as a float array with ``width`` columns."""
+        block = self[start:stop]
+        for i, r in enumerate(block, start + 1):
+            if len(r) != width:
+                raise self.error(f"row {i} has {len(r)} fields, expected {width}")
+        try:
+            return np.array(block, dtype=float).reshape(len(block), width)
+        except ValueError as exc:
+            raise self.error(f"non-numeric cell: {exc}") from exc
+
+
 @dataclass
 class IOData:
     """Sampled input/output record of one experiment."""
@@ -303,26 +349,22 @@ class IOData:
 
     def to_csv(self, path) -> None:
         """Write samples as rows k,u1..u_nu,y1..y_ny with full precision."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k"]
-                       + [f"u{i+1}" for i in range(self.n_inputs)]
-                       + [f"y{i+1}" for i in range(self.n_outputs)])
-            for k in range(self.n_samples):
-                w.writerow([k] + [_FMT % v for v in self.u[k]] + [_FMT % v for v in self.y[k]])
+        _write_csv(path, [["k"] + [f"u{i+1}" for i in range(self.n_inputs)]
+                          + [f"y{i+1}" for i in range(self.n_outputs)]],
+                   np.column_stack([np.arange(self.n_samples), self.u, self.y]))
 
     @classmethod
     def from_csv(cls, path) -> "IOData":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0][0] != "k":
-            raise ValidationError(f"{path}: expected header starting with 'k'")
-        nu = sum(1 for h in rows[0] if h.startswith("u"))
-        ny = sum(1 for h in rows[0] if h.startswith("y"))
-        if 1 + nu + ny != len(rows[0]):
-            raise ValidationError(f"{path}: malformed header {rows[0]}")
-        data = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-        return cls(data[:, :nu], data[:, nu:nu + ny])
+        rows = _CsvRows(path)
+        header = rows[0] if rows else []
+        if header[:1] != ["k"]:
+            raise rows.error("expected header starting with 'k'")
+        nu = sum(1 for h in header if h.startswith("u"))
+        ny = sum(1 for h in header if h.startswith("y"))
+        if 1 + nu + ny != len(header):
+            raise rows.error(f"malformed header {header}")
+        data = rows.floats(1, len(rows), len(header))
+        return cls(data[:, 1:1 + nu], data[:, 1 + nu:])
 
 
 def lti_recursion(A, B, C, D, inputs, x0=None):
@@ -506,16 +548,12 @@ def markov_from_ss(A, B, C, D, L: int) -> MarkovSequence:
     """Markov parameters D, CB, CAB, ..., CA^(L-2)B of a quadruple."""
     if L < 1:
         raise ValidationError("need at least one Markov block")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
-    blocks = np.empty((L, C.shape[0], B.shape[1]))
+    blocks = np.empty((L,) + D.shape)
     blocks[0] = D
-    cur = C.copy()
-    for i in range(1, L):
-        blocks[i] = cur @ B
-        cur = cur @ A
+    if L > 1:
+        blocks[1:] = (extended_observability(A, C, L - 1) @ B).reshape(L - 1, *D.shape)
     return MarkovSequence(blocks)
 
 
@@ -537,21 +575,29 @@ def markov_parameters(pred: PredictorModel, channel: str, L: int) -> MarkovSeque
     raise ValidationError(f"unknown channel {channel!r}, expected 'u', 'y' or 'f'")
 
 
+def _block_gather(blocks: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Block matrix whose block (i, j) is ``blocks[index[i, j]]``.
+
+    The one place that knows the block layout: a gather of whole blocks
+    followed by one reshape into rows of blocks.
+    """
+    (l, m), (p, q) = index.shape, blocks.shape[1:]
+    return blocks[index].transpose(0, 2, 1, 3).reshape(l * p, m * q)
+
+
 def block_toeplitz(seq: MarkovSequence, L: int = None) -> np.ndarray:
     """Lower block triangular Toeplitz matrix of the first L blocks.
 
     Block (i, j) equals H_(i-j) for i >= j and zero above the diagonal.
+    The product of two such matrices is the Toeplitz matrix of the
+    causal block convolution of their sequences.
     """
     L = len(seq) if L is None else L
     if L > len(seq):
         raise ValidationError(f"need {L} blocks, sequence has {len(seq)}")
-    p, q = seq.block_shape
-    T = np.zeros((L * p, L * q))
-    for d in range(L):
-        blk = seq[d]
-        for i in range(d, L):
-            T[i * p:(i + 1) * p, (i - d) * q:(i - d + 1) * q] = blk
-    return T
+    lag = np.subtract.outer(np.arange(L), np.arange(L))
+    padded = np.concatenate([seq.blocks[:L], np.zeros((1,) + seq.block_shape)])
+    return _block_gather(padded, np.where(lag >= 0, lag, L))
 
 
 def block_hankel(seq: MarkovSequence, l: int, m: int) -> np.ndarray:
@@ -566,12 +612,7 @@ def block_hankel(seq: MarkovSequence, l: int, m: int) -> np.ndarray:
     if len(seq) < l + m - 1:
         raise ValidationError(
             f"need {l + m - 1} blocks for a {l} x {m} block Hankel matrix, have {len(seq)}")
-    p, q = seq.block_shape
-    H = np.empty((l * p, m * q))
-    for i in range(l):
-        for j in range(m):
-            H[i * p:(i + 1) * p, j * q:(j + 1) * q] = seq[i + j]
-    return H
+    return _block_gather(seq.blocks, np.add.outer(np.arange(l), np.arange(m)))
 
 
 def extended_observability(A, C, L: int) -> np.ndarray:

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lstsq
+from scipy.linalg import lstsq, solve_triangular
 
 from .errors import FaultDirectionError, FaultFilterError, ValidationError, rewrap
 from .inverse_filter import FaultEstimationFilter, left_inverse, stabilizing_gain
@@ -37,6 +37,7 @@ from .lti_core import (
     PredictorModel,
     _sensor_list,
     block_hankel,
+    block_toeplitz,
 )
 from .sysid_markov import IdentifiedXi, identify_xi
 
@@ -81,8 +82,7 @@ def fault_markov(Hy: MarkovSequence, sensor, L: int = None) -> MarkovSequence:
             f"need {L - 1} output blocks for L={L} fault blocks, have {len(Hy)}")
     blocks = np.empty((L, n_y, len(J)))
     blocks[0] = np.eye(n_y)[:, J]
-    for i in range(1, L):
-        blocks[i] = -Hy[i - 1][:, J]
+    blocks[1:] = -Hy.blocks[:L - 1][:, :, J]
     return MarkovSequence(blocks)
 
 
@@ -102,8 +102,7 @@ def z_markov(Hu: MarkovSequence, Hy: MarkovSequence, L: int = None) -> MarkovSeq
             f"L={L} exceeds the available blocks ({len(Hu)} input, {len(Hy)} output)")
     blocks = np.empty((L, n_y, n_u + n_y))
     blocks[0] = np.hstack([-Hu[0], np.eye(n_y)])
-    for i in range(1, L):
-        blocks[i] = np.hstack([-Hu[i], -Hy[i - 1]])
+    blocks[1:] = -np.concatenate([Hu.blocks[1:L], Hy.blocks[:L - 1]], axis=2)
     return MarkovSequence(blocks)
 
 
@@ -115,9 +114,12 @@ def inverse_markov(Hf: MarkovSequence, L: int = None) -> MarkovSequence:
 
         G_0 = (H_0^f)^-,   G_i = -(sum_{j=1..i} G_{i-j} H_j^f) G_0.
 
-    These are simultaneously the Markov parameters of the open loop
-    inverse, which is why a state space realization can be squeezed out
-    of them later.
+    In transfer function form the recursion reads
+    G(z) = G_0 (I + sum_{j>=1} H_j^f G_0 z^-j)^-1, so the blocks come
+    from one unit lower triangular solve with the Toeplitz matrix of
+    {I, H_1^f G_0, H_2^f G_0, ...}.  These are simultaneously the
+    Markov parameters of the open loop inverse, which is why a state
+    space realization can be squeezed out of them later.
 
     Raises:
         FaultDirectionError: the feedthrough block H_0^f is rank
@@ -131,54 +133,40 @@ def inverse_markov(Hf: MarkovSequence, L: int = None) -> MarkovSequence:
     except FaultDirectionError as exc:
         raise FaultDirectionError(
             f"fault feedthrough rank deficient: {exc}") from exc
-    n_f, n_y = G0.shape
-    blocks = np.empty((L, n_f, n_y))
-    blocks[0] = G0
-    for i in range(1, L):
-        acc = np.zeros((n_f, n_f))
-        for j in range(1, i + 1):
-            acc += blocks[i - j] @ Hf[j]
-        blocks[i] = -acc @ G0
-    return MarkovSequence(blocks)
-
-
-def _causal_convolve(A: MarkovSequence, B: MarkovSequence, L: int) -> MarkovSequence:
-    """Block convolution C_i = sum_{j=0..i} A_{i-j} B_j."""
-    if L > len(A) or L > len(B):
-        raise ValidationError(
-            f"convolution length {L} exceeds inputs ({len(A)}, {len(B)})")
-    ra = A.block_shape[0]
-    cb = B.block_shape[1]
-    out = np.zeros((L, ra, cb))
-    for i in range(L):
-        for j in range(i + 1):
-            out[i] += A[i - j] @ B[j]
-    return MarkovSequence(out)
+    n_y = G0.shape[1]
+    N = Hf.blocks[:L] @ G0
+    N[0] = np.eye(n_y)
+    Ninv = solve_triangular(block_toeplitz(MarkovSequence(N)), np.eye(L * n_y, n_y),
+                            lower=True, unit_diagonal=True)
+    return MarkovSequence(G0 @ Ninv.reshape(L, n_y, n_y))
 
 
 def convolve_R(Gi: MarkovSequence, Hz: MarkovSequence, L: int = None) -> MarkovSequence:
     """Window weights R_i = sum_{j=0..i} G_{i-j} H_j^z.
 
-    On exact data these equal the Markov parameters of the open loop
-    inverse driven by [u; y] through the fault readout.
+    One product T(G) stack(H^z) of the Toeplitz matrix of {G_i} with the
+    stacked z blocks.  On exact data these equal the Markov parameters
+    of the open loop inverse driven by [u; y] through the fault readout.
     """
     L = min(len(Gi), len(Hz)) if L is None else L
-    return _causal_convolve(Gi, Hz, L)
+    cols = Hz.block_shape[1]
+    R = block_toeplitz(Gi, L) @ Hz.truncated(L).blocks.reshape(-1, cols)
+    return MarkovSequence(R.reshape(L, Gi.block_shape[0], cols))
 
 
 def convolve_Q(Hz: MarkovSequence, Hf: MarkovSequence, Ri: MarkovSequence,
                L: int = None) -> MarkovSequence:
     """Complement blocks Q_i = H_i^z - sum_{j=0..i} H_{i-j}^f R_j.
 
-    On exact data these are the Markov parameters of the same inverse
-    seen through the fault-orthogonal output rows, the part the
-    stabilizing injection feeds on.
+    One product: stack(Q) = stack(H^z) - T(H^f) stack(R).  On exact
+    data these are the Markov parameters of the same inverse seen
+    through the fault-orthogonal output rows, the part the stabilizing
+    injection feeds on.
     """
     L = min(len(Hz), len(Hf), len(Ri)) if L is None else L
-    conv = _causal_convolve(Hf, Ri, L)
-    if L > len(Hz):
-        raise ValidationError(f"L={L} exceeds the {len(Hz)} available z blocks")
-    return MarkovSequence(Hz.blocks[:L] - conv.blocks)
+    Z, R = Hz.truncated(L).blocks, Ri.truncated(L).blocks
+    conv = block_toeplitz(Hf, L) @ R.reshape(-1, R.shape[2])
+    return MarkovSequence(Z - conv.reshape(Z.shape))
 
 
 def stack_windows(Ri: MarkovSequence, Qi: MarkovSequence) -> MarkovSequence:
@@ -186,6 +174,49 @@ def stack_windows(Ri: MarkovSequence, Qi: MarkovSequence) -> MarkovSequence:
     if len(Ri) != len(Qi) or Ri.block_shape[1] != Qi.block_shape[1]:
         raise ValidationError("R and Q sequences are inconsistent")
     return MarkovSequence(np.concatenate([Ri.blocks, Qi.blocks], axis=1))
+
+
+def _ini_values(sec, parsers: dict) -> dict:
+    """Parsed values of the keys of ``parsers`` present in an INI section.
+
+    A value that fails to parse raises ValidationError naming the
+    section and key.
+    """
+    out = {}
+    for key, parse in parsers.items():
+        if key in sec:
+            try:
+                out[key] = parse(sec[key].strip())
+            except ValueError as exc:
+                raise ValidationError(
+                    f"[{sec.name}] {key} = {sec[key]!r}: {exc}") from exc
+    return out
+
+
+def _one_based(raw: str) -> list:
+    """Zero based indices of a one based 'i j, k' index list."""
+    vals = [int(v) for v in raw.replace(",", " ").split()]
+    if any(v < 1 for v in vals):
+        raise ValueError("config sensor indices are one based")
+    return [v - 1 for v in vals]
+
+
+def _design_section(sec) -> dict:
+    """DesignConfig keyword arguments from a [design] INI section.
+
+    ``sensor`` is one based; ``poles`` is a whitespace or comma
+    separated list, or ``none``.
+    """
+    return _ini_values(sec, {
+        "sensor": _one_based,
+        "markov_length": int,
+        "hankel_rows": int,
+        "hankel_cols": int,
+        "order": lambda raw: raw if raw == "auto" else int(raw),
+        "strategy": str,
+        "poles": lambda raw: (None if raw == "none" else
+                              [float(v) for v in raw.replace(",", " ").split()]),
+    })
 
 
 @dataclass
@@ -229,7 +260,8 @@ class DesignConfig:
         """Read a config from a key = value section of an INI style file.
 
         Sensor indices are one based in files (sensor = 1 is the first
-        output); ``poles`` is a whitespace or comma separated list.
+        output); ``poles`` is a whitespace or comma separated list or
+        ``none``.
         """
         if isinstance(source, configparser.ConfigParser):
             parser = source
@@ -240,27 +272,7 @@ class DesignConfig:
                 raise ValidationError(f"cannot read config file {source}")
         if section not in parser:
             raise ValidationError(f"config has no [{section}] section")
-        sec = parser[section]
-        kwargs = {}
-        if "sensor" in sec:
-            vals = [int(v) for v in sec["sensor"].replace(",", " ").split()]
-            if any(v < 1 for v in vals):
-                raise ValidationError("config sensor indices are one based")
-            kwargs["sensor"] = [v - 1 for v in vals]
-        for key in ("markov_length", "hankel_rows", "hankel_cols"):
-            if key in sec:
-                kwargs[key] = sec.getint(key)
-        if "order" in sec:
-            raw = sec["order"].strip()
-            kwargs["order"] = raw if raw == "auto" else int(raw)
-        if "strategy" in sec:
-            kwargs["strategy"] = sec["strategy"].strip()
-        if "poles" in sec:
-            kwargs["poles"] = [float(v) for v in sec["poles"].replace(",", " ").split()]
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ValidationError(f"bad design config: {exc}") from exc
+        return cls(**_design_section(parser[section]))
 
 
 @dataclass

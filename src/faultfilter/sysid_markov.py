@@ -14,14 +14,14 @@ negligible for the plants in scope.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lstsq
 
 from .errors import ExcitationError, ValidationError
-from .lti_core import IOData, MarkovSequence, PredictorModel, _FMT, markov_parameters
+from .lti_core import (IOData, MarkovSequence, PredictorModel, _CsvRows, _write_csv,
+                       markov_parameters)
 
 __all__ = ["IdentifiedXi", "xi_from_predictor", "identify_xi", "xi_residuals"]
 
@@ -98,12 +98,8 @@ class IdentifiedXi:
         This is the matrix the LS regression actually solves for, with
         the deepest lag first and the feedthrough block last.
         """
-        cols = []
-        for lag in range(self.p, 0, -1):
-            cols.append(self.Hu[lag])
-            cols.append(self.Hy[lag - 1])
-        cols.append(self.Hu[0])
-        return np.hstack(cols)
+        lags = np.concatenate([self.Hu.blocks[:0:-1], self.Hy.blocks[::-1]], axis=2)
+        return np.hstack([*lags, self.Hu[0]])
 
     @classmethod
     def from_stacked(cls, xi, p: int, n_u: int, n_y: int,
@@ -114,14 +110,10 @@ class IdentifiedXi:
         if xi.shape != (n_y, p * w + n_u):
             raise ValidationError(
                 f"stacked shape {xi.shape} does not match p={p}, n_u={n_u}, n_y={n_y}")
-        Hu = np.empty((p + 1, n_y, n_u))
-        Hy = np.empty((p, n_y, n_y))
-        Hu[0] = xi[:, p * w:]
-        for lag in range(1, p + 1):
-            start = (p - lag) * w
-            Hu[lag] = xi[:, start:start + n_u]
-            Hy[lag - 1] = xi[:, start + n_u:start + w]
-        return cls(MarkovSequence(Hu), MarkovSequence(Hy), p, residual_variance)
+        lags = xi[:, :p * w].reshape(n_y, p, w).transpose(1, 0, 2)[::-1]  # lag 1 first
+        Hu = np.concatenate([xi[None, :, p * w:], lags[:, :, :n_u]])
+        return cls(MarkovSequence(Hu), MarkovSequence(lags[:, :, n_u:].copy()), p,
+                   residual_variance)
 
     def to_csv(self, path) -> None:
         """Write the estimate with a small manifest header.
@@ -129,31 +121,19 @@ class IdentifiedXi:
         Layout: manifest line, the stacked coefficient rows, then the
         residual covariance rows.
         """
-        xi = self.stacked()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["p", "n_u", "n_y"])
-            w.writerow([self.p, self.n_u, self.n_y])
-            for row in xi:
-                w.writerow([_FMT % v for v in row])
-            for row in self.residual_variance:
-                w.writerow([_FMT % v for v in row])
+        _write_csv(path, [["p", "n_u", "n_y"], [self.p, self.n_u, self.n_y]],
+                   self.stacked(), self.residual_variance)
 
     @classmethod
     def from_csv(cls, path) -> "IdentifiedXi":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if len(rows) < 2 or rows[0] != ["p", "n_u", "n_y"]:
-            raise ValidationError(f"{path}: expected a 'p,n_u,n_y' manifest header")
-        try:
-            p, n_u, n_y = (int(v) for v in rows[1])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: malformed manifest row {rows[1]}") from exc
+        rows = _CsvRows(path)
+        if len(rows) < 2 or rows[0] != ["p", "n_u", "n_y"] or len(rows[1]) != 3:
+            raise rows.error("expected a 'p,n_u,n_y' manifest header and row")
+        p, n_u, n_y = rows.sizes(1)
         if len(rows) != 2 + 2 * n_y:
-            raise ValidationError(
-                f"{path}: expected {2 * n_y} data rows, got {len(rows) - 2}")
-        xi = np.array([[float(v) for v in r] for r in rows[2:2 + n_y]])
-        cov = np.array([[float(v) for v in r] for r in rows[2 + n_y:]])
+            raise rows.error(f"expected {2 * n_y} data rows, got {len(rows) - 2}")
+        xi = rows.floats(2, 2 + n_y, p * (n_u + n_y) + n_u)
+        cov = rows.floats(2 + n_y, len(rows), n_y)
         return cls.from_stacked(xi, p, n_u, n_y, residual_variance=cov)
 
 

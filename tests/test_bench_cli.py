@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -501,6 +502,16 @@ class TestLoadBenchConfig:
         assert cfg.scenario.sensors == (1,)
         assert cfg.run_samples == 500
 
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "readme.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg = load_bench_config(path)
+        assert cfg.p == 60 and cfg.n_ident == 1500 and cfg.assume_delay
+        assert cfg.q == 1e-5 and cfg.order == "auto"
+        assert cfg.poles == [0.7, 0.5, 0.3, 0.1]
+        assert cfg.controller.gain.shape == (2, 2)
+
     def test_sensor_index_base(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[scenario]\nsensors = 0\n")
@@ -596,6 +607,49 @@ class TestCli:
     def test_unknown_plant_exit_code(self, capsys):
         assert main(["zeros", "--plant", "bogus_plant"]) == 2
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, content, message", [
+        (["identify", "--data", "missing.csv"], None, "cannot read"),
+        (["estimate", "--filter", "missing.csv", "--data", "missing.csv"],
+         None, "cannot read"),
+        (["design", "--xi", "missing.csv"], None, "cannot read"),
+        (["identify", "--data", "bad.csv"], "k,u1,y1\n0,0.5,abc\n",
+         "non-numeric"),
+        (["identify", "--data", "bad.csv"],
+         "k,u1,u2,y1,y2\n0,0.1,0.2,0.3\n1,0.1,0.2,0.3\n",
+         "row 2 has 4 fields, expected 5"),
+        (["design", "--xi", "bad.csv"], "p,n_u,n_y\n2,1,x\n", "row 2: expected sizes"),
+        (["estimate", "--filter", "bad.csv", "--data", "missing.csv"],
+         "n,n_u,n_y,n_f,strategy\n1,1,1,1,riccati\nmatrix,Af,1,1\nabc\n",
+         "non-numeric"),
+    ], ids=["identify-missing", "estimate-missing", "design-missing",
+            "non-numeric-cell", "header-wider-than-rows", "xi-bad-manifest",
+            "filter-non-numeric-cell"])
+    def test_bad_data_file_exit_code(self, tmp_path, capsys, argv, content, message):
+        path = tmp_path / argv[2]
+        if content is not None:
+            path.write_text(content)
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert f"validation error: {path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("design", "order", "abc"),
+        ("identify", "p", "1.5"),
+        ("scenario", "onset", "soon"),
+        ("identify", "assume_delay", "perhaps"),
+    ])
+    def test_bad_ini_value_exit_code(self, tmp_path, capsys, section, key, value):
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["zeros", "--config", str(cfg_path)]) == 2
+        assert f"[{section}] {key} = {value!r}" in capsys.readouterr().err
+
+    def test_design_sensor_key_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text("[design]\nsensor = 2\n")
+        assert main(["zeros", "--config", str(cfg_path)]) == 2
+        assert "[scenario] sensors" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, rng):
         pred = planted_zero_predictor(rng, 1.2)

@@ -299,6 +299,19 @@ class TestDesignConfig:
         with pytest.raises(ValidationError):
             DesignConfig(sensor=0, strategy="magic")
 
+    def test_from_ini_poles_none(self, tmp_path):
+        # the same [design] section parses for the CLI and for from_ini
+        path = tmp_path / "design.ini"
+        path.write_text("[design]\nstrategy = riccati\npoles = none\n")
+        assert DesignConfig.from_ini(path).poles is None
+        assert ff.bench_cli.load_bench_config(path).poles is None
+
+    def test_from_ini_bad_value_names_key(self, tmp_path):
+        path = tmp_path / "design.ini"
+        path.write_text("[design]\nmarkov_length = 1e2\n")
+        with pytest.raises(ValidationError, match=r"\[design\] markov_length"):
+            DesignConfig.from_ini(path)
+
     def test_from_ini_one_based_sensors(self, tmp_path):
         path = tmp_path / "design.ini"
         path.write_text(

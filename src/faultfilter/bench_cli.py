@@ -66,6 +66,7 @@ from .markov_design import (
     _design_section,
     _ini_values,
     _one_based,
+    _read_ini,
     design_filter_from_xi,
     predictor_from_xi,
     z_markov,
@@ -913,17 +914,21 @@ def parse_matrix(text: str) -> np.ndarray:
     return M
 
 
-def _plant_from_section(sec) -> StateSpaceModel:
-    kwargs = _ini_values(sec, dict.fromkeys("ABCDEGFQR", parse_matrix))
+_PLANT_KEYS = {"name": str, **dict.fromkeys("ABCDEGFQR", parse_matrix),
+               "q": float, "r": float}
+
+
+def _plant_from_values(vals: dict) -> StateSpaceModel:
+    """Plant model from the parsed matrix and noise keys of [plant]."""
+    kwargs = {key: vals[key] for key in "ABCDEGFQR" if key in vals}
     for key in ("A", "B", "C"):
         if key not in kwargs:
             raise ValidationError(f"[plant] section must define {key}")
     model = StateSpaceModel(**kwargs)
-    scalars = _ini_values(sec, {"q": float, "r": float})
-    if "q" in scalars and "Q" not in kwargs:
-        kwargs["Q"] = scalars["q"] * np.eye(model.F.shape[1])
-    if "r" in scalars and "R" not in kwargs:
-        kwargs["R"] = scalars["r"] * np.eye(model.n_outputs)
+    if "q" in vals and "Q" not in kwargs:
+        kwargs["Q"] = vals["q"] * np.eye(model.F.shape[1])
+    if "r" in vals and "R" not in kwargs:
+        kwargs["R"] = vals["r"] * np.eye(model.n_outputs)
     return StateSpaceModel(**kwargs)
 
 
@@ -950,35 +955,31 @@ def load_bench_config(config_path=None, plant=None, seed=None,
     file with its own [plant] section.
     """
     kwargs = dict(overrides or {})
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # matrix keys are case sensitive (Q vs q)
-    if config_path is not None:
-        if not parser.read(config_path):
-            raise ValidationError(f"cannot read config file {config_path}")
+    # matrix keys are case sensitive (Q vs q)
+    parser = (configparser.ConfigParser() if config_path is None
+              else _read_ini(config_path, case_sensitive=True))
 
     plant_parser = parser
     if plant is not None:
-        entry_like = plant in _REGISTRY
-        if entry_like:
+        if plant in _REGISTRY:
             kwargs["plant"] = plant
         else:
-            plant_parser = configparser.ConfigParser()
-            plant_parser.optionxform = str
-            if not plant_parser.read(plant):
-                raise ValidationError(
-                    f"--plant {plant!r} is neither a registered plant nor a "
-                    "readable config file")
+            plant_parser = _read_ini(
+                plant, case_sensitive=True,
+                missing=f"--plant {plant!r} is neither a registered plant nor a "
+                        "readable config file")
 
     if "plant" in plant_parser:
-        sec = plant_parser["plant"]
-        if "name" in sec and "A" not in sec:
-            kwargs["plant"] = sec["name"]
-        elif "A" in sec:
-            kwargs["model"] = _plant_from_section(sec)
-        kwargs.update(_ini_values(sec, {"q": float, "r": float}))
-    if "controller" in plant_parser and "gain" in plant_parser["controller"]:
-        kwargs["controller"] = FeedbackController(
-            parse_matrix(plant_parser["controller"]["gain"]))
+        vals = _ini_values(plant_parser["plant"], _PLANT_KEYS)
+        if any(key in vals for key in "ABCDEGFQR"):
+            kwargs["model"] = _plant_from_values(vals)
+        elif "name" in vals:
+            kwargs["plant"] = vals["name"]
+        kwargs.update({key: vals[key] for key in ("q", "r") if key in vals})
+    if "controller" in plant_parser:
+        ctrl = _ini_values(plant_parser["controller"], {"gain": parse_matrix})
+        if "gain" in ctrl:
+            kwargs["controller"] = FeedbackController(ctrl["gain"])
 
     if "scenario" in parser:
         kwargs["scenario"] = FaultScenario(**_ini_values(parser["scenario"], {

@@ -176,12 +176,37 @@ def stack_windows(Ri: MarkovSequence, Qi: MarkovSequence) -> MarkovSequence:
     return MarkovSequence(np.concatenate([Ri.blocks, Qi.blocks], axis=1))
 
 
+def _read_ini(path, case_sensitive: bool = False, missing: str = None):
+    """ConfigParser loaded from one INI file, without interpolation.
+
+    An unreadable file raises ValidationError with ``missing`` (default:
+    "cannot read config file <path>"); a malformed one raises
+    ValidationError naming the file and the parse error.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    if case_sensitive:
+        parser.optionxform = str
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValidationError(f"malformed config file {path}: {exc}") from exc
+    if not read:
+        raise ValidationError(missing or f"cannot read config file {path}")
+    return parser
+
+
 def _ini_values(sec, parsers: dict) -> dict:
     """Parsed values of the keys of ``parsers`` present in an INI section.
 
-    A value that fails to parse raises ValidationError naming the
-    section and key.
+    A key the section does not accept, or a value that fails to parse,
+    raises ValidationError naming the section and key.
     """
+    defaults = sec.parser.defaults()
+    unknown = [key for key in sec if key not in parsers and key not in defaults]
+    if unknown:
+        raise ValidationError(
+            f"[{sec.name}] {unknown[0]}: unknown key; accepted keys are "
+            f"{', '.join(parsers)}")
     out = {}
     for key, parse in parsers.items():
         if key in sec:
@@ -263,13 +288,8 @@ class DesignConfig:
         output); ``poles`` is a whitespace or comma separated list or
         ``none``.
         """
-        if isinstance(source, configparser.ConfigParser):
-            parser = source
-        else:
-            parser = configparser.ConfigParser()
-            read = parser.read(source)
-            if not read:
-                raise ValidationError(f"cannot read config file {source}")
+        parser = (source if isinstance(source, configparser.ConfigParser)
+                  else _read_ini(source))
         if section not in parser:
             raise ValidationError(f"config has no [{section}] section")
         return cls(**_design_section(parser[section]))
@@ -324,7 +344,10 @@ def ho_kalman(seq: MarkovSequence, l: int, m: int, order="auto",
     truncated SVD into observability and controllability factors and
     recovers the state map from the block shift: by one block column of
     the controllability factor (width = input count) or one block row of
-    the observability factor.  Block 0 becomes the feedthrough.
+    the observability factor.  Block 0 becomes the feedthrough.  Each
+    singular pair is signed so that the largest-magnitude entry of its
+    left vector is positive, which pins the realized state basis against
+    LAPACK's arbitrary sign choice.
 
     Args:
         seq: blocks H_0 .. H_{l+m} at least (H_0 used as D only).
@@ -342,6 +365,8 @@ def ho_kalman(seq: MarkovSequence, l: int, m: int, order="auto",
     p, q = seq.block_shape
     H = block_hankel(MarkovSequence(seq.blocks[1:]), l, m)
     U, s, Vt = np.linalg.svd(H, full_matrices=False)
+    sign = np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])])
+    U, Vt = U * sign, Vt * sign[:, None]
     if s[0] == 0.0:
         raise ValidationError("all Markov blocks are zero, nothing to realize")
     if order == "auto":

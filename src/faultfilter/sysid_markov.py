@@ -11,13 +11,20 @@ squares problem over all usable samples recovers the Markov parameters
 directly from data; the truncation bias decays like the p-th power of
 the predictor spectral radius, so a past window around p = 100 makes it
 negligible for the plants in scope.
+
+The regressor rows are sliding windows of the samples [u(k) y(k)], so
+the normal equations come from the block-Hankel structure in
+O(N p m^2) work (m = n_u + n_y) without building the regressor; one
+Cholesky factorization solves them, and a condition estimate guards
+against regressors too close to rank deficient for that route.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lstsq
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
 
 from .errors import ExcitationError, ValidationError
 from .lti_core import (IOData, MarkovSequence, PredictorModel, _CsvRows, _write_csv,
@@ -149,31 +156,70 @@ def xi_from_predictor(pred: PredictorModel, p: int) -> IdentifiedXi:
                         residual_variance=pred.SigmaE)
 
 
-def _regression_arrays(data: IOData, p: int, assume_delay: bool):
-    """Target and regressor matrices of the VARX problem.
+def _samples(data: IOData) -> np.ndarray:
+    """Sample rows w(k) = [u(k) y(k)] of a record, checked finite."""
+    w = np.hstack([data.u, data.y])
+    bad = ~np.isfinite(w).all(axis=1)
+    if bad.any():
+        raise ValidationError(
+            f"non-finite value in sample k={int(np.argmax(bad))} of the record")
+    return w
 
-    Rows are samples k = p .. N-1; regressor columns follow the stacked
-    block layout (deepest lag first).  With ``assume_delay`` the lag 0
-    input columns are dropped (one sample actuation delay, H_0^u = 0),
-    which removes the simultaneity bias that static output feedback
-    would otherwise induce.
+
+def _lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
+    """Gram matrix of the B-block sliding windows of the sample rows.
+
+    Window r is [w(r) .. w(r+B-1)] for r = 0 .. N-B, so the result is
+    the Gram matrix of the block-Hankel matrix whose block (r, j) is
+    w(r+j), computed without building it.  Block (i, j) differs from
+    block (i-1, j-1) only by the end terms -w(i-1) w(j-1)^T +
+    w(rows+i-1) w(rows+j-1)^T, so the first block row plus a cumulative
+    sum of those terms gives every block.
     """
-    N = data.n_samples
-    u, y = data.u, data.y
-    cols = [np.hstack([u[p - lag:N - lag], y[p - lag:N - lag]])
-            for lag in range(p, 0, -1)]
-    if not assume_delay:
-        cols.append(u[p:N])
-    return y[p:N], np.hstack(cols), N - p
+    N, m = w.shape
+    rows = N - B + 1
+    windows = sliding_window_view(w, B, axis=0)  # [r, :, j] = w(r + j)
+    first = np.matmul(w[:rows].T, windows.transpose(2, 0, 1))
+    end = np.concatenate([w[rows:], np.zeros((B - 1, m))])
+    # ends[t, d] = w(t) w(t+d)^T at the head and tail of the record
+    head = np.einsum("ta,tbd->tdab", w[:B - 1],
+                     sliding_window_view(w[:2 * B - 2], B, axis=0))
+    tail = np.einsum("ta,tbd->tdab", end[:B - 1],
+                     sliding_window_view(end, B, axis=0))
+    upper = first + np.concatenate(
+        [np.zeros((1, B, m, m)), np.cumsum(tail - head, axis=0)])  # [i, d] = block (i, i+d)
+    I, J = np.indices((B, B))
+    blocks = upper[np.minimum(I, J), np.abs(J - I)]
+    blocks = np.where((J < I)[..., None, None], blocks.swapaxes(2, 3), blocks)
+    return blocks.transpose(0, 2, 1, 3).reshape(B * m, B * m)
+
+
+def _window_residuals(w: np.ndarray, n_y: int, xi: np.ndarray) -> np.ndarray:
+    """y(k) - xi z(k) for k = p .. N-1, with xi in the stacked layout.
+
+    The coefficients [-xi, I] weigh the (p+1)-block window of w, whose
+    last n_y columns are y(k).  Column a of block j weighs w(k-p+j)[a],
+    so each residual channel is a sum of m valid-mode correlations of
+    one sample column with its p+1 weights.
+    """
+    m = w.shape[1]
+    return np.column_stack([
+        sum(np.correlate(w[:, a], c[a::m], "valid") for a in range(m))
+        for c in np.hstack([-xi, np.eye(n_y)])])
 
 
 def identify_xi(data: IOData, p: int, ridge: float = 0.0,
                 assume_delay: bool = False) -> IdentifiedXi:
     """Least squares estimate of the predictor Markov parameters.
 
+    The normal equations are formed from the lagged Gram matrix of the
+    samples (see :func:`_lagged_gram`), column-equilibrated and solved
+    by Cholesky; the regressor matrix itself is never built.  The
+    residual covariance comes from the residuals themselves.
+
     Args:
         data: recorded experiment; inputs must be persistently exciting
-            (not checked beyond a rank test on the regressors).
+            (not checked beyond a conditioning test on the regressors).
         p: past window length; the truncation bias scales with the p-th
             power of the predictor spectral radius.
         ridge: optional Tikhonov weight on the coefficients.
@@ -186,40 +232,62 @@ def identify_xi(data: IOData, p: int, ridge: float = 0.0,
         IdentifiedXi with all blocks and the residual covariance.
 
     Raises:
-        ExcitationError: fewer usable rows than coefficients, or the
-            regressor matrix is rank deficient with ridge = 0.
+        ValidationError: p < 1, negative ridge, or a non-finite sample
+            (the message names the first one).
+        ExcitationError: fewer usable rows than coefficients, a
+            regressor column that is identically zero, a Gram matrix
+            that is not numerically positive definite, or, with
+            ridge = 0, a reciprocal condition estimate of the
+            equilibrated Gram matrix below ncols * eps (cond(Z) above
+            about 3e6 at p = 100 with two inputs and two outputs).
     """
     if p < 1:
         raise ValidationError("past window p must be at least 1")
+    if ridge < 0:
+        raise ValidationError("ridge weight must be nonnegative")
     if data.n_samples <= p:
         raise ExcitationError(
             f"insufficient excitation: need more than p={p} samples, "
             f"got {data.n_samples}")
-    Y, Z, rows = _regression_arrays(data, p, assume_delay)
-    ncols = Z.shape[1]
+    w = _samples(data)
+    n_u, n_y = data.n_inputs, data.n_outputs
+    rows = data.n_samples - p
+    ncols = p * (n_u + n_y) + (0 if assume_delay else n_u)
     if rows < ncols:
         raise ExcitationError(
             f"insufficient excitation: {rows} regression rows cannot determine "
             f"{ncols} coefficient columns; record more samples or lower p")
-    if ridge < 0:
-        raise ValidationError("ridge weight must be nonnegative")
-    if ridge > 0:
-        Zr = np.vstack([Z, np.sqrt(ridge) * np.eye(ncols)])
-        Yr = np.vstack([Y, np.zeros((ncols, data.n_outputs))])
-    else:
-        Zr, Yr = Z, Y
-    sol, _, rank, _ = lstsq(Zr, Yr, lapack_driver="gelsy")
-    if ridge == 0 and rank < ncols:
+    # regressor columns are a prefix of the (p+1)-block windows, targets
+    # their last n_y columns
+    G = _lagged_gram(w, p + 1)
+    scale = np.sqrt(np.diag(G)[:ncols] + ridge)
+    if not scale.all():
         raise ExcitationError(
-            f"insufficient excitation: regressor matrix rank {rank} < {ncols} "
-            "at this window length")
-    res = Y - Z @ sol
-    cov = res.T @ res / rows
+            f"insufficient excitation: regressor column {int(np.argmin(scale))} "
+            "is identically zero")
+    A = (G[:ncols, :ncols] + ridge * np.eye(ncols)) / np.outer(scale, scale)
+    try:
+        factor = cho_factor(A, check_finite=False)
+    except LinAlgError as exc:
+        raise ExcitationError(
+            "insufficient excitation: the regressor Gram matrix is not "
+            "numerically positive definite at this window length") from exc
+    if ridge == 0:
+        pocon, = get_lapack_funcs(("pocon",), (A,))
+        rcond, _ = pocon(factor[0], np.abs(A).sum(axis=0).max())
+        if rcond < ncols * np.finfo(float).eps:
+            cond = 1 / rcond if rcond > 0 else np.inf
+            raise ExcitationError(
+                f"insufficient excitation: the equilibrated regressor Gram matrix "
+                f"has condition estimate {cond:.2e}, above the limit "
+                f"{1 / (ncols * np.finfo(float).eps):.2e} at this window length")
+    sol = cho_solve(factor, G[:ncols, -n_y:] / scale[:, None],
+                    check_finite=False) / scale[:, None]
     xi = sol.T
     if assume_delay:
-        xi = np.hstack([xi, np.zeros((data.n_outputs, data.n_inputs))])
-    return IdentifiedXi.from_stacked(xi, p, data.n_inputs, data.n_outputs,
-                                     residual_variance=cov)
+        xi = np.hstack([xi, np.zeros((n_y, n_u))])
+    res = _window_residuals(w, n_y, xi)
+    return IdentifiedXi.from_stacked(xi, p, n_u, n_y, residual_variance=res.T @ res / rows)
 
 
 def xi_residuals(xi: IdentifiedXi, data: IOData) -> np.ndarray:
@@ -234,5 +302,4 @@ def xi_residuals(xi: IdentifiedXi, data: IOData) -> np.ndarray:
         raise ValidationError("data dimensions do not match the identified model")
     if data.n_samples <= xi.p:
         raise ValidationError(f"record shorter than the past window p={xi.p}")
-    Y, Z, _ = _regression_arrays(data, xi.p, assume_delay=False)
-    return Y - Z @ xi.stacked().T
+    return _window_residuals(_samples(data), xi.n_y, xi.stacked())

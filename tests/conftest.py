@@ -1,16 +1,63 @@
 """Shared generators for randomized tests.
 
 Everything is seeded through numpy Generators passed in by the tests,
-so failures reproduce from the printed seed.
+so failures reproduce from the printed seed.  Property tests share one
+``hypothesis`` profile: no deadline (the first example pays for imports
+and LAPACK warm-up) and derandomized draws, so every run replays the
+same examples.
 """
 import numpy as np
 import pytest
+from hypothesis import settings
+from scipy.linalg import lstsq
 
 from faultfilter import (
+    ExcitationError,
+    IdentifiedXi,
     PredictorModel,
     StateSpaceModel,
     spectral_radius,
 )
+
+settings.register_profile("faultfilter", deadline=None, derandomize=True)
+settings.load_profile("faultfilter")
+
+
+def varx_regression(data, p, assume_delay):
+    """Target Y and regressor Z of the VARX problem, built explicitly.
+
+    Rows are samples k = p .. N-1; regressor columns follow the stacked
+    block layout (deepest lag first), with the lag 0 input columns last
+    unless ``assume_delay``.
+    """
+    N = data.n_samples
+    u, y = data.u, data.y
+    cols = [np.hstack([u[p - lag:N - lag], y[p - lag:N - lag]])
+            for lag in range(p, 0, -1)]
+    if not assume_delay:
+        cols.append(u[p:N])
+    return y[p:N], np.hstack(cols)
+
+
+def gelsy_identify_xi(data, p, ridge=0.0, assume_delay=False):
+    """VARX fit by pivoted QR on the explicit (ridge-stacked) regressor.
+
+    The oracle for ``identify_xi``: the same estimate without the Gram
+    matrix, with a rank test in place of the conditioning test.
+    """
+    Y, Z = varx_regression(data, p, assume_delay)
+    ncols = Z.shape[1]
+    Zr = np.vstack([Z, np.sqrt(ridge) * np.eye(ncols)])
+    Yr = np.vstack([Y, np.zeros((ncols, data.n_outputs))])
+    sol, _, rank, _ = lstsq(Zr, Yr, lapack_driver="gelsy")
+    if ridge == 0 and rank < ncols:
+        raise ExcitationError(f"regressor matrix rank {rank} < {ncols}")
+    res = Y - Z @ sol
+    xi = sol.T
+    if assume_delay:
+        xi = np.hstack([xi, np.zeros((data.n_outputs, data.n_inputs))])
+    return IdentifiedXi.from_stacked(xi, p, data.n_inputs, data.n_outputs,
+                                     residual_variance=res.T @ res / len(Y))
 
 
 def random_stable(rng, n, rho=0.8):

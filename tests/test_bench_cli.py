@@ -645,6 +645,38 @@ class TestCli:
         assert main(["zeros", "--config", str(cfg_path)]) == 2
         assert f"[{section}] {key} = {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        "p = 3\n",
+        "[design]\norder = 4\n[design]\norder = 5\n",
+        "[identify]\np = 3\np = 4\n",
+    ], ids=["no-section-header", "duplicate-section", "duplicate-key"])
+    def test_malformed_ini_exit_code(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text(content)
+        assert main(["zeros", "--config", str(cfg_path)]) == 2
+        assert f"malformed config file {cfg_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [
+        ("design", "hankel_row"),
+        ("identify", "P"),
+        ("scenario", "sensor"),
+        ("bench", "steps"),
+        ("plant", "nmae"),
+        ("controller", "gains"),
+    ])
+    def test_unknown_ini_key_exit_code(self, tmp_path, capsys, section, key):
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text(f"[{section}]\n{key} = 1\n")
+        assert main(["zeros", "--config", str(cfg_path)]) == 2
+        assert f"[{section}] {key}: unknown key" in capsys.readouterr().err
+
+    def test_unknown_key_in_plant_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "plant.ini"
+        path.write_text("[plant]\nA = 0.5\nB = 1\nC = 1\nq = 0.1\nrr = 2\n")
+        assert main(["zeros", "--plant", str(path)]) == 2
+        assert "[plant] rr: unknown key; accepted keys are name, A, B" in (
+            capsys.readouterr().err)
+
     def test_design_sensor_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.ini"
         cfg_path.write_text("[design]\nsensor = 2\n")

@@ -42,7 +42,7 @@ def per_sample_run(A, B, C, D, Z, x0):
 
 
 class TestLtiRecursion:
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
            n_in=st.integers(1, 4), n_out=st.integers(1, 3),
            rho=st.floats(0.0, 1.6), N=st.integers(0, 60), zero_x0=st.booleans())

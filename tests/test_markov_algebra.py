@@ -22,7 +22,7 @@ from faultfilter import (
     spectral_radius,
 )
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=60)
 RTOL = 1e-12
 
 

@@ -13,6 +13,7 @@ from faultfilter import (
     design_filter_from_xi,
     fault_markov,
     ho_kalman,
+    identify_xi,
     inverse_markov,
     left_inverse,
     markov_from_ss,
@@ -27,9 +28,11 @@ from faultfilter import (
     xi_from_predictor,
     z_markov,
 )
+from faultfilter.bench_cli import BENCH_POLES
 from faultfilter.markov_design import design_filter_from_data
 
 from conftest import (
+    gelsy_identify_xi,
     planted_zero_predictor,
     random_model,
     random_predictor,
@@ -194,6 +197,28 @@ class TestHoKalman:
         with pytest.raises(ValidationError):
             ho_kalman(seq, 4, 4)
 
+    def test_state_basis_ignores_singular_vector_signs(self, rng, monkeypatch):
+        # LAPACK may return either sign for each singular pair, and a
+        # roundoff change in the blocks can switch it
+        A = 0.7 * np.diag([0.9, -0.5, 0.4]) + 0.05 * rng.standard_normal((3, 3))
+        B = rng.standard_normal((3, 2))
+        C = rng.standard_normal((2, 3))
+        seq = markov_from_ss(A, B, C, rng.standard_normal((2, 2)), 41)
+        ref, _ = ho_kalman(seq, 10, 10, order=3)
+        svd = np.linalg.svd
+
+        def flipped_svd(H, full_matrices=True):
+            U, s, Vt = svd(H, full_matrices=full_matrices)
+            sign = np.where(np.arange(len(s)) % 2 == 0, -1.0, 1.0)
+            return U * sign, s, Vt * sign[:, None]
+
+        monkeypatch.setattr(np.linalg, "svd", flipped_svd)
+        bumped = ff.MarkovSequence(
+            seq.blocks * (1 + 1e-15 * rng.standard_normal(seq.blocks.shape)))
+        got, _ = ho_kalman(bumped, 10, 10, order=3)
+        for want, have in ((ref.A, got.A), (ref.B, got.B), (ref.C, got.C)):
+            assert np.abs(have - want).max() <= 1e-9 * np.abs(want).max()
+
 
 class TestRealize:
     def build_windows(self, pred, L=100):
@@ -289,6 +314,34 @@ class TestDesignPipeline:
         assert np.sqrt(np.mean(err ** 2)) < 0.5
 
 
+    def test_saved_filter_matches_gelsy_identification(self, tmp_path):
+        # the Gram-matrix fit moves xi by ~1e-10 against pivoted QR on
+        # the explicit regressor; the saved filter must not notice
+        model, ctrl = ff.get_plant("unstable4").factory(q=1e-6, r=1e-4)
+        faulty = ff.sensor_fault_plant(model, 0)
+        data = ff.collect_identification_data(faulty, ctrl, 3000, seed=4)
+        cfg = DesignConfig(sensor=0, markov_length=60, hankel_rows=15,
+                           hankel_cols=15, order=4, strategy="pole_placement",
+                           poles=list(BENCH_POLES))
+        files = []
+        for name, fit in (("gram", identify_xi), ("gelsy", gelsy_identify_xi)):
+            path = tmp_path / f"{name}.csv"
+            design_filter_from_xi(fit(data, 60, assume_delay=True), cfg).to_csv(path)
+            files.append([line.split(",") for line in path.read_text().splitlines()])
+        got, want = [], []
+        for row_g, row_w in zip(*files, strict=True):
+            assert len(row_g) == len(row_w)
+            for cell_g, cell_w in zip(row_g, row_w):
+                try:
+                    want.append(float(cell_w))
+                except ValueError:
+                    assert cell_g == cell_w
+                else:
+                    got.append(float(cell_g))
+        got, want = np.array(got), np.array(want)
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+
 class TestDesignConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -310,6 +363,20 @@ class TestDesignConfig:
         path = tmp_path / "design.ini"
         path.write_text("[design]\nmarkov_length = 1e2\n")
         with pytest.raises(ValidationError, match=r"\[design\] markov_length"):
+            DesignConfig.from_ini(path)
+
+    def test_from_ini_unknown_key_lists_accepted(self, tmp_path):
+        path = tmp_path / "design.ini"
+        path.write_text("[design]\nhankel_row = 12\n")
+        with pytest.raises(ValidationError, match=(
+                r"\[design\] hankel_row: unknown key; accepted keys are "
+                r"sensor, markov_length, hankel_rows, hankel_cols")):
+            DesignConfig.from_ini(path)
+
+    def test_from_ini_malformed_file(self, tmp_path):
+        path = tmp_path / "design.ini"
+        path.write_text("hankel_rows = 12\n")
+        with pytest.raises(ValidationError, match=f"malformed config file {path}"):
             DesignConfig.from_ini(path)
 
     def test_from_ini_one_based_sensors(self, tmp_path):

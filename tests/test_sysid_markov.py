@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faultfilter as ff
 from faultfilter import (
@@ -15,7 +17,10 @@ from faultfilter import (
     xi_residuals,
 )
 
-from conftest import random_model
+from faultfilter.bench_cli import main
+from faultfilter.sysid_markov import _lagged_gram
+
+from conftest import gelsy_identify_xi, random_model, varx_regression
 
 
 def varx_data(rng, p=3, n_u=2, n_y=2, N=400, with_feedthrough=True):
@@ -188,3 +193,95 @@ class TestErrors:
         data, _, _ = varx_data(rng)
         with pytest.raises(ValidationError):
             identify_xi(data, p=0)
+
+
+def random_record(seed, p, n_u, n_y, extra, assume_delay):
+    """Correlated random record with ``extra`` more rows than coefficients."""
+    rng = np.random.default_rng(seed)
+    ncols = p * (n_u + n_y) + (0 if assume_delay else n_u)
+    N = p + ncols + extra
+    u = rng.standard_normal((N, n_u))
+    y = np.cumsum(rng.standard_normal((N, n_y)), axis=0) * 0.1 + u[:, :1]
+    return IOData(u, y)
+
+
+RECORDS = dict(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 12),
+               n_u=st.integers(1, 3), n_y=st.integers(1, 3),
+               extra=st.integers(20, 200), assume_delay=st.booleans())
+
+
+class TestAgainstGelsyOracle:
+    """The Gram-matrix fit against the explicit regressor and pivoted QR."""
+
+    @settings(max_examples=60)
+    @given(**RECORDS)
+    def test_lagged_gram_is_regressor_gram(self, seed, p, n_u, n_y, extra,
+                                           assume_delay):
+        data = random_record(seed, p, n_u, n_y, extra, assume_delay)
+        Y, Z = varx_regression(data, p, assume_delay)
+        G = _lagged_gram(np.hstack([data.u, data.y]), p + 1)
+        ncols = Z.shape[1]
+        ZtZ = Z.T @ Z
+        scale = np.abs(ZtZ).max()
+        assert np.abs(G[:ncols, :ncols] - ZtZ).max() <= 1e-12 * scale
+        assert np.abs(G[:ncols, -n_y:] - Z.T @ Y).max() <= 1e-12 * scale
+
+    @settings(max_examples=40)
+    @given(ridge=st.sampled_from([0.0, 1e-3, 1.0, 1e2]), **RECORDS)
+    def test_estimate_matches_oracle(self, seed, p, n_u, n_y, extra,
+                                     assume_delay, ridge):
+        data = random_record(seed, p, n_u, n_y, extra, assume_delay)
+        got = identify_xi(data, p, ridge=ridge, assume_delay=assume_delay)
+        want = gelsy_identify_xi(data, p, ridge=ridge, assume_delay=assume_delay)
+        assert (np.linalg.norm(got.stacked() - want.stacked())
+                <= 1e-8 * np.linalg.norm(want.stacked()))
+        assert (np.abs(got.residual_variance - want.residual_variance).max()
+                <= 1e-12 * np.abs(want.residual_variance).max())
+
+    @settings(max_examples=40)
+    @given(**RECORDS)
+    def test_residuals_match_explicit_regression(self, seed, p, n_u, n_y,
+                                                 extra, assume_delay):
+        data = random_record(seed, p, n_u, n_y, extra, assume_delay)
+        xi = gelsy_identify_xi(data, p, assume_delay=assume_delay)
+        Y, Z = varx_regression(data, p, assume_delay=False)
+        want = Y - Z @ xi.stacked().T
+        assert np.abs(xi_residuals(xi, data) - want).max() <= 1e-12 * np.abs(Y).max()
+
+    def test_ill_conditioned_regressor_rejected(self, rng):
+        # cond(Z) ~ 1e9: gelsy still calls this full rank, the normal
+        # equations would lose every digit
+        u1 = rng.standard_normal(2000)
+        u = np.column_stack([u1, u1 + 1e-9 * rng.standard_normal(2000)])
+        data = IOData(u, rng.standard_normal((2000, 2)))
+        Y, Z = varx_regression(data, 5, assume_delay=False)
+        assert 1e9 < np.linalg.cond(Z) < 1e10
+        gelsy_identify_xi(data, 5)
+        with pytest.raises(ExcitationError, match="condition estimate"):
+            identify_xi(data, p=5)
+        identify_xi(data, p=5, ridge=1e-6)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_identify_names_first_bad_sample(self, rng, bad):
+        data, _, _ = varx_data(rng)
+        data.y[37, 1] = bad
+        data.u[120, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite value in sample k=37"):
+            identify_xi(data, p=3)
+
+    def test_residuals_name_first_bad_sample(self, rng):
+        data, _, _ = varx_data(rng)
+        xi = identify_xi(data, p=3)
+        data.u[5, 1] = np.nan
+        with pytest.raises(ValidationError, match="sample k=5"):
+            xi_residuals(xi, data)
+
+    def test_cli_identify_exit_code(self, rng, tmp_path, capsys):
+        data, _, _ = varx_data(rng)
+        data.y[12, 0] = np.nan
+        path = tmp_path / "nan.csv"
+        data.to_csv(path)
+        assert main(["identify", "--data", str(path), "--out", str(tmp_path)]) == 2
+        assert "non-finite value in sample k=12" in capsys.readouterr().err

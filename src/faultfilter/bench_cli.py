@@ -51,6 +51,7 @@ from .lti_core import (
     LinearSystem,
     StateSpaceModel,
     _FMT,
+    _finite_samples,
     _sensor_list,
     _write_csv,
     block_toeplitz,
@@ -996,12 +997,11 @@ def load_bench_config(config_path=None, plant=None, seed=None,
         kwargs.update(ident)
 
     if "design" in parser:
-        design = _design_section(parser["design"])
-        if "sensor" in design:
+        if "sensor" in parser["design"]:
             raise ValidationError(
                 "[design] sensor is not used by benchmark configs; set the "
                 "faulty sensors with [scenario] sensors")
-        kwargs.update(design)
+        kwargs.update(_design_section(parser["design"]))
 
     if "bench" in parser:
         kwargs.update(_ini_values(parser["bench"], dict.fromkeys(
@@ -1023,6 +1023,7 @@ def _cli_identify(args, cfg: BenchConfig):
     """(xi, data) identified from the --data record or a simulated one."""
     if args.data is not None:
         data = IOData.from_csv(args.data)
+        _finite_samples(data, args.data)
     else:
         model, controller = cfg.resolve_plant()
         data = collect_identification_data(model, controller, cfg.n_ident, cfg.seed)
@@ -1053,6 +1054,7 @@ def _cmd_estimate(args, cfg: BenchConfig) -> int:
         raise ValidationError("estimate needs --filter and --data")
     filt = FaultEstimationFilter.from_csv(args.filter)
     data = IOData.from_csv(args.data)
+    _finite_samples(data, args.data)
     estimates = run_filter(filt, data)
     out = _out_path(args, "estimates.csv")
     _write_csv(out, [["k"] + [f"fhat{i+1}" for i in range(filt.n_faults)]],

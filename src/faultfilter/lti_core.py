@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
+_CHUNK = 64  # samples per chunk of lti_recursion's block Toeplitz path
 
 
 def _as_matrix(M, rows=None, cols=None, name="matrix"):
@@ -277,12 +278,16 @@ class LinearSystem:
 
 
 def _write_csv(path, head, *tables) -> None:
-    """Write the ``head`` rows as given, then each table's rows at full precision."""
+    """Write the ``head`` rows as given, then each table's rows at full precision.
+
+    A table's rows are one ``%`` over a row template, byte for byte what
+    ``csv.writer`` gives for the formatted cells.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerows(head)
+        csv.writer(fh).writerows(head)
         for table in tables:
-            w.writerows([_FMT % v for v in row] for row in table)
+            row = ",".join([_FMT] * table.shape[1]) + "\r\n"
+            fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
 
 
 class _CsvRows(list):
@@ -367,21 +372,69 @@ class IOData:
         return cls(data[:, 1:1 + nu], data[:, 1 + nu:])
 
 
+def _finite_samples(data: IOData, source: str = "the record") -> np.ndarray:
+    """Sample rows w(k) = [u(k) y(k)] of a record, checked finite.
+
+    A non-finite value raises a ValidationError naming its sample k and
+    ``source``.
+    """
+    w = np.hstack([data.u, data.y])
+    bad = ~np.isfinite(w).all(axis=1)
+    if bad.any():
+        raise ValidationError(
+            f"non-finite value in sample k={int(np.argmax(bad))} of {source}")
+    return w
+
+
 def lti_recursion(A, B, C, D, inputs, x0=None):
     """x(k+1) = A x(k) + B z(k), out(k) = C x(k) + D z(k) over an (N, n_in) record.
 
-    The package's one record-length state recursion.  The input and
-    readout terms are one matrix product each, so the per-sample loop
-    only applies A.  Returns (out, x(N)); callers validate shapes.
+    The package's one record-length state recursion, taken in chunks of
+    T = ``_CHUNK`` samples.  A chunk's outputs are its start state s
+    through C, CA, ..., CA^(T-1) plus the lower block Toeplitz matrix of
+    the Markov blocks D, CB, ..., CA^(T-2)B times its inputs: two matrix
+    products for all chunks at once.  Only the start states are carried
+    by a loop, s <- A^T s + the chunk's zero-state end state.  Those
+    products cost T p m flops per sample for p outputs and m inputs;
+    when n^2 is smaller, the scheme runs on the map from B z to the
+    state x, and C and D are applied after.
+
+    The last N mod T samples run sample by sample, and so does the whole
+    record when rho(A) >= 1 (the chunk maps grow with A^T), N < 2T,
+    there are no states, or a matrix entry, input or x0 is non-finite (a
+    product over the chunk would carry a nan to the samples before it).
+    That loop only applies A; the input and readout terms are one matrix
+    product each.  Returns (out, x(N)); callers validate shapes.
     """
-    n = A.shape[0]
-    X = np.empty((inputs.shape[0] + 1, n))
-    X[0] = 0.0 if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    X[1:] = inputs @ B.T
+    T, (n, m), (p, N) = _CHUNK, B.shape, (C.shape[0], inputs.shape[0])
+    if n * n < p * m:
+        X, x_end = lti_recursion(A, np.eye(n), np.eye(n), np.zeros((n, n)), inputs @ B.T, x0)
+        return X @ C.T + inputs @ D.T, x_end
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
+    out = np.empty((N, p))
+    done = 0  # samples taken by the chunked path
+    if (N >= 2 * T and n > 0
+            and all(np.isfinite(a).all() for a in (A, B, C, D, inputs, x))
+            and spectral_radius(A) < 1.0):
+        nc = N // T
+        done = nc * T
+        Z = inputs[:done].reshape(nc, T * m)
+        # zero-state end state of a chunk: sum_j A^(T-1-j) B z(j)
+        ctrl = extended_observability(A.T, B.T, T).reshape(T, m, n)[::-1].reshape(T * m, n)
+        AT, ends, S = np.linalg.matrix_power(A, T), Z @ ctrl, np.empty((nc, n))
+        for c in range(nc):
+            S[c] = x
+            x = AT @ x + ends[c]
+        out[:done] = (Z @ block_toeplitz(markov_from_ss(A, B, C, D, T)).T
+                      + S @ extended_observability(A, C, T).T).reshape(done, p)
+    X = np.empty((N - done + 1, n))
+    X[0] = x
+    X[1:] = inputs[done:] @ B.T
     rows = list(X)  # row views: each step adds A x(k) into x(k+1) in place
-    for k in range(inputs.shape[0]):
+    for k in range(N - done):
         rows[k + 1] += A.dot(rows[k])
-    return X[:-1] @ C.T + inputs @ D.T, X[-1].copy()
+    out[done:] = X[:-1] @ C.T + inputs[done:] @ D.T
+    return out, X[-1].copy()
 
 
 def dare_fixed_point(A, C, Q, R, F=None):

@@ -226,14 +226,14 @@ def _one_based(raw: str) -> list:
     return [v - 1 for v in vals]
 
 
-def _design_section(sec) -> dict:
+def _design_section(sec, **extra) -> dict:
     """DesignConfig keyword arguments from a [design] INI section.
 
-    ``sensor`` is one based; ``poles`` is a whitespace or comma
-    separated list, or ``none``.
+    ``poles`` is a whitespace or comma separated list, or ``none``.
+    ``extra`` maps further accepted keys to their parsers.
     """
     return _ini_values(sec, {
-        "sensor": _one_based,
+        **extra,
         "markov_length": int,
         "hankel_rows": int,
         "hankel_cols": int,
@@ -292,7 +292,7 @@ class DesignConfig:
                   else _read_ini(source))
         if section not in parser:
             raise ValidationError(f"config has no [{section}] section")
-        return cls(**_design_section(parser[section]))
+        return cls(**_design_section(parser[section], sensor=_one_based))
 
 
 @dataclass

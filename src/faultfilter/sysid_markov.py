@@ -27,8 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
 
 from .errors import ExcitationError, ValidationError
-from .lti_core import (IOData, MarkovSequence, PredictorModel, _CsvRows, _write_csv,
-                       markov_parameters)
+from .lti_core import (IOData, MarkovSequence, PredictorModel, _CsvRows, _finite_samples,
+                       _write_csv, markov_parameters)
 
 __all__ = ["IdentifiedXi", "xi_from_predictor", "identify_xi", "xi_residuals"]
 
@@ -156,16 +156,6 @@ def xi_from_predictor(pred: PredictorModel, p: int) -> IdentifiedXi:
                         residual_variance=pred.SigmaE)
 
 
-def _samples(data: IOData) -> np.ndarray:
-    """Sample rows w(k) = [u(k) y(k)] of a record, checked finite."""
-    w = np.hstack([data.u, data.y])
-    bad = ~np.isfinite(w).all(axis=1)
-    if bad.any():
-        raise ValidationError(
-            f"non-finite value in sample k={int(np.argmax(bad))} of the record")
-    return w
-
-
 def _lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
     """Gram matrix of the B-block sliding windows of the sample rows.
 
@@ -249,7 +239,7 @@ def identify_xi(data: IOData, p: int, ridge: float = 0.0,
         raise ExcitationError(
             f"insufficient excitation: need more than p={p} samples, "
             f"got {data.n_samples}")
-    w = _samples(data)
+    w = _finite_samples(data)
     n_u, n_y = data.n_inputs, data.n_outputs
     rows = data.n_samples - p
     ncols = p * (n_u + n_y) + (0 if assume_delay else n_u)
@@ -270,8 +260,9 @@ def identify_xi(data: IOData, p: int, ridge: float = 0.0,
         factor = cho_factor(A, check_finite=False)
     except LinAlgError as exc:
         raise ExcitationError(
-            "insufficient excitation: the regressor Gram matrix is not "
-            "numerically positive definite at this window length") from exc
+            "insufficient excitation: the equilibrated regressor Gram matrix is "
+            f"not numerically positive definite (condition number "
+            f"{np.linalg.cond(A):.2e}) at this window length") from exc
     if ridge == 0:
         pocon, = get_lapack_funcs(("pocon",), (A,))
         rcond, _ = pocon(factor[0], np.abs(A).sum(axis=0).max())
@@ -302,4 +293,4 @@ def xi_residuals(xi: IdentifiedXi, data: IOData) -> np.ndarray:
         raise ValidationError("data dimensions do not match the identified model")
     if data.n_samples <= xi.p:
         raise ValidationError(f"record shorter than the past window p={xi.p}")
-    return _window_residuals(_samples(data), xi.n_y, xi.stacked())
+    return _window_residuals(_finite_samples(data), xi.n_y, xi.stacked())

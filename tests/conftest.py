@@ -60,6 +60,16 @@ def gelsy_identify_xi(data, p, ridge=0.0, assume_delay=False):
                                      residual_variance=res.T @ res / len(Y))
 
 
+def per_sample_run(A, B, C, D, Z, x0):
+    """Reference loop of ``lti_recursion``: out(k) = C x + D z(k), then x = A x + B z(k)."""
+    x = np.array(x0, dtype=float)
+    out = np.empty((Z.shape[0], C.shape[0]))
+    for k in range(Z.shape[0]):
+        out[k] = C @ x + D @ Z[k]
+        x = A @ x + B @ Z[k]
+    return out, x
+
+
 def random_stable(rng, n, rho=0.8):
     """Random n x n matrix scaled to spectral radius rho."""
     A = rng.standard_normal((n, n))

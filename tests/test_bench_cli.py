@@ -683,6 +683,34 @@ class TestCli:
         assert main(["zeros", "--config", str(cfg_path)]) == 2
         assert "[scenario] sensors" in capsys.readouterr().err
 
+    def test_design_unknown_key_lists_bench_keys(self, tmp_path, capsys):
+        # a benchmark config takes its sensors from [scenario], so the
+        # accepted keys it lists for [design] leave sensor out
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text("[design]\nhankel_row = 12\n")
+        assert main(["zeros", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert ("[design] hankel_row: unknown key; accepted keys are "
+                "markov_length, hankel_rows, hankel_cols, order, strategy, poles") in err
+        assert "sensor" not in err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_estimate_rejects_non_finite_sample(self, tmp_path, capsys, rng, bad):
+        filt = ff.FaultEstimationFilter(
+            0.5 * np.eye(2), rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
+            rng.standard_normal((1, 2)), np.zeros((1, 2)), np.ones((1, 2)))
+        filt.to_csv(tmp_path / "filter.csv")
+        data = ff.IOData(rng.standard_normal((300, 2)), rng.standard_normal((300, 2)))
+        data.y[100, 1] = bad
+        data.u[200, 0] = bad
+        data.to_csv(tmp_path / "run.csv")
+        code = main(["estimate", "--filter", str(tmp_path / "filter.csv"),
+                     "--data", str(tmp_path / "run.csv"), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"non-finite value in sample k=100 of {tmp_path / 'run.csv'}" in err
+        assert not (tmp_path / "estimates.csv").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, rng):
         pred = planted_zero_predictor(rng, 1.2)
         xi = ff.xi_from_predictor(pred, 60)

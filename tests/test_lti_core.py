@@ -27,18 +27,9 @@ from faultfilter import (
     spectral_radius,
     to_predictor,
 )
+from faultfilter.lti_core import _CHUNK
 
-from conftest import random_model, random_predictor
-
-
-def per_sample_run(A, B, C, D, Z, x0):
-    """Reference loop: out(k) = C x + D z(k), then x = A x + B z(k)."""
-    x = np.array(x0, dtype=float)
-    out = np.empty((Z.shape[0], C.shape[0]))
-    for k in range(Z.shape[0]):
-        out[k] = C @ x + D @ Z[k]
-        x = A @ x + B @ Z[k]
-    return out, x
+from conftest import per_sample_run, random_model, random_predictor
 
 
 class TestLtiRecursion:
@@ -65,6 +56,75 @@ class TestLtiRecursion:
         scale = 1.0 + np.abs(ref).max(initial=0.0)
         assert np.max(np.abs(out - ref), initial=0.0) <= 1e-12 * scale
         assert np.max(np.abs(x_end - x_ref)) <= 1e-12 * (1.0 + np.abs(x_ref).max())
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6),
+           n_in=st.integers(1, 4), n_out=st.integers(1, 3),
+           kind=st.sampled_from(["dense", "non-normal", "unstable"]),
+           chunks=st.integers(2, 4), rest=st.integers(0, _CHUNK - 1),
+           zero_x0=st.booleans())
+    def test_chunked_records_match_per_sample_loop(self, seed, n, n_in, n_out, kind,
+                                                   chunks, rest, zero_x0):
+        # records of two or more chunks plus a remainder; n^2 below or
+        # above n_out n_in picks the state or the Markov-block products,
+        # and rho(A) >= 1 takes the per-sample path for the whole record
+        rng = np.random.default_rng(seed)
+        if kind == "non-normal":
+            A = (np.diag(rng.uniform(-0.95, 0.95, n))
+                 + rng.uniform(1.0, 3.0) * np.triu(rng.standard_normal((n, n)), 1))
+        else:
+            A = rng.standard_normal((n, n))
+            rho = rng.uniform(1.0, 1.05) if kind == "unstable" else rng.uniform(0.0, 0.999)
+            A *= rho / max(spectral_radius(A), 1e-12)
+        B = rng.standard_normal((n, n_in))
+        C = rng.standard_normal((n_out, n))
+        D = rng.standard_normal((n_out, n_in))
+        x0 = np.zeros(n) if zero_x0 else rng.standard_normal(n)
+        Z = rng.standard_normal((chunks * _CHUNK + rest, n_in))
+        out, x_end = lti_recursion(A, B, C, D, Z, None if zero_x0 else x0)
+        ref, x_ref = per_sample_run(A, B, C, D, Z, x0)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * (1.0 + np.abs(ref).max())
+        assert np.max(np.abs(x_end - x_ref), initial=0.0) <= 1e-12 * (
+            1.0 + np.abs(x_ref).max(initial=0.0))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("k0", [0, 1, _CHUNK - 1, _CHUNK, 3 * _CHUNK + 5, 5 * _CHUNK + 6])
+    @pytest.mark.parametrize("n", [4, 2], ids=["markov-blocks", "state"])
+    def test_non_finite_input_spreads_forward_only(self, rng, k0, bad, n):
+        # in a chunk product 0 * nan = nan would reach the samples before
+        # k0 in the same chunk; the per-sample path keeps them exact
+        A = rng.standard_normal((n, n))
+        A *= 0.9 / spectral_radius(A)
+        B, C, D = (rng.standard_normal(s) for s in ((n, 3), (2, n), (2, 3)))
+        Z = rng.standard_normal((5 * _CHUNK + 7, 3))
+        Z[k0, 1] = bad
+        out, _ = lti_recursion(A, B, C, D, Z)
+        ref, _ = per_sample_run(A, B, C, D, Z, np.zeros(n))
+        assert np.isfinite(out[:k0]).all()
+        assert np.max(np.abs(out[:k0] - ref[:k0]), initial=0.0) <= 1e-12 * (
+            1.0 + np.abs(ref[:k0]).max(initial=0.0))
+        assert np.array_equal(np.isfinite(out), np.isfinite(ref))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rho", [1.2, 1.6])
+    def test_unstable_record_overflows_where_per_sample_loop_does(self, rng, rho):
+        # the state overflows within the record; rho(A) >= 1 keeps the
+        # per-sample path, so the first inf and the first nan come at the
+        # samples where the loop has them
+        A = rng.standard_normal((4, 4))
+        A *= rho / spectral_radius(A)
+        B, C, D = (rng.standard_normal(s) for s in ((4, 3), (2, 4), (2, 3)))
+        Z = rng.standard_normal((5000, 3))
+        out, _ = lti_recursion(A, B, C, D, Z)
+        ref, _ = per_sample_run(A, B, C, D, Z, np.zeros(4))
+        k_inf, k_nan = (int(np.argmax(~np.isfinite(ref).all(axis=1))),
+                        int(np.argmax(np.isnan(ref).any(axis=1))))
+        assert 0 < k_inf <= k_nan
+        assert not np.isfinite(out[k_inf]).all() and np.isfinite(out[:k_inf]).all()
+        assert np.isnan(out[k_nan]).any() and not np.isnan(out[:k_nan]).any()
+        assert np.all(np.abs(out[:k_inf] - ref[:k_inf])
+                      <= 1e-12 * (1.0 + np.abs(ref[:k_inf]).max(axis=1, keepdims=True)))
 
 
 class TestDare:

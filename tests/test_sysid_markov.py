@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,6 +263,21 @@ class TestAgainstGelsyOracle:
             identify_xi(data, p=5)
         identify_xi(data, p=5, ridge=1e-6)
 
+    @pytest.mark.parametrize("scale", [1e-7, 1e-8, 1e-9])
+    def test_rejection_reports_a_condition_figure(self, rng, scale):
+        # at 1e-8 the Cholesky factorization itself fails; its neighbours
+        # pass it and fail the condition estimate, and every message
+        # carries a figure far above 1/(ncols eps) ~ 2e14
+        u1 = rng.standard_normal(2000)
+        u = np.column_stack([u1, u1 + scale * rng.standard_normal(2000)])
+        data = IOData(u, rng.standard_normal((2000, 2)))
+        with pytest.raises(ExcitationError) as err:
+            identify_xi(data, p=5)
+        message = str(err.value)
+        assert ("not numerically positive definite" in message) == (scale == 1e-8)
+        figure = re.search(r"condition (?:estimate|number) ([^,)]+)", message).group(1)
+        assert float(figure) > 1e14
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -284,4 +301,4 @@ class TestNonFinite:
         path = tmp_path / "nan.csv"
         data.to_csv(path)
         assert main(["identify", "--data", str(path), "--out", str(tmp_path)]) == 2
-        assert "non-finite value in sample k=12" in capsys.readouterr().err
+        assert f"non-finite value in sample k=12 of {path}" in capsys.readouterr().err

@@ -58,7 +58,6 @@ from .inverse_filter import (
 )
 from .markov_design import (
     DesignConfig,
-    RealizedSystem,
     assemble_filter,
     convolve_Q,
     convolve_R,

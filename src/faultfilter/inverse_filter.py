@@ -23,7 +23,6 @@ kept purely to validate the algebra.
 """
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,8 +39,8 @@ from .lti_core import (
     LinearSystem,
     PredictorModel,
     _CsvRows,
-    _FMT,
     _as_matrix,
+    _write_csv,
     dare_fixed_point,
     lti_recursion,
     spectral_radius,
@@ -134,12 +133,12 @@ def open_loop_inverse(pred: PredictorModel) -> InverseMatrices:
     )
 
 
-def _pbh_unobservable(Phi1, C2, lam, rtol=1e-8) -> bool:
+def _pbh_unobservable(Phi1, C2, lam) -> bool:
     """True when ``lam`` is an unobservable mode of (Phi1, C2)."""
     n = Phi1.shape[0]
     stack = np.vstack([Phi1 - lam * np.eye(n), C2])
     s = np.linalg.svd(stack, compute_uv=False)
-    return s[-1] <= rtol * max(1.0, s[0])
+    return s[-1] <= 1e-8 * max(1.0, s[0])
 
 
 def _inverse_pair(Phi, Etilde, C, G):
@@ -155,8 +154,7 @@ def _inverse_pair(Phi, Etilde, C, G):
     return Phi1, C2
 
 
-def invariant_zeros_stable(Phi, Etilde, C, G, margin: float = 1e-6,
-                           rtol: float = 1e-8):
+def invariant_zeros_stable(Phi, Etilde, C, G, margin: float = 1e-6):
     """Locate the fault channel's invariant zeros and test their stability.
 
     The zeros are the values where the pencil [[Phi - z I, Etilde],
@@ -185,15 +183,14 @@ def invariant_zeros_stable(Phi, Etilde, C, G, margin: float = 1e-6,
             f"zero computation ill conditioned (eigenvector condition {cond:.3g}); "
             "zero locations may be inaccurate", stacklevel=2)
     zeros = np.array([lam for lam in lams
-                      if _pbh_unobservable(Phi1, C2, lam, rtol)], dtype=complex)
+                      if _pbh_unobservable(Phi1, C2, lam)], dtype=complex)
     if zeros.size:
         zeros = zeros[np.argsort(np.abs(zeros))]
     ok = bool(zeros.size == 0 or np.max(np.abs(zeros)) < 1.0 - margin)
     return ok, zeros
 
 
-def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None,
-                     rank_rtol: float = 1e-9) -> np.ndarray:
+def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndarray:
     """Output injection gain Kr making Phi1 - Kr C2 stable.
 
     Two strategies are offered.  ``riccati`` solves the filter Riccati
@@ -234,7 +231,7 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None,
         if np.max(np.abs(poles)) >= 1.0:
             raise ValidationError("requested poles must lie inside the unit circle")
         U, s, Vt = np.linalg.svd(C2)
-        r = int(np.sum(s > rank_rtol * max(1.0, s[0] if s.size else 0.0)))
+        r = int(np.sum(s > 1e-9 * max(1.0, s[0] if s.size else 0.0)))
         if r == 0:
             raise StabilizationError(
                 "C2 is numerically zero; the inverse spectrum cannot be moved")
@@ -364,16 +361,13 @@ class FaultEstimationFilter:
 
     def to_csv(self, path) -> None:
         """Save the filter as a labeled matrix bundle."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "n_u", "n_y", "n_f", "strategy"])
-            w.writerow([self.n_states, self.n_inputs, self.n_outputs,
-                        self.n_faults, self.strategy])
-            for name in ("Af", "Bu", "By", "Cf", "Du", "Dy"):
-                M = getattr(self, name)
-                w.writerow(["matrix", name, M.shape[0], M.shape[1]])
-                for row in M:
-                    w.writerow([_FMT % v for v in row])
+        parts = [[["n", "n_u", "n_y", "n_f", "strategy"],
+                  [self.n_states, self.n_inputs, self.n_outputs, self.n_faults,
+                   self.strategy]]]
+        for name in ("Af", "Bu", "By", "Cf", "Du", "Dy"):
+            M = getattr(self, name)
+            parts += [[["matrix", name, *M.shape]], M]
+        _write_csv(path, *parts)
 
     @classmethod
     def from_csv(cls, path) -> "FaultEstimationFilter":
@@ -399,6 +393,48 @@ class FaultEstimationFilter:
         return cls(strategy=strategy, **mats)
 
 
+def _inverse_system(pred: PredictorModel) -> LinearSystem:
+    """The open loop inverse folded onto raw samples z = [u; y].
+
+    Its outputs are the fault estimate and the healthy-output residual
+    q = (I - G Gp)(y - C x - D u), the part of the output equation the
+    fault cannot explain.  The Markov parameters of this system are the
+    window blocks W_i = [R_i; Q_i] of the data-driven design.
+    """
+    inv = open_loop_inverse(pred)
+    D, Gp = pred.D, inv.Gp
+    proj = np.eye(pred.n_outputs) - inv.D2
+    return LinearSystem(
+        A=inv.Phi1,
+        B=np.hstack([pred.Bt - inv.B1 @ D, pred.K + inv.B1]),
+        C=np.vstack([inv.C1, -inv.C2]),
+        D=np.block([[-Gp @ D, Gp], [-(proj @ D), proj]]),
+    )
+
+
+def _injected_filter(inv: LinearSystem, n_f: int, Kr,
+                     strategy: str) -> FaultEstimationFilter:
+    """The filter x(k+1) = A x + B z + Kr q, fh = C_f x + D_f z.
+
+    ``inv`` is a folded inverse on z = [u; y] whose first ``n_f`` output
+    rows are the fault estimate fh and whose remaining n_y rows are the
+    healthy-output residual q.  Both design routes end here.
+    """
+    n_y = inv.C.shape[0] - n_f
+    n_u = inv.B.shape[1] - n_y
+    Kr = _as_matrix(Kr, rows=inv.A.shape[0], cols=n_y, name="Kr")
+    Bz = inv.B + Kr @ inv.D[n_f:]
+    return FaultEstimationFilter(
+        Af=inv.A + Kr @ inv.C[n_f:],
+        Bu=Bz[:, :n_u],
+        By=Bz[:, n_u:],
+        Cf=inv.C[:n_f],
+        Du=inv.D[:n_f, :n_u],
+        Dy=inv.D[:n_f, n_u:],
+        strategy=strategy,
+    )
+
+
 def reduced_filter(pred: PredictorModel, Kr,
                    strategy: str = "riccati") -> FaultEstimationFilter:
     """Assemble the n-state fault estimation filter from a predictor.
@@ -408,22 +444,7 @@ def reduced_filter(pred: PredictorModel, Kr,
     ``strategy`` only records how the gain was produced; Kr itself must
     already be stabilizing (see :func:`stabilizing_gain`).
     """
-    inv = open_loop_inverse(pred)
-    Kr = _as_matrix(Kr, rows=inv.Phi1.shape[0], cols=pred.n_outputs, name="Kr")
-    G, Gp = pred.G, inv.Gp
-    proj = np.eye(pred.n_outputs) - G @ Gp
-    Bf = pred.Bt - pred.Et @ Gp @ pred.D
-    Df2 = proj @ pred.D
-    Kf = pred.K + pred.Et @ Gp
-    return FaultEstimationFilter(
-        Af=inv.Phi1 - Kr @ inv.C2,
-        Bu=Bf - Kr @ Df2,
-        By=Kf + Kr @ proj,
-        Cf=inv.C1,
-        Du=-Gp @ pred.D,
-        Dy=inv.D1,
-        strategy=strategy,
-    )
+    return _injected_filter(_inverse_system(pred), pred.n_faults, Kr, strategy)
 
 
 def cascade_filter(pred: PredictorModel, Kr) -> LinearSystem:

@@ -50,6 +50,10 @@ __all__ = [
 
 _FMT = "%.17g"
 _CHUNK = 64  # samples per chunk of lti_recursion's block Toeplitz path
+# Widest min(p m, n^2) the chunked path takes: it costs about
+# _CHUNK min(p m, n^2) flops per sample, and beyond ~500-700 the
+# per-sample loop was as fast or faster (1 BLAS thread).
+_CHUNK_WIDTH = 512
 
 
 def _as_matrix(M, rows=None, cols=None, name="matrix"):
@@ -105,17 +109,6 @@ class MarkovSequence:
         self.blocks = np.asarray(self.blocks, dtype=float)
         if self.blocks.ndim != 3:
             raise ValidationError("MarkovSequence expects an array of shape (L, rows, cols)")
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "MarkovSequence":
-        blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
-        if not blocks:
-            raise ValidationError("empty Markov sequence")
-        shape = blocks[0].shape
-        for b in blocks:
-            if b.shape != shape:
-                raise ValidationError("all Markov blocks must share one shape")
-        return cls(np.stack(blocks))
 
     def __len__(self) -> int:
         return self.blocks.shape[0]
@@ -277,17 +270,19 @@ class LinearSystem:
         return markov_from_ss(self.A, self.B, self.C, self.D, L)
 
 
-def _write_csv(path, head, *tables) -> None:
-    """Write the ``head`` rows as given, then each table's rows at full precision.
+def _write_csv(path, *parts) -> None:
+    """Write each part in turn: a list of rows as given, an array at full precision.
 
-    A table's rows are one ``%`` over a row template, byte for byte what
+    An array's rows are one ``%`` over a row template, byte for byte what
     ``csv.writer`` gives for the formatted cells.
     """
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(head)
-        for table in tables:
-            row = ",".join([_FMT] * table.shape[1]) + "\r\n"
-            fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
+        for part in parts:
+            if isinstance(part, np.ndarray):
+                row = ",".join([_FMT] * part.shape[1]) + "\r\n"
+                fh.write(row * part.shape[0] % tuple(part.ravel().tolist()))
+            else:
+                csv.writer(fh).writerows(part)
 
 
 class _CsvRows(list):
@@ -401,19 +396,21 @@ def lti_recursion(A, B, C, D, inputs, x0=None):
 
     The last N mod T samples run sample by sample, and so does the whole
     record when rho(A) >= 1 (the chunk maps grow with A^T), N < 2T,
-    there are no states, or a matrix entry, input or x0 is non-finite (a
-    product over the chunk would carry a nan to the samples before it).
+    there are no states, min(p m, n^2) exceeds ``_CHUNK_WIDTH`` (the
+    products would cost more than the loop), or a matrix entry, input or
+    x0 is non-finite (a product over the chunk would carry a nan to the
+    samples before it).
     That loop only applies A; the input and readout terms are one matrix
     product each.  Returns (out, x(N)); callers validate shapes.
     """
     T, (n, m), (p, N) = _CHUNK, B.shape, (C.shape[0], inputs.shape[0])
-    if n * n < p * m:
+    if n * n < p * m and n * n <= _CHUNK_WIDTH:
         X, x_end = lti_recursion(A, np.eye(n), np.eye(n), np.zeros((n, n)), inputs @ B.T, x0)
         return X @ C.T + inputs @ D.T, x_end
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
     out = np.empty((N, p))
     done = 0  # samples taken by the chunked path
-    if (N >= 2 * T and n > 0
+    if (N >= 2 * T and n > 0 and p * m <= _CHUNK_WIDTH
             and all(np.isfinite(a).all() for a in (A, B, C, D, inputs, x))
             and spectral_radius(A) < 1.0):
         nc = N // T

@@ -23,13 +23,18 @@ from __future__ import annotations
 
 import configparser
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lstsq, solve_triangular
 
 from .errors import FaultDirectionError, FaultFilterError, ValidationError, rewrap
-from .inverse_filter import FaultEstimationFilter, left_inverse, stabilizing_gain
+from .inverse_filter import (
+    FaultEstimationFilter,
+    _injected_filter,
+    left_inverse,
+    stabilizing_gain,
+)
 from .lti_core import (
     IOData,
     LinearSystem,
@@ -49,7 +54,6 @@ __all__ = [
     "convolve_Q",
     "stack_windows",
     "DesignConfig",
-    "RealizedSystem",
     "ho_kalman",
     "realize",
     "assemble_filter",
@@ -261,7 +265,6 @@ class DesignConfig:
     order: object = "auto"
     strategy: str = "riccati"
     poles: object = None
-    rank_rtol: float = 1e-9
 
     def __post_init__(self):
         L, l, m = self.markov_length, self.hankel_rows, self.hankel_cols
@@ -293,36 +296,6 @@ class DesignConfig:
         if section not in parser:
             raise ValidationError(f"config has no [{section}] section")
         return cls(**_design_section(parser[section], sensor=_one_based))
-
-
-@dataclass
-class RealizedSystem:
-    """State space estimate extracted from the window Hankel matrix.
-
-    Fields mirror the matrices of the open loop inverse: state map
-    Phi1_hat driven by [Bf_hat, Kf_hat], fault readout (C1_hat, Df1_hat,
-    D1_hat) and complement readout (C2_hat, Df2_hat, Gf2_hat).  The full
-    singular value list is kept for order diagnostics.
-    """
-
-    Phi1_hat: np.ndarray
-    Bf_hat: np.ndarray
-    Kf_hat: np.ndarray
-    C1_hat: np.ndarray
-    C2_hat: np.ndarray
-    Df1_hat: np.ndarray
-    D1_hat: np.ndarray
-    Df2_hat: np.ndarray
-    Gf2_hat: np.ndarray
-    singular_values: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def order(self) -> int:
-        return self.Phi1_hat.shape[0]
-
-    @property
-    def n_faults(self) -> int:
-        return self.C1_hat.shape[0]
 
 
 def _pick_order(s: np.ndarray, max_order: int) -> int:
@@ -394,14 +367,17 @@ def ho_kalman(seq: MarkovSequence, l: int, m: int, order="auto",
     return LinearSystem(A, Cw[:, :q], Ow[:p], seq[0]), s
 
 
-def realize(Wi: MarkovSequence, cfg: DesignConfig) -> RealizedSystem:
-    """Realize the combined inverse system from the window blocks.
+def realize(Wi: MarkovSequence, cfg: DesignConfig):
+    """Realize the folded inverse system from the window blocks.
 
-    W_0 supplies the feedthrough partition directly; the Hankel matrix
-    of W_1 .. W_{l+m-1} supplies the dynamic part.  The row partition of
-    the observability factor is [C1; -C2] and the leading columns of the
-    controllability factor are [Bf, Kf]; the state map comes from the
-    controllability shift with block width n_u + n_y.
+    W_0 supplies the feedthrough directly; the Hankel matrix of
+    W_1 .. W_{l+m-1} supplies the dynamic part, with the state map from
+    the controllability shift of block width n_u + n_y.  The system maps
+    z = [u; y] to the fault estimate (first n_f rows) and the healthy
+    output residual q (the rest), like the model-based inverse.
+
+    Returns:
+        (LinearSystem, singular_values) as from :func:`ho_kalman`.
     """
     n_f = 1 if np.isscalar(cfg.sensor) else len(set(int(j) for j in cfg.sensor))
     rows, cols = Wi.block_shape
@@ -415,51 +391,29 @@ def realize(Wi: MarkovSequence, cfg: DesignConfig) -> RealizedSystem:
         raise ValidationError(
             f"{L} window blocks cannot fill a {cfg.hankel_rows} x "
             f"{cfg.hankel_cols} block Hankel matrix")
-    sys, s = ho_kalman(MarkovSequence(Wi.blocks[:L]), cfg.hankel_rows,
-                       cfg.hankel_cols, order=cfg.order, shift="controllability")
-    W0 = Wi[0]
-    return RealizedSystem(
-        Phi1_hat=sys.A,
-        Bf_hat=sys.B[:, :n_u],
-        Kf_hat=sys.B[:, n_u:],
-        C1_hat=sys.C[:n_f],
-        C2_hat=-sys.C[n_f:],
-        Df1_hat=W0[:n_f, :n_u],
-        D1_hat=W0[:n_f, n_u:],
-        Df2_hat=-W0[n_f:, :n_u],
-        Gf2_hat=W0[n_f:, n_u:],
-        singular_values=s,
-    )
+    return ho_kalman(MarkovSequence(Wi.blocks[:L]), cfg.hankel_rows,
+                     cfg.hankel_cols, order=cfg.order, shift="controllability")
 
 
-def assemble_filter(realized: RealizedSystem, sensor=None, Kr=None,
-                    strategy: str = "riccati", poles=None,
-                    rank_rtol: float = 1e-9) -> FaultEstimationFilter:
+def assemble_filter(inv: LinearSystem, sensor, Kr=None, strategy: str = "riccati",
+                    poles=None) -> FaultEstimationFilter:
     """Stabilize a realized inverse and pack it into a runnable filter.
 
-    When ``sensor`` is given, the corresponding rows of C2_hat are
+    ``inv`` maps z = [u; y] to the fault estimate of the ``sensor`` list
+    and the healthy-output residual q = -C2 x + ..., as :func:`realize`
+    returns it.  The rows of C2 that belong to the faulty sensors are
     zeroed first: for sensor faults those rows are structurally zero,
     and scrubbing the realization noise off them keeps the injection
-    gain from feeding the faulty measurement back into the state.
-    ``Kr`` overrides the gain computation entirely.
+    gain from feeding the faulty measurement back into the state.  The
+    gain stabilizes (A, C2) unless ``Kr`` is given.
     """
-    C2 = realized.C2_hat.copy()
-    if sensor is not None:
-        C2[_sensor_list(sensor, C2.shape[0])] = 0.0
+    n_f = 1 if np.isscalar(sensor) else len(sensor)
+    C2 = -inv.C[n_f:]
+    C2[_sensor_list(sensor, C2.shape[0])] = 0.0
     if Kr is None:
-        Kr = stabilizing_gain(realized.Phi1_hat, C2, strategy=strategy,
-                              poles=poles, rank_rtol=rank_rtol)
-    else:
-        Kr = np.atleast_2d(np.asarray(Kr, dtype=float))
-    return FaultEstimationFilter(
-        Af=realized.Phi1_hat - Kr @ C2,
-        Bu=realized.Bf_hat - Kr @ realized.Df2_hat,
-        By=realized.Kf_hat + Kr @ realized.Gf2_hat,
-        Cf=realized.C1_hat,
-        Du=realized.Df1_hat,
-        Dy=realized.D1_hat,
-        strategy=strategy,
-    )
+        Kr = stabilizing_gain(inv.A, C2, strategy=strategy, poles=poles)
+    inv = LinearSystem(inv.A, inv.B, np.vstack([inv.C[:n_f], -C2]), inv.D)
+    return _injected_filter(inv, n_f, Kr, strategy)
 
 
 def predictor_from_xi(xi: IdentifiedXi, l: int, m: int, order="auto"):
@@ -524,12 +478,11 @@ def design_filter_from_xi(xi: IdentifiedXi, cfg: DesignConfig) -> FaultEstimatio
     except FaultFilterError as err:
         raise rewrap(err, "markov") from err
     try:
-        realized = realize(Wi, cfg)
+        inv, _ = realize(Wi, cfg)
     except FaultFilterError as err:
         raise rewrap(err, "realize") from err
     try:
-        return assemble_filter(realized, sensor=cfg.sensor,
-                               strategy=cfg.strategy, poles=cfg.poles,
-                               rank_rtol=cfg.rank_rtol)
+        return assemble_filter(inv, cfg.sensor, strategy=cfg.strategy,
+                               poles=cfg.poles)
     except FaultFilterError as err:
         raise rewrap(err, "stabilize") from err

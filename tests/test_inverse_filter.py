@@ -27,6 +27,7 @@ from conftest import (
     pencil_zeros,
     planted_zero_predictor,
     random_predictor,
+    random_stable,
     stable_invertible_predictor,
 )
 
@@ -133,6 +134,29 @@ class TestInvariantZeros:
         assert_same_zeros(zeros, np.linalg.eigvals(Phi1), tol=1e-8)
         assert_same_zeros(zeros,
                           pencil_zeros(pred.Phi, pred.Et, pred.C, pred.G))
+
+    @pytest.mark.filterwarnings("ignore:zero computation ill conditioned")
+    def test_defective_double_zero_found(self, rng):
+        # a 2 x 2 Jordan block at 0.5 that the healthy output cannot see,
+        # the other modes within 0.3 of the origin, in a random basis of
+        # condition <= 10: eig splits the double eigenvalue by about
+        # sqrt(eps cond), and the PBH screen must keep both copies
+        lam = 0.5
+        for _ in range(200):
+            Phi1 = np.zeros((4, 4))
+            Phi1[:2, :2] = [[lam, 1.0], [0.0, lam]]
+            Phi1[:2, 2:] = rng.standard_normal((2, 2))
+            Phi1[2:, 2:] = random_stable(rng, 2, 0.3)
+            C = rng.standard_normal((2, 4))
+            C[1, :2] = 0.0
+            Q1, Q2 = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
+            T = Q1 * rng.uniform(1.0, 10.0, 4) @ Q2
+            Phi1, C = np.linalg.solve(T, Phi1 @ T), C @ T
+            Et, G = 0.3 * rng.standard_normal((4, 1)), np.eye(2)[:, [0]]
+            ok, zeros = invariant_zeros_stable(Phi1 + Et @ G.T @ C, Et, C, G)
+            assert ok
+            assert len(zeros) == 2
+            assert np.max(np.abs(zeros - lam)) < 1e-5
 
     def test_margin_flips_verdict_near_boundary(self, rng):
         pred = planted_zero_predictor(rng, 0.999)
@@ -293,6 +317,11 @@ class TestFaultEstimationFilter:
         assert back.strategy == "pole_placement"
         for name in ("Af", "Bu", "By", "Cf", "Du", "Dy"):
             assert np.array_equal(getattr(back, name), getattr(filt, name))
+
+    def test_reduced_filter_rejects_wrong_gain_shape(self, rng):
+        pred = random_predictor(rng)
+        with pytest.raises(ValidationError, match="Kr must have 2 columns"):
+            reduced_filter(pred, np.zeros((4, 3)))
 
     def test_reduced_equals_cascade(self, rng):
         pred = random_predictor(rng)

@@ -27,6 +27,7 @@ from faultfilter import (
     spectral_radius,
     to_predictor,
 )
+from faultfilter import lti_core
 from faultfilter.lti_core import _CHUNK
 
 from conftest import per_sample_run, random_model, random_predictor
@@ -86,6 +87,33 @@ class TestLtiRecursion:
         assert np.max(np.abs(out - ref)) <= 1e-12 * (1.0 + np.abs(ref).max())
         assert np.max(np.abs(x_end - x_ref), initial=0.0) <= 1e-12 * (
             1.0 + np.abs(x_ref).max(initial=0.0))
+
+    @pytest.mark.parametrize("n, p, m, branch", [
+        (4, 1, 4, "markov-blocks"),   # the benchmark filter
+        (4, 2, 4, "markov-blocks"),   # its residual generator
+        (4, 4, 9, "state"),           # closed_loop_sim's plant
+        (30, 20, 40, "loop"),
+        (50, 20, 40, "loop"),
+    ])
+    def test_cost_rule_picks_branch(self, rng, monkeypatch, n, p, m, branch):
+        # the chunked path takes its Toeplitz blocks from markov_from_ss,
+        # on (A, I, I, 0) for the state branch; the loop never calls it
+        seen = []
+
+        def spy(A, B, C, D, L):
+            seen.append(B.shape[1])
+            return markov_from_ss(A, B, C, D, L)
+
+        monkeypatch.setattr(lti_core, "markov_from_ss", spy)
+        A = rng.standard_normal((n, n))
+        A *= 0.9 / spectral_radius(A)
+        B, C, D = (rng.standard_normal(s) for s in ((n, m), (p, n), (p, m)))
+        Z = rng.standard_normal((3 * _CHUNK, m))
+        out, x_end = lti_recursion(A, B, C, D, Z)
+        assert seen == {"markov-blocks": [m], "state": [n], "loop": []}[branch]
+        ref, x_ref = per_sample_run(A, B, C, D, Z, np.zeros(n))
+        assert np.max(np.abs(out - ref)) <= 1e-12 * (1.0 + np.abs(ref).max())
+        assert np.max(np.abs(x_end - x_ref)) <= 1e-12 * (1.0 + np.abs(x_ref).max())
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

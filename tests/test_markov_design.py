@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faultfilter as ff
 from faultfilter import (
     DesignConfig,
     FaultDirectionError,
+    FaultEstimationFilter,
     StabilizationError,
     ValidationError,
+    assemble_filter,
     block_toeplitz,
     convolve_Q,
     convolve_R,
@@ -29,6 +33,7 @@ from faultfilter import (
     z_markov,
 )
 from faultfilter.bench_cli import BENCH_POLES
+from faultfilter.inverse_filter import _inverse_system
 from faultfilter.markov_design import design_filter_from_data
 
 from conftest import (
@@ -117,16 +122,22 @@ class TestInverseMarkov:
 
 
 class TestWindowConvolutions:
-    def test_against_matrix_powers(self, rng):
-        pred = random_predictor(rng, with_d=True)
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), n_u=st.integers(1, 3),
+           n_y=st.integers(2, 4), n_f=st.integers(1, 3))
+    def test_against_matrix_powers(self, seed, n, n_u, n_y, n_f):
+        rng = np.random.default_rng(seed)
+        J = sorted(int(j) for j in rng.choice(n_y, min(n_f, n_y - 1), replace=False))
+        pred = random_predictor(rng, n, n_u, n_y, sensors=J, with_d=True)
         xi = exact_xi(pred)
         L = 18
-        Hf = fault_markov(xi.Hy, [0], L)
+        Hf = fault_markov(xi.Hy, J, L)
         Hz = z_markov(xi.Hu, xi.Hy, L)
         Gi = inverse_markov(Hf, L)
         Ri = convolve_R(Gi, Hz, L)
         Qi = convolve_Q(Hz, Hf, Ri, L)
         Gm = left_inverse(pred.G)
+        proj = np.eye(n_y) - pred.G @ Gm
         Bf = pred.Bt - pred.Et @ Gm @ pred.D
         Kf = pred.K + pred.Et @ Gm
         inv = open_loop_inverse(pred)
@@ -134,10 +145,22 @@ class TestWindowConvolutions:
         R_ref = markov_from_ss(inv.Phi1, np.hstack([Bf, Kf]), inv.C1,
                                np.hstack([-Gm @ pred.D, Gm]), L)
         Q_ref = markov_from_ss(inv.Phi1, np.hstack([Bf, Kf]), -inv.C2,
-                               np.hstack([-(np.eye(2) - pred.G @ Gm) @ pred.D,
-                                          np.eye(2) - pred.G @ Gm]), L)
-        assert np.allclose(Ri.blocks, R_ref.blocks, atol=1e-9)
-        assert np.allclose(Qi.blocks, Q_ref.blocks, atol=1e-9)
+                               np.hstack([-proj @ pred.D, proj]), L)
+        W_ref = np.concatenate([R_ref.blocks, Q_ref.blocks], axis=1)
+        tol = 1e-9 * (1.0 + np.abs(W_ref).max())
+        assert np.max(np.abs(Ri.blocks - R_ref.blocks)) <= tol
+        assert np.max(np.abs(Qi.blocks - Q_ref.blocks)) <= tol
+        # ... and of the folded inverse both design routes inject into
+        system = _inverse_system(pred)
+        W = stack_windows(Ri, Qi).blocks
+        assert np.max(np.abs(system.markov(L).blocks - W)) <= tol
+        Kr = rng.standard_normal((n, n_y))
+        model_route = reduced_filter(pred, Kr)
+        data_route = assemble_filter(system, J, Kr=Kr)
+        for name in ("Af", "Bu", "By", "Cf", "Du", "Dy"):
+            a, b = getattr(model_route, name), getattr(data_route, name)
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-15 * (
+                1.0 + np.abs(a).max(initial=0.0))
 
     def test_faulty_rows_of_Q_vanish(self, rng):
         pred = random_predictor(rng, n_y=3, sensors=(1,), with_d=True)
@@ -235,19 +258,28 @@ class TestRealize:
         Wi = self.build_windows(pred)
         cfg = DesignConfig(sensor=0, markov_length=100, hankel_rows=20,
                            hankel_cols=20, order=4)
-        realized = realize(Wi, cfg)
-        assert realized.order == 4
-        assert realized.singular_values[4] < 1e-8 * realized.singular_values[0]
+        realized, singular_values = realize(Wi, cfg)
+        assert realized.A.shape[0] == 4
+        assert singular_values[4] < 1e-8 * singular_values[0]
         # realized matrices reproduce the window Markov sequence
-        Cmap = np.vstack([realized.C1_hat, -realized.C2_hat])
-        Bmap = np.hstack([realized.Bf_hat, realized.Kf_hat])
         for i in range(1, 30):
-            P = np.linalg.matrix_power(realized.Phi1_hat, i - 1)
-            assert np.allclose(Cmap @ P @ Bmap, Wi[i], atol=1e-8)
+            P = np.linalg.matrix_power(realized.A, i - 1)
+            assert np.allclose(realized.C @ P @ realized.B, Wi[i], atol=1e-8)
         W0 = Wi[0]
-        assert np.allclose(realized.Df1_hat, W0[:1, :2])
-        assert np.allclose(realized.D1_hat, W0[:1, 2:])
-        assert np.allclose(realized.Gf2_hat, W0[1:, 2:])
+        assert np.allclose(realized.D[:1, :2], W0[:1, :2])
+        assert np.allclose(realized.D[:1, 2:], W0[:1, 2:])
+        assert np.allclose(realized.D[1:, 2:], W0[1:, 2:])
+
+
+    def test_assemble_filter_rejects_wrong_gain_shape(self, rng):
+        pred = stable_invertible_predictor(rng)
+        cfg = DesignConfig(sensor=0, markov_length=100, hankel_rows=20,
+                           hankel_cols=20, order=4)
+        realized, _ = realize(self.build_windows(pred), cfg)
+        filt = assemble_filter(realized, 0, Kr=np.zeros((4, 2)))
+        assert isinstance(filt, FaultEstimationFilter)
+        with pytest.raises(ValidationError, match="Kr must have 2 columns"):
+            assemble_filter(realized, 0, Kr=np.zeros((4, 3)))
 
 
 class TestDesignPipeline:

@@ -46,8 +46,6 @@ from .sysid_markov import (
 from .inverse_filter import (
     FaultEstimationFilter,
     InverseMatrices,
-    cascade_filter,
-    closed_loop_inverse,
     invariant_zeros_stable,
     left_inverse,
     open_loop_inverse,

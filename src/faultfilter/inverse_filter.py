@@ -18,13 +18,13 @@ reshaping, which is exactly what :func:`invariant_zeros_stable` checks
 before a design is attempted.
 
 The end product is a compact filter that runs on raw (u, y) samples and
-emits fault estimates; an equivalent double order cascade realization is
-kept purely to validate the algebra.
+emits fault estimates; the tests check it against an equivalent double
+order cascade realization.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.signal import place_poles
@@ -53,10 +53,8 @@ __all__ = [
     "open_loop_inverse",
     "invariant_zeros_stable",
     "stabilizing_gain",
-    "closed_loop_inverse",
     "FaultEstimationFilter",
     "reduced_filter",
-    "cascade_filter",
     "run_filter",
 ]
 
@@ -133,12 +131,18 @@ def open_loop_inverse(pred: PredictorModel) -> InverseMatrices:
     )
 
 
-def _pbh_unobservable(Phi1, C2, lam) -> bool:
-    """True when ``lam`` is an unobservable mode of (Phi1, C2)."""
+_PBH_RANK = 1e-8  # PBH ratio at or below which a mode counts as unobservable
+# too near _PBH_RANK to trust: true defective zeros gave <= 1.1e-15, and
+# observable modes 1e-11 to 1e-9 when miscounted, >= 9.2e-7 otherwise
+_PBH_AMBIGUOUS = (1e-12, 1e-7)
+
+
+def _pbh_ratio(Phi1, C2, lam) -> float:
+    """s_min / max(1, s_max) of [Phi1 - lam I; C2], small at an unobservable mode."""
     n = Phi1.shape[0]
     stack = np.vstack([Phi1 - lam * np.eye(n), C2])
     s = np.linalg.svd(stack, compute_uv=False)
-    return s[-1] <= 1e-8 * max(1.0, s[0])
+    return s[-1] / max(1.0, s[0])
 
 
 def _inverse_pair(Phi, Etilde, C, G):
@@ -163,7 +167,9 @@ def invariant_zeros_stable(Phi, Etilde, C, G, margin: float = 1e-6):
     screened with a rank test on the stacked observability pencil; with
     as many faults as outputs C2 vanishes and every eigenvalue of Phi1
     is a zero.  Zeros this close to or outside the unit circle block any
-    stable inversion, because output injection cannot move them.
+    stable inversion, because output injection cannot move them.  A
+    warning names each eigenvalue whose PBH ratio s_min / max(1, s_max)
+    lies in (1e-12, 1e-7], too near the 1e-8 rank threshold to trust.
 
     Args:
         Phi, Etilde, C, G: predictor fault channel matrices.
@@ -176,14 +182,18 @@ def invariant_zeros_stable(Phi, Etilde, C, G, margin: float = 1e-6):
         magnitude (possibly empty).
     """
     Phi1, C2 = _inverse_pair(Phi, Etilde, C, G)
-    lams, vecs = np.linalg.eig(Phi1)
-    cond = np.linalg.cond(vecs)
-    if not np.isfinite(cond) or cond > 1e8:
+    lams = np.linalg.eig(Phi1)[0]
+    ratios = np.array([_pbh_ratio(Phi1, C2, lam) for lam in lams])
+    low, high = _PBH_AMBIGUOUS
+    unsure = (ratios > low) & (ratios <= high)
+    if unsure.any():
+        listing = ", ".join(f"{lam:.6g} ({r:.3g})"
+                            for lam, r in zip(lams[unsure], ratios[unsure]))
         warnings.warn(
-            f"zero computation ill conditioned (eigenvector condition {cond:.3g}); "
-            "zero locations may be inaccurate", stacklevel=2)
-    zeros = np.array([lam for lam in lams
-                      if _pbh_unobservable(Phi1, C2, lam)], dtype=complex)
+            f"zero computation ill conditioned: modes [{listing}] have PBH "
+            f"ratios near the rank threshold {_PBH_RANK:g}; the zero count "
+            "may be wrong", stacklevel=2)
+    zeros = np.asarray(lams[ratios <= _PBH_RANK], dtype=complex)
     if zeros.size:
         zeros = zeros[np.argsort(np.abs(zeros))]
     ok = bool(zeros.size == 0 or np.max(np.abs(zeros)) < 1.0 - margin)
@@ -212,7 +222,7 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
     C2 = _as_matrix(C2, cols=n, name="C2")
 
     blocked = [lam for lam in np.linalg.eigvals(Phi1)
-               if abs(lam) >= 1.0 - 1e-9 and _pbh_unobservable(Phi1, C2, lam)]
+               if abs(lam) >= 1.0 - 1e-9 and _pbh_ratio(Phi1, C2, lam) <= _PBH_RANK]
     if blocked:
         listing = ", ".join(f"{lam:.6g}" for lam in blocked)
         raise StabilizationError(
@@ -254,16 +264,7 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
     return Kr
 
 
-def closed_loop_inverse(inv: InverseMatrices, Kr):
-    """Stabilized inverse (Phi2, B2, C1, D1) after output injection.
-
-    Only the state recursion changes: Phi2 = Phi1 - Kr C2 and
-    B2 = B1 + Kr (I - D2); the fault readout (C1, D1) is untouched.
-    """
-    Kr = _as_matrix(Kr, rows=inv.Phi1.shape[0], cols=inv.C2.shape[0], name="Kr")
-    Phi2 = inv.Phi1 - Kr @ inv.C2
-    B2 = inv.B1 + Kr @ (np.eye(inv.D2.shape[0]) - inv.D2)
-    return Phi2, B2, inv.C1, inv.D1
+_MATRICES = ("Af", "Bu", "By", "Cf", "Du", "Dy")
 
 
 @dataclass
@@ -275,11 +276,15 @@ class FaultEstimationFilter:
         x(k+1) = Af x(k) + Bu u(k) + By y(k)
         fh(k)  = Cf x(k) + Du u(k) + Dy y(k)
 
-    ``state`` is the internal x, advanced by :meth:`step` (the streaming
-    path); :meth:`run` resets it first and leaves it where step would at
-    the end of the record, so an instance serves one stream at a time.
-    ``strategy`` records how the injection gain was chosen and travels
-    with saved filter files.
+    which :meth:`step` computes as one matvec of the cached step matrix
+    M = [[Af Bu By], [Cf Du Dy]] with a work vector [x; u; y].  The six
+    matrices are views of M, so in-place edits reach it; assigning a
+    matrix rebuilds M at the next step.  ``state`` is the live x, a view
+    of the work vector (copy it to keep a value; assigning copies in).
+    :meth:`run` resets the state and leaves it where step would at the
+    end of the record, so an instance serves one stream at a time;
+    copies and pickles get their own work vector.  ``strategy`` records
+    how the injection gain was chosen and travels with saved files.
     """
 
     Af: np.ndarray
@@ -290,17 +295,43 @@ class FaultEstimationFilter:
     Dy: np.ndarray
     strategy: str = "riccati"
     state: np.ndarray = field(default=None, repr=False)
+    _cache = None  # what step() unpacks; None after a matrix is assigned
 
-    def __post_init__(self):
-        self.Af = _as_matrix(self.Af, name="Af")
-        n = self.Af.shape[0]
-        self.Bu = _as_matrix(self.Bu, rows=n, name="Bu")
-        self.By = _as_matrix(self.By, rows=n, name="By")
-        self.Cf = _as_matrix(self.Cf, cols=n, name="Cf")
-        nf = self.Cf.shape[0]
-        self.Du = _as_matrix(self.Du, rows=nf, cols=self.Bu.shape[1], name="Du")
-        self.Dy = _as_matrix(self.Dy, rows=nf, cols=self.By.shape[1], name="Dy")
+    def __post_init__(self):  # the matrices are 2-D float arrays already, see __setattr__
+        n, nf = self.n_states, self.n_faults
+        _as_matrix(self.Bu, rows=n, name="Bu")
+        _as_matrix(self.By, rows=n, name="By")
+        _as_matrix(self.Cf, cols=n, name="Cf")
+        _as_matrix(self.Du, rows=nf, cols=self.n_inputs, name="Du")
+        _as_matrix(self.Dy, rows=nf, cols=self.n_outputs, name="Dy")
         self.reset(self.state)
+
+    def __setattr__(self, name, value):
+        if name in _MATRICES:
+            value = _as_matrix(value, name=name)
+            self.__dict__["_cache"] = None
+        elif name == "state" and "state" in self.__dict__:  # set after __init__
+            n = self.n_states
+            x = np.zeros(n) if value is None else np.asarray(value, dtype=float).reshape(n)
+            value = (self._cache or self._rebuild(x))[2]
+            value[:] = x
+        object.__setattr__(self, name, value)
+
+    def _rebuild(self, x0) -> tuple:
+        """Cache M, a work vector starting from state x0, and step's slices."""
+        M = self.step_matrix()
+        n, nu, ny = self.n_states, self.n_inputs, self.n_outputs
+        d = self.__dict__
+        d["Af"], d["Bu"], d["By"] = M[:n, :n], M[:n, n:n + nu], M[:n, n + nu:]
+        d["Cf"], d["Du"], d["Dy"] = M[n:, :n], M[n:, n:n + nu], M[n:, n + nu:]
+        v = np.zeros(n + nu + ny)
+        v[:n] = x0
+        d["_cache"] = (M, v, v[:n], n, slice(n, n + nu), slice(n + nu, None), (nu,), (ny,))
+        d["state"] = v[:n]
+        return d["_cache"]
+
+    def __reduce__(self):  # copies and pickles are built anew, with their own cache
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n_states(self) -> int:
@@ -320,23 +351,27 @@ class FaultEstimationFilter:
 
     def reset(self, x0=None) -> None:
         """Set the internal state (zero when omitted)."""
-        if x0 is None:
-            self.state = np.zeros(self.n_states)
-        else:
-            self.state = np.asarray(x0, dtype=float).reshape(self.n_states).copy()
+        self.state = x0
 
     def step(self, u, y) -> np.ndarray:
         """Advance one sample and return the fault estimate at it."""
-        u = np.asarray(u, dtype=float).reshape(self.n_inputs)
-        y = np.asarray(y, dtype=float).reshape(self.n_outputs)
-        fh = self.Cf @ self.state + self.Du @ u + self.Dy @ y
-        self.state = self.Af @ self.state + self.Bu @ u + self.By @ y
-        return fh
+        M, v, x, n, ku, ky, su, sy = self._cache or self._rebuild(self.state)
+        if not (type(u) is type(y) is np.ndarray and u.shape == su and y.shape == sy):
+            u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
+            if u.size != su[0] or y.size != sy[0]:
+                raise ValidationError(f"expected widths ({su[0]}, {sy[0]}), "
+                                      f"got ({u.size}, {y.size})")
+            u, y = u.reshape(su), y.reshape(sy)
+        v[ku] = u
+        v[ky] = y
+        out = M.dot(v)
+        x[:] = out[:n]
+        return out[n:]
 
     def step_matrix(self) -> np.ndarray:
-        """Combined update [[Af Bu By], [Cf Du Dy]] for one matvec per step."""
-        return np.block([[self.Af, self.Bu, self.By],
-                         [self.Cf, self.Du, self.Dy]])
+        """A fresh copy of the combined update [[Af Bu By], [Cf Du Dy]]."""
+        return np.concatenate([np.concatenate([self.Af, self.Bu, self.By], axis=1),
+                               np.concatenate([self.Cf, self.Du, self.Dy], axis=1)])
 
     def as_system(self) -> LinearSystem:
         """Stateless state space view with stacked input [u; y]."""
@@ -445,26 +480,6 @@ def reduced_filter(pred: PredictorModel, Kr,
     already be stabilizing (see :func:`stabilizing_gain`).
     """
     return _injected_filter(_inverse_system(pred), pred.n_faults, Kr, strategy)
-
-
-def cascade_filter(pred: PredictorModel, Kr) -> LinearSystem:
-    """Two stage realization: residual generator into the stabilized inverse.
-
-    State is the stacked pair (inverse state, predictor state) with
-    input [u; y].  Algebraically equivalent to :func:`reduced_filter`
-    whenever the reduced filter starts at the sum of the two partial
-    states; the doubled order makes it a cross check, not a production
-    filter.
-    """
-    inv = open_loop_inverse(pred)
-    Phi2, B2, C1, D1 = closed_loop_inverse(inv, Kr)
-    n = pred.n_states
-    C, D = pred.C, pred.D
-    A = np.block([[Phi2, -B2 @ C], [np.zeros((n, n)), pred.Phi]])
-    B = np.block([[-B2 @ D, B2], [pred.Bt, pred.K]])
-    Cc = np.hstack([C1, -D1 @ C])
-    Dc = np.hstack([-D1 @ D, D1])
-    return LinearSystem(A, B, Cc, Dc)
 
 
 def run_filter(filt: FaultEstimationFilter, data: IOData, x_f0=None) -> np.ndarray:

@@ -19,6 +19,7 @@ Toeplitz / Hankel / observability matrices.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -355,16 +356,58 @@ class IOData:
 
     @classmethod
     def from_csv(cls, path) -> "IOData":
-        rows = _CsvRows(path)
-        header = rows[0] if rows else []
-        if header[:1] != ["k"]:
-            raise rows.error("expected header starting with 'k'")
-        nu = sum(1 for h in header if h.startswith("u"))
-        ny = sum(1 for h in header if h.startswith("y"))
-        if 1 + nu + ny != len(header):
-            raise rows.error(f"malformed header {header}")
-        data = rows.floats(1, len(rows), len(header))
+        """Read a record written by :meth:`to_csv`.
+
+        A file ``_loadtxt_table`` declines, or one with a bad header, is
+        read by the row reader, which gives the same arrays or the error.
+        """
+        header, data = _loadtxt_table(path) or ([], None)
+        nu = _u_columns(header)
+        if nu is None:
+            rows = _CsvRows(path)
+            header = rows[0] if rows else []
+            if header[:1] != ["k"]:
+                raise rows.error("expected header starting with 'k'")
+            nu = _u_columns(header)
+            if nu is None:
+                raise rows.error(f"malformed header {header}")
+            data = rows.floats(1, len(rows), len(header))
         return cls(data[:, 1:1 + nu], data[:, 1 + nu:])
+
+
+def _u_columns(header: list):
+    """Number of u columns of a 'k,u..,y..' header, None for another header."""
+    nu = sum(1 for h in header if h.startswith("u"))
+    ny = sum(1 for h in header if h.startswith("y"))
+    return nu if header[:1] == ["k"] and 1 + nu + ny == len(header) else None
+
+
+def _loadtxt_table(path):
+    """(header, data) of a comma-separated table as ``_CsvRows`` reads it, or None.
+
+    One ``np.loadtxt`` parses the lines after the header; a line it skips
+    or cannot parse gives None.  What the row reader would read
+    differently fails there too: no float holds a quote or a bare CR,
+    and a header field starting with a quote fails ``_u_columns``.
+    """
+    try:
+        with open(path, newline="") as fh:  # decoded as the row reader decodes
+            text = fh.buffer.read().decode(fh.encoding)
+    except (OSError, UnicodeDecodeError):
+        return None
+    first, _, body = text.partition("\n")
+    first = first.removesuffix("\r")
+    # a CR ends the row reader's header line; loadtxt would warn of an empty body
+    if "\r" in first or not body or body.isspace():
+        return None
+    header = first.split(",")
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # loadtxt skips blank lines, which the row reader rejects
+    lines = body.count("\n") + (not body.endswith("\n"))
+    return (header, data) if data.shape == (lines, len(header)) else None
 
 
 def _finite_samples(data: IOData, source: str = "the record") -> np.ndarray:

@@ -14,8 +14,10 @@ from scipy.linalg import lstsq
 from faultfilter import (
     ExcitationError,
     IdentifiedXi,
+    LinearSystem,
     PredictorModel,
     StateSpaceModel,
+    open_loop_inverse,
     spectral_radius,
 )
 
@@ -120,13 +122,40 @@ def stable_invertible_predictor(rng, n=4, n_u=2, n_y=2, sensors=(0,),
     stabilizing gain exists and keeps matched-init inversion tests well
     conditioned.
     """
-    from faultfilter import open_loop_inverse
     for _ in range(max_tries):
         pred = random_predictor(rng, n, n_u, n_y, sensors, rho=0.6,
                                 k_scale=0.15)
         if spectral_radius(open_loop_inverse(pred).Phi1) < 0.98:
             return pred
     raise AssertionError("no stably invertible predictor found")
+
+
+def closed_loop_inverse(inv, Kr):
+    """Stabilized inverse (Phi2, B2, C1, D1) after output injection.
+
+    Only the state recursion changes: Phi2 = Phi1 - Kr C2 and
+    B2 = B1 + Kr (I - D2); the fault readout (C1, D1) is untouched.
+    """
+    Phi2 = inv.Phi1 - Kr @ inv.C2
+    B2 = inv.B1 + Kr @ (np.eye(inv.D2.shape[0]) - inv.D2)
+    return Phi2, B2, inv.C1, inv.D1
+
+
+def cascade_filter(pred, Kr):
+    """Two stage realization: residual generator into the stabilized inverse.
+
+    State is the stacked pair (inverse state, predictor state) with
+    input [u; y].  Algebraically equivalent to ``reduced_filter``
+    whenever the reduced filter starts at the sum of the two partial
+    states; the doubled order makes it a cross check, not a production
+    filter.
+    """
+    Phi2, B2, C1, D1 = closed_loop_inverse(open_loop_inverse(pred), Kr)
+    n = pred.n_states
+    C, D = pred.C, pred.D
+    A = np.block([[Phi2, -B2 @ C], [np.zeros((n, n)), pred.Phi]])
+    B = np.block([[-B2 @ D, B2], [pred.Bt, pred.K]])
+    return LinearSystem(A, B, np.hstack([C1, -D1 @ C]), np.hstack([-D1 @ D, D1]))
 
 
 def planted_zero_predictor(rng, lam, n=4, n_u=2, n_y=2):

@@ -16,7 +16,6 @@ from faultfilter import (
     IOData,
     block_toeplitz,
     build_mhe,
-    cascade_filter,
     design_filter_from_xi,
     ho_kalman,
     identify_xi,
@@ -42,6 +41,8 @@ from faultfilter.bench_cli import (
 )
 
 from conftest import (
+    cascade_filter,
+    closed_loop_inverse,
     planted_zero_predictor,
     random_predictor,
     stable_invertible_predictor,
@@ -109,7 +110,7 @@ def test_02_window_map_decomposition():
         pred = stable_invertible_predictor(rng)
         inv = open_loop_inverse(pred)
         Kr = stabilizing_gain(inv.Phi1, inv.C2)
-        Phi2, B2, C1, D1 = ff.closed_loop_inverse(inv, Kr)
+        Phi2, B2, C1, D1 = closed_loop_inverse(inv, Kr)
         K_L = block_toeplitz(markov_from_ss(Phi2, B2, C1, D1, L))
         G_L = block_toeplitz(markov_from_ss(inv.Phi1, inv.B1, inv.C1,
                                             inv.D1, L))

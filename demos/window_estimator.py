@@ -42,7 +42,7 @@ def main():
     # the closed-form gain solves the stacked least squares problem
     rng = np.random.default_rng(3)
     r = rng.standard_normal(problem.Tf.shape[0])
-    lsq = np.linalg.pinv(problem.Psi) @ r
+    lsq = np.linalg.pinv(np.hstack([problem.O, problem.Tf])) @ r
     dev = np.max(np.abs(mhe_estimate(problem, r) - lsq[problem.n_states:]))
     print(f"gain vs pseudo-inverse solution: max deviation {dev:.2e}")
 

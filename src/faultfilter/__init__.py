@@ -33,7 +33,6 @@ from .lti_core import (
     sensor_fault_channel,
     sensor_fault_plant,
     simulate,
-    solve_dare,
     spectral_radius,
     to_predictor,
 )
@@ -59,7 +58,6 @@ from .markov_design import (
     assemble_filter,
     convolve_Q,
     convolve_R,
-    design_filter_from_data,
     design_filter_from_xi,
     fault_markov,
     ho_kalman,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import sys
 import time
 from dataclasses import dataclass, field
@@ -64,10 +63,6 @@ from .lti_core import (
 )
 from .markov_design import (
     DesignConfig,
-    _design_section,
-    _ini_values,
-    _one_based,
-    _read_ini,
     design_filter_from_xi,
     predictor_from_xi,
     z_markov,
@@ -550,22 +545,21 @@ class ExperimentReport:
                     + [f"{res.name}_f{i+1}" for res in ok for i in range(nf)]],
                    np.column_stack([np.arange(len(self.fault)), self.fault]
                                    + [res.estimates for res in ok]))
-        with open(os.path.join(out_dir, "stats.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["algorithm", "ok", "samples", "mean", "covariance",
-                        "ellipse_axes", "degenerate", "message"])
-            for res in self.results:
-                if res.ok:
-                    st = res.stats
-                    w.writerow([
-                        res.name, 1, st.n_samples,
-                        " ".join(_FMT % v for v in st.mean),
-                        " ".join(_FMT % v for v in st.covariance.reshape(-1)),
-                        " ".join(_FMT % v for v in st.axes),
-                        int(st.degenerate), "",
-                    ])
-                else:
-                    w.writerow([res.name, 0, 0, "", "", "", "", res.message])
+        rows = [["algorithm", "ok", "samples", "mean", "covariance",
+                 "ellipse_axes", "degenerate", "message"]]
+        for res in self.results:
+            if res.ok:
+                st = res.stats
+                rows.append([
+                    res.name, 1, st.n_samples,
+                    " ".join(_FMT % v for v in st.mean),
+                    " ".join(_FMT % v for v in st.covariance.reshape(-1)),
+                    " ".join(_FMT % v for v in st.axes),
+                    int(st.degenerate), "",
+                ])
+            else:
+                rows.append([res.name, 0, 0, "", "", "", "", res.message])
+        _write_csv(os.path.join(out_dir, "stats.csv"), rows)
 
     def write_timing(self, path) -> None:
         with open(path, "w") as fh:
@@ -919,6 +913,56 @@ _PLANT_KEYS = {"name": str, **dict.fromkeys("ABCDEGFQR", parse_matrix),
                "q": float, "r": float}
 
 
+def _read_ini(path, missing: str = None):
+    """ConfigParser loaded from one INI file, without interpolation.
+
+    Keys are case sensitive, so matrix keys tell Q from q.  An
+    unreadable file raises ValidationError with ``missing`` (default:
+    "cannot read config file <path>"); a malformed one raises
+    ValidationError naming the file and the parse error.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValidationError(f"malformed config file {path}: {exc}") from exc
+    if not read:
+        raise ValidationError(missing or f"cannot read config file {path}")
+    return parser
+
+
+def _ini_values(sec, parsers: dict) -> dict:
+    """Parsed values of the keys of ``parsers`` present in an INI section.
+
+    A key the section does not accept, or a value that fails to parse,
+    raises ValidationError naming the section and key.
+    """
+    defaults = sec.parser.defaults()
+    unknown = [key for key in sec if key not in parsers and key not in defaults]
+    if unknown:
+        raise ValidationError(
+            f"[{sec.name}] {unknown[0]}: unknown key; accepted keys are "
+            f"{', '.join(parsers)}")
+    out = {}
+    for key, parse in parsers.items():
+        if key in sec:
+            try:
+                out[key] = parse(sec[key].strip())
+            except ValueError as exc:
+                raise ValidationError(
+                    f"[{sec.name}] {key} = {sec[key]!r}: {exc}") from exc
+    return out
+
+
+def _one_based(raw: str) -> list:
+    """Zero based indices of a one based 'i j, k' index list."""
+    vals = [int(v) for v in raw.replace(",", " ").split()]
+    if any(v < 1 for v in vals):
+        raise ValueError("config sensor indices are one based")
+    return [v - 1 for v in vals]
+
+
 def _plant_from_values(vals: dict) -> StateSpaceModel:
     """Plant model from the parsed matrix and noise keys of [plant]."""
     kwargs = {key: vals[key] for key in "ABCDEGFQR" if key in vals}
@@ -956,9 +1000,8 @@ def load_bench_config(config_path=None, plant=None, seed=None,
     file with its own [plant] section.
     """
     kwargs = dict(overrides or {})
-    # matrix keys are case sensitive (Q vs q)
     parser = (configparser.ConfigParser() if config_path is None
-              else _read_ini(config_path, case_sensitive=True))
+              else _read_ini(config_path))
 
     plant_parser = parser
     if plant is not None:
@@ -966,9 +1009,8 @@ def load_bench_config(config_path=None, plant=None, seed=None,
             kwargs["plant"] = plant
         else:
             plant_parser = _read_ini(
-                plant, case_sensitive=True,
-                missing=f"--plant {plant!r} is neither a registered plant nor a "
-                        "readable config file")
+                plant, missing=f"--plant {plant!r} is neither a registered plant "
+                               "nor a readable config file")
 
     if "plant" in plant_parser:
         vals = _ini_values(plant_parser["plant"], _PLANT_KEYS)
@@ -1001,7 +1043,15 @@ def load_bench_config(config_path=None, plant=None, seed=None,
             raise ValidationError(
                 "[design] sensor is not used by benchmark configs; set the "
                 "faulty sensors with [scenario] sensors")
-        kwargs.update(_design_section(parser["design"]))
+        kwargs.update(_ini_values(parser["design"], {
+            "markov_length": int,
+            "hankel_rows": int,
+            "hankel_cols": int,
+            "order": lambda raw: raw if raw == "auto" else int(raw),
+            "strategy": str,
+            "poles": lambda raw: (None if raw == "none" else
+                                  [float(v) for v in raw.replace(",", " ").split()]),
+        }))
 
     if "bench" in parser:
         kwargs.update(_ini_values(parser["bench"], dict.fromkeys(

@@ -35,7 +35,6 @@ __all__ = [
     "IOData",
     "lti_recursion",
     "dare_fixed_point",
-    "solve_dare",
     "to_predictor",
     "sensor_fault_plant",
     "sensor_fault_channel",
@@ -360,6 +359,8 @@ class IOData:
 
         A file ``_loadtxt_table`` declines, or one with a bad header, is
         read by the row reader, which gives the same arrays or the error.
+        The k column must count 0, 1, ..., N-1: a gap, a repeat or a
+        non-integer k raises a ValidationError naming the file and row.
         """
         header, data = _loadtxt_table(path) or ([], None)
         nu = _u_columns(header)
@@ -372,6 +373,10 @@ class IOData:
             if nu is None:
                 raise rows.error(f"malformed header {header}")
             data = rows.floats(1, len(rows), len(header))
+        bad = np.flatnonzero(data[:, 0] != np.arange(len(data)))
+        if bad.size:
+            raise ValidationError(
+                f"{path}: row {bad[0] + 2}: k = {data[bad[0], 0]:g}, expected {bad[0]}")
         return cls(data[:, 1:1 + nu], data[:, 1 + nu:])
 
 
@@ -522,23 +527,14 @@ def dare_fixed_point(A, C, Q, R, F=None):
     return P, K, S
 
 
-def solve_dare(model: StateSpaceModel):
-    """Riccati solution (P, K, SigmaE) for a plant's one step predictor.
-
-    Thin wrapper around :func:`dare_fixed_point` that pulls the matrices
-    out of the model.  Requires a detectable (A, C) pair and positive
-    definite R; a pair without a stabilizing solution raises RiccatiError.
-    """
-    return dare_fixed_point(model.A, model.C, model.Q, model.R, model.F)
-
-
 def to_predictor(model: StateSpaceModel) -> PredictorModel:
     """Kalman predictor form of a plant model.
 
     Solves the plant's filter Riccati equation and assembles Phi, Bt and
-    the fault channel Et = E - K G.
+    the fault channel Et = E - K G.  A plant whose (A, C) pair is not
+    detectable raises RiccatiError.
     """
-    P, K, SigmaE = solve_dare(model)
+    _, K, SigmaE = dare_fixed_point(model.A, model.C, model.Q, model.R, model.F)
     return PredictorModel(
         Phi=model.A - K @ model.C,
         Bt=model.B - K @ model.D,

@@ -21,7 +21,6 @@ identified-model baseline.
 """
 from __future__ import annotations
 
-import configparser
 import warnings
 from dataclasses import dataclass
 
@@ -36,7 +35,6 @@ from .inverse_filter import (
     stabilizing_gain,
 )
 from .lti_core import (
-    IOData,
     LinearSystem,
     MarkovSequence,
     PredictorModel,
@@ -44,7 +42,7 @@ from .lti_core import (
     block_hankel,
     block_toeplitz,
 )
-from .sysid_markov import IdentifiedXi, identify_xi
+from .sysid_markov import IdentifiedXi
 
 __all__ = [
     "fault_markov",
@@ -58,7 +56,6 @@ __all__ = [
     "realize",
     "assemble_filter",
     "predictor_from_xi",
-    "design_filter_from_data",
     "design_filter_from_xi",
 ]
 
@@ -180,74 +177,6 @@ def stack_windows(Ri: MarkovSequence, Qi: MarkovSequence) -> MarkovSequence:
     return MarkovSequence(np.concatenate([Ri.blocks, Qi.blocks], axis=1))
 
 
-def _read_ini(path, case_sensitive: bool = False, missing: str = None):
-    """ConfigParser loaded from one INI file, without interpolation.
-
-    An unreadable file raises ValidationError with ``missing`` (default:
-    "cannot read config file <path>"); a malformed one raises
-    ValidationError naming the file and the parse error.
-    """
-    parser = configparser.ConfigParser(interpolation=None)
-    if case_sensitive:
-        parser.optionxform = str
-    try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        raise ValidationError(f"malformed config file {path}: {exc}") from exc
-    if not read:
-        raise ValidationError(missing or f"cannot read config file {path}")
-    return parser
-
-
-def _ini_values(sec, parsers: dict) -> dict:
-    """Parsed values of the keys of ``parsers`` present in an INI section.
-
-    A key the section does not accept, or a value that fails to parse,
-    raises ValidationError naming the section and key.
-    """
-    defaults = sec.parser.defaults()
-    unknown = [key for key in sec if key not in parsers and key not in defaults]
-    if unknown:
-        raise ValidationError(
-            f"[{sec.name}] {unknown[0]}: unknown key; accepted keys are "
-            f"{', '.join(parsers)}")
-    out = {}
-    for key, parse in parsers.items():
-        if key in sec:
-            try:
-                out[key] = parse(sec[key].strip())
-            except ValueError as exc:
-                raise ValidationError(
-                    f"[{sec.name}] {key} = {sec[key]!r}: {exc}") from exc
-    return out
-
-
-def _one_based(raw: str) -> list:
-    """Zero based indices of a one based 'i j, k' index list."""
-    vals = [int(v) for v in raw.replace(",", " ").split()]
-    if any(v < 1 for v in vals):
-        raise ValueError("config sensor indices are one based")
-    return [v - 1 for v in vals]
-
-
-def _design_section(sec, **extra) -> dict:
-    """DesignConfig keyword arguments from a [design] INI section.
-
-    ``poles`` is a whitespace or comma separated list, or ``none``.
-    ``extra`` maps further accepted keys to their parsers.
-    """
-    return _ini_values(sec, {
-        **extra,
-        "markov_length": int,
-        "hankel_rows": int,
-        "hankel_cols": int,
-        "order": lambda raw: raw if raw == "auto" else int(raw),
-        "strategy": str,
-        "poles": lambda raw: (None if raw == "none" else
-                              [float(v) for v in raw.replace(",", " ").split()]),
-    })
-
-
 @dataclass
 class DesignConfig:
     """Knobs of the data-driven design.
@@ -282,20 +211,6 @@ class DesignConfig:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
         if self.poles is not None:
             self.poles = [float(p) for p in self.poles]
-
-    @classmethod
-    def from_ini(cls, source, section: str = "design") -> "DesignConfig":
-        """Read a config from a key = value section of an INI style file.
-
-        Sensor indices are one based in files (sensor = 1 is the first
-        output); ``poles`` is a whitespace or comma separated list or
-        ``none``.
-        """
-        parser = (source if isinstance(source, configparser.ConfigParser)
-                  else _read_ini(source))
-        if section not in parser:
-            raise ValidationError(f"config has no [{section}] section")
-        return cls(**_design_section(parser[section], sensor=_one_based))
 
 
 def _pick_order(s: np.ndarray, max_order: int) -> int:
@@ -445,25 +360,13 @@ def predictor_from_xi(xi: IdentifiedXi, l: int, m: int, order="auto"):
     return pred, s
 
 
-def design_filter_from_data(data: IOData, p: int, cfg: DesignConfig,
-                            ridge: float = 0.0,
-                            assume_delay: bool = False) -> FaultEstimationFilter:
-    """Full pipeline from raw fault-free records to a runnable filter.
-
-    Runs identification, Markov parameter expansion, realization and
-    stabilization in sequence; any failure is re-raised with a stage tag
-    (identify, markov, realize, stabilize) so callers can tell which
-    step broke.
-    """
-    try:
-        xi = identify_xi(data, p, ridge=ridge, assume_delay=assume_delay)
-    except FaultFilterError as err:
-        raise rewrap(err, "identify") from err
-    return design_filter_from_xi(xi, cfg)
-
-
 def design_filter_from_xi(xi: IdentifiedXi, cfg: DesignConfig) -> FaultEstimationFilter:
-    """Design stages downstream of identification (see above)."""
+    """Filter from identified Markov parameters.
+
+    Runs Markov parameter expansion, realization and stabilization in
+    sequence; any failure is re-raised with a stage tag (markov,
+    realize, stabilize) so callers can tell which step broke.
+    """
     L = cfg.markov_length
     if L > xi.p + 1:
         raise ValidationError(

@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import ValidationError, WindowRankError
 from .lti_core import (
-    MarkovSequence,
     PredictorModel,
     block_toeplitz,
     extended_observability,
@@ -54,12 +53,8 @@ class MheProblem:
 
     O: np.ndarray
     Tf: np.ndarray
-    Psi: np.ndarray
-    Gp: np.ndarray
-    Mp: np.ndarray
-    Delta: np.ndarray
     L: int
-    gain: np.ndarray = field(repr=False, default=None)
+    gain: np.ndarray = field(repr=False)
 
     @property
     def n_outputs(self) -> int:
@@ -74,20 +69,16 @@ class MheProblem:
         return self.O.shape[1]
 
 
-def build_mhe(source, L: int) -> MheProblem:
-    """Assemble the window estimator from a predictor or Markov data.
+def build_mhe(pred: PredictorModel, L: int) -> MheProblem:
+    """Assemble the window estimator of a predictor with a fault channel.
 
     Args:
-        source: either a PredictorModel with a fault channel (O and Tf
-            are generated from it), or a pair (Hf, O) with Hf the fault
-            channel MarkovSequence (at least L blocks) and O the
-            L-block extended observability matrix of the residual
-            dynamics; the pair form is how identified quantities enter.
+        pred: PredictorModel with a fault channel; O and Tf are
+            generated from it.
         L: window length in samples.
 
     Returns:
-        MheProblem with all matrices precomputed, including the
-        composite residual-to-fault gain.
+        MheProblem with O, Tf and the composite residual-to-fault gain.
 
     Raises:
         WindowRankError: the fault Toeplitz matrix lost column rank, so
@@ -95,22 +86,10 @@ def build_mhe(source, L: int) -> MheProblem:
     """
     if L < 1:
         raise ValidationError("window length must be positive")
-    if isinstance(source, PredictorModel):
-        if source.n_faults == 0:
-            raise ValidationError("predictor has no fault channel")
-        Hf = markov_parameters(source, "f", L)
-        O = extended_observability(source.Phi, source.C, L)
-    else:
-        Hf, O = source
-        if not isinstance(Hf, MarkovSequence):
-            Hf = MarkovSequence(np.asarray(Hf, dtype=float))
-        O = np.atleast_2d(np.asarray(O, dtype=float))
-    if len(Hf) < L:
-        raise ValidationError(f"need {L} fault blocks, have {len(Hf)}")
-    Tf = block_toeplitz(Hf, L)
-    if O.shape[0] != Tf.shape[0]:
-        raise ValidationError(
-            f"observability matrix has {O.shape[0]} rows, expected {Tf.shape[0]}")
+    if pred.n_faults == 0:
+        raise ValidationError("predictor has no fault channel")
+    O = extended_observability(pred.Phi, pred.C, L)
+    Tf = block_toeplitz(markov_parameters(pred, "f", L), L)
 
     s = np.linalg.svd(Tf, compute_uv=False)
     if s[-1] <= 1e-10 * s[0]:
@@ -132,8 +111,7 @@ def build_mhe(source, L: int) -> MheProblem:
     # estimate x = Delta^+ O' (I - Tf Gp) r is plugged in.
     Mp = -Gp @ O @ ((V * inv_w) @ V.T) @ O.T
     gain = Gp + Mp @ (np.eye(Tf.shape[0]) - Tf @ Gp)
-    return MheProblem(O=O, Tf=Tf, Psi=np.hstack([O, Tf]), Gp=Gp, Mp=Mp,
-                      Delta=Delta, L=L, gain=gain)
+    return MheProblem(O=O, Tf=Tf, L=L, gain=gain)
 
 
 def mhe_estimate(problem: MheProblem, r_window) -> np.ndarray:

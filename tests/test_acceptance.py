@@ -235,14 +235,15 @@ def test_07_window_estimator_oracle():
         L = int(rng.integers(n + 2, 13))
         pred = random_predictor(rng, n=n)
         prob = build_mhe(pred, L)
+        Psi = np.hstack([prob.O, prob.Tf])
         # both routes solve the same full-rank LS problem; skip draws
         # whose conditioning would drown the comparison in round-off
         # (the eliminated form squares cond(Psi) in its Schur complement)
-        if np.linalg.cond(prob.Psi) > 1e3:
+        if np.linalg.cond(Psi) > 1e3:
             continue
         accepted += 1
         r = rng.standard_normal(2 * L)
-        oracle = (np.linalg.pinv(prob.Psi) @ r)[prob.n_states:]
+        oracle = (np.linalg.pinv(Psi) @ r)[prob.n_states:]
         worst = max(worst, np.max(np.abs(prob.gain @ r - oracle)))
     verdict(7, "window-estimator-oracle", worst <= 1e-8,
             f"30 instances, max deviation from joint least squares "

@@ -512,6 +512,26 @@ class TestLoadBenchConfig:
         assert cfg.poles == [0.7, 0.5, 0.3, 0.1]
         assert cfg.controller.gain.shape == (2, 2)
 
+    def test_design_section_values(self, tmp_path):
+        path = tmp_path / "design.ini"
+        path.write_text(
+            "[design]\n"
+            "markov_length = 60\n"
+            "hankel_rows = 12\n"
+            "hankel_cols = 12\n"
+            "order = auto\n"
+            "strategy = pole_placement\n"
+            "poles = 0.5 0.3, 0.2 0.1\n")
+        cfg = load_bench_config(path)
+        assert (cfg.markov_length, cfg.hankel_rows, cfg.hankel_cols) == (60, 12, 12)
+        assert cfg.order == "auto"
+        assert cfg.poles == [0.5, 0.3, 0.2, 0.1]
+
+    def test_design_poles_none(self, tmp_path):
+        path = tmp_path / "design.ini"
+        path.write_text("[design]\nstrategy = riccati\npoles = none\n")
+        assert load_bench_config(path).poles is None
+
     def test_sensor_index_base(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[scenario]\nsensors = 0\n")
@@ -622,9 +642,13 @@ class TestCli:
         (["estimate", "--filter", "bad.csv", "--data", "missing.csv"],
          "n,n_u,n_y,n_f,strategy\n1,1,1,1,riccati\nmatrix,Af,1,1\nabc\n",
          "non-numeric"),
+        (["identify", "--data", "bad.csv"], "k,u1,y1\n0,0.5,1\n5,0.5,1\n",
+         "row 3: k = 5, expected 1"),
+        (["design", "--data", "bad.csv"], "k,u1,y1\n0,0.5,1\n0,0.5,1\n",
+         "row 3: k = 0, expected 1"),
     ], ids=["identify-missing", "estimate-missing", "design-missing",
             "non-numeric-cell", "header-wider-than-rows", "xi-bad-manifest",
-            "filter-non-numeric-cell"])
+            "filter-non-numeric-cell", "identify-k-gap", "design-k-repeat"])
     def test_bad_data_file_exit_code(self, tmp_path, capsys, argv, content, message):
         path = tmp_path / argv[2]
         if content is not None:

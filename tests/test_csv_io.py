@@ -107,8 +107,10 @@ LINES = st.tuples(
 @settings(max_examples=400)
 @given(st.sampled_from(HEADERS), st.lists(LINES, min_size=1, max_size=6))
 def test_fast_path_agrees_with_row_reader(tmp_path_factory, header, lines):
+    # each line's k cell is its row index, which from_csv requires
     path = tmp_path_factory.mktemp("fuzz") / "f.csv"
-    path.write_bytes((header + "".join(",".join(c) + e for c, e in lines)).encode())
+    path.write_bytes((header + "".join(",".join([str(i)] + c[1:]) + e
+                                       for i, (c, e) in enumerate(lines))).encode())
     table = _loadtxt_table(path)
     if table is not None and _u_columns(table[0]) is not None:
         back = IOData.from_csv(path)
@@ -157,6 +159,28 @@ def test_malformed_files_keep_their_outcome(tmp_path, name):
         back = IOData.from_csv(path)
         assert_same_bits(back.u, np.asarray(want[0], dtype=float))
         assert_same_bits(back.y, np.asarray(want[1], dtype=float))
+
+
+# k cells of a two-column record, and the message after "<path>: "
+BAD_K = {
+    "gap": (["0", "5", "5"], "row 3: k = 5, expected 1"),
+    "repeat": (["0", "1", "1"], "row 4: k = 1, expected 2"),
+    "start at 1": (["1", "2"], "row 2: k = 1, expected 0"),
+    "non-integer": (["0", "0.5"], "row 3: k = 0.5, expected 1"),
+}
+
+
+@pytest.mark.parametrize("quote", [False, True], ids=["loadtxt", "row-reader"])
+@pytest.mark.parametrize("name", list(BAD_K))
+def test_k_column_must_count_rows(tmp_path, name, quote):
+    ks, want = BAD_K[name]
+    u = '"1.5"' if quote else "1.5"  # a quoted cell sends the file to the row reader
+    path = tmp_path / "bad.csv"
+    path.write_text("k,u1,y1\n" + "".join(f"{k},{u},2\n" for k in ks))
+    assert (_loadtxt_table(path) is None) == quote
+    with pytest.raises(ValidationError) as info:
+        IOData.from_csv(path)
+    assert str(info.value) == f"{path}: {want}"
 
 
 def test_missing_file_message(tmp_path):

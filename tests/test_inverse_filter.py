@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import faultfilter as ff
@@ -12,6 +12,7 @@ from faultfilter import (
     FaultDirectionError,
     FaultEstimationFilter,
     IOData,
+    RiccatiError,
     StabilizationError,
     ValidationError,
     block_toeplitz,
@@ -359,19 +360,34 @@ class TestFaultEstimationFilter:
         with pytest.raises(ValidationError, match="Kr must have 2 columns"):
             reduced_filter(pred, np.zeros((4, 3)))
 
-    def test_reduced_equals_cascade(self, rng):
-        pred = random_predictor(rng)
+    @settings(max_examples=80)
+    @given(n=st.integers(1, 6), n_u=st.integers(1, 3), n_y=st.integers(2, 4),
+           k_scale=st.floats(0.1, 2.0), unstable_inverse=st.booleans(),
+           strategy=st.sampled_from(["riccati", "pole_placement"]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_reduced_equals_cascade(self, n, n_u, n_y, k_scale, unstable_inverse,
+                                    strategy, seed, data):
+        # a large K_J pushes rho(Phi1) = rho(Phi + K_J C_J) past 1, so both
+        # stable and unstable open-loop inverses are drawn
+        J = data.draw(st.lists(st.integers(0, n_y - 1), min_size=1,
+                               max_size=n_y - 1, unique=True).map(sorted))
+        rng = np.random.default_rng(seed)
+        pred = random_predictor(rng, n, n_u, n_y, sensors=J, k_scale=k_scale,
+                                with_d=True)
         inv = open_loop_inverse(pred)
-        Kr = stabilizing_gain(inv.Phi1, inv.C2)
-        filt = reduced_filter(pred, Kr)
+        assume((spectral_radius(inv.Phi1) >= 1.0) == unstable_inverse)
+        try:
+            Kr = stabilizing_gain(inv.Phi1, inv.C2, strategy=strategy,
+                                  poles=np.linspace(-0.5, 0.6, n))
+        except (StabilizationError, RiccatiError):
+            reject()
+        filt = reduced_filter(pred, Kr, strategy=strategy)
         casc = cascade_filter(pred, Kr)
-        N = 100
-        z = np.hstack([rng.standard_normal((N, 2)),
-                       rng.standard_normal((N, 2))])
+        z = rng.standard_normal((100, n_u + n_y))
         # matched initialization: x_f(0) = x_r(0) + xhat(0) with zeros
         ref = casc.run(z)
         got = filt.as_system().run(z)
-        assert np.max(np.abs(got - ref)) < 1e-9
+        assert np.max(np.abs(got - ref)) <= 1e-8 * np.abs(ref).max()
 
 
 class TestStepCache:

@@ -23,7 +23,6 @@ from faultfilter import (
     sensor_fault_channel,
     sensor_fault_plant,
     simulate,
-    solve_dare,
     spectral_radius,
     to_predictor,
 )
@@ -161,7 +160,8 @@ class TestDare:
             for _ in range(10):
                 model = random_model(rng, n=4, n_u=2, n_y=2, q=0.05, r=0.1,
                                      unstable=unstable)
-                P, K, SigmaE = solve_dare(model)
+                P, K, SigmaE = dare_fixed_point(model.A, model.C, model.Q,
+                                                model.R, model.F)
                 P_ref = sla.solve_discrete_are(
                     model.A.T, model.C.T, model.F @ model.Q @ model.F.T,
                     model.R)

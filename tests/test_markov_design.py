@@ -34,7 +34,6 @@ from faultfilter import (
 )
 from faultfilter.bench_cli import BENCH_POLES
 from faultfilter.inverse_filter import _inverse_system
-from faultfilter.markov_design import design_filter_from_data
 
 from conftest import (
     gelsy_identify_xi,
@@ -335,8 +334,7 @@ class TestDesignPipeline:
         cfg = DesignConfig(sensor=0, markov_length=80, order=4,
                            strategy="pole_placement",
                            poles=list(ff.bench_cli.BENCH_POLES))
-        filt = design_filter_from_data(data, p=80, cfg=cfg,
-                                       assume_delay=True)
+        filt = design_filter_from_xi(identify_xi(data, 80, assume_delay=True), cfg)
         rng2 = np.random.default_rng(77)
         scen = ff.FaultScenario(onset=40)
         run, fault = ff.closed_loop_sim(faulty, ctrl, 500, rng2,
@@ -383,47 +381,3 @@ class TestDesignConfig:
                          hankel_cols=20)
         with pytest.raises(ValidationError):
             DesignConfig(sensor=0, strategy="magic")
-
-    def test_from_ini_poles_none(self, tmp_path):
-        # the same [design] section parses for the CLI and for from_ini
-        path = tmp_path / "design.ini"
-        path.write_text("[design]\nstrategy = riccati\npoles = none\n")
-        assert DesignConfig.from_ini(path).poles is None
-        assert ff.bench_cli.load_bench_config(path).poles is None
-
-    def test_from_ini_bad_value_names_key(self, tmp_path):
-        path = tmp_path / "design.ini"
-        path.write_text("[design]\nmarkov_length = 1e2\n")
-        with pytest.raises(ValidationError, match=r"\[design\] markov_length"):
-            DesignConfig.from_ini(path)
-
-    def test_from_ini_unknown_key_lists_accepted(self, tmp_path):
-        path = tmp_path / "design.ini"
-        path.write_text("[design]\nhankel_row = 12\n")
-        with pytest.raises(ValidationError, match=(
-                r"\[design\] hankel_row: unknown key; accepted keys are "
-                r"sensor, markov_length, hankel_rows, hankel_cols")):
-            DesignConfig.from_ini(path)
-
-    def test_from_ini_malformed_file(self, tmp_path):
-        path = tmp_path / "design.ini"
-        path.write_text("hankel_rows = 12\n")
-        with pytest.raises(ValidationError, match=f"malformed config file {path}"):
-            DesignConfig.from_ini(path)
-
-    def test_from_ini_one_based_sensors(self, tmp_path):
-        path = tmp_path / "design.ini"
-        path.write_text(
-            "[design]\n"
-            "sensor = 2\n"
-            "markov_length = 60\n"
-            "hankel_rows = 12\n"
-            "hankel_cols = 12\n"
-            "order = auto\n"
-            "strategy = pole_placement\n"
-            "poles = 0.5 0.3, 0.2 0.1\n")
-        cfg = DesignConfig.from_ini(path)
-        assert cfg.sensor == [1]
-        assert cfg.markov_length == 60
-        assert cfg.order == "auto"
-        assert cfg.poles == [0.5, 0.3, 0.2, 0.1]

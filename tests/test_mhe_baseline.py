@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from faultfilter import (
-    MarkovSequence,
-    MheProblem,
     ValidationError,
     WindowRankError,
-    block_toeplitz,
     build_mhe,
-    extended_observability,
-    markov_parameters,
     mhe_estimate,
     run_mhe,
     to_predictor,
@@ -20,7 +15,7 @@ from conftest import random_model, random_predictor
 
 def joint_pinv_fault(problem, r):
     """Minimum norm joint LS oracle: fault part of pinv([O Tf]) r."""
-    sol = np.linalg.pinv(problem.Psi) @ r
+    sol = np.linalg.pinv(np.hstack([problem.O, problem.Tf])) @ r
     return sol[problem.n_states:]
 
 
@@ -35,17 +30,6 @@ class TestBuildMhe:
         assert prob.O.shape == (16, 3)
         assert prob.Tf.shape == (16, 8)
         assert prob.gain.shape == (8, 16)
-        assert np.allclose(prob.Psi, np.hstack([prob.O, prob.Tf]))
-
-    def test_pair_form_matches_predictor_form(self, rng):
-        pred = random_predictor(rng)
-        L = 10
-        Hf = markov_parameters(pred, "f", L)
-        O = extended_observability(pred.Phi, pred.C, L)
-        a = build_mhe(pred, L)
-        b = build_mhe((Hf, O), L)
-        for name in ("O", "Tf", "Gp", "Mp", "Delta", "gain"):
-            assert np.allclose(getattr(a, name), getattr(b, name), atol=1e-12)
 
     def test_gain_equals_joint_pinv_when_identifiable(self, rng):
         # tall fault channel, enough samples: the joint LS problem has a
@@ -54,28 +38,29 @@ class TestBuildMhe:
             pred = random_predictor(rng, n=int(rng.integers(2, 5)))
             L = int(rng.integers(6, 13))
             prob = build_mhe(pred, L)
-            assert np.linalg.matrix_rank(prob.Psi) == prob.Psi.shape[1]
+            Psi = np.hstack([prob.O, prob.Tf])
+            assert np.linalg.matrix_rank(Psi) == Psi.shape[1]
             r = rng.standard_normal(2 * L)
             assert np.allclose(prob.gain @ r, joint_pinv_fault(prob, r),
                                atol=1e-8)
 
     def test_square_channel_degenerates_to_toeplitz_inverse(self, rng):
         # with as many faults as outputs any state explains nothing extra:
-        # Delta = 0, the state estimate stays at zero and the gain is the
-        # plain Toeplitz inverse, fitting the window exactly
+        # the Schur complement vanishes, the state estimate stays at zero
+        # and the gain is the plain Toeplitz inverse, fitting the window
+        # exactly
         pred = random_predictor(rng, n_y=2, sensors=(0, 1))
         prob = build_mhe(pred, 6)
-        assert np.allclose(prob.Delta, 0.0, atol=1e-8)
+        assert np.allclose(prob.gain, np.linalg.inv(prob.Tf), atol=1e-8)
         assert np.allclose(prob.gain @ prob.Tf, np.eye(12), atol=1e-8)
         r = rng.standard_normal(12)
         assert np.allclose(prob.Tf @ (prob.gain @ r), r, atol=1e-8)
 
-    def test_rank_failure(self):
-        blocks = np.zeros((5, 2, 2))
-        blocks[0] = [[1.0, 0.0], [1.0, 0.0]]
-        O = np.zeros((10, 2))
+    def test_rank_failure(self, rng):
+        # both fault columns hit sensor 1: G has dependent columns
+        pred = random_predictor(rng, sensors=(0, 0))
         with pytest.raises(WindowRankError, match="window inversion rank"):
-            build_mhe((MarkovSequence(blocks), O), 5)
+            build_mhe(pred, 5)
 
     def test_validation(self, rng):
         pred = random_predictor(rng)
@@ -84,13 +69,6 @@ class TestBuildMhe:
         plain = to_predictor(random_model(rng))
         with pytest.raises(ValidationError, match="fault channel"):
             build_mhe(plain, 5)
-        Hf = markov_parameters(pred, "f", 4)
-        O = extended_observability(pred.Phi, pred.C, 8)
-        with pytest.raises(ValidationError):
-            build_mhe((Hf, O), 8)
-        with pytest.raises(ValidationError):
-            build_mhe((markov_parameters(pred, "f", 8),
-                       extended_observability(pred.Phi, pred.C, 7)), 8)
 
 
 class TestEstimate:

@@ -1,10 +1,12 @@
-"""The demos and the benchmark must only use names the package has.
+"""The demos, the benchmark and the README must only use names the package has.
 
-Each script is read with ``ast``, not run: every ``from faultfilter...
+Each script, and each ```python block of README.md, is read with
+``ast``, not run: every ``from faultfilter...
 import X`` must resolve, and so must every attribute ``alias.X`` of a
 name bound to a faultfilter module (``import faultfilter as ff``,
 ``from faultfilter import bench_cli``).  Removing or renaming a public
-name then fails here, not only in a demo or benchmark run.
+name then fails here, not only in a demo, a benchmark run or a reader's
+copy of the README example.
 """
 import ast
 import importlib
@@ -15,6 +17,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+README_BLOCKS = [part.split("```", 1)[0]
+                 for part in (ROOT / "README.md").read_text().split("```python\n")[1:]]
+SOURCES = ([(f"{p.parent.name}/{p.name}", p.read_text()) for p in SCRIPTS]
+           + [(f"README.md#{i}", block) for i, block in enumerate(README_BLOCKS, 1)])
 
 
 def package_uses(tree):
@@ -39,16 +45,18 @@ def package_uses(tree):
     return uses
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_script_names_resolve(path):
-    uses = package_uses(ast.parse(path.read_text(), filename=str(path)))
-    missing = [f"{path.name}:{line}: {module}.{name}" for line, module, name in uses
-               if not hasattr(importlib.import_module(module), name)]
+@pytest.mark.parametrize("name, source", SOURCES, ids=[name for name, _ in SOURCES])
+def test_script_names_resolve(name, source):
+    uses = package_uses(ast.parse(source, filename=name))
+    missing = [f"{name}:{line}: {module}.{attr}" for line, module, attr in uses
+               if not hasattr(importlib.import_module(module), attr)]
     assert not missing, "names gone from the package: " + ", ".join(missing)
 
 
 def test_scripts_are_checked():
-    names = {p.name for p in SCRIPTS}
-    assert {"workloads.py", "data_driven_design.py"} <= names
+    names = {name for name, _ in SOURCES}
+    assert {"perfbench/workloads.py", "demos/data_driven_design.py", "README.md#1"} <= names
+    uses = package_uses(ast.parse(README_BLOCKS[0]))
+    assert ("faultfilter", "design_filter_from_xi") in {(m, n) for _, m, n in uses}
     uses = package_uses(ast.parse((ROOT / "perfbench" / "workloads.py").read_text()))
     assert ("faultfilter", "DesignConfig") in {(m, n) for _, m, n in uses}

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -536,7 +537,6 @@ class ExperimentReport:
 
     def to_csv(self, out_dir) -> None:
         """Write estimates.csv and stats.csv into a directory."""
-        import os
         os.makedirs(out_dir, exist_ok=True)
         nf = self.fault.shape[1]
         ok = [res for res in self.results if res.ok]
@@ -723,7 +723,9 @@ class BenchConfig:
     order 4, pole placement at BENCH_POLES, 1000 identification samples
     and a 1300 sample fault run scored on samples 300 onward.  For
     plants of other sizes set ``order`` to "auto" and either supply a
-    matching pole list or switch the strategy to riccati.
+    matching pole list or switch the strategy to riccati.  A negative
+    seed, or fewer than one identification sample, run sample or timing
+    step, is a ValidationError naming the field.
     """
 
     plant: str = "unstable4"
@@ -747,6 +749,14 @@ class BenchConfig:
     window_stop: int = None
     timing_steps: int = 2000
     seed: int = 0
+
+    def __post_init__(self):
+        for name, least in (("seed", 0), ("n_ident", 1), ("run_samples", 1),
+                            ("timing_steps", 1)):
+            value = getattr(self, name)
+            if value < least:
+                label = "n_ident ([identify] n_samples)" if name == "n_ident" else name
+                raise ValidationError(f"{label} must be at least {least}, got {value}")
 
     def resolve_plant(self):
         """(model, controller) from explicit matrices or the registry."""
@@ -1081,18 +1091,18 @@ def _cli_identify(args, cfg: BenchConfig):
 
 
 def _cmd_identify(args, cfg: BenchConfig) -> int:
+    out = os.path.join(_out_dir(args), "xi.csv")
     xi, data = _cli_identify(args, cfg)
-    out = _out_path(args, "xi.csv")
     xi.to_csv(out)
     print(f"identified p={xi.p} blocks from {data.n_samples} samples -> {out}")
     return 0
 
 
 def _cmd_design(args, cfg: BenchConfig) -> int:
+    out = os.path.join(_out_dir(args), "filter.csv")
     xi = (IdentifiedXi.from_csv(args.xi) if args.xi is not None
           else _cli_identify(args, cfg)[0])
     filt = design_filter_from_xi(xi, _design_config(cfg))
-    out = _out_path(args, "filter.csv")
     filt.to_csv(out)
     print(f"designed order {filt.n_states} filter "
           f"(strategy {filt.strategy}) -> {out}")
@@ -1102,11 +1112,11 @@ def _cmd_design(args, cfg: BenchConfig) -> int:
 def _cmd_estimate(args, cfg: BenchConfig) -> int:
     if args.filter is None or args.data is None:
         raise ValidationError("estimate needs --filter and --data")
+    out = os.path.join(_out_dir(args), "estimates.csv")
     filt = FaultEstimationFilter.from_csv(args.filter)
     data = IOData.from_csv(args.data)
     _finite_samples(data, args.data)
     estimates = run_filter(filt, data)
-    out = _out_path(args, "estimates.csv")
     _write_csv(out, [["k"] + [f"fhat{i+1}" for i in range(filt.n_faults)]],
                np.column_stack([np.arange(len(estimates)), estimates]))
     print(f"estimated {estimates.shape[0]} samples -> {out}")
@@ -1114,9 +1124,8 @@ def _cmd_estimate(args, cfg: BenchConfig) -> int:
 
 
 def _cmd_compare(args, cfg: BenchConfig) -> int:
-    import os
+    out_dir = _out_dir(args)
     report = run_comparison(cfg)
-    out_dir = args.out or "."
     report.to_csv(out_dir)
     report.to_svg(os.path.join(out_dir, "report.svg"))
     report.write_timing(os.path.join(out_dir, "timing.txt"))
@@ -1143,11 +1152,20 @@ def _cmd_zeros(args, cfg: BenchConfig) -> int:
     return 0
 
 
-def _out_path(args, default_name):
-    import os
+def _out_dir(args) -> str:
+    """The --out directory (default: current), created if missing.
+
+    The verbs that write call this before any work, so a path that
+    cannot be a directory, such as one running through a regular file,
+    stops the run at once with a ValidationError naming it.
+    """
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, default_name)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+    return out_dir
 
 
 def main(argv=None) -> int:

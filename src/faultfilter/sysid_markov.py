@@ -14,7 +14,8 @@ negligible for the plants in scope.
 
 The regressor rows are sliding windows of the samples [u(k) y(k)], so
 the normal equations come from the block-Hankel structure in
-O(N p m^2) work (m = n_u + n_y) without building the regressor; one
+O(N p m^2) work (m = n_u + n_y) without building the regressor, in
+passes whose innermost axis is the p + 1 lags, not the m channels; one
 Cholesky factorization solves them, and a condition estimate guards
 against regressors too close to rank deficient for that route.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
 
 from .errors import ExcitationError, ValidationError
@@ -165,23 +166,36 @@ def _lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
     block (i-1, j-1) only by the end terms -w(i-1) w(j-1)^T +
     w(rows+i-1) w(rows+j-1)^T, so the first block row plus a cumulative
     sum of those terms gives every block.
+
+    The passes run over (t, a, b, d) arrays with the lag d innermost, so
+    every numpy inner loop is B long, not m.  The final ``+ first``
+    writes block (i, i+d) and its transpose (i+d, i) into place through
+    two strided views of one buffer, 2B-1 blocks square so that the
+    unused entries with i+d >= B fall outside the returned view; the
+    upper view goes last, so diagonal blocks keep their own sums.
     """
     N, m = w.shape
     rows = N - B + 1
     windows = sliding_window_view(w, B, axis=0)  # [r, :, j] = w(r + j)
-    first = np.matmul(w[:rows].T, windows.transpose(2, 0, 1))
+    first = np.matmul(w[:rows].T, windows.transpose(2, 0, 1))  # [d] = block (0, d)
     end = np.concatenate([w[rows:], np.zeros((B - 1, m))])
-    # ends[t, d] = w(t) w(t+d)^T at the head and tail of the record
-    head = np.einsum("ta,tbd->tdab", w[:B - 1],
+    # ends[t, a, b, d] = w(t)_a w(t+d)_b at the head and tail of the record
+    head = np.einsum("ta,tbd->tabd", w[:B - 1],
                      sliding_window_view(w[:2 * B - 2], B, axis=0))
-    tail = np.einsum("ta,tbd->tdab", end[:B - 1],
+    tail = np.einsum("ta,tbd->tabd", end[:B - 1],
                      sliding_window_view(end, B, axis=0))
-    upper = first + np.concatenate(
-        [np.zeros((1, B, m, m)), np.cumsum(tail - head, axis=0)])  # [i, d] = block (i, i+d)
-    I, J = np.indices((B, B))
-    blocks = upper[np.minimum(I, J), np.abs(J - I)]
-    blocks = np.where((J < I)[..., None, None], blocks.swapaxes(2, 3), blocks)
-    return blocks.transpose(0, 2, 1, 3).reshape(B * m, B * m)
+    steps = np.zeros((B, m, m, B))  # [i] = sum of the end terms for t < i
+    np.cumsum(np.subtract(tail, head, out=tail), axis=0, out=steps[1:])
+    K = 2 * B - 1
+    buf = np.empty((K, m, K, m))  # [i, a, j, b] = block (i, j)[a, b]
+    s_i, s_a, s_j, s_b = buf.strides
+    shape = (B, m, m, B)  # [i, a, b, d] -> block (i, i+d)[a, b]
+    lower = as_strided(buf, shape, (s_i + s_j, s_b, s_a, s_i))  # block (i+d, i)[b, a]
+    upper = as_strided(buf, shape, (s_i + s_j, s_a, s_b, s_j))  # block (i, i+d)[a, b]
+    first = first.transpose(1, 2, 0)
+    np.add(first, steps, out=lower)
+    np.add(first, steps, out=upper)
+    return buf.reshape(K * m, K * m)[:B * m, :B * m]
 
 
 def _window_residuals(w: np.ndarray, n_y: int, xi: np.ndarray) -> np.ndarray:

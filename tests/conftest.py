@@ -9,6 +9,7 @@ same examples.
 import numpy as np
 import pytest
 from hypothesis import settings
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lstsq
 
 from faultfilter import (
@@ -60,6 +61,38 @@ def gelsy_identify_xi(data, p, ridge=0.0, assume_delay=False):
         xi = np.hstack([xi, np.zeros((data.n_outputs, data.n_inputs))])
     return IdentifiedXi.from_stacked(xi, p, data.n_inputs, data.n_outputs,
                                      residual_variance=res.T @ res / len(Y))
+
+
+def blockwise_lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
+    """Gram matrix of the B-block sliding windows of the sample rows.
+
+    Window r is [w(r) .. w(r+B-1)] for r = 0 .. N-B, so the result is
+    the Gram matrix of the block-Hankel matrix whose block (r, j) is
+    w(r+j), computed without building it.  Block (i, j) differs from
+    block (i-1, j-1) only by the end terms -w(i-1) w(j-1)^T +
+    w(rows+i-1) w(rows+j-1)^T, so the first block row plus a cumulative
+    sum of those terms gives every block.
+
+    The oracle for ``sysid_markov._lagged_gram``: the same floating
+    point operations on (t, d, a, b) arrays, gathered block by block,
+    so the two must agree bit for bit.
+    """
+    N, m = w.shape
+    rows = N - B + 1
+    windows = sliding_window_view(w, B, axis=0)  # [r, :, j] = w(r + j)
+    first = np.matmul(w[:rows].T, windows.transpose(2, 0, 1))
+    end = np.concatenate([w[rows:], np.zeros((B - 1, m))])
+    # ends[t, d] = w(t) w(t+d)^T at the head and tail of the record
+    head = np.einsum("ta,tbd->tdab", w[:B - 1],
+                     sliding_window_view(w[:2 * B - 2], B, axis=0))
+    tail = np.einsum("ta,tbd->tdab", end[:B - 1],
+                     sliding_window_view(end, B, axis=0))
+    upper = first + np.concatenate(
+        [np.zeros((1, B, m, m)), np.cumsum(tail - head, axis=0)])  # [i, d] = block (i, i+d)
+    I, J = np.indices((B, B))
+    blocks = upper[np.minimum(I, J), np.abs(J - I)]
+    blocks = np.where((J < I)[..., None, None], blocks.swapaxes(2, 3), blocks)
+    return blocks.transpose(0, 2, 1, 3).reshape(B * m, B * m)
 
 
 def per_sample_run(A, B, C, D, Z, x0):

@@ -718,6 +718,45 @@ class TestCli:
                 "markov_length, hankel_rows, hankel_cols, order, strategy, poles") in err
         assert "sensor" not in err
 
+    @pytest.mark.parametrize("args, ini, message", [
+        (["--seed", "-3"], "", "seed must be at least 0, got -3"),
+        ([], "[identify]\nn_samples = -5\n",
+         "n_ident ([identify] n_samples) must be at least 1, got -5"),
+        ([], "[bench]\ntiming_steps = 0\n", "timing_steps must be at least 1, got 0"),
+        ([], "[bench]\nrun_samples = 0\nwindow_start = 0\n",
+         "run_samples must be at least 1, got 0"),
+    ], ids=["negative-seed", "negative-n-samples", "zero-timing-steps", "zero-run-samples"])
+    def test_bad_count_exit_code(self, tmp_path, capsys, args, ini, message):
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text(ini)
+        code = main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)] + args)
+        assert code == 2
+        assert f"validation error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "timing.txt").exists()
+
+    def test_out_through_a_regular_file_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text(SMALL_INI)
+        common = ["--config", str(cfg_path), "--seed", "3"]
+        assert main(["identify", "--out", str(tmp_path)] + common) == 0
+        assert main(["design", "--xi", str(tmp_path / "xi.csv"),
+                     "--out", str(tmp_path)] + common) == 0
+        model, ctrl = ff.get_plant("unstable4").factory()
+        data, _ = closed_loop_sim(model, ctrl, 200, np.random.default_rng(4))
+        data.to_csv(tmp_path / "run.csv")
+        capsys.readouterr()
+        (tmp_path / "blocker").write_text("a regular file\n")
+        out = tmp_path / "blocker" / "run1"
+        for verb, extra in [
+                ("identify", []),
+                ("design", ["--xi", str(tmp_path / "xi.csv")]),
+                ("estimate", ["--filter", str(tmp_path / "filter.csv"),
+                              "--data", str(tmp_path / "run.csv")]),
+                ("compare", [])]:
+            assert main([verb, "--out", str(out)] + common + extra) == 2, verb
+            assert (f"validation error: cannot create output directory {out}: "
+                    "Not a directory") in capsys.readouterr().err, verb
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_estimate_rejects_non_finite_sample(self, tmp_path, capsys, rng, bad):
         filt = ff.FaultEstimationFilter(

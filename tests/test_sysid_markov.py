@@ -20,9 +20,11 @@ from faultfilter import (
 )
 
 from faultfilter.bench_cli import main
+from faultfilter import sysid_markov
 from faultfilter.sysid_markov import _lagged_gram
 
-from conftest import gelsy_identify_xi, random_model, varx_regression
+from conftest import (blockwise_lagged_gram, gelsy_identify_xi, random_model,
+                      varx_regression)
 
 
 def varx_data(rng, p=3, n_u=2, n_y=2, N=400, with_feedthrough=True):
@@ -250,6 +252,23 @@ class TestAgainstGelsyOracle:
         want = Y - Z @ xi.stacked().T
         assert np.abs(xi_residuals(xi, data) - want).max() <= 1e-12 * np.abs(Y).max()
 
+    @settings(max_examples=200)
+    @given(m=st.integers(1, 6), B=st.integers(2, 40), draw=st.data())
+    def test_lagged_gram_matches_blockwise_oracle(self, m, B, draw):
+        # from the shortest record identify_xi admits (p = B-1 with
+        # assume_delay needs N >= p (m+1)) up; columns 1e-6 .. 1e6 apart
+        # and some all-zero rows, so rounding and signed zeros both show
+        N = draw.draw(st.integers(2 * B - 2, 300), label="N")
+        rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1), label="seed"))
+        exponents = draw.draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m),
+                              label="column exponents")
+        w = rng.standard_normal((N, m)) * 10.0 ** np.array(exponents)
+        w[draw.draw(st.lists(st.integers(0, N - 1), max_size=N // 3), label="zero rows")] = 0.0
+        got, want = _lagged_gram(w, B), blockwise_lagged_gram(w, B)
+        assert got.shape == want.shape == (B * m, B * m)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_ill_conditioned_regressor_rejected(self, rng):
         # cond(Z) ~ 1e9: gelsy still calls this full rank, the normal
         # equations would lose every digit
@@ -277,6 +296,20 @@ class TestAgainstGelsyOracle:
         assert ("not numerically positive definite" in message) == (scale == 1e-8)
         figure = re.search(r"condition (?:estimate|number) ([^,)]+)", message).group(1)
         assert float(figure) > 1e14
+
+
+    def test_cholesky_failure_reports_a_condition_figure(self, rng, monkeypatch):
+        # the two tests above reach this branch only through rounding;
+        # a failing factorization pins it whatever the record
+        def fail(*args, **kwargs):
+            raise sysid_markov.LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr(sysid_markov, "cho_factor", fail)
+        data, _, _ = varx_data(rng)
+        with pytest.raises(ExcitationError, match="not numerically positive definite") as err:
+            identify_xi(data, p=3)
+        figure = re.search(r"condition number ([^)]+)\)", str(err.value)).group(1)
+        assert 1 <= float(figure) < np.inf
 
 
 class TestNonFinite:

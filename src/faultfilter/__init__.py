@@ -64,7 +64,6 @@ from .markov_design import (
     inverse_markov,
     predictor_from_xi,
     realize,
-    stack_windows,
     z_markov,
 )
 from .mhe_baseline import (

@@ -752,7 +752,7 @@ class BenchConfig:
 
     def __post_init__(self):
         for name, least in (("seed", 0), ("n_ident", 1), ("run_samples", 1),
-                            ("timing_steps", 1)):
+                            ("timing_steps", 1), ("p", 1), ("ridge", 0)):
             value = getattr(self, name)
             if value < least:
                 label = "n_ident ([identify] n_samples)" if name == "n_ident" else name
@@ -786,10 +786,11 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     """Run the four estimators on one seeded benchmark trajectory.
 
     One generator drives both the identification record and the faulty
-    run, so a seed pins the whole experiment.  Failures of individual
-    algorithms are captured in their result entries instead of aborting
-    the run.
+    run, so a seed pins the whole experiment.  A bad design value raises
+    before any simulation; failures of individual algorithms on the data
+    are captured in their result entries.
     """
+    design_cfg = _design_config(cfg)
     model, controller = cfg.resolve_plant()
     scenario = cfg.scenario
     J = _sensor_list(list(scenario.sensors), model.n_outputs)
@@ -867,7 +868,7 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
 
         # alg2: direct data-driven design, no intermediate plant model
         def alg2():
-            filt = design_filter_from_xi(xi, _design_config(cfg))
+            filt = design_filter_from_xi(xi, design_cfg)
             return (run_filter(filt, run_data),
                     time_filter_step(filt, cfg.timing_steps))
 

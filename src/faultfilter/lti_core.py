@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_discrete_are
 
 from .errors import RiccatiError, ValidationError
@@ -664,29 +665,22 @@ def markov_parameters(pred: PredictorModel, channel: str, L: int) -> MarkovSeque
     raise ValidationError(f"unknown channel {channel!r}, expected 'u', 'y' or 'f'")
 
 
-def _block_gather(blocks: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Block matrix whose block (i, j) is ``blocks[index[i, j]]``.
-
-    The one place that knows the block layout: a gather of whole blocks
-    followed by one reshape into rows of blocks.
-    """
-    (l, m), (p, q) = index.shape, blocks.shape[1:]
-    return blocks[index].transpose(0, 2, 1, 3).reshape(l * p, m * q)
-
-
 def block_toeplitz(seq: MarkovSequence, L: int = None) -> np.ndarray:
     """Lower block triangular Toeplitz matrix of the first L blocks.
 
     Block (i, j) equals H_(i-j) for i >= j and zero above the diagonal.
-    The product of two such matrices is the Toeplitz matrix of the
-    causal block convolution of their sequences.
+    Block row i is the L-block window ending at H_i of the sequence
+    after L-1 zero blocks, read backwards: one strided copy.  The product
+    of two such matrices is the Toeplitz matrix of the causal block
+    convolution of their sequences.
     """
     L = len(seq) if L is None else L
     if L > len(seq):
         raise ValidationError(f"need {L} blocks, sequence has {len(seq)}")
-    lag = np.subtract.outer(np.arange(L), np.arange(L))
-    padded = np.concatenate([seq.blocks[:L], np.zeros((1,) + seq.block_shape)])
-    return _block_gather(padded, np.where(lag >= 0, lag, L))
+    p, q = seq.block_shape
+    padded = np.concatenate([np.zeros((max(L - 1, 0), p, q)), seq.blocks[:L]])
+    lags = sliding_window_view(padded, L, axis=0)[..., ::-1]
+    return lags.transpose(0, 1, 3, 2).reshape(L * p, L * q)
 
 
 def block_hankel(seq: MarkovSequence, l: int, m: int) -> np.ndarray:
@@ -701,7 +695,9 @@ def block_hankel(seq: MarkovSequence, l: int, m: int) -> np.ndarray:
     if len(seq) < l + m - 1:
         raise ValidationError(
             f"need {l + m - 1} blocks for a {l} x {m} block Hankel matrix, have {len(seq)}")
-    return _block_gather(seq.blocks, np.add.outer(np.arange(l), np.arange(m)))
+    p, q = seq.block_shape
+    return seq.blocks[np.add.outer(np.arange(l), np.arange(m))].transpose(
+        0, 2, 1, 3).reshape(l * p, m * q)
 
 
 def extended_observability(A, C, L: int) -> np.ndarray:

@@ -6,12 +6,12 @@ model.  The pipeline is:
 
   1. expand the identified input/output blocks into fault channel
      blocks H_i^f and innovation-from-data blocks H_i^z,
-  2. run the inverse recursion that makes the block Toeplitz matrix of
-     {G_i} a left inverse of the fault Toeplitz matrix,
-  3. convolve {G_i} with {H_i^z} to get the window weights {R_i} and
-     their complements {Q_i}, whose stacked blocks {W_i} are the Markov
-     parameters of the combined system (open loop inverse + unused
-     output rows) driven by [u; y],
+  2. solve T(N) X = stack(H^z) once, T(N) the unit lower block Toeplitz
+     matrix of {I, H_1^f G_0, H_2^f G_0, ...} with G_0 = (H_0^f)^-,
+  3. read off the window weights R_i = G_0 X_i (the left inverse {G_i}
+     convolved with {H_i^z}) and complements Q_i = (I - H_0^f G_0) X_i;
+     the stacked {W_i} are the Markov parameters of the open loop inverse
+     plus the unused output rows, driven by [u; y],
   4. compress the {W_i} Hankel matrix by SVD into a minimal state space
      realization, then stabilize and assemble exactly as in the model
      based path.
@@ -50,7 +50,6 @@ __all__ = [
     "inverse_markov",
     "convolve_R",
     "convolve_Q",
-    "stack_windows",
     "DesignConfig",
     "ho_kalman",
     "realize",
@@ -107,26 +106,14 @@ def z_markov(Hu: MarkovSequence, Hy: MarkovSequence, L: int = None) -> MarkovSeq
     return MarkovSequence(blocks)
 
 
-def inverse_markov(Hf: MarkovSequence, L: int = None) -> MarkovSequence:
-    """Markov parameters {G_i} of a left inverse of the fault channel.
+def _window_blocks(Hf: MarkovSequence, rhs: np.ndarray, L: int) -> np.ndarray:
+    """Blocks [G_0; I - H_0^f G_0] X_i of one unit lower triangular solve
+    T(N) X = stack(rhs[:L]), N = {I, H_1^f G_0, H_2^f G_0, ...}.
 
-    Defined so that the lower block Toeplitz matrix of {G_i} is an exact
-    left inverse of the one built from {H_i^f}:
-
-        G_0 = (H_0^f)^-,   G_i = -(sum_{j=1..i} G_{i-j} H_j^f) G_0.
-
-    In transfer function form the recursion reads
-    G(z) = G_0 (I + sum_{j>=1} H_j^f G_0 z^-j)^-1, so the blocks come
-    from one unit lower triangular solve with the Toeplitz matrix of
-    {I, H_1^f G_0, H_2^f G_0, ...}.  These are simultaneously the
-    Markov parameters of the open loop inverse, which is why a state
-    space realization can be squeezed out of them later.
-
-    Raises:
-        FaultDirectionError: the feedthrough block H_0^f is rank
-            deficient (cannot happen for sensor faults).
+    As T(G) = G_0 T(N)^-1, the impulse gives the G_i of inverse_markov
+    on top.  rhs = H^z gives the window blocks W_i = [R_i; Q_i] of
+    convolve_R and convolve_Q, since H^f(z) G_0 = N(z) - I + H_0^f G_0.
     """
-    L = len(Hf) if L is None else L
     if L < 1 or L > len(Hf):
         raise ValidationError(f"L={L} exceeds the {len(Hf)} available fault blocks")
     try:
@@ -137,9 +124,34 @@ def inverse_markov(Hf: MarkovSequence, L: int = None) -> MarkovSequence:
     n_y = G0.shape[1]
     N = Hf.blocks[:L] @ G0
     N[0] = np.eye(n_y)
-    Ninv = solve_triangular(block_toeplitz(MarkovSequence(N)), np.eye(L * n_y, n_y),
-                            lower=True, unit_diagonal=True)
-    return MarkovSequence(G0 @ Ninv.reshape(L, n_y, n_y))
+    X = solve_triangular(block_toeplitz(MarkovSequence(N)),
+                         rhs[:L].reshape(L * n_y, -1), lower=True, unit_diagonal=True)
+    return np.concatenate([G0, np.eye(n_y) - Hf[0] @ G0]) @ X.reshape(L, n_y, -1)
+
+
+def inverse_markov(Hf: MarkovSequence, L: int = None) -> MarkovSequence:
+    """Markov parameters {G_i} of a left inverse of the fault channel.
+
+    Defined so that the lower block Toeplitz matrix of {G_i} is an exact
+    left inverse of the one built from {H_i^f}:
+
+        G_0 = (H_0^f)^-,   G_i = -(sum_{j=1..i} G_{i-j} H_j^f) G_0.
+
+    In transfer function form the recursion reads
+    G(z) = G_0 (I + sum_{j>=1} H_j^f G_0 z^-j)^-1, so the blocks come
+    from one unit lower triangular solve (see :func:`_window_blocks`).
+    These are simultaneously the Markov parameters of the open loop
+    inverse, which is why a state space realization can be squeezed out
+    of them later.
+
+    Raises:
+        FaultDirectionError: the feedthrough block H_0^f is rank
+            deficient (cannot happen for sensor faults).
+    """
+    L = len(Hf) if L is None else L
+    n_y, n_f = Hf.block_shape
+    impulse = np.eye(len(Hf) * n_y, n_y).reshape(-1, n_y, n_y)
+    return MarkovSequence(_window_blocks(Hf, impulse, L)[:, :n_f])
 
 
 def convolve_R(Gi: MarkovSequence, Hz: MarkovSequence, L: int = None) -> MarkovSequence:
@@ -168,13 +180,6 @@ def convolve_Q(Hz: MarkovSequence, Hf: MarkovSequence, Ri: MarkovSequence,
     Z, R = Hz.truncated(L).blocks, Ri.truncated(L).blocks
     conv = block_toeplitz(Hf, L) @ R.reshape(-1, R.shape[2])
     return MarkovSequence(Z - conv.reshape(Z.shape))
-
-
-def stack_windows(Ri: MarkovSequence, Qi: MarkovSequence) -> MarkovSequence:
-    """Stack W_i = [R_i; Q_i], the sequence handed to the realization."""
-    if len(Ri) != len(Qi) or Ri.block_shape[1] != Qi.block_shape[1]:
-        raise ValidationError("R and Q sequences are inconsistent")
-    return MarkovSequence(np.concatenate([Ri.blocks, Qi.blocks], axis=1))
 
 
 @dataclass
@@ -301,11 +306,7 @@ def realize(Wi: MarkovSequence, cfg: DesignConfig):
     if n_y < 1 or n_u < 0:
         raise ValidationError(
             f"window block shape {Wi.block_shape} inconsistent with {n_f} sensors")
-    L = min(len(Wi), cfg.markov_length)
-    if L < cfg.hankel_rows + cfg.hankel_cols:
-        raise ValidationError(
-            f"{L} window blocks cannot fill a {cfg.hankel_rows} x "
-            f"{cfg.hankel_cols} block Hankel matrix")
+    L = min(len(Wi), cfg.markov_length)  # too few blocks: ho_kalman raises
     return ho_kalman(MarkovSequence(Wi.blocks[:L]), cfg.hankel_rows,
                      cfg.hankel_cols, order=cfg.order, shift="controllability")
 
@@ -374,10 +375,7 @@ def design_filter_from_xi(xi: IdentifiedXi, cfg: DesignConfig) -> FaultEstimatio
     try:
         Hf = fault_markov(xi.Hy, cfg.sensor, L)
         Hz = z_markov(xi.Hu, xi.Hy, L)
-        Gi = inverse_markov(Hf, L)
-        Ri = convolve_R(Gi, Hz, L)
-        Qi = convolve_Q(Hz, Hf, Ri, L)
-        Wi = stack_windows(Ri, Qi)
+        Wi = MarkovSequence(_window_blocks(Hf, Hz.blocks, L))
     except FaultFilterError as err:
         raise rewrap(err, "markov") from err
     try:

@@ -168,33 +168,39 @@ def _lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
     sum of those terms gives every block.
 
     The passes run over (t, a, b, d) arrays with the lag d innermost, so
-    every numpy inner loop is B long, not m.  The final ``+ first``
-    writes block (i, i+d) and its transpose (i+d, i) into place through
-    two strided views of one buffer, 2B-1 blocks square so that the
-    unused entries with i+d >= B fall outside the returned view; the
-    upper view goes last, so diagonal blocks keep their own sums.
+    every numpy inner loop is up to B long, not m; each band of block
+    rows takes the lags d < B - i of its first row only.  ``+ first``
+    writes blocks (i, i+d) and (i+d, i) through two strided views of a
+    buffer 2B-1 blocks square, so entries with i+d >= B fall outside the
+    returned view; the upper view goes last, so diagonal blocks keep
+    their own sums.
     """
     N, m = w.shape
     rows = N - B + 1
     windows = sliding_window_view(w, B, axis=0)  # [r, :, j] = w(r + j)
-    first = np.matmul(w[:rows].T, windows.transpose(2, 0, 1))  # [d] = block (0, d)
+    first = np.matmul(w[:rows].T, windows.transpose(2, 0, 1)).transpose(1, 2, 0)
     end = np.concatenate([w[rows:], np.zeros((B - 1, m))])
-    # ends[t, a, b, d] = w(t)_a w(t+d)_b at the head and tail of the record
-    head = np.einsum("ta,tbd->tabd", w[:B - 1],
-                     sliding_window_view(w[:2 * B - 2], B, axis=0))
-    tail = np.einsum("ta,tbd->tabd", end[:B - 1],
-                     sliding_window_view(end, B, axis=0))
+    heads = sliding_window_view(w[:2 * B - 2], B, axis=0)
+    tails = sliding_window_view(end, B, axis=0)
     steps = np.zeros((B, m, m, B))  # [i] = sum of the end terms for t < i
-    np.cumsum(np.subtract(tail, head, out=tail), axis=0, out=steps[1:])
     K = 2 * B - 1
     buf = np.empty((K, m, K, m))  # [i, a, j, b] = block (i, j)[a, b]
     s_i, s_a, s_j, s_b = buf.strides
     shape = (B, m, m, B)  # [i, a, b, d] -> block (i, i+d)[a, b]
     lower = as_strided(buf, shape, (s_i + s_j, s_b, s_a, s_i))  # block (i+d, i)[b, a]
     upper = as_strided(buf, shape, (s_i + s_j, s_a, s_b, s_j))  # block (i, i+d)[a, b]
-    first = first.transpose(1, 2, 0)
-    np.add(first, steps, out=lower)
-    np.add(first, steps, out=upper)
+    height = -(-B // 4)  # four bands of block rows; 3-6 timed alike at B = 101
+    for i0 in range(0, B, height):
+        i1, n, lo = min(i0 + height, B), B - i0, max(i0, 1)
+        # end terms t = lo-1 .. i1-2: [t, a, b, d] = w(t)_a w(t+d)_b
+        t = slice(lo - 1, i1 - 1)
+        head = np.einsum("ta,tbd->tabd", w[t], heads[t, :, :n])
+        tail = np.einsum("ta,tbd->tabd", end[t], tails[t, :, :n])
+        np.subtract(tail, head, out=steps[lo:i1, :, :, :n])
+        run = steps[max(lo - 1, 1):i1, :, :, :n]  # on from the band before
+        np.cumsum(run, axis=0, out=run)
+        np.add(first[..., :n], steps[i0:i1, ..., :n], out=lower[i0:i1, ..., :n])
+        np.add(first[..., :n], steps[i0:i1, ..., :n], out=upper[i0:i1, ..., :n])
     return buf.reshape(K * m, K * m)[:B * m, :B * m]
 
 

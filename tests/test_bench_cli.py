@@ -734,6 +734,24 @@ class TestCli:
         assert f"validation error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "timing.txt").exists()
 
+    @pytest.mark.parametrize("ini, message", [
+        ("[identify]\np = 0\n", "p must be at least 1, got 0"),
+        ("[identify]\nridge = -1\n", "ridge must be at least 0, got -1.0"),
+        ("[design]\nmarkov_length = -1\n", "markov_length -1 too short"),
+        ("[design]\nhankel_rows = 0\n", "hankel_rows and hankel_cols must be at least 2"),
+        ("[design]\norder = -2\n", "order must be positive or 'auto'"),
+    ], ids=["zero-p", "negative-ridge", "negative-markov-length", "zero-hankel-rows",
+            "negative-order"])
+    def test_compare_rejects_config_before_running(self, tmp_path, capsys, ini, message):
+        # no record could satisfy these values, so compare stops before
+        # simulating instead of writing every affected arm as failed
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text(ini)
+        code = main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"validation error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "stats.csv").exists()
+
     def test_out_through_a_regular_file_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.ini"
         cfg_path.write_text(SMALL_INI)

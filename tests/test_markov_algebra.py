@@ -1,8 +1,9 @@
 """Markov algebra against its block-loop definitions.
 
-The package builds Toeplitz and Hankel matrices by one gather, the
-window convolutions as Toeplitz products and the inverse blocks by one
-triangular solve.  The oracles below are the plain block loops those
+The package builds Toeplitz matrices by one strided copy and Hankel
+matrices by one gather, the window convolutions as Toeplitz products,
+the inverse blocks by one triangular solve and the design's window
+blocks by one more.  The oracles below are the plain block loops those
 replace: the stacking must agree bit for bit, everything that sums
 products to 1e-12 relative to the largest magnitude.
 """
@@ -21,6 +22,7 @@ from faultfilter import (
     markov_from_ss,
     spectral_radius,
 )
+from faultfilter.markov_design import _window_blocks
 
 PROPERTY = settings(max_examples=60)
 RTOL = 1e-12
@@ -98,11 +100,27 @@ def fault_blocks(rng, L, n_y, n_f):
 seeds = st.integers(0, 2**32 - 1)
 
 
+def laid_out(blocks, layout):
+    """The same blocks as a contiguous, reversed, strided or transposed view."""
+    if layout == "reversed":
+        return np.ascontiguousarray(blocks[::-1])[::-1]
+    if layout == "strided":
+        spread = np.zeros((2 * len(blocks),) + blocks.shape[1:])
+        spread[::2] = blocks
+        return spread[::2]
+    if layout == "transposed":
+        return np.ascontiguousarray(blocks.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return blocks
+
+
 @PROPERTY
-@given(seed=seeds, L=st.integers(0, 12), p=st.integers(1, 4), q=st.integers(1, 4),
-       extra=st.integers(0, 3))
-def test_block_toeplitz_equals_oracle(seed, L, p, q, extra):
-    seq = random_seq(np.random.default_rng(seed), L + extra, p, q)
+@given(seed=seeds, L=st.integers(0, 12) | st.integers(64, 80), p=st.integers(1, 4),
+       q=st.integers(1, 4), extra=st.integers(0, 3),
+       layout=st.sampled_from(["contiguous", "reversed", "strided", "transposed"]))
+def test_block_toeplitz_equals_oracle(seed, L, p, q, extra, layout):
+    blocks = np.random.default_rng(seed).standard_normal((L + extra, p, q))
+    seq = MarkovSequence(laid_out(blocks, layout))
+    assert np.array_equal(seq.blocks, blocks)
     assert np.array_equal(block_toeplitz(seq, L), toeplitz_oracle(seq, L))
 
 
@@ -126,6 +144,31 @@ def test_convolutions_equal_oracle(seed, L, n_y, n_f, n_z):
     assert_close(Ri.blocks, causal_convolve_oracle(Gi, Hz, L))
     Qi = convolve_Q(Hz, Hf, Ri, L)
     assert_close(Qi.blocks, Hz.blocks - causal_convolve_oracle(Hf, Ri, L))
+
+
+@PROPERTY
+@given(seed=seeds, L=st.integers(1, 30), n_y=st.integers(1, 4), n_u=st.integers(0, 3),
+       sensor_faults=st.booleans(), data=st.data())
+def test_window_blocks_equal_convolution_chain(seed, L, n_y, n_u, sensor_faults, data):
+    # the design's single solve against inverse_markov -> convolve_R ->
+    # convolve_Q; H_0^f is a selection matrix for sensor faults and a
+    # general full column rank block otherwise
+    n_f = data.draw(st.integers(1, n_y), label="n_f")
+    rng = np.random.default_rng(seed)
+    Hf = fault_blocks(rng, L, n_y, n_f)
+    J = sorted(rng.choice(n_y, n_f, replace=False))
+    if sensor_faults:
+        Hf.blocks[0] = np.eye(n_y)[:, J]
+    Hz = random_seq(rng, L, n_y, n_u + n_y)
+    Ri = convolve_R(inverse_markov(Hf, L), Hz, L)
+    Qi = convolve_Q(Hz, Hf, Ri, L)
+    W = _window_blocks(Hf, Hz.blocks, L)
+    assert W.shape == (L, n_f + n_y, n_u + n_y)
+    chain = np.concatenate([Ri.blocks, Qi.blocks], axis=1)
+    assert np.abs(W - chain).max() <= RTOL * (1.0 + np.abs(W).max())
+    if sensor_faults:
+        # the faulty rows of Q are structurally zero
+        assert np.all(W[:, [n_f + j for j in J]] == 0.0)
 
 
 @PROPERTY

@@ -27,13 +27,13 @@ from faultfilter import (
     realize,
     reduced_filter,
     stabilizing_gain,
-    stack_windows,
     to_predictor,
     xi_from_predictor,
     z_markov,
 )
 from faultfilter.bench_cli import BENCH_POLES
 from faultfilter.inverse_filter import _inverse_system
+from faultfilter.markov_design import _window_blocks
 
 from conftest import (
     gelsy_identify_xi,
@@ -151,7 +151,7 @@ class TestWindowConvolutions:
         assert np.max(np.abs(Qi.blocks - Q_ref.blocks)) <= tol
         # ... and of the folded inverse both design routes inject into
         system = _inverse_system(pred)
-        W = stack_windows(Ri, Qi).blocks
+        W = np.concatenate([Ri.blocks, Qi.blocks], axis=1)
         assert np.max(np.abs(system.markov(L).blocks - W)) <= tol
         Kr = rng.standard_normal((n, n_y))
         model_route = reduced_filter(pred, Kr)
@@ -173,7 +173,7 @@ class TestWindowConvolutions:
         for i in range(L):
             assert np.allclose(Qi[i][1], 0.0, atol=1e-10)
 
-    def test_stack_windows_shape(self, rng):
+    def test_window_blocks_shape(self, rng):
         pred = random_predictor(rng, with_d=True)
         xi = exact_xi(pred)
         Hf = fault_markov(xi.Hy, [0], 10)
@@ -181,8 +181,8 @@ class TestWindowConvolutions:
         Gi = inverse_markov(Hf, 10)
         Ri = convolve_R(Gi, Hz, 10)
         Qi = convolve_Q(Hz, Hf, Ri, 10)
-        Wi = stack_windows(Ri, Qi)
-        assert Wi.block_shape == (3, 4)
+        Wi = _window_blocks(Hf, Hz.blocks, 10)
+        assert Wi.shape == (10, 3, 4)
         assert np.allclose(Wi[3], np.vstack([Ri[3], Qi[3]]))
 
 
@@ -250,7 +250,7 @@ class TestRealize:
         Gi = inverse_markov(Hf, L)
         Ri = convolve_R(Gi, Hz, L)
         Qi = convolve_Q(Hz, Hf, Ri, L)
-        return stack_windows(Ri, Qi)
+        return ff.MarkovSequence(np.concatenate([Ri.blocks, Qi.blocks], axis=1))
 
     def test_exact_recovery_of_window_sequence(self, rng):
         pred = stable_invertible_predictor(rng)

@@ -311,6 +311,22 @@ class TestAgainstGelsyOracle:
         figure = re.search(r"condition number ([^)]+)\)", str(err.value)).group(1)
         assert 1 <= float(figure) < np.inf
 
+    def test_condition_estimate_branch_reports_its_figure(self, rng, monkeypatch):
+        # a factorization that succeeds but whose pocon estimate says
+        # rcond = 1e-20 pins the condition-estimate branch
+        def fake_lapack(names, arrays):
+            assert names == ("pocon",)
+            return (lambda c, anorm: (1e-20, 0),)
+
+        monkeypatch.setattr(sysid_markov, "get_lapack_funcs", fake_lapack)
+        data, _, _ = varx_data(rng)
+        with pytest.raises(ExcitationError, match="condition estimate") as err:
+            identify_xi(data, p=3)
+        figure = re.search(r"condition estimate ([^,]+),", str(err.value)).group(1)
+        ncols = 3 * (data.n_inputs + data.n_outputs) + data.n_inputs
+        assert float(figure) > 1 / (ncols * np.finfo(float).eps)
+        assert float(figure) == pytest.approx(1e20, rel=1e-2)
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

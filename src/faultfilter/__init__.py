@@ -40,7 +40,6 @@ from .sysid_markov import (
     IdentifiedXi,
     identify_xi,
     xi_from_predictor,
-    xi_residuals,
 )
 from .inverse_filter import (
     FaultEstimationFilter,

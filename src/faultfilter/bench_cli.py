@@ -1115,6 +1115,10 @@ def _cmd_estimate(args, cfg: BenchConfig) -> int:
         raise ValidationError("estimate needs --filter and --data")
     out = os.path.join(_out_dir(args), "estimates.csv")
     filt = FaultEstimationFilter.from_csv(args.filter)
+    rho = spectral_radius(filt.Af)
+    if rho >= 1.0:  # every design route leaves rho(Af) < 1
+        raise ValidationError(f"{args.filter}: unstable filter, spectral radius "
+                              f"of Af is {rho:.6g} >= 1")
     data = IOData.from_csv(args.data)
     _finite_samples(data, args.data)
     estimates = run_filter(filt, data)

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.signal import place_poles
 
 from .errors import (
     FaultDirectionError,
@@ -247,6 +246,7 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
                 "C2 is numerically zero; the inverse spectrum cannot be moved")
         W = U[:, :r] * s[:r]
         C2c = Vt[:r]
+        from scipy.signal import place_poles  # ~0.9 s to import; only pole placement pays it
         try:
             placed = place_poles(Phi1.T, C2c.T, poles)
         except ValueError as exc:
@@ -406,6 +406,7 @@ class FaultEstimationFilter:
 
     @classmethod
     def from_csv(cls, path) -> "FaultEstimationFilter":
+        """Read a bundle written by :meth:`to_csv`; a nan or inf entry is an error."""
         rows = _CsvRows(path)
         if (len(rows) < 2 or rows[0] != ["n", "n_u", "n_y", "n_f", "strategy"]
                 or len(rows[1]) != 5):
@@ -420,7 +421,7 @@ class FaultEstimationFilter:
             name, (nr, nc) = tag[1], rows.sizes(i, slice(2, 4))
             if i + 1 + nr > len(rows):
                 raise rows.error(f"truncated matrix {name}")
-            mats[name] = rows.floats(i + 1, i + 1 + nr, nc)
+            mats[name] = rows.floats(i + 1, i + 1 + nr, nc, f"matrix {name}")
             i += 1 + nr
         missing = {"Af", "Bu", "By", "Cf", "Du", "Dy"} - set(mats)
         if missing:

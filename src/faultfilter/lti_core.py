@@ -311,16 +311,26 @@ class _CsvRows(list):
             raise self.error(f"row {i + 1}: expected sizes, got {cells}")
         return [int(v) for v in cells]
 
-    def floats(self, start: int, stop: int, width: int) -> np.ndarray:
-        """Rows start .. stop-1 as a float array with ``width`` columns."""
+    def floats(self, start: int, stop: int, width: int, what: str = None) -> np.ndarray:
+        """Rows start .. stop-1 as a float array with ``width`` columns.
+
+        With ``what`` given, a nan or infinite cell is an error naming
+        ``what`` and the cell's row.
+        """
         block = self[start:stop]
         for i, r in enumerate(block, start + 1):
             if len(r) != width:
                 raise self.error(f"row {i} has {len(r)} fields, expected {width}")
         try:
-            return np.array(block, dtype=float).reshape(len(block), width)
+            block = np.array(block, dtype=float).reshape(len(block), width)
         except ValueError as exc:
             raise self.error(f"non-numeric cell: {exc}") from exc
+        if what is not None:
+            bad = ~np.isfinite(block).all(axis=1)
+            if bad.any():
+                raise self.error(f"row {start + 1 + int(np.argmax(bad))}: "
+                                 f"non-finite value in {what}")
+        return block
 
 
 @dataclass

@@ -31,7 +31,7 @@ from .errors import ExcitationError, ValidationError
 from .lti_core import (IOData, MarkovSequence, PredictorModel, _CsvRows, _finite_samples,
                        _write_csv, markov_parameters)
 
-__all__ = ["IdentifiedXi", "xi_from_predictor", "identify_xi", "xi_residuals"]
+__all__ = ["IdentifiedXi", "xi_from_predictor", "identify_xi"]
 
 
 @dataclass
@@ -134,14 +134,15 @@ class IdentifiedXi:
 
     @classmethod
     def from_csv(cls, path) -> "IdentifiedXi":
+        """Read a file written by :meth:`to_csv`; a nan or inf entry is an error."""
         rows = _CsvRows(path)
         if len(rows) < 2 or rows[0] != ["p", "n_u", "n_y"] or len(rows[1]) != 3:
             raise rows.error("expected a 'p,n_u,n_y' manifest header and row")
         p, n_u, n_y = rows.sizes(1)
         if len(rows) != 2 + 2 * n_y:
             raise rows.error(f"expected {2 * n_y} data rows, got {len(rows) - 2}")
-        xi = rows.floats(2, 2 + n_y, p * (n_u + n_y) + n_u)
-        cov = rows.floats(2 + n_y, len(rows), n_y)
+        xi = rows.floats(2, 2 + n_y, p * (n_u + n_y) + n_u, "the Markov coefficients")
+        cov = rows.floats(2 + n_y, len(rows), n_y, "the residual covariance")
         return cls.from_stacked(xi, p, n_u, n_y, residual_variance=cov)
 
 
@@ -299,18 +300,3 @@ def identify_xi(data: IOData, p: int, ridge: float = 0.0,
         xi = np.hstack([xi, np.zeros((n_y, n_u))])
     res = _window_residuals(w, n_y, xi)
     return IdentifiedXi.from_stacked(xi, p, n_u, n_y, residual_variance=res.T @ res / rows)
-
-
-def xi_residuals(xi: IdentifiedXi, data: IOData) -> np.ndarray:
-    """One step prediction errors of an identified model on a record.
-
-    Returns residuals for samples p .. N-1 as an (N - p, n_y) array.  On
-    fault free data these approximate the innovations; on faulty data
-    they carry the convolution of the fault with its Markov parameters,
-    which is what the moving horizon estimator consumes.
-    """
-    if data.n_inputs != xi.n_u or data.n_outputs != xi.n_y:
-        raise ValidationError("data dimensions do not match the identified model")
-    if data.n_samples <= xi.p:
-        raise ValidationError(f"record shorter than the past window p={xi.p}")
-    return _window_residuals(_finite_samples(data), xi.n_y, xi.stacked())

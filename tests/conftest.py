@@ -18,9 +18,12 @@ from faultfilter import (
     LinearSystem,
     PredictorModel,
     StateSpaceModel,
+    ValidationError,
     open_loop_inverse,
     spectral_radius,
 )
+from faultfilter.lti_core import _finite_samples
+from faultfilter.sysid_markov import _window_residuals
 
 settings.register_profile("faultfilter", deadline=None, derandomize=True)
 settings.load_profile("faultfilter")
@@ -61,6 +64,20 @@ def gelsy_identify_xi(data, p, ridge=0.0, assume_delay=False):
         xi = np.hstack([xi, np.zeros((data.n_outputs, data.n_inputs))])
     return IdentifiedXi.from_stacked(xi, p, data.n_inputs, data.n_outputs,
                                      residual_variance=res.T @ res / len(Y))
+
+
+def xi_residuals(xi, data):
+    """One step prediction errors y(k) - xi z(k) of an identified model.
+
+    Returns residuals for samples p .. N-1 as an (N - p, n_y) array.  On
+    fault free data these approximate the innovations; on faulty data
+    they carry the convolution of the fault with its Markov parameters.
+    """
+    if data.n_inputs != xi.n_u or data.n_outputs != xi.n_y:
+        raise ValidationError("data dimensions do not match the identified model")
+    if data.n_samples <= xi.p:
+        raise ValidationError(f"record shorter than the past window p={xi.p}")
+    return _window_residuals(_finite_samples(data), xi.n_y, xi.stacked())
 
 
 def blockwise_lagged_gram(w: np.ndarray, B: int) -> np.ndarray:

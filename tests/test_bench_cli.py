@@ -792,6 +792,54 @@ class TestCli:
         assert f"non-finite value in sample k=100 of {tmp_path / 'run.csv'}" in err
         assert not (tmp_path / "estimates.csv").exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("lag", [1, 40], ids=["read-lag", "unread-lag"])
+    def test_design_rejects_non_finite_xi(self, tmp_path, capsys, lag, bad):
+        # the design reads markov_length = 40 blocks H_0 .. H_39 of the
+        # p = 40 lags, so lag 40 is never read; the file is refused either way
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text(SMALL_INI)
+        common = ["--config", str(cfg_path), "--seed", "3", "--out", str(tmp_path)]
+        assert main(["identify"] + common) == 0
+        path = tmp_path / "xi.csv"
+        xi = ff.IdentifiedXi.from_csv(path)
+        stacked = xi.stacked()
+        stacked[0, (xi.p - lag) * (xi.n_u + xi.n_y)] = bad  # deepest lag first
+        ff.IdentifiedXi.from_stacked(stacked, xi.p, xi.n_u, xi.n_y,
+                                     xi.residual_variance).to_csv(path)
+        capsys.readouterr()
+        assert main(["design", "--xi", str(path)] + common) == 2
+        assert (f"validation error: {path}: row 3: non-finite value in the Markov "
+                "coefficients") in capsys.readouterr().err
+        assert not (tmp_path / "filter.csv").exists()
+
+    @staticmethod
+    def estimate_with_Af(tmp_path, rng, i, j, value):
+        """Exit code of estimate with a stable filter whose Af[i, j] is set to value."""
+        filt = ff.FaultEstimationFilter(
+            0.5 * np.eye(2), rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
+            rng.standard_normal((1, 2)), np.zeros((1, 2)), np.ones((1, 2)))
+        filt.Af[i, j] = value
+        filt.to_csv(tmp_path / "filter.csv")
+        ff.IOData(rng.standard_normal((100, 2)), rng.standard_normal((100, 2))).to_csv(
+            tmp_path / "run.csv")
+        return main(["estimate", "--filter", str(tmp_path / "filter.csv"),
+                     "--data", str(tmp_path / "run.csv"), "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_estimate_rejects_non_finite_filter(self, tmp_path, capsys, rng, bad):
+        assert self.estimate_with_Af(tmp_path, rng, 1, 0, bad) == 2
+        # rows 1-2 hold the manifest, row 3 the Af header
+        assert (f"validation error: {tmp_path / 'filter.csv'}: row 5: non-finite value "
+                "in matrix Af") in capsys.readouterr().err
+        assert not (tmp_path / "estimates.csv").exists()
+
+    def test_estimate_rejects_unstable_filter(self, tmp_path, capsys, rng):
+        assert self.estimate_with_Af(tmp_path, rng, 0, 0, 50.0) == 2
+        assert (f"validation error: {tmp_path / 'filter.csv'}: unstable filter, "
+                "spectral radius of Af is 50 >= 1") in capsys.readouterr().err
+        assert not (tmp_path / "estimates.csv").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, rng):
         pred = planted_zero_predictor(rng, 1.2)
         xi = ff.xi_from_predictor(pred, 60)

@@ -6,7 +6,9 @@
 reader would.  These tests pin that both readers agree on every file
 the fast one accepts, that malformed files keep their messages, and that
 all three file formats round trip every float bit for bit (a nan keeps
-no sign in the text format).
+no sign in the text format).  Records may hold nan and inf, which the
+verbs reject by sample; a Markov parameter file or a filter bundle with
+one is refused on reading.
 """
 import numpy as np
 import pytest
@@ -25,10 +27,13 @@ from faultfilter.lti_core import _CsvRows, _loadtxt_table, _u_columns
 SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
            2.2250738585072014e-308, -1.1125369292536007e-308, 1.7976931348623157e308]
 VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+FINITE = st.one_of(st.sampled_from([v for v in SPECIAL if np.isfinite(v)]),
+                   st.floats(width=64, allow_nan=False, allow_infinity=False))
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 
 
-def matrices(rows, cols):
-    return hnp.arrays(np.float64, (rows, cols), elements=VALUES)
+def matrices(rows, cols, elements=VALUES):
+    return hnp.arrays(np.float64, (rows, cols), elements=elements)
 
 
 def assert_same_bits(got, want):
@@ -67,14 +72,25 @@ def test_iodata_round_trip(tmp_path_factory, data):
 @given(st.data())
 def test_identified_xi_round_trip(tmp_path_factory, data):
     p, nu, ny = (data.draw(st.integers(1, 3)) for _ in range(3))
-    xi = IdentifiedXi.from_stacked(data.draw(matrices(ny, p * (nu + ny) + nu)), p, nu, ny,
-                                   residual_variance=data.draw(matrices(ny, ny)))
+    stacked = data.draw(matrices(ny, p * (nu + ny) + nu, FINITE))
+    cov = data.draw(matrices(ny, ny, FINITE))
+    xi = IdentifiedXi.from_stacked(stacked, p, nu, ny, residual_variance=cov)
     path = tmp_path_factory.mktemp("xi") / "xi.csv"
     xi.to_csv(path)
     back = IdentifiedXi.from_csv(path)
     assert (back.p, back.n_u, back.n_y) == (p, nu, ny)
     assert_same_bits(back.stacked(), xi.stacked())
     assert_same_bits(back.residual_variance, xi.residual_variance)
+    # a nan or inf cell is refused with its file row: the manifest takes
+    # rows 1-2, the coefficients the next ny and the covariance the last ny
+    r = data.draw(st.integers(0, 2 * ny - 1))
+    block = stacked if r < ny else cov
+    block[r % ny, data.draw(st.integers(0, block.shape[1] - 1))] = data.draw(NON_FINITE)
+    IdentifiedXi.from_stacked(stacked, p, nu, ny, residual_variance=cov).to_csv(path)
+    with pytest.raises(ValidationError) as info:
+        IdentifiedXi.from_csv(path)
+    what = "the Markov coefficients" if r < ny else "the residual covariance"
+    assert str(info.value) == f"{path}: row {r + 3}: non-finite value in {what}"
 
 
 @settings(max_examples=40)
@@ -83,14 +99,25 @@ def test_filter_bundle_round_trip(tmp_path_factory, data):
     n, nu, ny, nf = (data.draw(st.integers(lo, 4)) for lo in (0, 1, 1, 1))
     shapes = {"Af": (n, n), "Bu": (n, nu), "By": (n, ny),
               "Cf": (nf, n), "Du": (nf, nu), "Dy": (nf, ny)}
-    filt = FaultEstimationFilter(**{k: data.draw(matrices(*s)) for k, s in shapes.items()},
-                                 strategy="pole_placement")
+    mats = {k: data.draw(matrices(*s, FINITE)) for k, s in shapes.items()}
+    filt = FaultEstimationFilter(**mats, strategy="pole_placement")
     path = tmp_path_factory.mktemp("filter") / "filter.csv"
     filt.to_csv(path)
     back = FaultEstimationFilter.from_csv(path)
     assert back.strategy == "pole_placement"
     for name in shapes:
         assert_same_bits(getattr(back, name), getattr(filt, name))
+    # a nan or inf entry is refused with its matrix and file row; each
+    # matrix takes a header row and then its rows, after a 2-row manifest
+    name = data.draw(st.sampled_from([k for k, M in mats.items() if M.size]))
+    r, c = (data.draw(st.integers(0, d - 1)) for d in shapes[name])
+    mats[name][r, c] = data.draw(NON_FINITE)
+    FaultEstimationFilter(**mats).to_csv(path)
+    with pytest.raises(ValidationError) as info:
+        FaultEstimationFilter.from_csv(path)
+    names = list(shapes)
+    row = 2 + sum(1 + shapes[k][0] for k in names[:names.index(name)]) + 2 + r
+    assert str(info.value) == f"{path}: row {row}: non-finite value in matrix {name}"
 
 
 HEADERS = ["k,u1,y1\r\n", "k,u1,y1\n", "k,u1,y1\ry2\n", "k,u1\ry1\n",

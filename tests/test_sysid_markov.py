@@ -16,7 +16,6 @@ from faultfilter import (
     simulate,
     to_predictor,
     xi_from_predictor,
-    xi_residuals,
 )
 
 from faultfilter.bench_cli import main
@@ -24,7 +23,7 @@ from faultfilter import sysid_markov
 from faultfilter.sysid_markov import _lagged_gram
 
 from conftest import (blockwise_lagged_gram, gelsy_identify_xi, random_model,
-                      varx_regression)
+                      varx_regression, xi_residuals)
 
 
 def varx_data(rng, p=3, n_u=2, n_y=2, N=400, with_feedthrough=True):

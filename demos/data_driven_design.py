@@ -38,8 +38,7 @@ def filter_markov(filt, L=20):
 
 
 def block_error(est, tru, L):
-    return (np.linalg.norm(est.blocks[:L] - tru.blocks[:L])
-            / np.linalg.norm(tru.blocks[:L]))
+    return np.linalg.norm(est[:L] - tru[:L]) / np.linalg.norm(tru[:L])
 
 
 def main():

@@ -70,7 +70,7 @@ def main():
     Hz = z_markov(xi.Hu, xi.Hy, L)
     window_map = problem.gain[-problem.n_faults:] @ block_toeplitz(Hz, L)
     t_rec = time_filter_step(filt, steps=5000)
-    t_win = time_window_step(window_map, Hz.block_shape[1], steps=5000)
+    t_win = time_window_step(window_map, Hz.shape[2], steps=5000)
     print(f"per-sample cost: recursive {t_rec:.0f} ns, "
           f"window {t_win:.0f} ns ({t_win / t_rec:.1f}x)")
 

@@ -19,7 +19,6 @@ from .errors import (
 from .lti_core import (
     IOData,
     LinearSystem,
-    MarkovSequence,
     PredictorModel,
     StateSpaceModel,
     block_hankel,
@@ -32,7 +31,6 @@ from .lti_core import (
     psd_factor,
     sensor_fault_channel,
     sensor_fault_plant,
-    simulate,
     spectral_radius,
     to_predictor,
 )
@@ -82,8 +80,6 @@ from .bench_cli import (
     collect_identification_data,
     ellipse_stats,
     get_plant,
-    list_plants,
-    register_plant,
     run_comparison,
 )
 

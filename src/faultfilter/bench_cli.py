@@ -14,8 +14,8 @@ one faulty trajectory and compare their error statistics:
         identified quantities.
 
 The registry ships a documented 4-state unstable plant with a printed
-stabilizing output feedback gain; user plants plug in through the same
-registration hook or a plain config file.  Reports carry estimate
+stabilizing output feedback gain; other plants come from a config file
+with a [plant] and a [controller] section.  Reports carry estimate
 series, error means and covariances, 3-sigma ellipse parameters and per
 step timing, and serialize to CSV (authoritative, byte deterministic per
 seed) plus a small self-contained SVG plot; timing goes to a separate
@@ -75,9 +75,7 @@ __all__ = [
     "FeedbackController",
     "FaultScenario",
     "parse_fault_signal",
-    "register_plant",
     "get_plant",
-    "list_plants",
     "closed_loop_sim",
     "collect_identification_data",
     "EllipseStats",
@@ -227,12 +225,7 @@ class FaultScenario:
 
 @dataclass
 class PlantEntry:
-    name: str
     factory: object
-    description: str = ""
-
-
-_REGISTRY: dict = {}
 
 
 def _closed_loop_system(model: StateSpaceModel, gain) -> LinearSystem:
@@ -272,31 +265,11 @@ def _closed_loop_system(model: StateSpaceModel, gain) -> LinearSystem:
                   [D @ M, np.zeros((ny, nw)), P, P @ G]]))
 
 
-def register_plant(name: str, factory, description: str = "") -> None:
-    """Add a plant to the registry.
-
-    ``factory(q=None, r=None)`` must return a (StateSpaceModel,
-    FeedbackController) pair, with the scalars overriding the default
-    noise intensities Q = q I, R = r I.  Registration runs the factory
-    once and rejects controllers that fail to stabilize the plant.
-    """
-    model, ctrl = factory()
-    try:
-        _closed_loop_system(model, ctrl.gain)
-    except ValidationError as exc:
-        raise ValidationError(f"plant {name!r}: {exc}") from exc
-    _REGISTRY[name] = PlantEntry(name, factory, description)
-
-
 def get_plant(name: str) -> PlantEntry:
     if name not in _REGISTRY:
         raise ValidationError(
             f"unknown plant {name!r}; registered: {', '.join(sorted(_REGISTRY))}")
     return _REGISTRY[name]
-
-
-def list_plants():
-    return sorted(_REGISTRY)
 
 
 def _unstable4_factory(q=None, r=None):
@@ -327,8 +300,7 @@ def _unstable4_factory(q=None, r=None):
     return model, FeedbackController(gain)
 
 
-register_plant("unstable4", _unstable4_factory,
-               "4-state unstable plant, 2 in / 2 out, stabilizing gain included")
+_REGISTRY = {"unstable4": PlantEntry(_unstable4_factory)}
 
 
 # ---------------------------------------------------------------------------
@@ -799,10 +771,12 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     faulty = sensor_fault_plant(model, J)
     L = cfg.markov_length
     stop = cfg.run_samples if cfg.window_stop is None else cfg.window_stop
-    if not 0 <= cfg.window_start < stop <= cfg.run_samples:
+    # from sample L - 1 on, where the MHE window fills, every arm has estimates
+    if not L - 1 <= cfg.window_start < stop <= cfg.run_samples:
         raise ValidationError(
-            f"bad statistics window [{cfg.window_start}, {stop}) for "
-            f"{cfg.run_samples} samples")
+            f"bad statistics window [{cfg.window_start}, {stop}) for {cfg.run_samples} "
+            f"samples; it must start at or after sample {L - 1}, where the MHE "
+            f"window of markov_length {L} fills")
 
     rng = np.random.default_rng(cfg.seed)
     ident, _ = closed_loop_sim(faulty, controller, cfg.n_ident, rng,
@@ -888,7 +862,7 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
             estimates = run_mhe(problem, res_series)
             Hz = z_markov(xi.Hu, xi.Hy, L)
             window_map = problem.gain[-problem.n_faults:] @ block_toeplitz(Hz, L)
-            step_ns = time_window_step(window_map, Hz.block_shape[1],
+            step_ns = time_window_step(window_map, Hz.shape[2],
                                        cfg.timing_steps)
             return estimates, step_ns
 

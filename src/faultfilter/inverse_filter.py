@@ -299,6 +299,7 @@ class FaultEstimationFilter:
 
     def __post_init__(self):  # the matrices are 2-D float arrays already, see __setattr__
         n, nf = self.n_states, self.n_faults
+        _as_matrix(self.Af, cols=n, name="Af")
         _as_matrix(self.Bu, rows=n, name="Bu")
         _as_matrix(self.By, rows=n, name="By")
         _as_matrix(self.Cf, cols=n, name="Cf")
@@ -399,19 +400,25 @@ class FaultEstimationFilter:
         parts = [[["n", "n_u", "n_y", "n_f", "strategy"],
                   [self.n_states, self.n_inputs, self.n_outputs, self.n_faults,
                    self.strategy]]]
-        for name in ("Af", "Bu", "By", "Cf", "Du", "Dy"):
+        for name in _MATRICES:
             M = getattr(self, name)
             parts += [[["matrix", name, *M.shape]], M]
         _write_csv(path, *parts)
 
     @classmethod
     def from_csv(cls, path) -> "FaultEstimationFilter":
-        """Read a bundle written by :meth:`to_csv`; a nan or inf entry is an error."""
+        """Read a bundle written by :meth:`to_csv`.
+
+        A nan or inf entry, a missing, repeated or unknown matrix, or a
+        matrix shape the manifest sizes do not give is a ValidationError
+        naming the file.
+        """
         rows = _CsvRows(path)
         if (len(rows) < 2 or rows[0] != ["n", "n_u", "n_y", "n_f", "strategy"]
                 or len(rows[1]) != 5):
             raise rows.error("not a filter bundle (bad manifest)")
-        strategy = rows[1][4]
+        n, nu, ny, nf = rows.sizes(1, slice(0, 4))
+        shapes = dict(zip(_MATRICES, [(n, n), (n, nu), (n, ny), (nf, n), (nf, nu), (nf, ny)]))
         mats = {}
         i = 2
         while i < len(rows):
@@ -419,14 +426,18 @@ class FaultEstimationFilter:
             if len(tag) != 4 or tag[0] != "matrix":
                 raise rows.error(f"expected a matrix header at row {i + 1}")
             name, (nr, nc) = tag[1], rows.sizes(i, slice(2, 4))
+            if name not in shapes or name in mats:
+                raise rows.error(f"row {i + 1}: unexpected or repeated matrix {name!r}")
+            if (nr, nc) != shapes[name]:
+                raise rows.error(f"row {i + 1}: matrix {name} is {nr} x {nc}, the "
+                                 "manifest sizes give {} x {}".format(*shapes[name]))
             if i + 1 + nr > len(rows):
                 raise rows.error(f"truncated matrix {name}")
             mats[name] = rows.floats(i + 1, i + 1 + nr, nc, f"matrix {name}")
             i += 1 + nr
-        missing = {"Af", "Bu", "By", "Cf", "Du", "Dy"} - set(mats)
-        if missing:
-            raise rows.error(f"missing matrices {sorted(missing)}")
-        return cls(strategy=strategy, **mats)
+        if len(mats) < len(_MATRICES):
+            raise rows.error(f"missing matrices {sorted(set(_MATRICES) - set(mats))}")
+        return cls(strategy=rows[1][4], **mats)
 
 
 def _inverse_system(pred: PredictorModel) -> LinearSystem:

@@ -14,7 +14,9 @@ where K is the steady state Kalman gain, so that y(k) = C xh(k) + D u(k)
 + e(k) with white innovation e.  Everything downstream (identification,
 inversion, window estimators) is phrased in terms of the predictor
 Markov parameters, which this module computes and stacks into block
-Toeplitz / Hankel / observability matrices.
+Toeplitz / Hankel / observability matrices.  A sequence of Markov
+blocks H_0, H_1, ... is a plain array of shape (L, rows, cols) whose
+first index is the lag.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from scipy.linalg import solve_discrete_are
 from .errors import RiccatiError, ValidationError
 
 __all__ = [
-    "MarkovSequence",
     "StateSpaceModel",
     "PredictorModel",
     "LinearSystem",
@@ -39,7 +40,6 @@ __all__ = [
     "to_predictor",
     "sensor_fault_plant",
     "sensor_fault_channel",
-    "simulate",
     "markov_parameters",
     "markov_from_ss",
     "block_toeplitz",
@@ -93,41 +93,6 @@ def psd_factor(M) -> np.ndarray:
     w, V = np.linalg.eigh(0.5 * (M + M.T))
     w = np.clip(w, 0.0, None)
     return V * np.sqrt(w)
-
-
-@dataclass
-class MarkovSequence:
-    """Ordered sequence of equally sized matrix blocks H_0, H_1, ...
-
-    Stored as one array of shape (length, rows, cols).  The index is the
-    Markov order, i.e. ``seq[i]`` is the coefficient of the i samples
-    delayed input channel.
-    """
-
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        self.blocks = np.asarray(self.blocks, dtype=float)
-        if self.blocks.ndim != 3:
-            raise ValidationError("MarkovSequence expects an array of shape (L, rows, cols)")
-
-    def __len__(self) -> int:
-        return self.blocks.shape[0]
-
-    def __getitem__(self, i):
-        return self.blocks[i]
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    @property
-    def block_shape(self):
-        return self.blocks.shape[1:]
-
-    def truncated(self, L: int) -> "MarkovSequence":
-        if L > len(self):
-            raise ValidationError(f"requested {L} blocks, sequence has {len(self)}")
-        return MarkovSequence(self.blocks[:L])
 
 
 @dataclass
@@ -267,7 +232,7 @@ class LinearSystem:
                 f"input width {U.shape[1]} does not match B ({self.B.shape[1]} columns)")
         return lti_recursion(self.A, self.B, self.C, self.D, U, x0)[0]
 
-    def markov(self, L: int) -> MarkovSequence:
+    def markov(self, L: int) -> np.ndarray:
         return markov_from_ss(self.A, self.B, self.C, self.D, L)
 
 
@@ -605,46 +570,7 @@ def sensor_fault_channel(pred: PredictorModel, sensors) -> PredictorModel:
     )
 
 
-def simulate(model: StateSpaceModel, u, f=None, x0=None, seed=0) -> IOData:
-    """Simulate the plant under known inputs and an optional fault series.
-
-    Noise is drawn from a seeded generator through square root factors of
-    Q and R, so identical arguments reproduce identical trajectories.
-
-    Args:
-        model: plant to simulate.
-        u: input array of shape (N, n_u).
-        f: optional fault array of shape (N, n_f); zeros when omitted.
-        x0: initial state, zero when omitted.
-        seed: PRNG seed for the process and measurement noise.
-
-    Returns:
-        IOData with the applied inputs and the measured outputs.
-    """
-    U = np.atleast_2d(np.asarray(u, dtype=float))
-    if U.shape[1] != model.n_inputs:
-        raise ValidationError(f"u must have {model.n_inputs} columns, got {U.shape[1]}")
-    N = U.shape[0]
-    nf = model.n_faults
-    if f is None:
-        Fser = np.zeros((N, nf))
-    else:
-        Fser = np.atleast_2d(np.asarray(f, dtype=float))
-        if Fser.shape != (N, nf):
-            raise ValidationError(f"f must have shape ({N}, {nf}), got {Fser.shape}")
-    rng = np.random.default_rng(seed)
-    Sq = psd_factor(model.Q)
-    Sr = psd_factor(model.R)
-    W = rng.standard_normal((N, Sq.shape[1])) @ Sq.T
-    V = rng.standard_normal((N, Sr.shape[1])) @ Sr.T
-    n, ny, nw = model.n_states, model.n_outputs, model.F.shape[1]
-    plant = LinearSystem(  # one system with the stacked input [u, f, w, v]
-        model.A, np.hstack([model.B, model.E, model.F, np.zeros((n, ny))]),
-        model.C, np.hstack([model.D, model.G, np.zeros((ny, nw)), np.eye(ny)]))
-    return IOData(U, plant.run(np.hstack([U, Fser, W, V]), x0))
-
-
-def markov_from_ss(A, B, C, D, L: int) -> MarkovSequence:
+def markov_from_ss(A, B, C, D, L: int) -> np.ndarray:
     """Markov parameters D, CB, CAB, ..., CA^(L-2)B of a quadruple."""
     if L < 1:
         raise ValidationError("need at least one Markov block")
@@ -654,10 +580,10 @@ def markov_from_ss(A, B, C, D, L: int) -> MarkovSequence:
     blocks[0] = D
     if L > 1:
         blocks[1:] = (extended_observability(A, C, L - 1) @ B).reshape(L - 1, *D.shape)
-    return MarkovSequence(blocks)
+    return blocks
 
 
-def markov_parameters(pred: PredictorModel, channel: str, L: int) -> MarkovSequence:
+def markov_parameters(pred: PredictorModel, channel: str, L: int) -> np.ndarray:
     """Predictor Markov parameters of one input channel.
 
     Channel 'u' gives D, C Phi^(i-1) Bt; channel 'y' gives 0, C Phi^(i-1) K;
@@ -675,7 +601,7 @@ def markov_parameters(pred: PredictorModel, channel: str, L: int) -> MarkovSeque
     raise ValidationError(f"unknown channel {channel!r}, expected 'u', 'y' or 'f'")
 
 
-def block_toeplitz(seq: MarkovSequence, L: int = None) -> np.ndarray:
+def block_toeplitz(seq: np.ndarray, L: int = None) -> np.ndarray:
     """Lower block triangular Toeplitz matrix of the first L blocks.
 
     Block (i, j) equals H_(i-j) for i >= j and zero above the diagonal.
@@ -687,13 +613,13 @@ def block_toeplitz(seq: MarkovSequence, L: int = None) -> np.ndarray:
     L = len(seq) if L is None else L
     if L > len(seq):
         raise ValidationError(f"need {L} blocks, sequence has {len(seq)}")
-    p, q = seq.block_shape
-    padded = np.concatenate([np.zeros((max(L - 1, 0), p, q)), seq.blocks[:L]])
+    p, q = seq.shape[1:]
+    padded = np.concatenate([np.zeros((max(L - 1, 0), p, q)), seq[:L]])
     lags = sliding_window_view(padded, L, axis=0)[..., ::-1]
     return lags.transpose(0, 1, 3, 2).reshape(L * p, L * q)
 
 
-def block_hankel(seq: MarkovSequence, l: int, m: int) -> np.ndarray:
+def block_hankel(seq: np.ndarray, l: int, m: int) -> np.ndarray:
     """Block Hankel matrix with block (i, j) = seq[i + j].
 
     The first supplied block lands in the top left corner; callers that
@@ -705,8 +631,8 @@ def block_hankel(seq: MarkovSequence, l: int, m: int) -> np.ndarray:
     if len(seq) < l + m - 1:
         raise ValidationError(
             f"need {l + m - 1} blocks for a {l} x {m} block Hankel matrix, have {len(seq)}")
-    p, q = seq.block_shape
-    return seq.blocks[np.add.outer(np.arange(l), np.arange(m))].transpose(
+    p, q = seq.shape[1:]
+    return seq[np.add.outer(np.arange(l), np.arange(m))].transpose(
         0, 2, 1, 3).reshape(l * p, m * q)
 
 

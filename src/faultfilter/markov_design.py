@@ -36,7 +36,6 @@ from .inverse_filter import (
 )
 from .lti_core import (
     LinearSystem,
-    MarkovSequence,
     PredictorModel,
     _sensor_list,
     block_hankel,
@@ -59,7 +58,7 @@ __all__ = [
 ]
 
 
-def fault_markov(Hy: MarkovSequence, sensor, L: int = None) -> MarkovSequence:
+def fault_markov(Hy: np.ndarray, sensor, L: int = None) -> np.ndarray:
     """Fault channel Markov parameters of the given sensors.
 
     A fault on sensor j feeds through with the j-th identity column and
@@ -72,8 +71,8 @@ def fault_markov(Hy: MarkovSequence, sensor, L: int = None) -> MarkovSequence:
         sensor: zero based sensor index or collection of indices.
         L: number of fault blocks; defaults to len(Hy) + 1.
     """
-    n_y = Hy.block_shape[0]
-    if Hy.block_shape != (n_y, n_y):
+    n_y = Hy.shape[1]
+    if Hy.shape[2] != n_y:
         raise ValidationError("Hy must hold square output blocks")
     J = _sensor_list(sensor, n_y)
     L = len(Hy) + 1 if L is None else L
@@ -82,19 +81,19 @@ def fault_markov(Hy: MarkovSequence, sensor, L: int = None) -> MarkovSequence:
             f"need {L - 1} output blocks for L={L} fault blocks, have {len(Hy)}")
     blocks = np.empty((L, n_y, len(J)))
     blocks[0] = np.eye(n_y)[:, J]
-    blocks[1:] = -Hy.blocks[:L - 1][:, :, J]
-    return MarkovSequence(blocks)
+    blocks[1:] = -Hy[:L - 1][:, :, J]
+    return blocks
 
 
-def z_markov(Hu: MarkovSequence, Hy: MarkovSequence, L: int = None) -> MarkovSequence:
+def z_markov(Hu: np.ndarray, Hy: np.ndarray, L: int = None) -> np.ndarray:
     """Markov parameters from stacked [u; y] to the innovation.
 
     These encode the prediction error as a convolution over the raw
     data: H_0^z = [-H_0^u, I] and H_i^z = [-H_i^u, -H_i^y] for i >= 1.
     ``Hu`` starts at lag 0, ``Hy`` at lag 1.
     """
-    n_y, n_u = Hu.block_shape
-    if Hy.block_shape != (n_y, n_y):
+    n_y, n_u = Hu.shape[1:]
+    if Hy.shape[1:] != (n_y, n_y):
         raise ValidationError("Hu and Hy block shapes are inconsistent")
     L = min(len(Hu), len(Hy) + 1) if L is None else L
     if L < 1 or L > len(Hu) or L - 1 > len(Hy):
@@ -102,11 +101,11 @@ def z_markov(Hu: MarkovSequence, Hy: MarkovSequence, L: int = None) -> MarkovSeq
             f"L={L} exceeds the available blocks ({len(Hu)} input, {len(Hy)} output)")
     blocks = np.empty((L, n_y, n_u + n_y))
     blocks[0] = np.hstack([-Hu[0], np.eye(n_y)])
-    blocks[1:] = -np.concatenate([Hu.blocks[1:L], Hy.blocks[:L - 1]], axis=2)
-    return MarkovSequence(blocks)
+    blocks[1:] = -np.concatenate([Hu[1:L], Hy[:L - 1]], axis=2)
+    return blocks
 
 
-def _window_blocks(Hf: MarkovSequence, rhs: np.ndarray, L: int) -> np.ndarray:
+def _window_blocks(Hf: np.ndarray, rhs: np.ndarray, L: int) -> np.ndarray:
     """Blocks [G_0; I - H_0^f G_0] X_i of one unit lower triangular solve
     T(N) X = stack(rhs[:L]), N = {I, H_1^f G_0, H_2^f G_0, ...}.
 
@@ -122,14 +121,14 @@ def _window_blocks(Hf: MarkovSequence, rhs: np.ndarray, L: int) -> np.ndarray:
         raise FaultDirectionError(
             f"fault feedthrough rank deficient: {exc}") from exc
     n_y = G0.shape[1]
-    N = Hf.blocks[:L] @ G0
+    N = Hf[:L] @ G0
     N[0] = np.eye(n_y)
-    X = solve_triangular(block_toeplitz(MarkovSequence(N)),
+    X = solve_triangular(block_toeplitz(N),
                          rhs[:L].reshape(L * n_y, -1), lower=True, unit_diagonal=True)
     return np.concatenate([G0, np.eye(n_y) - Hf[0] @ G0]) @ X.reshape(L, n_y, -1)
 
 
-def inverse_markov(Hf: MarkovSequence, L: int = None) -> MarkovSequence:
+def inverse_markov(Hf: np.ndarray, L: int = None) -> np.ndarray:
     """Markov parameters {G_i} of a left inverse of the fault channel.
 
     Defined so that the lower block Toeplitz matrix of {G_i} is an exact
@@ -149,12 +148,12 @@ def inverse_markov(Hf: MarkovSequence, L: int = None) -> MarkovSequence:
             deficient (cannot happen for sensor faults).
     """
     L = len(Hf) if L is None else L
-    n_y, n_f = Hf.block_shape
+    n_y, n_f = Hf.shape[1:]
     impulse = np.eye(len(Hf) * n_y, n_y).reshape(-1, n_y, n_y)
-    return MarkovSequence(_window_blocks(Hf, impulse, L)[:, :n_f])
+    return _window_blocks(Hf, impulse, L)[:, :n_f]
 
 
-def convolve_R(Gi: MarkovSequence, Hz: MarkovSequence, L: int = None) -> MarkovSequence:
+def convolve_R(Gi: np.ndarray, Hz: np.ndarray, L: int = None) -> np.ndarray:
     """Window weights R_i = sum_{j=0..i} G_{i-j} H_j^z.
 
     One product T(G) stack(H^z) of the Toeplitz matrix of {G_i} with the
@@ -162,13 +161,12 @@ def convolve_R(Gi: MarkovSequence, Hz: MarkovSequence, L: int = None) -> MarkovS
     of the open loop inverse driven by [u; y] through the fault readout.
     """
     L = min(len(Gi), len(Hz)) if L is None else L
-    cols = Hz.block_shape[1]
-    R = block_toeplitz(Gi, L) @ Hz.truncated(L).blocks.reshape(-1, cols)
-    return MarkovSequence(R.reshape(L, Gi.block_shape[0], cols))
+    cols = Hz.shape[2]
+    return (block_toeplitz(Gi, L) @ Hz[:L].reshape(-1, cols)).reshape(L, -1, cols)
 
 
-def convolve_Q(Hz: MarkovSequence, Hf: MarkovSequence, Ri: MarkovSequence,
-               L: int = None) -> MarkovSequence:
+def convolve_Q(Hz: np.ndarray, Hf: np.ndarray, Ri: np.ndarray,
+               L: int = None) -> np.ndarray:
     """Complement blocks Q_i = H_i^z - sum_{j=0..i} H_{i-j}^f R_j.
 
     One product: stack(Q) = stack(H^z) - T(H^f) stack(R).  On exact
@@ -177,9 +175,8 @@ def convolve_Q(Hz: MarkovSequence, Hf: MarkovSequence, Ri: MarkovSequence,
     injection feeds on.
     """
     L = min(len(Hz), len(Hf), len(Ri)) if L is None else L
-    Z, R = Hz.truncated(L).blocks, Ri.truncated(L).blocks
-    conv = block_toeplitz(Hf, L) @ R.reshape(-1, R.shape[2])
-    return MarkovSequence(Z - conv.reshape(Z.shape))
+    conv = block_toeplitz(Hf, L) @ Ri[:L].reshape(-1, Ri.shape[2])
+    return Hz[:L] - conv.reshape(Hz[:L].shape)
 
 
 @dataclass
@@ -229,7 +226,7 @@ def _pick_order(s: np.ndarray, max_order: int) -> int:
     return int(np.argmax(ratios)) + 1
 
 
-def ho_kalman(seq: MarkovSequence, l: int, m: int, order="auto",
+def ho_kalman(seq: np.ndarray, l: int, m: int, order="auto",
               shift: str = "controllability"):
     """Minimal state space realization of a Markov parameter sequence.
 
@@ -255,8 +252,8 @@ def ho_kalman(seq: MarkovSequence, l: int, m: int, order="auto",
         raise ValidationError(
             f"need {l + m} blocks for l={l}, m={m} (feedthrough plus Hankel), "
             f"have {len(seq)}")
-    p, q = seq.block_shape
-    H = block_hankel(MarkovSequence(seq.blocks[1:]), l, m)
+    p, q = seq.shape[1:]
+    H = block_hankel(seq[1:], l, m)
     U, s, Vt = np.linalg.svd(H, full_matrices=False)
     sign = np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])])
     U, Vt = U * sign, Vt * sign[:, None]
@@ -287,7 +284,7 @@ def ho_kalman(seq: MarkovSequence, l: int, m: int, order="auto",
     return LinearSystem(A, Cw[:, :q], Ow[:p], seq[0]), s
 
 
-def realize(Wi: MarkovSequence, cfg: DesignConfig):
+def realize(Wi: np.ndarray, cfg: DesignConfig):
     """Realize the folded inverse system from the window blocks.
 
     W_0 supplies the feedthrough directly; the Hankel matrix of
@@ -297,18 +294,16 @@ def realize(Wi: MarkovSequence, cfg: DesignConfig):
     output residual q (the rest), like the model-based inverse.
 
     Returns:
-        (LinearSystem, singular_values) as from :func:`ho_kalman`.
+        (LinearSystem, singular_values) as from :func:`ho_kalman`, which
+        raises on too few blocks.
     """
     n_f = 1 if np.isscalar(cfg.sensor) else len(set(int(j) for j in cfg.sensor))
-    rows, cols = Wi.block_shape
-    n_y = rows - n_f
-    n_u = cols - n_y
-    if n_y < 1 or n_u < 0:
+    n_y = Wi.shape[1] - n_f  # blocks are (n_f + n_y) x (n_u + n_y)
+    if n_y < 1 or Wi.shape[2] < n_y:
         raise ValidationError(
-            f"window block shape {Wi.block_shape} inconsistent with {n_f} sensors")
-    L = min(len(Wi), cfg.markov_length)  # too few blocks: ho_kalman raises
-    return ho_kalman(MarkovSequence(Wi.blocks[:L]), cfg.hankel_rows,
-                     cfg.hankel_cols, order=cfg.order, shift="controllability")
+            f"window block shape {Wi.shape[1:]} inconsistent with {n_f} sensors")
+    return ho_kalman(Wi[:cfg.markov_length], cfg.hankel_rows, cfg.hankel_cols,
+                     order=cfg.order, shift="controllability")
 
 
 def assemble_filter(inv: LinearSystem, sensor, Kr=None, strategy: str = "riccati",
@@ -346,10 +341,9 @@ def predictor_from_xi(xi: IdentifiedXi, l: int, m: int, order="auto"):
         :func:`~faultfilter.lti_core.sensor_fault_channel`.
     """
     n_u, n_y = xi.n_u, xi.n_y
-    Hu = xi.markov_u()
-    Hy = xi.markov_y()
-    combined = MarkovSequence(np.concatenate([Hu.blocks, Hy.blocks], axis=2))
-    sys, s = ho_kalman(combined, l, m, order=order, shift="observability")
+    Hy = np.concatenate([np.zeros((1, n_y, n_y)), xi.Hy])  # with the zero H_0^y
+    sys, s = ho_kalman(np.concatenate([xi.Hu, Hy], axis=2), l, m, order=order,
+                       shift="observability")
     pred = PredictorModel(
         Phi=sys.A,
         Bt=sys.B[:, :n_u],
@@ -375,7 +369,7 @@ def design_filter_from_xi(xi: IdentifiedXi, cfg: DesignConfig) -> FaultEstimatio
     try:
         Hf = fault_markov(xi.Hy, cfg.sensor, L)
         Hz = z_markov(xi.Hu, xi.Hy, L)
-        Wi = MarkovSequence(_window_blocks(Hf, Hz.blocks, L))
+        Wi = _window_blocks(Hf, Hz, L)
     except FaultFilterError as err:
         raise rewrap(err, "markov") from err
     try:

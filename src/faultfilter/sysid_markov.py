@@ -28,8 +28,8 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
 
 from .errors import ExcitationError, ValidationError
-from .lti_core import (IOData, MarkovSequence, PredictorModel, _CsvRows, _finite_samples,
-                       _write_csv, markov_parameters)
+from .lti_core import (IOData, PredictorModel, _CsvRows, _finite_samples, _write_csv,
+                       markov_parameters)
 
 __all__ = ["IdentifiedXi", "xi_from_predictor", "identify_xi"]
 
@@ -40,21 +40,21 @@ class IdentifiedXi:
 
     ``Hu`` holds H_0^u .. H_p^u (index equals the lag); ``Hy`` holds
     H_1^y .. H_p^y, so ``Hy[i]`` is the lag i+1 block and the implicit
-    H_0^y = 0 is not stored.  ``residual_variance`` is the sample
-    covariance of the regression residuals, an estimate of the
-    innovation covariance.
+    H_0^y = 0 is not stored; both are (blocks, rows, cols) arrays.
+    ``residual_variance`` is the sample covariance of the regression
+    residuals, an estimate of the innovation covariance.
     """
 
-    Hu: MarkovSequence
-    Hy: MarkovSequence
+    Hu: np.ndarray
+    Hy: np.ndarray
     past_horizon: int
     residual_variance: np.ndarray = None
 
     def __post_init__(self):
-        if not isinstance(self.Hu, MarkovSequence):
-            self.Hu = MarkovSequence(np.asarray(self.Hu, dtype=float))
-        if not isinstance(self.Hy, MarkovSequence):
-            self.Hy = MarkovSequence(np.asarray(self.Hy, dtype=float))
+        self.Hu = np.asarray(self.Hu, dtype=float)
+        self.Hy = np.asarray(self.Hy, dtype=float)
+        if self.Hu.ndim != 3 or self.Hy.ndim != 3:
+            raise ValidationError("Hu and Hy must be arrays of shape (blocks, rows, cols)")
         p = self.past_horizon
         if p < 1:
             raise ValidationError("past horizon must be at least 1")
@@ -62,10 +62,10 @@ class IdentifiedXi:
             raise ValidationError(f"expected {p + 1} input blocks, got {len(self.Hu)}")
         if len(self.Hy) != p:
             raise ValidationError(f"expected {p} output blocks, got {len(self.Hy)}")
-        ny = self.Hu.block_shape[0]
-        if self.Hy.block_shape != (ny, ny):
+        ny = self.Hu.shape[1]
+        if self.Hy.shape[1:] != (ny, ny):
             raise ValidationError(
-                f"output blocks must be {ny} x {ny}, got {self.Hy.block_shape}")
+                f"output blocks must be {ny} x {ny}, got {self.Hy.shape[1:]}")
         if self.residual_variance is None:
             self.residual_variance = np.zeros((ny, ny))
         else:
@@ -80,25 +80,11 @@ class IdentifiedXi:
 
     @property
     def n_u(self) -> int:
-        return self.Hu.block_shape[1]
+        return self.Hu.shape[2]
 
     @property
     def n_y(self) -> int:
-        return self.Hu.block_shape[0]
-
-    def markov_u(self, L: int = None) -> MarkovSequence:
-        """Input channel blocks H_0^u .. H_(L-1)^u."""
-        L = self.p + 1 if L is None else L
-        return self.Hu.truncated(L)
-
-    def markov_y(self, L: int = None) -> MarkovSequence:
-        """Output channel blocks with the zero H_0^y made explicit."""
-        L = self.p + 1 if L is None else L
-        if L > self.p + 1:
-            raise ValidationError(f"only {self.p + 1} output blocks available")
-        ny = self.n_y
-        return MarkovSequence(np.concatenate(
-            [np.zeros((1, ny, ny)), self.Hy.blocks[:L - 1]]))
+        return self.Hu.shape[1]
 
     def stacked(self) -> np.ndarray:
         """Coefficient row [H_p^u H_p^y ... H_1^u H_1^y H_0^u].
@@ -106,7 +92,7 @@ class IdentifiedXi:
         This is the matrix the LS regression actually solves for, with
         the deepest lag first and the feedthrough block last.
         """
-        lags = np.concatenate([self.Hu.blocks[:0:-1], self.Hy.blocks[::-1]], axis=2)
+        lags = np.concatenate([self.Hu[:0:-1], self.Hy[::-1]], axis=2)
         return np.hstack([*lags, self.Hu[0]])
 
     @classmethod
@@ -120,8 +106,7 @@ class IdentifiedXi:
                 f"stacked shape {xi.shape} does not match p={p}, n_u={n_u}, n_y={n_y}")
         lags = xi[:, :p * w].reshape(n_y, p, w).transpose(1, 0, 2)[::-1]  # lag 1 first
         Hu = np.concatenate([xi[None, :, p * w:], lags[:, :, :n_u]])
-        return cls(MarkovSequence(Hu), MarkovSequence(lags[:, :, n_u:].copy()), p,
-                   residual_variance)
+        return cls(Hu, lags[:, :, n_u:].copy(), p, residual_variance)
 
     def to_csv(self, path) -> None:
         """Write the estimate with a small manifest header.
@@ -152,9 +137,8 @@ def xi_from_predictor(pred: PredictorModel, p: int) -> IdentifiedXi:
     The noise free reference point: identification on clean, long data
     converges to this object.
     """
-    Hu = markov_parameters(pred, "u", p + 1)
-    Hy = markov_parameters(pred, "y", p + 1)
-    return IdentifiedXi(Hu, MarkovSequence(Hy.blocks[1:]), p,
+    return IdentifiedXi(markov_parameters(pred, "u", p + 1),
+                        markov_parameters(pred, "y", p + 1)[1:], p,
                         residual_variance=pred.SigmaE)
 
 

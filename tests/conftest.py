@@ -14,11 +14,13 @@ from scipy.linalg import lstsq
 
 from faultfilter import (
     ExcitationError,
+    FeedbackController,
     IdentifiedXi,
     LinearSystem,
     PredictorModel,
     StateSpaceModel,
     ValidationError,
+    closed_loop_sim,
     open_loop_inverse,
     spectral_radius,
 )
@@ -144,6 +146,18 @@ def random_model(rng, n=4, n_u=2, n_y=2, rho=0.8, q=1e-3, r=1e-2,
     B = rng.standard_normal((n, n_u))
     C = rng.standard_normal((n_y, n))
     return StateSpaceModel(A, B, C, Q=q * np.eye(n), R=r * np.eye(n_y))
+
+
+def open_loop_sim(model, u, seed=0, scenario=None):
+    """Record of a stable plant driven by the inputs u, without feedback.
+
+    closed_loop_sim with a zero gain and u as the preset reference; the
+    noise comes from default_rng(seed), process noise drawn first.
+    """
+    ctrl = FeedbackController(np.zeros((model.n_inputs, model.n_outputs)), reference=u)
+    data, _ = closed_loop_sim(model, ctrl, len(ctrl.reference),
+                              np.random.default_rng(seed), scenario=scenario)
+    return data
 
 
 def random_predictor(rng, n=4, n_u=2, n_y=2, sensors=(0,), rho=0.75,

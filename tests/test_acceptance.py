@@ -218,7 +218,7 @@ def test_06_realization_fidelity():
     D = rng.standard_normal((2, 2))
     seq = markov_from_ss(A, B, C, D, 41)
     sys, s = ho_kalman(seq, 20, 20, order=4)
-    dev = np.max(np.abs(sys.markov(41).blocks - seq.blocks))
+    dev = np.max(np.abs(sys.markov(41) - seq))
     tail = s[4] / s[0]
     ok = dev <= 1e-8 and tail <= 1e-8
     verdict(6, "realization-fidelity", ok,

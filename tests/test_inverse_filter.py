@@ -355,6 +355,11 @@ class TestFaultEstimationFilter:
         for name in ("Af", "Bu", "By", "Cf", "Du", "Dy"):
             assert np.array_equal(getattr(back, name), getattr(filt, name))
 
+    def test_rejects_non_square_Af(self, rng):
+        with pytest.raises(ValidationError, match="Af must have 4 columns, got 3"):
+            FaultEstimationFilter(np.zeros((4, 3)), np.zeros((4, 2)), np.zeros((4, 2)),
+                                  np.zeros((1, 4)), np.zeros((1, 2)), np.zeros((1, 2)))
+
     def test_reduced_filter_rejects_wrong_gain_shape(self, rng):
         pred = random_predictor(rng)
         with pytest.raises(ValidationError, match="Kr must have 2 columns"):

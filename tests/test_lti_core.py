@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 import faultfilter as ff
 from faultfilter import (
     IOData,
+    FaultScenario,
     LinearSystem,
-    MarkovSequence,
     RiccatiError,
     StateSpaceModel,
     ValidationError,
@@ -22,14 +22,13 @@ from faultfilter import (
     psd_factor,
     sensor_fault_channel,
     sensor_fault_plant,
-    simulate,
     spectral_radius,
     to_predictor,
 )
 from faultfilter import lti_core
 from faultfilter.lti_core import _CHUNK
 
-from conftest import per_sample_run, random_model, random_predictor
+from conftest import open_loop_sim, per_sample_run, random_model, random_predictor
 
 
 class TestLtiRecursion:
@@ -220,7 +219,7 @@ class TestPredictor:
         pred = to_predictor(StateSpaceModel(A=model.A, B=model.B, C=model.C,
                                             Q=np.eye(3), R=np.eye(2)))
         u = rng.standard_normal((50, 2))
-        data = simulate(model, u)
+        data = open_loop_sim(model, u)
         xh = np.zeros(3)
         for k in range(50):
             assert np.allclose(data.y[k], model.C @ xh + model.D @ u[k],
@@ -276,19 +275,11 @@ class TestMarkov:
             for i in range(L):
                 assert np.allclose(seq[i][:, j], y[i], atol=1e-12)
 
-    def test_truncated_and_iteration(self, rng):
-        seq = MarkovSequence(rng.standard_normal((5, 2, 3)))
-        assert len(seq) == 5 and seq.block_shape == (2, 3)
-        short = seq.truncated(3)
-        assert len(short) == 3
-        assert np.allclose(short[2], seq[2])
-        assert len(list(iter(seq))) == 5
-
 
 class TestStacking:
     def test_block_toeplitz_structure(self, rng):
         blocks = rng.standard_normal((4, 2, 3))
-        T = block_toeplitz(MarkovSequence(blocks))
+        T = block_toeplitz(blocks)
         assert T.shape == (8, 12)
         for i in range(4):
             for j in range(4):
@@ -298,7 +289,7 @@ class TestStacking:
 
     def test_block_hankel_structure(self, rng):
         blocks = rng.standard_normal((6, 2, 3))
-        H = block_hankel(MarkovSequence(blocks), 3, 3)
+        H = block_hankel(blocks, 3, 3)
         for i in range(3):
             for j in range(3):
                 assert np.allclose(H[2 * i:2 * i + 2, 3 * j:3 * j + 3],
@@ -327,51 +318,15 @@ class TestStacking:
 
 
 class TestSimulate:
-    def test_zero_noise_zero_input_stays_zero(self, rng):
-        model = random_model(rng, q=0.0, r=1e-2)
-        model = StateSpaceModel(A=model.A, B=model.B, C=model.C,
-                                Q=model.Q, R=0.0 * model.R)
-        data = simulate(model, np.zeros((20, model.n_inputs)))
-        assert np.allclose(data.y, 0.0)
-
     def test_fault_enters_measured_output(self, rng):
         model = sensor_fault_plant(random_model(rng, q=0.0, r=1e-2), [0])
         noise_free = StateSpaceModel(A=model.A, B=model.B, C=model.C,
                                      E=model.E, G=model.G,
                                      Q=model.Q * 0, R=model.R * 0)
-        f = np.zeros((20, 1))
-        f[5:, 0] = 2.0
-        data = simulate(noise_free, np.zeros((20, model.n_inputs)), f=f)
+        data = open_loop_sim(noise_free, np.zeros((20, model.n_inputs)),
+                             scenario=FaultScenario(onset=5, signals=("step 2",)))
         assert np.allclose(data.y[5:, 0], 2.0)
         assert np.allclose(data.y[:, 1], 0.0)
-
-    def test_matches_per_sample_plant_loop(self, rng):
-        base = random_model(rng, n=4, n_u=2, n_y=3)
-        model = sensor_fault_plant(
-            StateSpaceModel(A=base.A, B=base.B, C=base.C,
-                            D=rng.standard_normal((3, 2)), Q=base.Q, R=base.R),
-            [0, 2])
-        N = 40
-        u = rng.standard_normal((N, 2))
-        f = rng.standard_normal((N, 2))
-        x0 = rng.standard_normal(4)
-        data = simulate(model, u, f=f, x0=x0, seed=3)
-        # same draws as simulate: process noise first, then measurement
-        noise = np.random.default_rng(3)
-        W = noise.standard_normal((N, 4)) @ psd_factor(model.Q).T
-        V = noise.standard_normal((N, 3)) @ psd_factor(model.R).T
-        x = x0.copy()
-        for k in range(N):
-            y = model.C @ x + model.D @ u[k] + model.G @ f[k] + V[k]
-            assert np.allclose(data.y[k], y, rtol=1e-12, atol=1e-12)
-            x = model.A @ x + model.B @ u[k] + model.E @ f[k] + model.F @ W[k]
-
-    def test_seed_reproducible(self, rng):
-        model = random_model(rng)
-        u = rng.standard_normal((30, model.n_inputs))
-        d1 = simulate(model, u, seed=7)
-        d2 = simulate(model, u, seed=7)
-        assert np.array_equal(d1.y, d2.y)
 
 
 class TestIOData:

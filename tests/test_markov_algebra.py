@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultfilter import (
-    MarkovSequence,
     block_hankel,
     block_toeplitz,
     convolve_Q,
@@ -29,7 +28,7 @@ RTOL = 1e-12
 
 
 def toeplitz_oracle(seq, L):
-    p, q = seq.block_shape
+    p, q = seq.shape[1:]
     T = np.zeros((L * p, L * q))
     for d in range(L):
         for i in range(d, L):
@@ -38,7 +37,7 @@ def toeplitz_oracle(seq, L):
 
 
 def hankel_oracle(seq, l, m):
-    p, q = seq.block_shape
+    p, q = seq.shape[1:]
     H = np.empty((l * p, m * q))
     for i in range(l):
         for j in range(m):
@@ -48,7 +47,7 @@ def hankel_oracle(seq, l, m):
 
 def causal_convolve_oracle(A, B, L):
     """C_i = sum_{j=0..i} A_{i-j} B_j."""
-    out = np.zeros((L, A.block_shape[0], B.block_shape[1]))
+    out = np.zeros((L, A.shape[1], B.shape[2]))
     for i in range(L):
         for j in range(i + 1):
             out[i] += A[i - j] @ B[j]
@@ -86,7 +85,7 @@ def assert_close(got, want):
 
 
 def random_seq(rng, L, p, q):
-    return MarkovSequence(rng.standard_normal((L, p, q)))
+    return rng.standard_normal((L, p, q))
 
 
 def fault_blocks(rng, L, n_y, n_f):
@@ -94,7 +93,7 @@ def fault_blocks(rng, L, n_y, n_f):
     blocks = 0.5 * rng.standard_normal((L, n_y, n_f))
     basis = np.linalg.qr(rng.standard_normal((n_y, n_y)))[0]
     blocks[0] = basis[:, :n_f] * rng.uniform(0.5, 2.0, n_f)
-    return MarkovSequence(blocks)
+    return blocks
 
 
 seeds = st.integers(0, 2**32 - 1)
@@ -119,8 +118,8 @@ def laid_out(blocks, layout):
        layout=st.sampled_from(["contiguous", "reversed", "strided", "transposed"]))
 def test_block_toeplitz_equals_oracle(seed, L, p, q, extra, layout):
     blocks = np.random.default_rng(seed).standard_normal((L + extra, p, q))
-    seq = MarkovSequence(laid_out(blocks, layout))
-    assert np.array_equal(seq.blocks, blocks)
+    seq = laid_out(blocks, layout)
+    assert np.array_equal(seq, blocks)
     assert np.array_equal(block_toeplitz(seq, L), toeplitz_oracle(seq, L))
 
 
@@ -141,9 +140,9 @@ def test_convolutions_equal_oracle(seed, L, n_y, n_f, n_z):
     Hz = random_seq(rng, L, n_y, n_z)
     Hf = random_seq(rng, L, n_y, n_f)
     Ri = convolve_R(Gi, Hz, L)
-    assert_close(Ri.blocks, causal_convolve_oracle(Gi, Hz, L))
+    assert_close(Ri, causal_convolve_oracle(Gi, Hz, L))
     Qi = convolve_Q(Hz, Hf, Ri, L)
-    assert_close(Qi.blocks, Hz.blocks - causal_convolve_oracle(Hf, Ri, L))
+    assert_close(Qi, Hz - causal_convolve_oracle(Hf, Ri, L))
 
 
 @PROPERTY
@@ -158,13 +157,13 @@ def test_window_blocks_equal_convolution_chain(seed, L, n_y, n_u, sensor_faults,
     Hf = fault_blocks(rng, L, n_y, n_f)
     J = sorted(rng.choice(n_y, n_f, replace=False))
     if sensor_faults:
-        Hf.blocks[0] = np.eye(n_y)[:, J]
+        Hf[0] = np.eye(n_y)[:, J]
     Hz = random_seq(rng, L, n_y, n_u + n_y)
     Ri = convolve_R(inverse_markov(Hf, L), Hz, L)
     Qi = convolve_Q(Hz, Hf, Ri, L)
-    W = _window_blocks(Hf, Hz.blocks, L)
+    W = _window_blocks(Hf, Hz, L)
     assert W.shape == (L, n_f + n_y, n_u + n_y)
-    chain = np.concatenate([Ri.blocks, Qi.blocks], axis=1)
+    chain = np.concatenate([Ri, Qi], axis=1)
     assert np.abs(W - chain).max() <= RTOL * (1.0 + np.abs(W).max())
     if sensor_faults:
         # the faulty rows of Q are structurally zero
@@ -178,10 +177,10 @@ def test_inverse_markov_equals_oracle_and_left_inverts(seed, L, n_y, data):
     rng = np.random.default_rng(seed)
     Hf = fault_blocks(rng, L, n_y, n_f)
     Gi = inverse_markov(Hf, L)
-    assert_close(Gi.blocks, inverse_markov_oracle(Hf, L))
+    assert_close(Gi, inverse_markov_oracle(Hf, L))
     # the Toeplitz matrix of {G_i} is a left inverse of that of {H_i^f}
     prod = block_toeplitz(Gi) @ block_toeplitz(Hf)
-    scale = np.abs(Gi.blocks).max() * np.abs(Hf.blocks).max() * L * n_y
+    scale = np.abs(Gi).max() * np.abs(Hf).max() * L * n_y
     assert np.abs(prod - np.eye(L * n_f)).max() <= RTOL * max(1.0, scale)
 
 
@@ -195,5 +194,5 @@ def test_markov_from_ss_equals_oracle(seed, L, n, n_in, n_out, rho):
     B = rng.standard_normal((n, n_in))
     C = rng.standard_normal((n_out, n))
     D = rng.standard_normal((n_out, n_in))
-    assert_close(markov_from_ss(A, B, C, D, L).blocks,
+    assert_close(markov_from_ss(A, B, C, D, L),
                  markov_from_ss_oracle(A, B, C, D, L))

@@ -56,21 +56,21 @@ class TestFaultMarkov:
         xi = exact_xi(pred)
         Hf = fault_markov(xi.Hy, [1], 30)
         ref = markov_parameters(pred, "f", 30)
-        assert np.allclose(Hf.blocks, ref.blocks, atol=1e-12)
+        assert np.allclose(Hf, ref, atol=1e-12)
 
     def test_multi_sensor_columns(self, rng):
         pred = random_predictor(rng, n_y=3, sensors=(0, 2))
         xi = exact_xi(pred)
         Hf = fault_markov(xi.Hy, [0, 2], 20)
         ref = markov_parameters(pred, "f", 20)
-        assert np.allclose(Hf.blocks, ref.blocks, atol=1e-12)
+        assert np.allclose(Hf, ref, atol=1e-12)
 
     def test_scalar_sensor_accepted(self, rng):
         pred = random_predictor(rng, sensors=(1,))
         xi = exact_xi(pred)
         a = fault_markov(xi.Hy, 1, 10)
         b = fault_markov(xi.Hy, [1], 10)
-        assert np.allclose(a.blocks, b.blocks)
+        assert np.allclose(a, b)
 
 
 class TestZMarkov:
@@ -103,7 +103,7 @@ class TestInverseMarkov:
         Hf = markov_parameters(pred, "f", 20)
         Gi = inverse_markov(Hf, 20)
         ref = markov_from_ss(inv.Phi1, inv.B1, inv.C1, inv.D1, 20)
-        assert np.allclose(Gi.blocks, ref.blocks, atol=1e-10)
+        assert np.allclose(Gi, ref, atol=1e-10)
 
     def test_toeplitz_inverse_identity(self, rng):
         pred = random_predictor(rng, n_y=3, sensors=(0, 1))
@@ -117,7 +117,7 @@ class TestInverseMarkov:
         blocks[0] = [[1.0, 2.0], [2.0, 4.0]]
         with pytest.raises(FaultDirectionError,
                            match="fault feedthrough rank"):
-            inverse_markov(ff.MarkovSequence(blocks), 5)
+            inverse_markov(blocks, 5)
 
 
 class TestWindowConvolutions:
@@ -145,14 +145,14 @@ class TestWindowConvolutions:
                                np.hstack([-Gm @ pred.D, Gm]), L)
         Q_ref = markov_from_ss(inv.Phi1, np.hstack([Bf, Kf]), -inv.C2,
                                np.hstack([-proj @ pred.D, proj]), L)
-        W_ref = np.concatenate([R_ref.blocks, Q_ref.blocks], axis=1)
+        W_ref = np.concatenate([R_ref, Q_ref], axis=1)
         tol = 1e-9 * (1.0 + np.abs(W_ref).max())
-        assert np.max(np.abs(Ri.blocks - R_ref.blocks)) <= tol
-        assert np.max(np.abs(Qi.blocks - Q_ref.blocks)) <= tol
+        assert np.max(np.abs(Ri - R_ref)) <= tol
+        assert np.max(np.abs(Qi - Q_ref)) <= tol
         # ... and of the folded inverse both design routes inject into
         system = _inverse_system(pred)
-        W = np.concatenate([Ri.blocks, Qi.blocks], axis=1)
-        assert np.max(np.abs(system.markov(L).blocks - W)) <= tol
+        W = np.concatenate([Ri, Qi], axis=1)
+        assert np.max(np.abs(system.markov(L) - W)) <= tol
         Kr = rng.standard_normal((n, n_y))
         model_route = reduced_filter(pred, Kr)
         data_route = assemble_filter(system, J, Kr=Kr)
@@ -181,7 +181,7 @@ class TestWindowConvolutions:
         Gi = inverse_markov(Hf, 10)
         Ri = convolve_R(Gi, Hz, 10)
         Qi = convolve_Q(Hz, Hf, Ri, 10)
-        Wi = _window_blocks(Hf, Hz.blocks, 10)
+        Wi = _window_blocks(Hf, Hz, 10)
         assert Wi.shape == (10, 3, 4)
         assert np.allclose(Wi[3], np.vstack([Ri[3], Qi[3]]))
 
@@ -195,7 +195,7 @@ class TestHoKalman:
         seq = markov_from_ss(A, B, C, D, 41)
         sys, s = ho_kalman(seq, 10, 10, order=3)
         back = sys.markov(41)
-        assert np.max(np.abs(back.blocks - seq.blocks)) < 1e-10
+        assert np.max(np.abs(back - seq)) < 1e-10
         assert s[3] < 1e-10 * s[0]
 
     def test_auto_order_detection(self, rng):
@@ -215,7 +215,7 @@ class TestHoKalman:
             ho_kalman(seq, 8, 8, order=5)
 
     def test_needs_enough_blocks(self, rng):
-        seq = ff.MarkovSequence(rng.standard_normal((5, 1, 1)))
+        seq = rng.standard_normal((5, 1, 1))
         with pytest.raises(ValidationError):
             ho_kalman(seq, 4, 4)
 
@@ -235,8 +235,7 @@ class TestHoKalman:
             return U * sign, s, Vt * sign[:, None]
 
         monkeypatch.setattr(np.linalg, "svd", flipped_svd)
-        bumped = ff.MarkovSequence(
-            seq.blocks * (1 + 1e-15 * rng.standard_normal(seq.blocks.shape)))
+        bumped = seq * (1 + 1e-15 * rng.standard_normal(seq.shape))
         got, _ = ho_kalman(bumped, 10, 10, order=3)
         for want, have in ((ref.A, got.A), (ref.B, got.B), (ref.C, got.C)):
             assert np.abs(have - want).max() <= 1e-9 * np.abs(want).max()
@@ -250,7 +249,7 @@ class TestRealize:
         Gi = inverse_markov(Hf, L)
         Ri = convolve_R(Gi, Hz, L)
         Qi = convolve_Q(Hz, Hf, Ri, L)
-        return ff.MarkovSequence(np.concatenate([Ri.blocks, Qi.blocks], axis=1))
+        return np.concatenate([Ri, Qi], axis=1)
 
     def test_exact_recovery_of_window_sequence(self, rng):
         pred = stable_invertible_predictor(rng)
@@ -307,7 +306,7 @@ class TestDesignPipeline:
         for ch in ("u", "y"):
             ref = markov_parameters(pred, ch, 25)
             got = markov_parameters(realized, ch, 25)
-            assert np.allclose(got.blocks, ref.blocks, atol=1e-8)
+            assert np.allclose(got, ref, atol=1e-8)
         assert np.allclose(realized.D, pred.D)
         assert np.allclose(realized.SigmaE, pred.SigmaE)
 

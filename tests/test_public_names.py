@@ -6,10 +6,12 @@ import X`` must resolve, and so must every attribute ``alias.X`` of a
 name bound to a faultfilter module (``import faultfilter as ff``,
 ``from faultfilter import bench_cli``).  Removing or renaming a public
 name then fails here, not only in a demo, a benchmark run or a reader's
-copy of the README example.
+copy of the README example.  Every name a package module lists in
+``__all__`` must exist too, so a removal cannot leave a stale entry.
 """
 import ast
 import importlib
+import pkgutil
 import types
 from pathlib import Path
 
@@ -60,3 +62,17 @@ def test_scripts_are_checked():
     assert ("faultfilter", "design_filter_from_xi") in {(m, n) for _, m, n in uses}
     uses = package_uses(ast.parse((ROOT / "perfbench" / "workloads.py").read_text()))
     assert ("faultfilter", "DesignConfig") in {(m, n) for _, m, n in uses}
+
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules([str(ROOT / "src" / "faultfilter")]))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_all_names_exist(module):
+    mod = importlib.import_module(f"faultfilter.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"faultfilter.{module}.__all__ lists missing names: {missing}"
+
+
+def test_module_all_is_checked():
+    assert {"lti_core", "markov_design", "bench_cli"} <= set(MODULES)

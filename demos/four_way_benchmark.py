@@ -17,6 +17,7 @@ import os
 import numpy as np
 
 from faultfilter import BenchConfig, run_comparison
+from faultfilter.bench_cli import write_report_svg
 
 
 def main():
@@ -32,7 +33,7 @@ def main():
 
     out = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
     report.to_csv(out)
-    report.to_svg(os.path.join(out, "report.svg"))
+    write_report_svg(report, os.path.join(out, "report.svg"))
     report.write_timing(os.path.join(out, "timing.txt"))
     print(f"\nwrote estimates.csv, stats.csv, report.svg, timing.txt to {out}")
 

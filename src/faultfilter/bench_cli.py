@@ -52,7 +52,6 @@ from .lti_core import (
     StateSpaceModel,
     _FMT,
     _finite_samples,
-    _sensor_list,
     _write_csv,
     block_toeplitz,
     lti_recursion,
@@ -103,23 +102,12 @@ ALGORITHM_NAMES = ("alg0", "alg1", "alg2", "alg3")
 
 @dataclass
 class FeedbackController:
-    """Static output feedback u(k) = -gain y(k) + eta(k).
-
-    ``reference`` optionally fixes the additive excitation eta as a
-    preset series; when absent the simulation helpers draw white noise
-    (identification) or use zero (fault runs).
-    """
+    """Static output feedback u(k) = -gain y(k) + eta(k)."""
 
     gain: np.ndarray
-    reference: np.ndarray = None
 
     def __post_init__(self):
         self.gain = np.atleast_2d(np.asarray(self.gain, dtype=float))
-        if self.reference is not None:
-            self.reference = np.atleast_2d(np.asarray(self.reference, dtype=float))
-            if self.reference.shape[1] != self.gain.shape[0]:
-                raise ValidationError(
-                    "reference width must match the controller input count")
 
 
 def parse_fault_signal(text: str):
@@ -169,46 +157,35 @@ _DEFAULT_SIGNAL = (("sin", 1.0, 0.1 * np.pi), ("step", 1.0))
 
 @dataclass
 class FaultScenario:
-    """When and how sensors fail.
+    """When and how the plant's faults act.
 
-    ``sensors`` lists the affected output indices (zero based); one
-    signal term list per sensor describes the fault value from the
-    onset sample on (zero before).  Signals are evaluated on the
-    absolute sample index, so a sinusoid keeps its phase regardless of
-    the onset.
+    The plant's fault channels (its E and G columns) place the faults;
+    one signal term list per channel describes the fault value from the
+    onset sample on (zero before), and without ``signals`` every channel
+    gets the default signal.  Signals are evaluated on the absolute
+    sample index, so a sinusoid keeps its phase regardless of the onset.
     """
 
     onset: int = 51
-    sensors: tuple = (0,)
     signals: tuple = None
 
     def __post_init__(self):
-        self.sensors = tuple(int(j) for j in
-                             (self.sensors if not np.isscalar(self.sensors)
-                              else [self.sensors]))
-        if self.signals is None:
-            self.signals = tuple(_DEFAULT_SIGNAL for _ in self.sensors)
-        else:
-            sigs = []
-            for sig in self.signals:
-                sigs.append(parse_fault_signal(sig) if isinstance(sig, str)
-                            else tuple(sig))
-            self.signals = tuple(tuple(t) for t in sigs)
-        if len(self.signals) != len(self.sensors):
-            raise ValidationError(
-                f"{len(self.sensors)} sensors but {len(self.signals)} signals")
+        if self.signals is not None:
+            self.signals = tuple(tuple(parse_fault_signal(sig) if isinstance(sig, str)
+                                       else sig) for sig in self.signals)
         if self.onset < 0:
             raise ValidationError("onset must be nonnegative")
 
-    @property
-    def n_faults(self) -> int:
-        return len(self.sensors)
-
-    def evaluate(self, N: int) -> np.ndarray:
+    def evaluate(self, N: int, n_faults: int) -> np.ndarray:
         """Fault value series of shape (N, n_faults)."""
-        f = np.zeros((N, self.n_faults))
+        signals = (_DEFAULT_SIGNAL,) * n_faults if self.signals is None else self.signals
+        if len(signals) != n_faults:
+            raise ValidationError(
+                f"scenario gives {len(signals)} fault signals for a plant with "
+                f"{n_faults} faults")
+        f = np.zeros((N, n_faults))
         k = np.arange(self.onset, N)
-        for i, terms in enumerate(self.signals):
+        for i, terms in enumerate(signals):
             val = np.zeros(len(k))
             for term in terms:
                 if term[0] == "step":
@@ -308,42 +285,28 @@ _REGISTRY = {"unstable4": PlantEntry(_unstable4_factory)}
 
 
 def closed_loop_sim(model: StateSpaceModel, controller: FeedbackController,
-                    N: int, rng, scenario: FaultScenario = None,
-                    excite_cov=None):
-    """Simulate the feedback loop, optionally with faults and excitation.
+                    N: int, rng, scenario: FaultScenario = None, eta=None):
+    """Simulate the feedback loop u = -gain y + eta, optionally with faults.
 
-    The measured output carries the sensor faults, and the controller
-    acts on that faulty measurement.  Excitation eta is the controller's
-    preset reference when given, else white noise with ``excite_cov``
-    when given, else zero.  Draw order (eta, process noise, measurement
-    noise) is fixed so runs are reproducible from the generator state.
+    ``eta`` is the (N, n_u) excitation, zero when omitted.  The measured
+    output carries the plant's faults as ``scenario`` evaluates them,
+    and the controller acts on that faulty measurement.  Process noise,
+    then measurement noise, is drawn from ``rng``, so runs are
+    reproducible from the generator state.  A zero gain with eta = u
+    gives the open-loop run of a stable plant.
 
     Returns:
         (IOData, fault_series) with the applied fault values.
     """
     nu, ny = model.n_inputs, model.n_outputs
     loop = _closed_loop_system(model, controller.gain)
-
-    if controller.reference is not None:
-        if controller.reference.shape[0] < N:
-            raise ValidationError("preset reference shorter than the run")
-        eta = controller.reference[:N]
-    elif excite_cov is not None:
-        eta = rng.standard_normal((N, nu)) @ psd_factor(excite_cov).T
-    else:
-        eta = np.zeros((N, nu))
+    eta = np.zeros((N, nu)) if eta is None else np.asarray(eta, dtype=float)
+    if eta.shape != (N, nu):
+        raise ValidationError(f"excitation must be {N} x {nu}, got {eta.shape}")
     W = rng.standard_normal((N, model.F.shape[1])) @ psd_factor(model.Q).T
     V = rng.standard_normal((N, ny)) @ psd_factor(model.R).T
-
     nf = model.n_faults
-    if scenario is not None:
-        if scenario.n_faults != nf:
-            raise ValidationError(
-                f"scenario drives {scenario.n_faults} faults, model has {nf}")
-        fault = scenario.evaluate(N)
-    else:
-        fault = np.zeros((N, nf))
-
+    fault = np.zeros((N, nf)) if scenario is None else scenario.evaluate(N, nf)
     UY, _ = lti_recursion(loop.A, loop.B, loop.C, loop.D,
                           np.hstack([eta, W, V, fault]))
     return IOData(UY[:, :nu], UY[:, nu:]), fault
@@ -351,18 +314,16 @@ def closed_loop_sim(model: StateSpaceModel, controller: FeedbackController,
 
 def collect_identification_data(plant: StateSpaceModel,
                                 controller: FeedbackController,
-                                N: int, seed: int,
-                                excite_cov=None) -> IOData:
+                                N: int, seed: int) -> IOData:
     """Fault-free closed-loop record for identification.
 
-    Excitation is white with ``excite_cov`` (identity by default), which
-    is what makes the regression well posed despite the feedback.
+    The excitation is unit white noise, drawn from the seeded generator
+    before the plant noise; it is what makes the regression well posed
+    despite the feedback.
     """
     rng = np.random.default_rng(seed)
-    cov = np.eye(plant.n_inputs) if excite_cov is None else excite_cov
-    data, _ = closed_loop_sim(plant, controller, N, rng, scenario=None,
-                              excite_cov=cov)
-    return data
+    eta = rng.standard_normal((N, plant.n_inputs))
+    return closed_loop_sim(plant, controller, N, rng, eta=eta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +447,6 @@ class ExperimentReport:
     fault: np.ndarray
     results: list
 
-    def result(self, name: str) -> AlgorithmResult:
-        for res in self.results:
-            if res.name == name:
-                return res
-        raise ValidationError(f"no result named {name!r}")
-
     def summary(self) -> str:
         lines = [f"plant {self.plant}, seed {self.seed}, "
                  f"window [{self.window[0]}, {self.window[1]})"]
@@ -538,9 +493,6 @@ class ExperimentReport:
             for res in self.results:
                 if res.step_time_ns is not None:
                     fh.write(f"{res.name} median_step_ns {res.step_time_ns:.1f}\n")
-
-    def to_svg(self, path) -> None:
-        write_report_svg(self, path)
 
 
 # ---------------------------------------------------------------------------
@@ -693,16 +645,19 @@ class BenchConfig:
     Defaults reproduce the standard protocol on the registry plant:
     p = 100 past window, window length 100, 20 x 20 Hankel blocks,
     order 4, pole placement at BENCH_POLES, 1000 identification samples
-    and a 1300 sample fault run scored on samples 300 onward.  For
-    plants of other sizes set ``order`` to "auto" and either supply a
-    matching pole list or switch the strategy to riccati.  A negative
-    seed, or fewer than one identification sample, run sample or timing
-    step, is a ValidationError naming the field.
+    and a 1300 sample fault run on sensor 0 scored on samples 300
+    onward.  For plants of other sizes set ``order`` to "auto" and
+    either supply a matching pole list or switch the strategy to
+    riccati.  A negative seed, fewer than one identification sample,
+    run sample or timing step, or ``sensors`` (zero based) that are not
+    sorted, unique and nonnegative or do not match the scenario's signal
+    count, is a ValidationError naming the field.
     """
 
     plant: str = "unstable4"
     model: StateSpaceModel = None
     controller: FeedbackController = None
+    sensors: tuple = (0,)
     scenario: FaultScenario = field(default_factory=FaultScenario)
     q: float = None
     r: float = None
@@ -729,6 +684,14 @@ class BenchConfig:
             if value < least:
                 label = "n_ident ([identify] n_samples)" if name == "n_ident" else name
                 raise ValidationError(f"{label} must be at least {least}, got {value}")
+        self.sensors = tuple(int(j) for j in np.atleast_1d(self.sensors))
+        if list(self.sensors) != sorted(set(self.sensors)) or min(self.sensors, default=0) < 0:
+            raise ValidationError("sensors must be sorted, unique and nonnegative, "
+                                  f"got zero based {list(self.sensors)}")
+        signals = self.scenario.signals
+        if signals is not None and len(signals) != len(self.sensors):
+            raise ValidationError(
+                f"{len(self.sensors)} sensors but {len(signals)} fault signals")
 
     def resolve_plant(self):
         """(model, controller) from explicit matrices or the registry."""
@@ -744,7 +707,7 @@ class BenchConfig:
 
 def _design_config(cfg: BenchConfig) -> DesignConfig:
     return DesignConfig(
-        sensor=list(cfg.scenario.sensors),
+        sensor=list(cfg.sensors),
         markov_length=cfg.markov_length,
         hankel_rows=cfg.hankel_rows,
         hankel_cols=cfg.hankel_cols,
@@ -764,11 +727,7 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     """
     design_cfg = _design_config(cfg)
     model, controller = cfg.resolve_plant()
-    scenario = cfg.scenario
-    J = _sensor_list(list(scenario.sensors), model.n_outputs)
-    if list(J) != list(scenario.sensors):
-        raise ValidationError("scenario sensors must be sorted and unique")
-    faulty = sensor_fault_plant(model, J)
+    faulty = sensor_fault_plant(model, cfg.sensors)
     L = cfg.markov_length
     stop = cfg.run_samples if cfg.window_stop is None else cfg.window_stop
     # from sample L - 1 on, where the MHE window fills, every arm has estimates
@@ -780,10 +739,9 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
 
     rng = np.random.default_rng(cfg.seed)
     ident, _ = closed_loop_sim(faulty, controller, cfg.n_ident, rng,
-                               scenario=None,
-                               excite_cov=np.eye(model.n_inputs))
-    run_data, fault = closed_loop_sim(faulty, controller, cfg.run_samples,
-                                      rng, scenario=scenario, excite_cov=None)
+                               eta=rng.standard_normal((cfg.n_ident, model.n_inputs)))
+    run_data, fault = closed_loop_sim(faulty, controller, cfg.run_samples, rng,
+                                      scenario=cfg.scenario)
 
     results = []
 
@@ -833,7 +791,7 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
             nonlocal pred1
             base, _ = predictor_from_xi(xi, cfg.hankel_rows, cfg.hankel_cols,
                                         order=cfg.order)
-            pred1 = sensor_fault_channel(base, J)
+            pred1 = sensor_fault_channel(base, cfg.sensors)
             filt = model_based_filter(pred1)
             return (run_filter(filt, run_data),
                     time_filter_step(filt, cfg.timing_steps))
@@ -871,7 +829,7 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     return ExperimentReport(
         plant=cfg.plant if cfg.model is None else "custom",
         seed=cfg.seed,
-        scenario=scenario,
+        scenario=cfg.scenario,
         window=(cfg.window_start, stop),
         fault=fault,
         results=results,
@@ -970,9 +928,8 @@ def _boolean(raw: str) -> bool:
         raise ValueError("not a boolean") from None
 
 
-def load_bench_config(config_path=None, plant=None, seed=None,
-                      overrides=None) -> BenchConfig:
-    """Assemble a BenchConfig from an INI file plus CLI overrides.
+def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
+    """Assemble a BenchConfig from an INI file plus the CLI options.
 
     Recognized sections: [plant] (registry ``name`` or explicit
     matrices, optional scalar ``q`` / ``r``), [controller] (``gain``
@@ -984,7 +941,7 @@ def load_bench_config(config_path=None, plant=None, seed=None,
     ``timing_steps``).  ``plant`` may name a registry entry or a config
     file with its own [plant] section.
     """
-    kwargs = dict(overrides or {})
+    kwargs = {}
     parser = (configparser.ConfigParser() if config_path is None
               else _read_ini(config_path))
 
@@ -1010,11 +967,14 @@ def load_bench_config(config_path=None, plant=None, seed=None,
             kwargs["controller"] = FeedbackController(ctrl["gain"])
 
     if "scenario" in parser:
-        kwargs["scenario"] = FaultScenario(**_ini_values(parser["scenario"], {
+        scen = _ini_values(parser["scenario"], {
             "onset": int,
             "sensors": _one_based,
             "signals": lambda raw: [part.strip() for part in raw.split(";")],
-        }))
+        })
+        if "sensors" in scen:
+            kwargs["sensors"] = scen.pop("sensors")
+        kwargs["scenario"] = FaultScenario(**scen)
 
     if "identify" in parser:
         ident = _ini_values(parser["identify"], {
@@ -1044,10 +1004,7 @@ def load_bench_config(config_path=None, plant=None, seed=None,
 
     if seed is not None:
         kwargs["seed"] = int(seed)
-    try:
-        return BenchConfig(**kwargs)
-    except TypeError as exc:
-        raise ValidationError(f"bad benchmark config: {exc}") from exc
+    return BenchConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -1106,7 +1063,7 @@ def _cmd_compare(args, cfg: BenchConfig) -> int:
     out_dir = _out_dir(args)
     report = run_comparison(cfg)
     report.to_csv(out_dir)
-    report.to_svg(os.path.join(out_dir, "report.svg"))
+    write_report_svg(report, os.path.join(out_dir, "report.svg"))
     report.write_timing(os.path.join(out_dir, "timing.txt"))
     print(report.summary())
     print(f"wrote estimates.csv, stats.csv, report.svg, timing.txt -> {out_dir}")
@@ -1115,10 +1072,9 @@ def _cmd_compare(args, cfg: BenchConfig) -> int:
 
 def _cmd_zeros(args, cfg: BenchConfig) -> int:
     model, _ = cfg.resolve_plant()
-    J = _sensor_list(list(cfg.scenario.sensors), model.n_outputs)
-    pred = to_predictor(sensor_fault_plant(model, J))
+    pred = to_predictor(sensor_fault_plant(model, cfg.sensors))
     ok, zeros = invariant_zeros_stable(pred.Phi, pred.Et, pred.C, pred.G)
-    sensors_1b = " ".join(str(j + 1) for j in J)
+    sensors_1b = " ".join(str(j + 1) for j in cfg.sensors)
     if zeros.size == 0:
         print(f"sensors {sensors_1b}: no invariant zeros")
     else:

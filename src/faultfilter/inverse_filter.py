@@ -157,7 +157,7 @@ def _inverse_pair(Phi, Etilde, C, G):
     return Phi1, C2
 
 
-def invariant_zeros_stable(Phi, Etilde, C, G, margin: float = 1e-6):
+def invariant_zeros_stable(Phi, Etilde, C, G):
     """Locate the fault channel's invariant zeros and test their stability.
 
     The zeros are the values where the pencil [[Phi - z I, Etilde],
@@ -172,13 +172,12 @@ def invariant_zeros_stable(Phi, Etilde, C, G, margin: float = 1e-6):
 
     Args:
         Phi, Etilde, C, G: predictor fault channel matrices.
-        margin: zeros of magnitude >= 1 - margin count as unstable; the
-            guard band treats circle-touching zeros as failures.
 
     Returns:
         Tuple (ok, zeros): ``ok`` is True when every zero has magnitude
-        below 1 - margin; ``zeros`` is a complex array sorted by
-        magnitude (possibly empty).
+        below 1 - 1e-6, a guard band that treats circle-touching zeros
+        as failures; ``zeros`` is a complex array sorted by magnitude
+        (possibly empty).
     """
     Phi1, C2 = _inverse_pair(Phi, Etilde, C, G)
     lams = np.linalg.eig(Phi1)[0]
@@ -195,7 +194,7 @@ def invariant_zeros_stable(Phi, Etilde, C, G, margin: float = 1e-6):
     zeros = np.asarray(lams[ratios <= _PBH_RANK], dtype=complex)
     if zeros.size:
         zeros = zeros[np.argsort(np.abs(zeros))]
-    ok = bool(zeros.size == 0 or np.max(np.abs(zeros)) < 1.0 - margin)
+    ok = bool(zeros.size == 0 or np.max(np.abs(zeros)) < 1.0 - 1e-6)
     return ok, zeros
 
 
@@ -494,10 +493,11 @@ def reduced_filter(pred: PredictorModel, Kr,
     return _injected_filter(_inverse_system(pred), pred.n_faults, Kr, strategy)
 
 
-def run_filter(filt: FaultEstimationFilter, data: IOData, x_f0=None) -> np.ndarray:
+def run_filter(filt: FaultEstimationFilter, data: IOData) -> np.ndarray:
     """Run a filter over a recorded experiment.
 
-    Returns the (N, n_f) fault estimate series; the filter's internal
-    state is left at its end-of-record value.
+    Returns the (N, n_f) fault estimate series from the zero filter
+    state; the filter's internal state is left at its end-of-record
+    value.
     """
-    return filt.run(data.u, data.y, x0=x_f0)
+    return filt.run(data.u, data.y)

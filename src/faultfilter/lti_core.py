@@ -357,10 +357,11 @@ class IOData:
 
 
 def _u_columns(header: list):
-    """Number of u columns of a 'k,u..,y..' header, None for another header."""
+    """Number of u columns of a 'k,u1..u_nu,y1..y_ny' header, None for another header."""
     nu = sum(1 for h in header if h.startswith("u"))
-    ny = sum(1 for h in header if h.startswith("y"))
-    return nu if header[:1] == ["k"] and 1 + nu + ny == len(header) else None
+    ny = len(header) - 1 - nu
+    want = ["k"] + [f"u{i+1}" for i in range(nu)] + [f"y{i+1}" for i in range(ny)]
+    return nu if header == want else None
 
 
 def _loadtxt_table(path):

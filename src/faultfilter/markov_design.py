@@ -187,6 +187,8 @@ class DesignConfig:
     ``order`` is either an integer or "auto", in which case the largest
     singular value ratio gap picks the order (ties to the smaller one).
     ``markov_length`` must cover the Hankel matrix: l + m blocks.
+    Pole placement needs ``poles``, one per state when ``order`` is an
+    integer.
     """
 
     sensor: object = 0
@@ -213,6 +215,11 @@ class DesignConfig:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
         if self.poles is not None:
             self.poles = [float(p) for p in self.poles]
+        if self.strategy == "pole_placement" and self.poles is None:
+            raise ValidationError("pole_placement needs poles")
+        if self.strategy == "pole_placement" and self.order not in ("auto", len(self.poles)):
+            raise ValidationError(f"pole_placement at order {self.order} needs "
+                                  f"{self.order} poles, got {len(self.poles)}")
 
 
 def _pick_order(s: np.ndarray, max_order: int) -> int:

@@ -151,12 +151,12 @@ def random_model(rng, n=4, n_u=2, n_y=2, rho=0.8, q=1e-3, r=1e-2,
 def open_loop_sim(model, u, seed=0, scenario=None):
     """Record of a stable plant driven by the inputs u, without feedback.
 
-    closed_loop_sim with a zero gain and u as the preset reference; the
-    noise comes from default_rng(seed), process noise drawn first.
+    closed_loop_sim with a zero gain and u as the excitation; the noise
+    comes from default_rng(seed), process noise drawn first.
     """
-    ctrl = FeedbackController(np.zeros((model.n_inputs, model.n_outputs)), reference=u)
-    data, _ = closed_loop_sim(model, ctrl, len(ctrl.reference),
-                              np.random.default_rng(seed), scenario=scenario)
+    ctrl = FeedbackController(np.zeros((model.n_inputs, model.n_outputs)))
+    data, _ = closed_loop_sim(model, ctrl, len(u), np.random.default_rng(seed),
+                              scenario=scenario, eta=u)
     return data
 
 

@@ -32,26 +32,20 @@ from faultfilter.bench_cli import (
 from conftest import planted_zero_predictor
 
 
-def per_sample_closed_loop(model, controller, N, rng, scenario=None,
-                           excite_cov=None):
+def per_sample_closed_loop(model, controller, N, rng, scenario=None, eta=None):
     """Reference closed loop: the controller solved sample by sample.
 
-    Draws eta, process noise and measurement noise in the same order as
+    Draws process noise and measurement noise in the same order as
     closed_loop_sim, then steps u = (I + gain D)^-1 (eta - gain ycore).
     """
     nu, ny = model.n_inputs, model.n_outputs
     Fg = controller.gain
     loop_inv = np.linalg.inv(np.eye(nu) + Fg @ model.D)
-    if controller.reference is not None:
-        eta = controller.reference[:N]
-    elif excite_cov is not None:
-        eta = rng.standard_normal((N, nu)) @ ff.psd_factor(excite_cov).T
-    else:
-        eta = np.zeros((N, nu))
+    eta = np.zeros((N, nu)) if eta is None else eta
     W = rng.standard_normal((N, model.F.shape[1])) @ ff.psd_factor(model.Q).T
     V = rng.standard_normal((N, ny)) @ ff.psd_factor(model.R).T
     fault = (np.zeros((N, model.n_faults)) if scenario is None
-             else scenario.evaluate(N))
+             else scenario.evaluate(N, model.n_faults))
     x = np.zeros(model.n_states)
     U = np.empty((N, nu))
     Y = np.empty((N, ny))
@@ -70,6 +64,10 @@ D_PLANT = np.array([[0.3, -0.2], [0.25, 0.4]])
 def with_feedthrough(model, D):
     return ff.StateSpaceModel(model.A, model.B, model.C, D=D,
                               Q=model.Q, R=model.R)
+
+
+def result(report, name):
+    return next(res for res in report.results if res.name == name)
 
 
 def small_cfg(**kw):
@@ -121,7 +119,7 @@ class TestParseFaultSignal:
 class TestFaultScenario:
     def test_default_signal(self):
         scen = FaultScenario(onset=10)
-        f = scen.evaluate(30)
+        f = scen.evaluate(30, 1)
         assert f.shape == (30, 1)
         assert np.all(f[:10] == 0.0)
         k = np.arange(10, 30)
@@ -130,19 +128,23 @@ class TestFaultScenario:
     def test_phase_is_absolute(self):
         a = FaultScenario(onset=0, signals=("sin 0.1pi",))
         b = FaultScenario(onset=25, signals=("sin 0.1pi",))
-        fa, fb = a.evaluate(60), b.evaluate(60)
+        fa, fb = a.evaluate(60, 1), b.evaluate(60, 1)
         assert np.allclose(fa[25:], fb[25:])
 
     def test_string_signals_and_scalar_sensor(self):
-        scen = FaultScenario(onset=5, sensors=1, signals=("step 3",))
-        assert scen.sensors == (1,)
-        assert scen.n_faults == 1
-        f = scen.evaluate(8)
+        cfg = BenchConfig(sensors=1, scenario=FaultScenario(onset=5, signals=("step 3",)))
+        assert cfg.sensors == (1,)
+        f = cfg.scenario.evaluate(8, 1)
         assert np.allclose(f[5:, 0], 3.0)
 
+    def test_default_signal_on_every_fault(self):
+        f = FaultScenario(onset=10).evaluate(30, 2)
+        assert np.array_equal(f[:, 0], f[:, 1])
+        assert np.array_equal(f[:, :1], FaultScenario(onset=10).evaluate(30, 1))
+
     def test_validation(self):
-        with pytest.raises(ValidationError, match="signals"):
-            FaultScenario(sensors=(0, 1), signals=("step 1",))
+        with pytest.raises(ValidationError, match="1 fault signals for a plant with 2"):
+            FaultScenario(signals=("step 1",)).evaluate(10, 2)
         with pytest.raises(ValidationError, match="onset"):
             FaultScenario(onset=-1)
 
@@ -192,11 +194,22 @@ class TestClosedLoopSim:
         assert np.allclose(clean.y[:40], faulted.y[:40])
         assert np.max(np.abs(faulted.y[40:] - clean.y[40:])) > 1.0
 
+    def test_step_moves_only_the_plants_faulty_sensor(self):
+        # the plant's G places the fault: a step on sensor_fault_plant(model, 1)
+        # moves y2 alone at its onset, before the feedback carries it on
+        faulty = ff.sensor_fault_plant(self.model, 1)
+        scen = FaultScenario(onset=40, signals=("step 5",))
+        clean, _ = closed_loop_sim(faulty, self.ctrl, 41, np.random.default_rng(7))
+        faulted, fault = closed_loop_sim(faulty, self.ctrl, 41,
+                                         np.random.default_rng(7), scenario=scen)
+        assert fault.shape == (41, 1)
+        step = faulted.y - clean.y
+        assert np.array_equal(step[:, 0], np.zeros(41))
+        assert np.allclose(step[:40, 1], 0.0) and np.isclose(step[40, 1], 5.0)
+
     def test_preset_zero_reference_equals_no_excitation(self):
-        ctrl_ref = FeedbackController(self.ctrl.gain,
-                                      reference=np.zeros((50, 2)))
-        a, _ = closed_loop_sim(self.faulty, ctrl_ref, 50,
-                               np.random.default_rng(9))
+        a, _ = closed_loop_sim(self.faulty, self.ctrl, 50,
+                               np.random.default_rng(9), eta=np.zeros((50, 2)))
         b, _ = closed_loop_sim(self.faulty, self.ctrl, 50,
                                np.random.default_rng(9))
         assert np.array_equal(a.y, b.y)
@@ -209,34 +222,29 @@ class TestClosedLoopSim:
         with pytest.raises(ValidationError, match="unstable"):
             closed_loop_sim(self.faulty,
                             FeedbackController(np.zeros((2, 2))), 10, rng)
-        short = FeedbackController(self.ctrl.gain, reference=np.zeros((5, 2)))
-        with pytest.raises(ValidationError, match="reference"):
-            closed_loop_sim(self.faulty, short, 10, rng)
+        with pytest.raises(ValidationError, match="excitation must be 10 x 2"):
+            closed_loop_sim(self.faulty, self.ctrl, 10, rng, eta=np.zeros((5, 2)))
         both = ff.sensor_fault_plant(self.model, [0, 1])
         with pytest.raises(ValidationError, match="faults"):
             closed_loop_sim(both, self.ctrl, 10, rng,
-                            scenario=FaultScenario(onset=2, sensors=(0,)))
+                            scenario=FaultScenario(onset=2, signals=("step 1",)))
 
     @pytest.mark.parametrize("case", ["registry", "feedthrough_two_sensors",
                                       "preset_reference"])
     def test_matches_per_sample_loop(self, case):
         model, ctrl, sensors = self.model, self.ctrl, (0,)
-        excite = 0.5 * np.eye(2)
+        eta = np.sqrt(0.5) * np.random.default_rng(1).standard_normal((150, 2))
         if case != "registry":
             model, sensors = with_feedthrough(self.model, D_PLANT), (0, 1)
         if case == "preset_reference":
-            ref = np.random.default_rng(2).standard_normal((150, 2))
-            ctrl = FeedbackController(self.ctrl.gain, reference=ref)
+            eta = np.random.default_rng(2).standard_normal((150, 2))
         faulty = ff.sensor_fault_plant(model, sensors)
-        scen = FaultScenario(onset=30, sensors=sensors,
-                             signals=("step 2", "0.5 sin 0.3")[:len(sensors)])
+        scen = FaultScenario(onset=30, signals=("step 2", "0.5 sin 0.3")[:len(sensors)])
         data, fault = closed_loop_sim(faulty, ctrl, 150,
-                                      np.random.default_rng(4), scenario=scen,
-                                      excite_cov=excite)
+                                      np.random.default_rng(4), scenario=scen, eta=eta)
         U, Y = per_sample_closed_loop(faulty, ctrl, 150,
-                                      np.random.default_rng(4), scenario=scen,
-                                      excite_cov=excite)
-        assert np.array_equal(fault, scen.evaluate(150))
+                                      np.random.default_rng(4), scenario=scen, eta=eta)
+        assert np.array_equal(fault, scen.evaluate(150, len(sensors)))
         for got, want in ((data.u, U), (data.y, Y)):
             assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.abs(want).max())
 
@@ -307,18 +315,11 @@ def synthetic_report(nf=1, with_failure=True):
         results.append(AlgorithmResult(name="alg1", ok=False,
                                        message="alg1: synthetic failure"))
     return ExperimentReport(plant="unstable4", seed=9,
-                            scenario=FaultScenario(onset=20,
-                                                   sensors=tuple(range(nf))),
+                            scenario=FaultScenario(onset=20),
                             window=(10, N), fault=fault, results=results)
 
 
 class TestExperimentReport:
-    def test_result_lookup(self):
-        rep = synthetic_report()
-        assert rep.result("alg0").ok
-        with pytest.raises(ValidationError):
-            rep.result("alg9")
-
     def test_summary_mentions_failure(self):
         text = synthetic_report().summary()
         assert "alg0" in text and "trace(cov)" in text
@@ -402,10 +403,18 @@ class TestBenchConfig:
         assert [r.stats.n_samples for r in rep.results] == [261] * 4
 
     def test_unsorted_sensors_rejected(self):
-        cfg = small_cfg(scenario=FaultScenario(
-            onset=5, sensors=(1, 0), signals=("step 1", "step 1")))
         with pytest.raises(ValidationError, match="sorted"):
-            run_comparison(cfg)
+            small_cfg(sensors=(1, 0),
+                      scenario=FaultScenario(onset=5, signals=("step 1", "step 1")))
+
+    @pytest.mark.parametrize("sensors, signals, message", [
+        ((0, 0), None, r"sorted, unique and nonnegative, got zero based \[0, 0\]"),
+        ((-1,), None, r"sorted, unique and nonnegative, got zero based \[-1\]"),
+        ((0, 1), ("step 1",), "2 sensors but 1 fault signals"),
+    ], ids=["duplicate", "negative", "signal-count"])
+    def test_bad_sensors_rejected(self, sensors, signals, message):
+        with pytest.raises(ValidationError, match=message):
+            small_cfg(sensors=sensors, scenario=FaultScenario(signals=signals))
 
 
 class TestRunComparison:
@@ -418,24 +427,24 @@ class TestRunComparison:
             assert res.estimates.shape == (500, 1)
             assert res.step_time_ns > 0
             assert np.trace(res.stats.covariance) < 0.5
-        assert np.trace(rep.result("alg0").stats.covariance) < 0.1
+        assert np.trace(result(rep, "alg0").stats.covariance) < 0.1
 
     def test_gain_failure_marks_arms_independently(self):
         # a four-fold pole cannot be placed by a rank-one injection, so
         # every arm that computes a gain fails; the window estimator
         # needs no gain and survives
         rep = run_comparison(small_cfg(poles=(0.5, 0.5, 0.5, 0.5)))
-        assert not rep.result("alg0").ok
-        assert rep.result("alg0").message.startswith("alg0:")
-        assert not rep.result("alg1").ok
-        assert not rep.result("alg2").ok
-        assert rep.result("alg3").ok
+        assert not result(rep, "alg0").ok
+        assert result(rep, "alg0").message.startswith("alg0:")
+        assert not result(rep, "alg1").ok
+        assert not result(rep, "alg2").ok
+        assert result(rep, "alg3").ok
 
     def test_identification_failure_marks_downstream(self):
         rep = run_comparison(small_cfg(n_ident=60))
-        assert rep.result("alg0").ok
+        assert result(rep, "alg0").ok
         for name in ("alg1", "alg2", "alg3"):
-            res = rep.result(name)
+            res = result(rep, name)
             assert not res.ok
             assert f"{name}: identify:" in res.message
 
@@ -503,7 +512,7 @@ class TestLoadBenchConfig:
         assert cfg.poles == [0.948, 0.532, 0.225, 0.141]
         assert cfg.seed == 7
         assert cfg.scenario.onset == 60
-        assert cfg.scenario.sensors == (1,)
+        assert cfg.sensors == (1,)
         assert cfg.run_samples == 500
 
     def test_readme_example_parses(self, tmp_path):
@@ -575,10 +584,6 @@ class TestLoadBenchConfig:
     def test_missing_plant_file(self):
         with pytest.raises(ValidationError, match="neither a registered"):
             load_bench_config(plant="no_such_plant_or_file")
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValidationError, match="bad benchmark config"):
-            load_bench_config(overrides={"nonsense": 1})
 
 
 class TestCli:
@@ -744,8 +749,12 @@ class TestCli:
         ("[design]\nmarkov_length = -1\n", "markov_length -1 too short"),
         ("[design]\nhankel_rows = 0\n", "hankel_rows and hankel_cols must be at least 2"),
         ("[design]\norder = -2\n", "order must be positive or 'auto'"),
+        ("[design]\nstrategy = pole_placement\npoles = none\n",
+         "pole_placement needs poles"),
+        ("[design]\norder = 4\npoles = 0.5 0.4 0.3\n",
+         "pole_placement at order 4 needs 4 poles, got 3"),
     ], ids=["zero-p", "negative-ridge", "negative-markov-length", "zero-hankel-rows",
-            "negative-order"])
+            "negative-order", "pole-placement-without-poles", "pole-count-not-order"])
     def test_compare_rejects_config_before_running(self, tmp_path, capsys, ini, message):
         # no record could satisfy these values, so compare stops before
         # simulating instead of writing every affected arm as failed
@@ -755,6 +764,18 @@ class TestCli:
         assert code == 2
         assert f"validation error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "stats.csv").exists()
+
+    @pytest.mark.parametrize("verb", ["zeros", "design", "compare"])
+    def test_unsorted_sensors_exit_code(self, tmp_path, capsys, verb):
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text("[scenario]\nsensors = 2 1\nsignals = step 1; step 1\n")
+        code = main([verb, "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert ("validation error: sensors must be sorted, unique and nonnegative, "
+                "got zero based [1, 0]") in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_out_through_a_regular_file_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.ini"

@@ -165,6 +165,7 @@ MALFORMED = {
     "non-numeric": ("k,u1,y1\r\n0,abc,2\r\n",
                     "non-numeric cell: could not convert string to float: 'abc'"),
     "bad header": ("k,u1,z1\r\n0,1,2\r\n", "malformed header ['k', 'u1', 'z1']"),
+    "columns out of order": ("k,y1,u1\r\n0,1,2\r\n", "malformed header ['k', 'y1', 'u1']"),
     "empty": ("", "expected header starting with 'k'"),
 }
 

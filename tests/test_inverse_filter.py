@@ -195,13 +195,10 @@ class TestInvariantZeros:
                 assert any("ill conditioned" in str(w.message) for w in caught)
         assert found >= 5
 
-    def test_margin_flips_verdict_near_boundary(self, rng):
+    def test_zero_inside_the_guard_band_is_stable(self, rng):
         pred = planted_zero_predictor(rng, 0.999)
-        ok_tight, _ = invariant_zeros_stable(pred.Phi, pred.Et, pred.C,
-                                             pred.G, margin=1e-6)
-        ok_wide, _ = invariant_zeros_stable(pred.Phi, pred.Et, pred.C,
-                                            pred.G, margin=0.01)
-        assert ok_tight and not ok_wide
+        ok, _ = invariant_zeros_stable(pred.Phi, pred.Et, pred.C, pred.G)
+        assert ok
 
 
 class TestStabilizingGain:
@@ -313,9 +310,6 @@ class TestFaultEstimationFilter:
         scale = 1.0 + np.abs(streamed).max()
         assert np.max(np.abs(batch - streamed)) <= 1e-12 * scale
         assert np.max(np.abs(x_end - filt.state)) <= 1e-12 * (1.0 + np.abs(filt.state).max())
-        # run_filter documents the same end-of-record state
-        run_filter(filt, IOData(u, y), x_f0=x0)
-        assert np.array_equal(filt.state, x_end)
 
     def test_run_filter_resets_state(self, rng):
         pred, filt = self.make_filter(rng)

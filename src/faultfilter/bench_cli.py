@@ -382,7 +382,9 @@ def time_filter_step(filt: FaultEstimationFilter, steps: int = 10000,
     """Median nanoseconds per recursive filter step.
 
     Times the combined update [x; f] = M [x; u; y] as a single matrix
-    vector product, which is how a production loop would run it.
+    vector product on random data.  That is the matvec floor under
+    ``FaultEstimationFilter.step``, not ``step`` itself, and it depends
+    only on the shape of ``step_matrix()``.
     """
     rng = np.random.default_rng(seed)
     M = filt.step_matrix()
@@ -426,7 +428,12 @@ def time_window_step(window_map: np.ndarray, block: int, steps: int = 10000,
 
 @dataclass
 class AlgorithmResult:
-    """Outcome of one estimator on the benchmark trajectory."""
+    """Outcome of one estimator on the benchmark trajectory.
+
+    ``step_time_ns`` is the median ns per step: the bare step matvec for
+    a recursive filter, shared by every filter of the run whose step
+    matrix has the same shape, or the window product for alg3.
+    """
 
     name: str
     ok: bool
@@ -723,7 +730,9 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     One generator drives both the identification record and the faulty
     run, so a seed pins the whole experiment.  A bad design value raises
     before any simulation; failures of individual algorithms on the data
-    are captured in their result entries.
+    are captured in their result entries.  The recursive filters (alg0
+    to alg2) whose step matrices have one shape share one
+    ``time_filter_step`` measurement taken in this call.
     """
     design_cfg = _design_config(cfg)
     model, controller = cfg.resolve_plant()
@@ -744,6 +753,15 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
                                       scenario=cfg.scenario)
 
     results = []
+    # a bare matvec costs the same for every step matrix of one shape,
+    # so each shape is timed once per run and its filters share the number
+    step_ns_by_shape = {}
+
+    def step_time(filt):
+        shape = filt.step_matrix().shape
+        if shape not in step_ns_by_shape:
+            step_ns_by_shape[shape] = time_filter_step(filt, cfg.timing_steps)
+        return step_ns_by_shape[shape]
 
     def attempt(name, fn):
         try:
@@ -768,8 +786,7 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     # alg0: inversion filter from the true plant
     def alg0():
         filt = model_based_filter(to_predictor(faulty))
-        return (run_filter(filt, run_data),
-                time_filter_step(filt, cfg.timing_steps))
+        return run_filter(filt, run_data), step_time(filt)
 
     attempt("alg0", alg0)
 
@@ -793,16 +810,14 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
                                         order=cfg.order)
             pred1 = sensor_fault_channel(base, cfg.sensors)
             filt = model_based_filter(pred1)
-            return (run_filter(filt, run_data),
-                    time_filter_step(filt, cfg.timing_steps))
+            return run_filter(filt, run_data), step_time(filt)
 
         attempt("alg1", alg1)
 
         # alg2: direct data-driven design, no intermediate plant model
         def alg2():
             filt = design_filter_from_xi(xi, design_cfg)
-            return (run_filter(filt, run_data),
-                    time_filter_step(filt, cfg.timing_steps))
+            return run_filter(filt, run_data), step_time(filt)
 
         attempt("alg2", alg2)
 
@@ -1011,13 +1026,28 @@ def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
 # command line interface
 
 
+def _check_sensors(cfg: BenchConfig, n_outputs: int, source: str) -> None:
+    """Reject a sensor past ``n_outputs``, one based as [scenario] sensors is."""
+    last = max(cfg.sensors, default=-1) + 1
+    if last > n_outputs:
+        raise ValidationError(f"[scenario] sensors: sensor {last} outside "
+                              f"1..{n_outputs}, the outputs of {source}")
+
+
+def _cli_plant(cfg: BenchConfig):
+    """cfg.resolve_plant(), with the sensors checked against its outputs."""
+    model, controller = cfg.resolve_plant()
+    _check_sensors(cfg, model.n_outputs, "the plant")
+    return model, controller
+
+
 def _cli_identify(args, cfg: BenchConfig):
     """(xi, data) identified from the --data record or a simulated one."""
     if args.data is not None:
         data = IOData.from_csv(args.data)
         _finite_samples(data, args.data)
     else:
-        model, controller = cfg.resolve_plant()
+        model, controller = _cli_plant(cfg)
         data = collect_identification_data(model, controller, cfg.n_ident, cfg.seed)
     return identify_xi(data, cfg.p, ridge=cfg.ridge, assume_delay=cfg.assume_delay), data
 
@@ -1034,6 +1064,8 @@ def _cmd_design(args, cfg: BenchConfig) -> int:
     out = os.path.join(_out_dir(args), "filter.csv")
     xi = (IdentifiedXi.from_csv(args.xi) if args.xi is not None
           else _cli_identify(args, cfg)[0])
+    # a simulated record has passed _cli_plant; a file has its own outputs
+    _check_sensors(cfg, xi.n_y, args.xi or args.data)
     filt = design_filter_from_xi(xi, _design_config(cfg))
     filt.to_csv(out)
     print(f"designed order {filt.n_states} filter "
@@ -1061,6 +1093,7 @@ def _cmd_estimate(args, cfg: BenchConfig) -> int:
 
 def _cmd_compare(args, cfg: BenchConfig) -> int:
     out_dir = _out_dir(args)
+    _cli_plant(cfg)  # for the one-based sensor check only
     report = run_comparison(cfg)
     report.to_csv(out_dir)
     write_report_svg(report, os.path.join(out_dir, "report.svg"))
@@ -1071,7 +1104,7 @@ def _cmd_compare(args, cfg: BenchConfig) -> int:
 
 
 def _cmd_zeros(args, cfg: BenchConfig) -> int:
-    model, _ = cfg.resolve_plant()
+    model, _ = _cli_plant(cfg)
     pred = to_predictor(sensor_fault_plant(model, cfg.sensors))
     ok, zeros = invariant_zeros_stable(pred.Phi, pred.Et, pred.C, pred.G)
     sensors_1b = " ".join(str(j + 1) for j in cfg.sensors)

@@ -407,6 +407,11 @@ class TestBenchConfig:
             small_cfg(sensors=(1, 0),
                       scenario=FaultScenario(onset=5, signals=("step 1", "step 1")))
 
+    def test_python_sensors_stay_zero_based(self, monkeypatch):
+        monkeypatch.setattr(ff.bench_cli, "closed_loop_sim", None)  # nothing simulated
+        with pytest.raises(ValidationError, match=r"sensor index 2 outside \[0, 2\)"):
+            run_comparison(small_cfg(sensors=2))
+
     @pytest.mark.parametrize("sensors, signals, message", [
         ((0, 0), None, r"sorted, unique and nonnegative, got zero based \[0, 0\]"),
         ((-1,), None, r"sorted, unique and nonnegative, got zero based \[-1\]"),
@@ -464,6 +469,62 @@ class TestRunComparison:
                                       scenario=FaultScenario(onset=51))
         fhat = ff.run_filter(filt, data)
         assert np.max(np.abs(fhat[100:] - fault[100:])) < 1e-6
+
+    @pytest.fixture
+    def timed(self, monkeypatch):
+        """Step-matrix shapes time_filter_step was called on; the n-th call
+        returns 100 n ns, so a shared value can be told from equal ones."""
+        shapes = []
+
+        def spy(filt, steps=10000, seed=0):
+            shapes.append(filt.step_matrix().shape)
+            return 100.0 * len(shapes)
+
+        monkeypatch.setattr(ff.bench_cli, "time_filter_step", spy)
+        return shapes
+
+    @staticmethod
+    def step_times(rep):
+        return [result(rep, name).step_time_ns for name in ("alg0", "alg1", "alg2")]
+
+    def test_equal_step_shapes_share_one_timing(self, timed):
+        rep = run_comparison(BenchConfig())
+        assert timed == [(5, 8)]
+        assert self.step_times(rep) == [100.0] * 3
+        assert result(rep, "alg3").step_time_ns > 0
+
+    def test_other_step_shape_timed_apart(self, monkeypatch, timed):
+        design = ff.bench_cli.design_filter_from_xi
+
+        def padded(xi, cfg):
+            # the designed filter plus one stable state nothing drives or reads
+            f = design(xi, cfg)
+            n = f.n_states
+            return ff.FaultEstimationFilter(
+                Af=np.block([[f.Af, np.zeros((n, 1))], [np.zeros((1, n)), 0.5]]),
+                Bu=np.vstack([f.Bu, np.zeros((1, f.n_inputs))]),
+                By=np.vstack([f.By, np.zeros((1, f.n_outputs))]),
+                Cf=np.hstack([f.Cf, np.zeros((f.n_faults, 1))]),
+                Du=f.Du, Dy=f.Dy, strategy=f.strategy)
+
+        plain = run_comparison(small_cfg())
+        timed.clear()
+        monkeypatch.setattr(ff.bench_cli, "design_filter_from_xi", padded)
+        rep = run_comparison(small_cfg())
+        assert timed == [(5, 8), (6, 9)]
+        assert self.step_times(rep) == [100.0, 100.0, 200.0]
+        assert np.allclose(result(rep, "alg2").estimates,
+                           result(plain, "alg2").estimates, rtol=0, atol=1e-12)
+
+    def test_timing_survives_a_failed_arm(self, monkeypatch, timed):
+        def fail(model):
+            raise ff.NumericalError("no predictor")
+
+        monkeypatch.setattr(ff.bench_cli, "to_predictor", fail)
+        rep = run_comparison(small_cfg())
+        assert not result(rep, "alg0").ok
+        assert timed == [(5, 8)]
+        assert self.step_times(rep) == [None, 100.0, 100.0]
 
 
 class TestTimers:
@@ -776,6 +837,46 @@ class TestCli:
                 "got zero based [1, 0]") in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize("verb", ["zeros", "design", "compare"])
+    def test_sensor_past_outputs_exit_code(self, tmp_path, capsys, verb):
+        # the key is one based, so the message is too: 3 of the 2 outputs
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text("[scenario]\nsensors = 3\n")
+        code = main([verb, "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("validation error: [scenario] sensors: sensor 3 outside "
+                                "1..2, the outputs of the plant\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_sensors_checked_against_a_recorded_file(self, tmp_path, capsys):
+        # a 3-output record: sensor 3 exists there though not on unstable4
+        model = ff.StateSpaceModel(
+            np.array([[0.5, 0.1], [0.0, 0.4]]), np.array([[1.0], [0.5]]),
+            np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+            Q=1e-4 * np.eye(2), R=1e-2 * np.eye(3))
+        rng = np.random.default_rng(1)
+        data, _ = closed_loop_sim(model, ff.FeedbackController(np.zeros((1, 3))), 400,
+                                  rng, eta=rng.standard_normal((400, 1)))
+        data.to_csv(tmp_path / "rec.csv")
+        ini = ("[identify]\np = 20\n[design]\nmarkov_length = 20\nhankel_rows = 8\n"
+               "hankel_cols = 8\norder = 2\nstrategy = riccati\npoles = none\n"
+               "[scenario]\nsensors = ")
+        (tmp_path / "s3.ini").write_text(ini + "3\n")
+        (tmp_path / "s4.ini").write_text(ini + "4\n")
+        out = ["--out", str(tmp_path)]
+        for verb, extra in [("identify", ["--data", str(tmp_path / "rec.csv")]),
+                            ("design", ["--data", str(tmp_path / "rec.csv")]),
+                            ("design", ["--xi", str(tmp_path / "xi.csv")])]:
+            assert main([verb, "--config", str(tmp_path / "s3.ini")] + extra + out) == 0
+        capsys.readouterr()
+        xi = str(tmp_path / "xi.csv")
+        assert main(["design", "--config", str(tmp_path / "s4.ini"), "--xi", xi] + out) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: [scenario] sensors: sensor 4 outside 1..3, "
+            f"the outputs of {xi}\n")
 
     def test_out_through_a_regular_file_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.ini"

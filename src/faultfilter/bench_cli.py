@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 import time
@@ -405,8 +406,8 @@ def time_window_step(window_map: np.ndarray, block: int, steps: int = 10000,
     """Median nanoseconds per sliding-window estimate.
 
     Times one window shift (roll in ``block`` new entries) plus the
-    window matrix product, the per-sample work of the moving horizon
-    path.
+    window matrix product: a one-window proxy of the moving horizon
+    path, not the FIR sweep over all windows that ``run_mhe`` runs.
     """
     rng = np.random.default_rng(seed)
     width = window_map.shape[1]
@@ -1136,8 +1137,13 @@ def _out_dir(args) -> str:
     return out_dir
 
 
-def main(argv=None) -> int:
-    """CLI dispatcher; returns the process exit code."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process.
+
+    ``parse_args`` returns a fresh namespace on every call, so one
+    parser serves successive ``main`` calls.
+    """
     parser = argparse.ArgumentParser(
         prog="faultfilter",
         description="data-driven sensor fault estimation filters: identify "
@@ -1170,7 +1176,12 @@ def main(argv=None) -> int:
     sub.add_parser("zeros", parents=[common],
                    help="list invariant zeros and check stable invertibility")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    """CLI dispatcher; returns the process exit code."""
+    args = _parser().parse_args(argv)
     handlers = {
         "identify": _cmd_identify,
         "design": _cmd_design,

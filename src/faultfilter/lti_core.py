@@ -638,15 +638,28 @@ def block_hankel(seq: np.ndarray, l: int, m: int) -> np.ndarray:
 
 
 def extended_observability(A, C, L: int) -> np.ndarray:
-    """Stacked maps C, CA, ..., CA^(L-1)."""
+    """Stacked maps C, CA, ..., CA^(L-1).
+
+    Filled by block doubling: with the first j blocks in place and
+    P = A^j, blocks j .. 2j-1 are the first j blocks times P, and P is
+    squared.  That is ceil(log2 L) products instead of L - 1.
+    """
     if L < 1:
         raise ValidationError("need at least one block row")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    ny, n = C.shape
-    O = np.empty((L * ny, n))
-    cur = C.copy()
-    for i in range(L):
-        O[i * ny:(i + 1) * ny] = cur
-        cur = cur @ A
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or C.ndim != 2 or C.shape[1] != A.shape[0]:
+        raise ValidationError(
+            f"extended observability needs a square A with as many columns as C, "
+            f"got A {A.shape} and C {C.shape}")
+    ny = C.shape[0]
+    O = np.empty((L * ny, A.shape[0]))
+    O[:ny] = C
+    P, j = A, 1
+    while j < L:
+        k = min(j, L - j)
+        O[j * ny:(j + k) * ny] = O[:k * ny] @ P
+        j += k
+        if j < L:
+            P = P @ P
     return O

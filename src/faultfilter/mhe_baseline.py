@@ -10,19 +10,18 @@ Estimating (x, f) jointly by ordinary least squares and eliminating the
 state via the Schur complement gives a single linear map from the
 residual window to the fault window:
 
-    f_hat = [Gp + Mp (I - Tf Gp)] r_window
+    f_hat = [Gp - Gp O Delta^+ Y] r_window
 
-where Gp = (Tf' Tf)^-1 Tf' and, from the back substitution
-f = Gp (r - O x), x = Delta^+ O' (I - Tf Gp) r, the state correction
-enters with a minus sign: Mp = -Gp O Delta^+ O' with
-Delta = O' O - O' Tf Gp O.  The pseudo-inverse handles the rank
+where Gp = (Tf' Tf)^-1 Tf', Y = O' (I - Tf Gp) and Delta = Y O; the
+state correction enters with a minus sign from the back substitution
+f = Gp (r - O x), x = Delta^+ Y r.  The pseudo-inverse handles the rank
 deficient Delta that occurs whenever state and fault contributions are
 not separately identifiable; any minimizer yields the same fitted
 residual.
 
 Unlike the recursive inversion filter this estimator touches the whole
-window every step, and Gp, Mp are dense rather than block Toeplitz, so
-its per sample cost grows with L.  It serves as the accuracy and cost
+window every step, and its gain is dense rather than block Toeplitz,
+so its per sample cost grows with L.  It serves as the accuracy and cost
 baseline.
 """
 from __future__ import annotations
@@ -98,7 +97,11 @@ def build_mhe(pred: PredictorModel, L: int) -> MheProblem:
             f"numerical rank below {Tf.shape[1]} (smallest singular value "
             f"{s[-1]:.3g})")
     Gp = np.linalg.solve(Tf.T @ Tf, Tf.T)
-    Delta = O.T @ O - O.T @ Tf @ Gp @ O
+    # The state correction has rank <= n, so it stays factored:
+    # Y = O' (I - Tf Gp) is n x L n_y, Delta = Y O, and no L n_y square
+    # matrix is formed.
+    Y = O.T - (O.T @ Tf) @ Gp
+    Delta = Y @ O
     # Delta = O' (I - P) O with P an orthogonal projector, so it is PSD
     # and bounded by O' O.  Cut its spectrum relative to that bound: a
     # direction the window cannot identify produces Delta = 0 up to
@@ -108,9 +111,8 @@ def build_mhe(pred: PredictorModel, L: int) -> MheProblem:
     scale = max(np.linalg.norm(O.T @ O, 2), np.finfo(float).tiny)
     inv_w = np.where(w > 1e-12 * scale, 1.0 / np.maximum(w, scale * 1e-300), 0.0)
     # Minus sign from back substitution: f = Gp (r - O x) once the state
-    # estimate x = Delta^+ O' (I - Tf Gp) r is plugged in.
-    Mp = -Gp @ O @ ((V * inv_w) @ V.T) @ O.T
-    gain = Gp + Mp @ (np.eye(Tf.shape[0]) - Tf @ Gp)
+    # estimate x = Delta^+ Y r is plugged in.
+    gain = Gp - ((Gp @ O) @ ((V * inv_w) @ V.T)) @ Y
     return MheProblem(O=O, Tf=Tf, L=L, gain=gain)
 
 
@@ -130,11 +132,12 @@ def mhe_estimate(problem: MheProblem, r_window) -> np.ndarray:
 
 
 def run_mhe(problem: MheProblem, residuals) -> np.ndarray:
-    """Slide the window over a residual series, one step at a time.
+    """Slide the window over a residual series.
 
     Returns an (N, n_f) array whose row k is the newest-sample estimate
-    from the window ending at k.  The first L-1 rows are warm-up and
-    carry NaN, the window not being filled yet.
+    from the window ending at k, computed for all windows at once as one
+    FIR sweep per fault and residual channel.  The first L-1 rows are
+    warm-up and carry NaN, the window not being filled yet.
     """
     R = np.atleast_2d(np.asarray(residuals, dtype=float))
     ny, nf, L = problem.n_outputs, problem.n_faults, problem.L
@@ -144,9 +147,10 @@ def run_mhe(problem: MheProblem, residuals) -> np.ndarray:
     out = np.full((N, nf), np.nan)
     if N < L:
         return out
-    # Every window is the flattened series shifted by one sample, so a
-    # strided view turns the whole sweep into a single matrix product.
-    flat = np.ascontiguousarray(R).reshape(-1)
-    windows = np.lib.stride_tricks.sliding_window_view(flat, L * ny)[::ny]
-    out[L - 1:] = windows @ problem.gain[-nf:].T
+    # The newest-sample row of the gain is an L-tap FIR filter on each
+    # residual channel: correlate every channel with its taps and sum.
+    g = problem.gain[-nf:]
+    Rt = np.ascontiguousarray(R.T)
+    for f in range(nf):
+        out[L - 1:, f] = sum(np.correlate(Rt[a], g[f, a::ny], "valid") for a in range(ny))
     return out

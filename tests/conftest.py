@@ -124,6 +124,48 @@ def per_sample_run(A, B, C, D, Z, x0):
     return out, x
 
 
+def sequential_observability(A, C, L):
+    """Reference loop of ``extended_observability``: C, CA, ..., CA^(L-1)
+    one product at a time."""
+    ny, n = C.shape
+    O = np.empty((L * ny, n))
+    cur = np.array(C, dtype=float)
+    for i in range(L):
+        O[i * ny:(i + 1) * ny] = cur
+        cur = cur @ A
+    return O
+
+
+def dense_mhe_gain(O, Tf):
+    """Reference for ``build_mhe``'s gain, with the dense projector.
+
+    Gp + Mp (I - Tf Gp) with Mp = -Gp O Delta^+ O' and
+    Delta = O' O - O' Tf Gp O, Delta's spectrum cut at 1e-12 ||O' O||.
+    """
+    Gp = np.linalg.solve(Tf.T @ Tf, Tf.T)
+    Delta = O.T @ O - O.T @ Tf @ Gp @ O
+    w, V = np.linalg.eigh(0.5 * (Delta + Delta.T))
+    scale = max(np.linalg.norm(O.T @ O, 2), np.finfo(float).tiny)
+    inv_w = np.where(w > 1e-12 * scale, 1.0 / np.maximum(w, scale * 1e-300), 0.0)
+    Mp = -Gp @ O @ ((V * inv_w) @ V.T) @ O.T
+    return Gp + Mp @ (np.eye(Tf.shape[0]) - Tf @ Gp)
+
+
+def family_matrix(rng, n, kind):
+    """Random n x n state matrix of one family.
+
+    "dense": spectral radius uniform in [0, 0.999); "unstable": in
+    [1, 1.05); "non-normal": stable diagonal plus a strong strictly
+    upper triangle.
+    """
+    if kind == "non-normal":
+        return (np.diag(rng.uniform(-0.95, 0.95, n))
+                + rng.uniform(1.0, 3.0) * np.triu(rng.standard_normal((n, n)), 1))
+    A = rng.standard_normal((n, n))
+    rho = rng.uniform(1.0, 1.05) if kind == "unstable" else rng.uniform(0.0, 0.999)
+    return A * (rho / max(spectral_radius(A), 1e-12))
+
+
 def random_stable(rng, n, rho=0.8):
     """Random n x n matrix scaled to spectral radius rho."""
     A = rng.standard_normal((n, n))

@@ -16,6 +16,7 @@ from faultfilter import (
     ellipse_stats,
     run_comparison,
 )
+from faultfilter import bench_cli
 from faultfilter.bench_cli import (
     ALGORITHM_NAMES,
     AlgorithmResult,
@@ -647,7 +648,81 @@ class TestLoadBenchConfig:
             load_bench_config(plant="no_such_plant_or_file")
 
 
+TOP_HELP = """\
+usage: faultfilter [-h] {identify,design,estimate,compare,zeros} ...
+
+data-driven sensor fault estimation filters: identify Markov parameters,
+design inversion filters, run and benchmark them
+
+positional arguments:
+  {identify,design,estimate,compare,zeros}
+    identify            estimate Markov parameters from data
+    design              design a fault estimation filter
+    estimate            run a saved filter on recorded data
+    compare             four-way benchmark on a faulty closed-loop run
+    zeros               list invariant zeros and check stable invertibility
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def help_text(parse, argv, capsys):
+    """What a parse of ``argv + ["--help"]`` prints; it must exit 0."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv + ["--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
 class TestCli:
+    def test_successive_calls_parse_into_fresh_namespaces(self, monkeypatch, capsys):
+        # one parser serves the whole process; no option of an earlier
+        # call may leak into a later one
+        seen = []
+
+        def spy(args, cfg):
+            seen.append(args)
+            return 0
+
+        for verb in ("identify", "design", "estimate"):
+            monkeypatch.setattr(bench_cli, f"_cmd_{verb}", spy)
+        assert main(["design", "--xi", "a.csv", "--data", "b.csv", "--seed", "3",
+                     "--out", "o"]) == 0
+        assert main(["estimate", "--filter", "f.csv"]) == 0
+        assert main(["design"]) == 0
+        assert main(["identify", "--data", "d.csv"]) == 0
+        assert len({id(a) for a in seen}) == 4
+        common = {"config": None, "seed": None, "out": None, "plant": None}
+        assert vars(seen[0]) == {**common, "command": "design", "xi": "a.csv",
+                                 "data": "b.csv", "seed": 3, "out": "o"}
+        assert vars(seen[1]) == {**common, "command": "estimate", "filter": "f.csv",
+                                 "data": None}
+        assert vars(seen[2]) == {**common, "command": "design", "xi": None, "data": None}
+        assert vars(seen[3]) == {**common, "command": "identify", "data": "d.csv"}
+        capsys.readouterr()
+
+    def test_successive_calls_keep_exit_codes(self, capsys):
+        for argv, code in [(["estimate"], 2), (["zeros"], 0),
+                           (["zeros", "--plant", "bogus_plant"], 2), (["zeros"], 0),
+                           (["estimate"], 2)]:
+            assert main(argv) == code, argv
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("verb", ["", "identify", "design", "estimate", "compare",
+                                      "zeros"])
+    def test_help_output_unchanged(self, monkeypatch, capsys, verb):
+        # the cached parser prints what a freshly built one does, on
+        # every call; the top-level text is pinned
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [verb] if verb else []
+        first = help_text(main, argv, capsys)
+        assert help_text(main, argv, capsys) == first
+        assert help_text(bench_cli._parser.__wrapped__().parse_args, argv, capsys) == first
+        assert first.startswith(f"usage: faultfilter {verb}".rstrip() + " [-h]")
+        if not verb:
+            assert first == TOP_HELP
+
     def test_zeros_verb(self, capsys):
         assert main(["zeros"]) == 0
         out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -28,7 +30,14 @@ from faultfilter import (
 from faultfilter import lti_core
 from faultfilter.lti_core import _CHUNK
 
-from conftest import open_loop_sim, per_sample_run, random_model, random_predictor
+from conftest import (
+    family_matrix,
+    open_loop_sim,
+    per_sample_run,
+    random_model,
+    random_predictor,
+    sequential_observability,
+)
 
 
 class TestLtiRecursion:
@@ -68,13 +77,7 @@ class TestLtiRecursion:
         # above n_out n_in picks the state or the Markov-block products,
         # and rho(A) >= 1 takes the per-sample path for the whole record
         rng = np.random.default_rng(seed)
-        if kind == "non-normal":
-            A = (np.diag(rng.uniform(-0.95, 0.95, n))
-                 + rng.uniform(1.0, 3.0) * np.triu(rng.standard_normal((n, n)), 1))
-        else:
-            A = rng.standard_normal((n, n))
-            rho = rng.uniform(1.0, 1.05) if kind == "unstable" else rng.uniform(0.0, 0.999)
-            A *= rho / max(spectral_radius(A), 1e-12)
+        A = family_matrix(rng, n, kind)
         B = rng.standard_normal((n, n_in))
         C = rng.standard_normal((n_out, n))
         D = rng.standard_normal((n_out, n_in))
@@ -302,6 +305,27 @@ class TestStacking:
         assert O.shape == (8, 3)
         assert np.allclose(O[:2], C)
         assert np.allclose(O[6:], C @ np.linalg.matrix_power(A, 3))
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6), ny=st.integers(1, 3),
+           L=st.integers(1, 130), kind=st.sampled_from(["dense", "non-normal", "unstable"]))
+    def test_extended_observability_matches_sequential_products(self, seed, n, ny, L, kind):
+        # block doubling multiplies by A^(2^k); the loop by A, L - 1 times
+        rng = np.random.default_rng(seed)
+        A = family_matrix(rng, n, kind)
+        C = rng.standard_normal((ny, n))
+        ref = sequential_observability(A, C, L)
+        O = extended_observability(A, C, L)
+        assert O.shape == ref.shape
+        assert np.max(np.abs(O - ref), initial=0.0) <= 1e-12 * (
+            1.0 + np.abs(ref).max(initial=0.0))
+
+    @pytest.mark.parametrize("A_shape, C_shape", [((2, 3), (1, 2)), ((3, 2), (1, 3)),
+                                                  ((3, 3), (1, 2)), ((2, 2), (2, 3))])
+    def test_extended_observability_shape_errors(self, A_shape, C_shape):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"A {A_shape} and C {C_shape}")):
+            extended_observability(np.ones(A_shape), np.ones(C_shape), 4)
 
     def test_toeplitz_maps_windowed_response(self, rng):
         # stacked outputs of a zero-state run equal T_L times stacked inputs

@@ -10,7 +10,7 @@ from faultfilter import (
     to_predictor,
 )
 
-from conftest import random_model, random_predictor
+from conftest import dense_mhe_gain, random_model, random_predictor
 
 
 def joint_pinv_fault(problem, r):
@@ -55,6 +55,17 @@ class TestBuildMhe:
         assert np.allclose(prob.gain @ prob.Tf, np.eye(12), atol=1e-8)
         r = rng.standard_normal(12)
         assert np.allclose(prob.Tf @ (prob.gain @ r), r, atol=1e-8)
+
+    @pytest.mark.parametrize("n_y, sensors", [(2, (0,)), (3, (0, 2)), (2, (0, 1)),
+                                              (3, (0, 1, 2))])
+    @pytest.mark.parametrize("L", [1, 5, 12, 40])
+    def test_gain_matches_dense_projector(self, rng, n_y, sensors, L):
+        # the factored state correction against Gp + Mp (I - Tf Gp) formed
+        # with the L n_y square projector, for n_f < n_y and n_f = n_y
+        pred = random_predictor(rng, n=4, n_y=n_y, sensors=sensors)
+        prob = build_mhe(pred, L)
+        ref = dense_mhe_gain(prob.O, prob.Tf)
+        assert np.max(np.abs(prob.gain - ref)) <= 1e-11 * (1.0 + np.abs(ref).max())
 
     def test_rank_failure(self, rng):
         # both fault columns hit sensor 1: G has dependent columns
@@ -112,6 +123,22 @@ class TestRunMhe:
         for k in range(L - 1, 25):
             full = mhe_estimate(prob, R[k - L + 1:k + 1])
             assert np.allclose(out[k], full[-1:], atol=1e-12)
+
+    @pytest.mark.parametrize("n_y, n_f", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "4L"])
+    def test_fir_sweep_matches_every_full_window(self, rng, n_y, n_f, extra):
+        L = 7
+        N = 4 * L if extra == "4L" else L + extra
+        prob = build_mhe(random_predictor(rng, n_y=n_y, sensors=range(n_f)), L)
+        R = rng.standard_normal((N, n_y))
+        out = run_mhe(prob, R)
+        assert out.shape == (N, n_f)
+        assert np.all(np.isnan(out[:L - 1]))
+        # a bound on the magnitude of every product the sums add up
+        scale = np.abs(prob.gain[-n_f:]).sum(axis=1).max() * np.abs(R).max()
+        for k in range(L - 1, N):
+            want = mhe_estimate(prob, R[k - L + 1:k + 1])[-n_f:]
+            assert np.max(np.abs(out[k] - want)) <= 1e-13 * scale
 
     def test_short_series_all_nan(self, rng):
         prob = build_mhe(random_predictor(rng), 10)

@@ -399,8 +399,8 @@ def _finite_samples(data: IOData, source: str = "the record") -> np.ndarray:
     ``source``.
     """
     w = np.hstack([data.u, data.y])
-    bad = ~np.isfinite(w).all(axis=1)
-    if bad.any():
+    if not np.isfinite(w).all():
+        bad = ~np.isfinite(w).all(axis=1)
         raise ValidationError(
             f"non-finite value in sample k={int(np.argmax(bad))} of {source}")
     return w

@@ -186,7 +186,10 @@ class DesignConfig:
     ``sensor`` uses zero based indexing (an int or a collection).
     ``order`` is either an integer or "auto", in which case the largest
     singular value ratio gap picks the order (ties to the smaller one).
-    ``markov_length`` must cover the Hankel matrix: l + m blocks.
+    The design reads the first l + m window blocks, l = ``hankel_rows``
+    and m = ``hankel_cols``; ``markov_length`` only bounds them (at
+    least l + m, at most p + 1 of the identified xi) and also sets the
+    MHE window of the ``compare`` benchmark.
     Pole placement needs ``poles``, one per state when ``order`` is an
     integer.
     """
@@ -247,7 +250,8 @@ def ho_kalman(seq: np.ndarray, l: int, m: int, order="auto",
     LAPACK's arbitrary sign choice.
 
     Args:
-        seq: blocks H_0 .. H_{l+m} at least (H_0 used as D only).
+        seq: blocks H_0 .. H_{l+m-1} at least (H_0 used as D only);
+            later blocks are not read.
         order: state dimension, or "auto" for the largest gap rule.
         shift: which factor carries the shift equation.
 
@@ -309,8 +313,8 @@ def realize(Wi: np.ndarray, cfg: DesignConfig):
     if n_y < 1 or Wi.shape[2] < n_y:
         raise ValidationError(
             f"window block shape {Wi.shape[1:]} inconsistent with {n_f} sensors")
-    return ho_kalman(Wi[:cfg.markov_length], cfg.hankel_rows, cfg.hankel_cols,
-                     order=cfg.order, shift="controllability")
+    return ho_kalman(Wi, cfg.hankel_rows, cfg.hankel_cols, order=cfg.order,
+                     shift="controllability")
 
 
 def assemble_filter(inv: LinearSystem, sensor, Kr=None, strategy: str = "riccati",
@@ -366,13 +370,16 @@ def design_filter_from_xi(xi: IdentifiedXi, cfg: DesignConfig) -> FaultEstimatio
     """Filter from identified Markov parameters.
 
     Runs Markov parameter expansion, realization and stabilization in
-    sequence; any failure is re-raised with a stage tag (markov,
+    sequence.  Only the l + m window blocks the Hankel matrix reads are
+    solved for: T(N) is unit lower block triangular, so its leading
+    blocks depend only on the leading blocks of the right-hand side.
+    Any failure is re-raised with a stage tag (markov,
     realize, stabilize) so callers can tell which step broke.
     """
-    L = cfg.markov_length
-    if L > xi.p + 1:
+    if cfg.markov_length > xi.p + 1:
         raise ValidationError(
-            f"markov_length {L} exceeds the {xi.p + 1} identified blocks")
+            f"markov_length {cfg.markov_length} exceeds the {xi.p + 1} identified blocks")
+    L = cfg.hankel_rows + cfg.hankel_cols  # the blocks realize reads
     try:
         Hf = fault_markov(xi.Hy, cfg.sensor, L)
         Hz = z_markov(xi.Hu, xi.Hy, L)

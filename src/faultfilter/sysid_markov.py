@@ -42,7 +42,8 @@ class IdentifiedXi:
     H_1^y .. H_p^y, so ``Hy[i]`` is the lag i+1 block and the implicit
     H_0^y = 0 is not stored; both are (blocks, rows, cols) arrays.
     ``residual_variance`` is the sample covariance of the regression
-    residuals, an estimate of the innovation covariance.
+    residuals, an estimate of the innovation covariance.  A nan or inf
+    entry in any of them raises a ValidationError.
     """
 
     Hu: np.ndarray
@@ -73,6 +74,9 @@ class IdentifiedXi:
                 np.asarray(self.residual_variance, dtype=float))
             if self.residual_variance.shape != (ny, ny):
                 raise ValidationError("residual variance must be n_y x n_y")
+        for name in ("Hu", "Hy", "residual_variance"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"non-finite entry in {name}")
 
     @property
     def p(self) -> int:
@@ -193,14 +197,23 @@ def _window_residuals(w: np.ndarray, n_y: int, xi: np.ndarray) -> np.ndarray:
     """y(k) - xi z(k) for k = p .. N-1, with xi in the stacked layout.
 
     The coefficients [-xi, I] weigh the (p+1)-block window of w, whose
-    last n_y columns are y(k).  Column a of block j weighs w(k-p+j)[a],
-    so each residual channel is a sum of m valid-mode correlations of
-    one sample column with its p+1 weights.
+    last n_y columns are y(k).  Windows that start B = p + 1 samples
+    apart tile the flattened samples without overlap, so the windows of
+    phase f < B (rows f, f + B, ...) form a matrix with row stride B m,
+    which BLAS takes as it is.  One stacked product over the B phases
+    gives every residual; the flattened samples are zero padded so each
+    phase has the same row count, and the rows past the record are
+    dropped.
     """
-    m = w.shape[1]
-    return np.column_stack([
-        sum(np.correlate(w[:, a], c[a::m], "valid") for a in range(m))
-        for c in np.hstack([-xi, np.eye(n_y)])])
+    N, m = w.shape
+    coef = np.hstack([-xi, np.eye(n_y)]).T
+    B = len(coef) // m
+    rows = N - B + 1
+    k = -(-rows // B)
+    flat = np.concatenate([w.reshape(-1), np.zeros((k * B + B - 1 - N) * m)])
+    s = flat.strides[0]
+    phases = as_strided(flat, (B, k, B * m), (m * s, B * m * s, s))  # [f, j] = window f + jB
+    return (phases @ coef).transpose(1, 0, 2).reshape(-1, n_y)[:rows]
 
 
 def identify_xi(data: IOData, p: int, ridge: float = 0.0,
@@ -255,12 +268,14 @@ def identify_xi(data: IOData, p: int, ridge: float = 0.0,
     # regressor columns are a prefix of the (p+1)-block windows, targets
     # their last n_y columns
     G = _lagged_gram(w, p + 1)
-    scale = np.sqrt(np.diag(G)[:ncols] + ridge)
+    diag = np.diag(G)[:ncols] + ridge
+    scale = np.sqrt(diag)
     if not scale.all():
         raise ExcitationError(
             f"insufficient excitation: regressor column {int(np.argmin(scale))} "
             "is identically zero")
-    A = (G[:ncols, :ncols] + ridge * np.eye(ncols)) / np.outer(scale, scale)
+    A = G[:ncols, :ncols] / np.outer(scale, scale)
+    A.flat[::ncols + 1] = diag / (scale * scale)  # with the ridge weight
     try:
         factor = cho_factor(A, check_finite=False)
     except LinAlgError as exc:

@@ -82,6 +82,20 @@ def xi_residuals(xi, data):
     return _window_residuals(_finite_samples(data), xi.n_y, xi.stacked())
 
 
+def correlate_window_residuals(w, n_y, xi):
+    """y(k) - xi z(k) for k = p .. N-1, one valid-mode correlation per weight column.
+
+    The oracle for ``sysid_markov._window_residuals``: the coefficients
+    [-xi, I] weigh the (p+1)-block window of w, column a of block j
+    weighs w(k-p+j)[a], so each residual channel is a sum of m
+    correlations of one sample column with its p + 1 weights.
+    """
+    m = w.shape[1]
+    return np.column_stack([
+        sum(np.correlate(w[:, a], c[a::m], "valid") for a in range(m))
+        for c in np.hstack([-xi, np.eye(n_y)])])
+
+
 def blockwise_lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
     """Gram matrix of the B-block sliding windows of the sample rows.
 

@@ -29,6 +29,7 @@ from faultfilter.bench_cli import (
     time_window_step,
     write_report_svg,
 )
+from faultfilter.lti_core import _write_csv
 
 from conftest import planted_zero_predictor
 
@@ -996,8 +997,10 @@ class TestCli:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("lag", [1, 40], ids=["read-lag", "unread-lag"])
     def test_design_rejects_non_finite_xi(self, tmp_path, capsys, lag, bad):
-        # the design reads markov_length = 40 blocks H_0 .. H_39 of the
-        # p = 40 lags, so lag 40 is never read; the file is refused either way
+        # the design reads the l + m = 24 window blocks H_0 .. H_23 of the
+        # p = 40 lags, so lag 40 is never read; the file is refused either way.
+        # IdentifiedXi itself refuses the entry, so the file is written
+        # without one, by the writer of IdentifiedXi.to_csv
         cfg_path = tmp_path / "bench.ini"
         cfg_path.write_text(SMALL_INI)
         common = ["--config", str(cfg_path), "--seed", "3", "--out", str(tmp_path)]
@@ -1006,8 +1009,8 @@ class TestCli:
         xi = ff.IdentifiedXi.from_csv(path)
         stacked = xi.stacked()
         stacked[0, (xi.p - lag) * (xi.n_u + xi.n_y)] = bad  # deepest lag first
-        ff.IdentifiedXi.from_stacked(stacked, xi.p, xi.n_u, xi.n_y,
-                                     xi.residual_variance).to_csv(path)
+        _write_csv(path, [["p", "n_u", "n_y"], [xi.p, xi.n_u, xi.n_y]], stacked,
+                   xi.residual_variance)
         capsys.readouterr()
         assert main(["design", "--xi", str(path)] + common) == 2
         assert (f"validation error: {path}: row 3: non-finite value in the Markov "

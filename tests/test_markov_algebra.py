@@ -171,6 +171,22 @@ def test_window_blocks_equal_convolution_chain(seed, L, n_y, n_u, sensor_faults,
 
 
 @PROPERTY
+@given(seed=seeds, L=st.integers(1, 60), n_y=st.integers(1, 4), n_u=st.integers(0, 3),
+       data=st.data())
+def test_window_blocks_leading_solve_is_prefix(seed, L, n_y, n_u, data):
+    # T(N) is unit lower block triangular, so solving for the first K
+    # blocks gives the first K blocks of the full solve; the design
+    # relies on it to solve only the blocks its Hankel matrix reads
+    n_f = data.draw(st.integers(1, n_y), label="n_f")
+    K = data.draw(st.integers(1, L), label="K")
+    rng = np.random.default_rng(seed)
+    Hf = fault_blocks(rng, L, n_y, n_f)
+    Hz = random_seq(rng, L, n_y, n_u + n_y)
+    full = _window_blocks(Hf, Hz, L)
+    assert_close(_window_blocks(Hf, Hz, K), full[:K])
+
+
+@PROPERTY
 @given(seed=seeds, L=st.integers(1, 30), n_y=st.integers(1, 4), data=st.data())
 def test_inverse_markov_equals_oracle_and_left_inverts(seed, L, n_y, data):
     n_f = data.draw(st.integers(1, n_y), label="n_f")

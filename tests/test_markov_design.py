@@ -280,7 +280,40 @@ class TestRealize:
             assemble_filter(realized, 0, Kr=np.zeros((4, 3)))
 
 
+@pytest.fixture(scope="module")
+def bench_xi():
+    """Identified xi of the benchmark loop at p = 99: markov_length 100 fits."""
+    model, ctrl = ff.get_plant("unstable4").factory(q=1e-6, r=1e-4)
+    data = ff.collect_identification_data(ff.sensor_fault_plant(model, 0), ctrl,
+                                          4000, seed=5)
+    return identify_xi(data, 99, assume_delay=True)
+
+
 class TestDesignPipeline:
+    @pytest.mark.parametrize("sensor", [0, 1])
+    def test_leading_window_blocks_keep_their_bits(self, bench_xi, sensor):
+        # at the design's default shape the 40-block solve repeats the
+        # 100-block one bit for bit (in general they agree to rounding,
+        # see test_markov_algebra)
+        Hf = fault_markov(bench_xi.Hy, sensor, 100)
+        Hz = z_markov(bench_xi.Hu, bench_xi.Hy, 100)
+        assert np.array_equal(_window_blocks(Hf, Hz, 100)[:40], _window_blocks(Hf, Hz, 40))
+
+    @pytest.mark.parametrize("strategy", ["riccati", "pole_placement"])
+    @pytest.mark.parametrize("sensor", [0, 1])
+    def test_markov_length_only_bounds_the_design(self, bench_xi, sensor, strategy):
+        # the design reads l + m = 40 window blocks whatever markov_length
+        # allows, and gives the filter the full 100-block solve gives
+        cfgs = [DesignConfig(sensor=sensor, markov_length=L, order=4, strategy=strategy,
+                             poles=list(BENCH_POLES)) for L in (100, 40)]
+        long_, short = (design_filter_from_xi(bench_xi, cfg).step_matrix() for cfg in cfgs)
+        Hf = fault_markov(bench_xi.Hy, sensor, 100)
+        Hz = z_markov(bench_xi.Hu, bench_xi.Hy, 100)
+        inv, _ = realize(_window_blocks(Hf, Hz, 100), cfgs[0])
+        full = assemble_filter(inv, sensor, strategy=strategy, poles=cfgs[0].poles)
+        assert np.array_equal(long_, short)
+        assert np.array_equal(long_, full.step_matrix())
+
     def test_exact_data_matches_model_based_filter(self, rng):
         # with exact Markov parameters and a basis-independent gain the
         # data-driven filter equals the model-based one as a system

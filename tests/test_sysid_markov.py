@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import faultfilter as ff
 from faultfilter import (
@@ -19,10 +20,11 @@ from faultfilter import (
 
 from faultfilter.bench_cli import main
 from faultfilter import sysid_markov
-from faultfilter.sysid_markov import _lagged_gram
+from faultfilter.sysid_markov import _lagged_gram, _window_residuals
 
-from conftest import (blockwise_lagged_gram, gelsy_identify_xi, open_loop_sim,
-                      random_model, varx_regression, xi_residuals)
+from conftest import (blockwise_lagged_gram, correlate_window_residuals,
+                      gelsy_identify_xi, open_loop_sim, random_model,
+                      varx_regression, xi_residuals)
 
 
 def varx_data(rng, p=3, n_u=2, n_y=2, N=400, with_feedthrough=True):
@@ -273,6 +275,30 @@ class TestAgainstGelsyOracle:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @settings(max_examples=150)
+    @given(m=st.integers(1, 6), p=st.integers(1, 12), k=st.integers(1, 6),
+           length=st.sampled_from(["short", "B", "kB-1", "kB", "kB+1"]),
+           seed=st.integers(0, 2**32 - 1), draw=st.data())
+    def test_window_residuals_match_correlations_and_regression(self, m, p, k, length,
+                                                                seed, draw):
+        # the phase products against the per-channel correlations and
+        # against Y - Z xi^T on the explicit windows, for row counts
+        # below, at and around multiples of the phase count B = p + 1
+        n_y = draw.draw(st.integers(1, min(3, m)), label="n_y")
+        B = p + 1
+        rows = {"short": draw.draw(st.integers(1, p), label="rows"), "B": B,
+                "kB-1": k * B - 1, "kB": k * B, "kB+1": k * B + 1}[length]
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((rows + p, m))
+        xi = rng.standard_normal((n_y, B * m - n_y))
+        got = _window_residuals(w, n_y, xi)
+        Y = w[p:, m - n_y:]
+        Z = sliding_window_view(w, B, axis=0).transpose(0, 2, 1).reshape(rows, B * m)
+        tol = 1e-12 * np.abs(Y).max()
+        assert got.shape == (rows, n_y)
+        assert np.abs(got - correlate_window_residuals(w, n_y, xi)).max() <= tol
+        assert np.abs(got - (Y - Z[:, :-n_y] @ xi.T)).max() <= tol
+
     def test_ill_conditioned_regressor_rejected(self, rng):
         # cond(Z) ~ 1e9: gelsy still calls this full rank, the normal
         # equations would lose every digit
@@ -333,6 +359,36 @@ class TestAgainstGelsyOracle:
 
 
 class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("lag", [3, 61])
+    @pytest.mark.parametrize("name", ["Hu", "Hy"])
+    @pytest.mark.parametrize("route", ["constructor", "from_stacked"])
+    def test_xi_refuses_non_finite_block(self, rng, route, name, lag, bad):
+        # lag 61 lies past the l + m = 40 blocks a default design reads
+        p, n_u, n_y = 80, 2, 2
+        Hu = rng.standard_normal((p + 1, n_y, n_u))
+        Hy = rng.standard_normal((p, n_y, n_y))
+        stacked = IdentifiedXi(Hu, Hy, p).stacked()  # deepest lag first
+        stacked[0, (p - lag) * (n_u + n_y) + (0 if name == "Hu" else n_u)] = bad
+        (Hu[lag] if name == "Hu" else Hy[lag - 1])[0, 0] = bad
+        with pytest.raises(ValidationError, match=f"non-finite entry in {name}$"):
+            if route == "constructor":
+                IdentifiedXi(Hu, Hy, p)
+            else:
+                IdentifiedXi.from_stacked(stacked, p, n_u, n_y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("route", ["constructor", "from_stacked"])
+    def test_xi_refuses_non_finite_residual_variance(self, rng, route, bad):
+        xi = xi_from_predictor(to_predictor(random_model(rng, n=3)), p=5)
+        cov = np.eye(xi.n_y)
+        cov[0, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite entry in residual_variance"):
+            if route == "constructor":
+                IdentifiedXi(xi.Hu, xi.Hy, xi.p, cov)
+            else:
+                IdentifiedXi.from_stacked(xi.stacked(), xi.p, xi.n_u, xi.n_y, cov)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_identify_names_first_bad_sample(self, rng, bad):
         data, _, _ = varx_data(rng)

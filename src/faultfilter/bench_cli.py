@@ -378,8 +378,7 @@ def ellipse_stats(errors) -> EllipseStats:
 # timing
 
 
-def time_filter_step(filt: FaultEstimationFilter, steps: int = 10000,
-                     seed: int = 0) -> float:
+def time_filter_step(filt: FaultEstimationFilter, steps: int = 10000) -> float:
     """Median nanoseconds per recursive filter step.
 
     Times the combined update [x; f] = M [x; u; y] as a single matrix
@@ -387,7 +386,7 @@ def time_filter_step(filt: FaultEstimationFilter, steps: int = 10000,
     ``FaultEstimationFilter.step``, not ``step`` itself, and it depends
     only on the shape of ``step_matrix()``.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     M = filt.step_matrix()
     n = filt.n_states
     v = rng.standard_normal(M.shape[1])
@@ -401,15 +400,14 @@ def time_filter_step(filt: FaultEstimationFilter, steps: int = 10000,
     return float(np.median(ts))
 
 
-def time_window_step(window_map: np.ndarray, block: int, steps: int = 10000,
-                     seed: int = 0) -> float:
+def time_window_step(window_map: np.ndarray, block: int, steps: int = 10000) -> float:
     """Median nanoseconds per sliding-window estimate.
 
     Times one window shift (roll in ``block`` new entries) plus the
     window matrix product: a one-window proxy of the moving horizon
     path, not the FIR sweep over all windows that ``run_mhe`` runs.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     width = window_map.shape[1]
     zwin = rng.standard_normal(width)
     znew = rng.standard_normal(block)
@@ -450,7 +448,6 @@ class ExperimentReport:
 
     plant: str
     seed: int
-    scenario: FaultScenario
     window: tuple
     fault: np.ndarray
     results: list
@@ -510,33 +507,6 @@ _COLORS = {"alg0": "#1f77b4", "alg1": "#ff7f0e", "alg2": "#2ca02c",
            "alg3": "#d62728"}
 
 
-def _svg_open(width, height, title):
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="22" font-family="sans-serif" '
-        f'font-size="15" text-anchor="middle">{title}</text>',
-    ]
-
-
-def _svg_axes(parts, x0, y0, w, h):
-    parts.append(
-        f'<rect x="{x0}" y="{y0}" width="{w}" height="{h}" fill="none" '
-        f'stroke="#444" stroke-width="1"/>')
-
-
-def _svg_legend(parts, entries, x, y):
-    for i, (name, ok) in enumerate(entries):
-        color = _COLORS.get(name, "#888")
-        yy = y + 18 * i
-        parts.append(f'<circle cx="{x}" cy="{yy - 4}" r="4" fill="{color}"/>')
-        label = name if ok else f"{name} (failed)"
-        parts.append(
-            f'<text x="{x + 10}" y="{yy}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>')
-
-
 def write_report_svg(report: ExperimentReport, path) -> None:
     """Render the error clouds and their 3-sigma contours.
 
@@ -549,94 +519,93 @@ def write_report_svg(report: ExperimentReport, path) -> None:
     width, height = 720, 540
     x0, y0, pw, ph = 70, 50, 470, 440
     ok_results = [r for r in report.results if r.ok]
-    parts = _svg_open(width, height,
-                      f"fault estimation errors, plant {report.plant}, "
-                      f"seed {report.seed}")
-    if nf >= 2 and ok_results:
-        # equal-aspect scatter of the first two error components
-        pts = {}
-        for res in ok_results:
-            err = res.estimates[k0:k1, :2] - report.fault[k0:k1, :2]
-            pts[res.name] = err[np.all(np.isfinite(err), axis=1)]
-        allpts = np.vstack(list(pts.values()))
-        span = max(np.abs(allpts).max(), 1e-12) * 1.15
-        scale = min(pw, ph) / (2 * span)
-        cx, cy = x0 + pw / 2, y0 + ph / 2
-
-        def to_px(p):
-            return cx + p[0] * scale, cy - p[1] * scale
-
-        _svg_axes(parts, x0, y0, pw, ph)
-        parts.append(
-            f'<text x="{x0 + pw / 2:.0f}" y="{y0 + ph + 32}" font-family='
-            f'"sans-serif" font-size="12" text-anchor="middle">error, '
-            f'component 1 (half range {span:.3g})</text>')
-        parts.append(
-            f'<text x="{x0 - 40}" y="{y0 + ph / 2:.0f}" font-family="sans-serif" '
-            f'font-size="12" text-anchor="middle" transform="rotate(-90 '
-            f'{x0 - 40} {y0 + ph / 2:.0f})">error, component 2</text>')
-        for res in ok_results:
-            color = _COLORS.get(res.name, "#888")
-            cloud = pts[res.name]
-            stride = max(1, len(cloud) // 300)
-            for p in cloud[::stride]:
-                px, py = to_px(p)
-                parts.append(
-                    f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.6" '
-                    f'fill="{color}" fill-opacity="0.45"/>')
-        for res in ok_results:
-            st = res.stats
-            color = _COLORS.get(res.name, "#888")
-            mx, my = to_px(st.mean[:2])
-            v = st.directions[:2, 0]
-            ang = -np.degrees(np.arctan2(v[1], v[0]))
-            rx = max(st.axes[0] * scale, 0.5)
-            ry = max((st.axes[1] if len(st.axes) > 1 else 0.0) * scale, 0.5)
-            parts.append(
-                f'<g transform="translate({mx:.2f} {my:.2f}) rotate({ang:.2f})">'
-                f'<ellipse rx="{rx:.2f}" ry="{ry:.2f}" fill="none" '
-                f'stroke="{color}" stroke-width="1.8"/></g>')
-    elif ok_results:
-        # single fault dimension: error against time with 3-sigma bands
-        errs = {r.name: r.estimates[k0:k1, 0] - report.fault[k0:k1, 0]
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.1f}" y="22" font-family="sans-serif" '
+        f'font-size="15" text-anchor="middle">fault estimation errors, plant '
+        f'{report.plant}, seed {report.seed}</text>',
+    ]
+    if ok_results:
+        # the first two error components; a row counts where all are finite
+        errs = {r.name: r.estimates[k0:k1, :2] - report.fault[k0:k1, :2]
                 for r in ok_results}
-        allvals = np.hstack([e[np.isfinite(e)] for e in errs.values()])
-        span = max(np.abs(allvals).max(), 1e-12) * 1.15
-        n = k1 - k0
-        _svg_axes(parts, x0, y0, pw, ph)
+        finite = {name: e[np.all(np.isfinite(e), axis=1)] for name, e in errs.items()}
+        span = max(np.abs(np.vstack(list(finite.values()))).max(), 1e-12) * 1.15
+        if nf >= 2:
+            # two or more fault dimensions: equal-aspect scatter with ellipses
+            scale = min(pw, ph) / (2 * span)
+            cx, cy = x0 + pw / 2, y0 + ph / 2
 
-        def to_px(k, v):
-            return (x0 + pw * (k / max(n - 1, 1)),
-                    y0 + ph / 2 - v / span * (ph / 2))
+            def to_px(p):
+                return cx + p[0] * scale, cy - p[1] * scale
 
-        parts.append(
+            def cloud(name):
+                err = finite[name]
+                return [to_px(p) for p in err[::max(1, len(err) // 300)]]
+
+            def contour(st, color):
+                mx, my = to_px(st.mean[:2])
+                v = st.directions[:2, 0]
+                ang = -np.degrees(np.arctan2(v[1], v[0]))
+                rx = max(st.axes[0] * scale, 0.5)
+                ry = max((st.axes[1] if len(st.axes) > 1 else 0.0) * scale, 0.5)
+                return [f'<g transform="translate({mx:.2f} {my:.2f}) rotate({ang:.2f})">'
+                        f'<ellipse rx="{rx:.2f}" ry="{ry:.2f}" fill="none" '
+                        f'stroke="{color}" stroke-width="1.8"/></g>']
+
+            radius = "1.6"
+            xlabel = f"error, component 1 (half range {span:.3g})"
+            ylabel = "error, component 2"
+        else:
+            # single fault dimension: error against time with 3-sigma bands
+            n = k1 - k0
+
+            def to_px(k, v):
+                return (x0 + pw * (k / max(n - 1, 1)),
+                        y0 + ph / 2 - v / span * (ph / 2))
+
+            def cloud(name):
+                err = errs[name][:, 0]
+                stride = max(1, len(err) // 400)
+                return [to_px(k, err[k]) for k in range(0, len(err), stride)
+                        if np.isfinite(err[k])]
+
+            def contour(st, color):
+                return [f'<line x1="{x0}" x2="{x0 + pw}" y1="{py:.2f}" '
+                        f'y2="{py:.2f}" stroke="{color}" stroke-width="1.2" '
+                        f'stroke-dasharray="6 4"/>'
+                        for _, py in (to_px(0, st.mean[0] - st.axes[0]),
+                                      to_px(0, st.mean[0] + st.axes[0]))]
+
+            radius = "1.4"
+            xlabel = f"sample {k0} .. {k1 - 1}"
+            ylabel = f"estimation error (half range {span:.3g})"
+        parts += [
+            f'<rect x="{x0}" y="{y0}" width="{pw}" height="{ph}" fill="none" '
+            f'stroke="#444" stroke-width="1"/>',
             f'<text x="{x0 + pw / 2:.0f}" y="{y0 + ph + 32}" font-family='
-            f'"sans-serif" font-size="12" text-anchor="middle">sample '
-            f'{k0} .. {k1 - 1}</text>')
-        parts.append(
+            f'"sans-serif" font-size="12" text-anchor="middle">{xlabel}</text>',
             f'<text x="{x0 - 40}" y="{y0 + ph / 2:.0f}" font-family="sans-serif" '
             f'font-size="12" text-anchor="middle" transform="rotate(-90 '
-            f'{x0 - 40} {y0 + ph / 2:.0f})">estimation error (half range '
-            f'{span:.3g})</text>')
+            f'{x0 - 40} {y0 + ph / 2:.0f})">{ylabel}</text>',
+        ]
+        ellipses = []  # drawn over every cloud; a band follows its own cloud
         for res in ok_results:
             color = _COLORS.get(res.name, "#888")
-            err = errs[res.name]
-            stride = max(1, len(err) // 400)
-            for k in range(0, len(err), stride):
-                if np.isfinite(err[k]):
-                    px, py = to_px(k, err[k])
-                    parts.append(
-                        f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.4" '
-                        f'fill="{color}" fill-opacity="0.45"/>')
-            st = res.stats
-            for edge in (st.mean[0] - st.axes[0], st.mean[0] + st.axes[0]):
-                _, py = to_px(0, edge)
-                parts.append(
-                    f'<line x1="{x0}" x2="{x0 + pw}" y1="{py:.2f}" '
-                    f'y2="{py:.2f}" stroke="{color}" stroke-width="1.2" '
-                    f'stroke-dasharray="6 4"/>')
-    _svg_legend(parts, [(r.name, r.ok) for r in report.results],
-                x0 + pw + 24, y0 + 16)
+            parts += [f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{radius}" '
+                      f'fill="{color}" fill-opacity="0.45"/>'
+                      for px, py in cloud(res.name)]
+            (ellipses if nf >= 2 else parts).extend(contour(res.stats, color))
+        parts += ellipses
+    for i, res in enumerate(report.results):
+        yy = y0 + 16 + 18 * i
+        label = res.name if res.ok else f"{res.name} (failed)"
+        parts += [f'<circle cx="{x0 + pw + 24}" cy="{yy - 4}" r="4" '
+                  f'fill="{_COLORS.get(res.name, "#888")}"/>',
+                  f'<text x="{x0 + pw + 34}" y="{yy}" font-family="sans-serif" '
+                  f'font-size="12">{label}</text>']
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -721,7 +690,7 @@ def _design_config(cfg: BenchConfig) -> DesignConfig:
         hankel_cols=cfg.hankel_cols,
         order=cfg.order,
         strategy=cfg.strategy,
-        poles=None if cfg.poles is None else list(cfg.poles),
+        poles=cfg.poles,
     )
 
 
@@ -758,11 +727,11 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     # so each shape is timed once per run and its filters share the number
     step_ns_by_shape = {}
 
-    def step_time(filt):
+    def run_recursive(filt):
         shape = filt.step_matrix().shape
         if shape not in step_ns_by_shape:
             step_ns_by_shape[shape] = time_filter_step(filt, cfg.timing_steps)
-        return step_ns_by_shape[shape]
+        return run_filter(filt, run_data), step_ns_by_shape[shape]
 
     def attempt(name, fn):
         try:
@@ -770,26 +739,20 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
         except FaultFilterError as err:
             results.append(AlgorithmResult(name=name, ok=False,
                                            message=f"{name}: {err}"))
-            return None
-        err_series = estimates[cfg.window_start:stop] - fault[cfg.window_start:stop]
-        res = AlgorithmResult(name=name, ok=True, estimates=estimates,
-                              stats=ellipse_stats(err_series),
-                              step_time_ns=step_ns)
-        results.append(res)
-        return res
+        else:
+            err_series = estimates[cfg.window_start:stop] - fault[cfg.window_start:stop]
+            results.append(AlgorithmResult(name=name, ok=True, estimates=estimates,
+                                           stats=ellipse_stats(err_series),
+                                           step_time_ns=step_ns))
 
     def model_based_filter(pred):
         inv = open_loop_inverse(pred)
-        Kr = stabilizing_gain(inv.Phi1, inv.C2, strategy=cfg.strategy,
-                              poles=None if cfg.poles is None else list(cfg.poles))
-        return reduced_filter(pred, Kr, strategy=cfg.strategy)
+        Kr = stabilizing_gain(inv.Phi1, inv.C2, strategy=design_cfg.strategy,
+                              poles=design_cfg.poles)
+        return reduced_filter(pred, Kr, strategy=design_cfg.strategy)
 
     # alg0: inversion filter from the true plant
-    def alg0():
-        filt = model_based_filter(to_predictor(faulty))
-        return run_filter(filt, run_data), step_time(filt)
-
-    attempt("alg0", alg0)
+    attempt("alg0", lambda: run_recursive(model_based_filter(to_predictor(faulty))))
 
     # identification feeds alg1..alg3; a failure here fails all three
     xi = None
@@ -810,17 +773,12 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
             base, _ = predictor_from_xi(xi, cfg.hankel_rows, cfg.hankel_cols,
                                         order=cfg.order)
             pred1 = sensor_fault_channel(base, cfg.sensors)
-            filt = model_based_filter(pred1)
-            return run_filter(filt, run_data), step_time(filt)
+            return run_recursive(model_based_filter(pred1))
 
         attempt("alg1", alg1)
 
         # alg2: direct data-driven design, no intermediate plant model
-        def alg2():
-            filt = design_filter_from_xi(xi, design_cfg)
-            return run_filter(filt, run_data), step_time(filt)
-
-        attempt("alg2", alg2)
+        attempt("alg2", lambda: run_recursive(design_filter_from_xi(xi, design_cfg)))
 
         # alg3: moving horizon LS on alg1's realized predictor, so the
         # residual recursion and the window model come from one
@@ -845,7 +803,6 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     return ExperimentReport(
         plant=cfg.plant if cfg.model is None else "custom",
         seed=cfg.seed,
-        scenario=cfg.scenario,
         window=(cfg.window_start, stop),
         fault=fault,
         results=results,
@@ -954,21 +911,19 @@ def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
     ``assume_delay``), [design] (``markov_length``, ``hankel_rows``,
     ``hankel_cols``, ``order``, ``strategy``, ``poles``), [bench]
     (``run_samples``, ``window_start``, ``window_stop``,
-    ``timing_steps``).  ``plant`` may name a registry entry or a config
-    file with its own [plant] section.
+    ``timing_steps``).  ``plant`` may name a registry entry, which
+    replaces the [plant] ``name`` and matrices, or a config file with its
+    own [plant] section.
     """
     kwargs = {}
     parser = (configparser.ConfigParser() if config_path is None
               else _read_ini(config_path))
 
     plant_parser = parser
-    if plant is not None:
-        if plant in _REGISTRY:
-            kwargs["plant"] = plant
-        else:
-            plant_parser = _read_ini(
-                plant, missing=f"--plant {plant!r} is neither a registered plant "
-                               "nor a readable config file")
+    if plant is not None and plant not in _REGISTRY:
+        plant_parser = _read_ini(
+            plant, missing=f"--plant {plant!r} is neither a registered plant "
+                           "nor a readable config file")
 
     if "plant" in plant_parser:
         vals = _ini_values(plant_parser["plant"], _PLANT_KEYS)
@@ -977,6 +932,8 @@ def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
         elif "name" in vals:
             kwargs["plant"] = vals["name"]
         kwargs.update({key: vals[key] for key in ("q", "r") if key in vals})
+    if plant in _REGISTRY:
+        kwargs.update(plant=plant, model=None)
     if "controller" in plant_parser:
         ctrl = _ini_values(plant_parser["controller"], {"gain": parse_matrix})
         if "gain" in ctrl:
@@ -1194,6 +1151,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args, cfg)
     except ValidationError as err:
         print(f"validation error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:  # an output file that cannot be written
+        print(f"validation error: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
         return 2
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)

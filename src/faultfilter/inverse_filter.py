@@ -98,8 +98,8 @@ class InverseMatrices:
 
     (Phi1, B1, C1, D1) realize the inverse fault map; (C2, D2) pick out
     the part of the output equation orthogonal to the fault directions,
-    which is what the stabilizing injection feeds on.  Gp is the left
-    inverse of the fault direction matrix.
+    which is what the stabilizing injection feeds on.  D1 is the left
+    inverse Gp of the fault direction matrix.
     """
 
     Phi1: np.ndarray
@@ -108,26 +108,25 @@ class InverseMatrices:
     D1: np.ndarray
     C2: np.ndarray
     D2: np.ndarray
-    Gp: np.ndarray
+
+
+def _inverse_matrices(Phi, Et, C, G) -> InverseMatrices:
+    """The open loop inverse of the fault channel (Phi, Et, C, G)."""
+    Gp = left_inverse(G)
+    D2 = G @ Gp
+    return InverseMatrices(
+        Phi1=Phi - Et @ Gp @ C,
+        B1=Et @ Gp,
+        C1=-Gp @ C,
+        D1=Gp,
+        C2=(np.eye(C.shape[0]) - D2) @ C,
+        D2=D2,
+    )
 
 
 def open_loop_inverse(pred: PredictorModel) -> InverseMatrices:
     """Direct inversion of the predictor's fault channel."""
-    if pred.n_faults == 0:
-        raise ValidationError("predictor has no fault channel to invert")
-    G = pred.G
-    Gp = left_inverse(G)
-    C, Et = pred.C, pred.Et
-    proj = np.eye(pred.n_outputs) - G @ Gp
-    return InverseMatrices(
-        Phi1=pred.Phi - Et @ Gp @ C,
-        B1=Et @ Gp,
-        C1=-Gp @ C,
-        D1=Gp,
-        C2=proj @ C,
-        D2=G @ Gp,
-        Gp=Gp,
-    )
+    return _inverse_matrices(pred.Phi, pred.Et, pred.C, pred.G)
 
 
 _PBH_RANK = 1e-8  # PBH ratio at or below which a mode counts as unobservable
@@ -142,19 +141,6 @@ def _pbh_ratio(Phi1, C2, lam) -> float:
     stack = np.vstack([Phi1 - lam * np.eye(n), C2])
     s = np.linalg.svd(stack, compute_uv=False)
     return s[-1] / max(1.0, s[0])
-
-
-def _inverse_pair(Phi, Etilde, C, G):
-    """(Phi1, C2) of the open loop inverse built from raw matrices."""
-    Phi = _as_matrix(Phi, name="Phi")
-    n = Phi.shape[0]
-    C = _as_matrix(C, cols=n, name="C")
-    G = _as_matrix(G, rows=C.shape[0], name="G")
-    Etilde = _as_matrix(Etilde, rows=n, cols=G.shape[1], name="Etilde")
-    Gp = left_inverse(G)
-    Phi1 = Phi - Etilde @ Gp @ C
-    C2 = (np.eye(C.shape[0]) - G @ Gp) @ C
-    return Phi1, C2
 
 
 def invariant_zeros_stable(Phi, Etilde, C, G):
@@ -179,9 +165,15 @@ def invariant_zeros_stable(Phi, Etilde, C, G):
         as failures; ``zeros`` is a complex array sorted by magnitude
         (possibly empty).
     """
-    Phi1, C2 = _inverse_pair(Phi, Etilde, C, G)
-    lams = np.linalg.eig(Phi1)[0]
-    ratios = np.array([_pbh_ratio(Phi1, C2, lam) for lam in lams])
+    Phi = _as_matrix(Phi, name="Phi")
+    n = Phi.shape[0]
+    _as_matrix(Phi, cols=n, name="Phi")
+    C = _as_matrix(C, cols=n, name="C")
+    G = _as_matrix(G, rows=C.shape[0], name="G")
+    Etilde = _as_matrix(Etilde, rows=n, cols=G.shape[1], name="Etilde")
+    inv = _inverse_matrices(Phi, Etilde, C, G)
+    lams = np.linalg.eig(inv.Phi1)[0]
+    ratios = np.array([_pbh_ratio(inv.Phi1, inv.C2, lam) for lam in lams])
     low, high = _PBH_AMBIGUOUS
     unsure = (ratios > low) & (ratios <= high)
     if unsure.any():
@@ -217,6 +209,7 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
     """
     Phi1 = _as_matrix(Phi1, name="Phi1")
     n = Phi1.shape[0]
+    _as_matrix(Phi1, cols=n, name="Phi1")
     C2 = _as_matrix(C2, cols=n, name="C2")
 
     blocked = [lam for lam in np.linalg.eigvals(Phi1)
@@ -448,7 +441,7 @@ def _inverse_system(pred: PredictorModel) -> LinearSystem:
     window blocks W_i = [R_i; Q_i] of the data-driven design.
     """
     inv = open_loop_inverse(pred)
-    D, Gp = pred.D, inv.Gp
+    D, Gp = pred.D, inv.D1
     proj = np.eye(pred.n_outputs) - inv.D2
     return LinearSystem(
         A=inv.Phi1,

@@ -308,9 +308,9 @@ def test_10_recursive_vs_window_cost(monkeypatch):
         captured["filter"] = design_filter_from_xi(*args, **kwargs)
         return captured["filter"]
 
-    def window_step(window_map, block, steps=10000, seed=0):
+    def window_step(window_map, block, steps=10000):
         captured["window"] = (window_map, block)
-        return time_window_step(window_map, block, steps, seed)
+        return time_window_step(window_map, block, steps)
 
     monkeypatch.setattr(bench_cli, "design_filter_from_xi", design)
     monkeypatch.setattr(bench_cli, "time_window_step", window_step)

@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -317,8 +318,27 @@ def synthetic_report(nf=1, with_failure=True):
         results.append(AlgorithmResult(name="alg1", ok=False,
                                        message="alg1: synthetic failure"))
     return ExperimentReport(plant="unstable4", seed=9,
-                            scenario=FaultScenario(onset=20),
                             window=(10, N), fault=fault, results=results)
+
+
+def svg_variant(nf, variant):
+    """synthetic_report(nf) with the arm mix ``variant`` names.
+
+    "plain" has alg0 only, "failure" adds a failed alg1, "nan" adds to
+    that an alg2 whose estimates have non-finite rows in the window, and
+    "no-ok" keeps only the failed alg1.
+    """
+    rep = synthetic_report(nf, with_failure=variant != "plain")
+    if variant == "nan":
+        est = rep.results[0].estimates * 1.2 - 0.03
+        est[30, 0] = np.nan
+        est[31:33, -1] = np.inf
+        rep.results.append(AlgorithmResult(
+            name="alg2", ok=True, estimates=est,
+            stats=ellipse_stats(est[10:] - rep.fault[10:]), step_time_ns=700.0))
+    elif variant == "no-ok":
+        rep.results = rep.results[1:]
+    return rep
 
 
 class TestExperimentReport:
@@ -352,6 +372,23 @@ class TestExperimentReport:
         assert lines == ["alg0 median_step_ns 500.0"]
 
 
+# sha256 of write_report_svg(svg_variant(nf, variant)), keyed (nf, variant)
+SVG_DIGESTS = {
+    (1, "plain"): "c82c406d267a58e6d26bb404c1b83aba33f086e153da7dfd686ccd9d5c8ef26d",
+    (1, "failure"): "b86175ad902cccfea973da155b1f0b899fd23c09b4794ac568998c911cad20b2",
+    (1, "nan"): "e22a52427502ea3992a020239654f576f14e0360bb90ef9097464082c412a5a8",
+    (1, "no-ok"): "a91c1ae296c9830f0ccb354281c9e7e2e9e5458cf79ef838d51cce251f7acc0f",
+    (2, "plain"): "75c8e07cbad17fc1a8cc25915a4f5eac301f1bcec11e88da973ad4626da73d1a",
+    (2, "failure"): "8d875f44b0320071dd861a5cc5de78268d477d65a2e2bbf6df765c11b774cd49",
+    (2, "nan"): "972528f8ef427d78ca7cbc9fb6ac1d56aeed56faf703145405cad30e8fca0b70",
+    (2, "no-ok"): "a91c1ae296c9830f0ccb354281c9e7e2e9e5458cf79ef838d51cce251f7acc0f",
+    (3, "plain"): "975ee301dbbe1e872136885cc80147e7308a5a23c798d3a009d86c0653228610",
+    (3, "failure"): "103cc797e6d3e28df7bdd114c3b55cf89e58a354711c46c456c7988f663cc7d3",
+    (3, "nan"): "a4fea5d19aab56c529af4e289e421ca3600944b167f00cd672dda13e3b47dd86",
+    (3, "no-ok"): "a91c1ae296c9830f0ccb354281c9e7e2e9e5458cf79ef838d51cce251f7acc0f",
+}
+
+
 class TestReportSvg:
     def test_scalar_fault_plot(self, tmp_path):
         path = tmp_path / "r1.svg"
@@ -373,6 +410,15 @@ class TestReportSvg:
         write_report_svg(synthetic_report(), p1)
         write_report_svg(synthetic_report(), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("variant", ["plain", "failure", "nan", "no-ok"])
+    @pytest.mark.parametrize("nf", [1, 2, 3])
+    def test_pinned_bytes(self, tmp_path, nf, variant):
+        # recorded from the renderer that drew each layout on its own path;
+        # a moved or reformatted element changes them
+        path = tmp_path / "r.svg"
+        write_report_svg(svg_variant(nf, variant), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SVG_DIGESTS[nf, variant]
 
 
 class TestBenchConfig:
@@ -537,11 +583,11 @@ class TestTimers:
         Kr = ff.stabilizing_gain(ff.open_loop_inverse(pred).Phi1,
                                  ff.open_loop_inverse(pred).C2)
         filt = ff.reduced_filter(pred, Kr)
-        t = time_filter_step(filt, steps=200, seed=1)
+        t = time_filter_step(filt, steps=200)
         assert np.isfinite(t) and t > 0
 
     def test_window_step_timer(self):
-        t = time_window_step(np.ones((1, 40)), block=4, steps=200, seed=1)
+        t = time_window_step(np.ones((1, 40)), block=4, steps=200)
         assert np.isfinite(t) and t > 0
 
 
@@ -769,6 +815,45 @@ class TestCli:
     def test_estimate_requires_files(self, capsys):
         assert main(["estimate"]) == 2
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("plant_section", [
+        "A = 0.5 0; 0 0.3\nB = 1 0; 0 1\nC = 1 0; 0 1\nq = 0.001\nr = 0.01\n",
+        "name = bogus\n",
+    ], ids=["matrices", "unknown-name"])
+    def test_registry_plant_option_beats_config_plant(self, tmp_path, capsys,
+                                                      plant_section):
+        # the 2-state plant's sensor-1 channel has an invariant zero at 0.5
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(f"[plant]\n{plant_section}\n"
+                            "[controller]\ngain = 0.1 0; 0 0.1\n")
+        assert main(["zeros"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["zeros", "--config", str(cfg_path), "--plant", "unstable4"]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("verb, first_output", [
+        ("identify", "xi.csv"), ("design", "filter.csv"),
+        ("estimate", "estimates.csv"), ("compare", "estimates.csv")])
+    def test_unwritable_output_file_exit_code(self, tmp_path, capsys, verb,
+                                              first_output):
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text(SMALL_INI)
+        common = ["--config", str(cfg_path), "--seed", "3"]
+        assert main(["identify", "--out", str(tmp_path)] + common) == 0
+        assert main(["design", "--xi", str(tmp_path / "xi.csv"),
+                     "--out", str(tmp_path)] + common) == 0
+        model, ctrl = ff.get_plant("unstable4").factory()
+        data, _ = closed_loop_sim(model, ctrl, 200, np.random.default_rng(4))
+        data.to_csv(tmp_path / "run.csv")
+        capsys.readouterr()
+        blocked = tmp_path / "out" / first_output
+        blocked.mkdir(parents=True)
+        extra = {"design": ["--xi", str(tmp_path / "xi.csv")],
+                 "estimate": ["--filter", str(tmp_path / "filter.csv"),
+                              "--data", str(tmp_path / "run.csv")]}.get(verb, [])
+        assert main([verb, "--out", str(tmp_path / "out")] + common + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and str(blocked) in err
 
     def test_unknown_plant_exit_code(self, capsys):
         assert main(["zeros", "--plant", "bogus_plant"]) == 2

@@ -201,6 +201,25 @@ class TestInvariantZeros:
         assert ok
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: stabilizing_gain(np.ones((2, 3)), np.ones((1, 2))), "Phi1"),
+    (lambda: invariant_zeros_stable(np.ones((2, 3)), np.ones((2, 1)),
+                                    np.ones((1, 2)), np.ones((1, 1))), "Phi"),
+    (lambda: invariant_zeros_stable(np.eye(2), np.ones((2, 1)),
+                                    np.ones((1, 3)), np.ones((1, 1))), "C"),
+    (lambda: invariant_zeros_stable(np.eye(2), np.ones((2, 1)),
+                                    np.ones((1, 2)), np.ones((2, 1))), "G"),
+    (lambda: invariant_zeros_stable(np.eye(2), np.ones((3, 1)),
+                                    np.ones((1, 2)), np.ones((1, 1))), "Etilde"),
+    (lambda: invariant_zeros_stable(np.eye(2), np.ones((2, 2)),
+                                    np.ones((1, 2)), np.ones((1, 1))), "Etilde"),
+], ids=["gain-Phi1-square", "zeros-Phi-square", "zeros-C-columns", "zeros-G-rows",
+        "zeros-Etilde-rows", "zeros-Etilde-columns"])
+def test_mis_sized_matrix_is_named(call, name):
+    with pytest.raises(ValidationError, match=f"^{name} must have"):
+        call()
+
+
 class TestStabilizingGain:
     def test_riccati_stabilizes_random_pairs(self, rng):
         for _ in range(10):

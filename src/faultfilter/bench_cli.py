@@ -378,25 +378,42 @@ def ellipse_stats(errors) -> EllipseStats:
 # timing
 
 
+# Steps per pair of clock reads.  A perf_counter_ns call costs ~50-100 ns,
+# so 20 steps a batch leave a few ns of it per step, and 2000 steps still
+# give 100 batches for the median.
+_TIMING_BATCH = 20
+
+
+def _batch_sizes(steps: int) -> list:
+    """Split ``steps`` into batches of ``_TIMING_BATCH``, the last one short."""
+    if steps < 1:
+        raise ValidationError(f"steps must be at least 1, got {steps}")
+    return [min(_TIMING_BATCH, steps - i) for i in range(0, steps, _TIMING_BATCH)]
+
+
 def time_filter_step(filt: FaultEstimationFilter, steps: int = 10000) -> float:
     """Median nanoseconds per recursive filter step.
 
     Times the combined update [x; f] = M [x; u; y] as a single matrix
     vector product on random data.  That is the matvec floor under
     ``FaultEstimationFilter.step``, not ``step`` itself, and it depends
-    only on the shape of ``step_matrix()``.
+    only on the shape of ``step_matrix()``.  The clock is read around
+    batches of steps, and the figure is the median over batches of the
+    mean step time, with the cost of reading the clock left out.
     """
+    sizes = _batch_sizes(steps)
     rng = np.random.default_rng(0)
     M = filt.step_matrix()
     n = filt.n_states
     v = rng.standard_normal(M.shape[1])
     out = np.empty(M.shape[0])
-    ts = np.empty(steps)
-    for i in range(steps):
+    ts = np.empty(len(sizes))
+    for b, size in enumerate(sizes):
         t0 = time.perf_counter_ns()
-        np.dot(M, v, out=out)
-        v[:n] = out[:n]
-        ts[i] = time.perf_counter_ns() - t0
+        for _ in range(size):
+            np.dot(M, v, out=out)
+            v[:n] = out[:n]
+        ts[b] = (time.perf_counter_ns() - t0) / size
     return float(np.median(ts))
 
 
@@ -406,18 +423,25 @@ def time_window_step(window_map: np.ndarray, block: int, steps: int = 10000) -> 
     Times one window shift (roll in ``block`` new entries) plus the
     window matrix product: a one-window proxy of the moving horizon
     path, not the FIR sweep over all windows that ``run_mhe`` runs.
+    Like ``time_filter_step`` it returns the median over batches of the
+    mean step time, without the cost of reading the clock.
     """
-    rng = np.random.default_rng(0)
+    sizes = _batch_sizes(steps)
     width = window_map.shape[1]
+    if not 1 <= block <= width:
+        raise ValidationError(f"block must be in [1, {width}], the window width, "
+                              f"got {block}")
+    rng = np.random.default_rng(0)
     zwin = rng.standard_normal(width)
     znew = rng.standard_normal(block)
-    ts = np.empty(steps)
-    for i in range(steps):
+    ts = np.empty(len(sizes))
+    for b, size in enumerate(sizes):
         t0 = time.perf_counter_ns()
-        zwin[:-block] = zwin[block:]
-        zwin[-block:] = znew
-        window_map @ zwin
-        ts[i] = time.perf_counter_ns() - t0
+        for _ in range(size):
+            zwin[:-block] = zwin[block:]
+            zwin[-block:] = znew
+            window_map @ zwin
+        ts[b] = (time.perf_counter_ns() - t0) / size
     return float(np.median(ts))
 
 
@@ -429,8 +453,9 @@ def time_window_step(window_map: np.ndarray, block: int, steps: int = 10000) -> 
 class AlgorithmResult:
     """Outcome of one estimator on the benchmark trajectory.
 
-    ``step_time_ns`` is the median ns per step: the bare step matvec for
-    a recursive filter, shared by every filter of the run whose step
+    ``step_time_ns`` is ns per step, the median over batches of the
+    mean step time with the clock cost left out: the bare step matvec
+    for a recursive filter, shared by every filter of the run whose step
     matrix has the same shape, or the window product for alg3.
     """
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from .errors import ValidationError, WindowRankError
 from .lti_core import (
@@ -68,6 +69,48 @@ class MheProblem:
         return self.O.shape[1]
 
 
+# Certify full column rank only when cond2(Tf) <= 1e6, four decades inside
+# the 1e-10 relative cutoff of the SVD rule in build_mhe.  A backward
+# stable SVD moves each singular value by ~m n u sigma_max (u = 1.1e-16),
+# so the rule cannot fire on a certified matrix.
+_RANK_CERT_COND = 1e6
+# c in the constants c m n u and c n u of the two bounds below; the proofs
+# give a small integer c, and 100 leaves room for blocked LAPACK
+# variants at no cost in certificates.
+_RANK_CERT_C = 100.0
+
+
+def _full_rank_certified(Tf: np.ndarray) -> bool:
+    """Whether a Householder QR proves cond2(Tf) <= ``_RANK_CERT_COND``.
+
+    Householder QR is backward stable: Tf + dA = Q R exactly, with Q
+    orthogonal and ||dA||_2 <= ||dA||_F <= g ||Tf||_F, g = c m n u
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    thm 19.4).  So sigma_min(Tf) >= sigma_min(R) - g ||Tf||_F.  The
+    computed inverse X of the triangle R obeys
+    ||X - R^-1||_F <= t ||R^-1||_F with t = c n u ||R||_F ||X||_F (ch. 14),
+    so sigma_min(R) >= 1 / ||R^-1||_F >= (1 - t) / ||X||_F.  With
+    sigma_max(Tf) <= ||Tf||_F this bounds cond2(Tf).  Certifying needs
+    ||Tf||_F ||X||_F <~ 1e6, which keeps t below ~1e-8 n (1e-6 at
+    n = 100): in that region X is accurate.  Rounding of these few scalars is relative
+    O(n u), far inside the slack.  False means no certificate, not rank
+    loss; a wide Tf, a singular or non-finite X never certifies.
+    """
+    m, n = Tf.shape
+    if m < n:
+        return False
+    R = np.linalg.qr(Tf, mode="r")
+    X, info = dtrtri(R)
+    if info != 0:
+        return False
+    u = np.finfo(float).eps / 2
+    hi = np.linalg.norm(Tf)
+    x = np.linalg.norm(X)
+    t = _RANK_CERT_C * n * u * np.linalg.norm(R) * x
+    lo = (1.0 - t) / x - _RANK_CERT_C * m * n * u * hi
+    return bool(hi <= _RANK_CERT_COND * lo)
+
+
 def build_mhe(pred: PredictorModel, L: int) -> MheProblem:
     """Assemble the window estimator of a predictor with a fault channel.
 
@@ -90,12 +133,13 @@ def build_mhe(pred: PredictorModel, L: int) -> MheProblem:
     O = extended_observability(pred.Phi, pred.C, L)
     Tf = block_toeplitz(markov_parameters(pred, "f", L), L)
 
-    s = np.linalg.svd(Tf, compute_uv=False)
-    if s[-1] <= 1e-10 * s[0]:
-        raise WindowRankError(
-            f"window inversion rank failure: fault Toeplitz matrix has "
-            f"numerical rank below {Tf.shape[1]} (smallest singular value "
-            f"{s[-1]:.3g})")
+    if not _full_rank_certified(Tf):
+        s = np.linalg.svd(Tf, compute_uv=False)
+        if s[-1] <= 1e-10 * s[0]:
+            raise WindowRankError(
+                f"window inversion rank failure: fault Toeplitz matrix has "
+                f"numerical rank below {Tf.shape[1]} (smallest singular value "
+                f"{s[-1]:.3g})")
     Gp = np.linalg.solve(Tf.T @ Tf, Tf.T)
     # The state correction has rank <= n, so it stays factored:
     # Y = O' (I - Tf Gp) is n x L n_y, Delta = Y O, and no L n_y square

@@ -1,6 +1,7 @@
 import hashlib
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -589,6 +590,75 @@ class TestTimers:
     def test_window_step_timer(self):
         t = time_window_step(np.ones((1, 40)), block=4, steps=200)
         assert np.isfinite(t) and t > 0
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_steps_below_one_rejected(self, steps):
+        filt = SimpleNamespace(step_matrix=lambda: np.ones((2, 3)), n_states=1)
+        with pytest.raises(ValidationError, match="steps"):
+            time_filter_step(filt, steps)
+        with pytest.raises(ValidationError, match="steps"):
+            time_window_step(np.ones((1, 40)), 4, steps)
+
+    @pytest.mark.parametrize("block", [0, 41])
+    def test_block_outside_window_rejected(self, block):
+        with pytest.raises(ValidationError, match="block"):
+            time_window_step(np.ones((1, 40)), block, 10)
+
+
+class CountingMatrix(np.ndarray):
+    """A matrix that counts the products taken with it, by ``@`` or ``np.dot``."""
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.dot:
+            self.products += 1
+        return super().__array_function__(func, types, args, kwargs)
+
+
+class TestTimerBatches:
+    """Each timer runs exactly ``steps`` steps and reads the clock twice a batch."""
+
+    B = bench_cli._TIMING_BATCH
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        reads = []
+
+        def perf_counter_ns():
+            reads.append(None)
+            return 1000 * len(reads)
+
+        monkeypatch.setattr(bench_cli, "time", SimpleNamespace(perf_counter_ns=perf_counter_ns))
+        return reads
+
+    @staticmethod
+    def counting(shape):
+        M = np.full(shape, 0.1).view(CountingMatrix)
+        M.products = 0
+        return M
+
+    @pytest.mark.parametrize("steps", [1, 8, B - 1, B, B + 1, 2000])
+    def test_filter_step_batches(self, clock, steps):
+        M = self.counting((3, 5))
+        time_filter_step(SimpleNamespace(step_matrix=lambda: M, n_states=2), steps)
+        assert M.products == steps
+        assert len(clock) == 2 * -(-steps // self.B)
+
+    @pytest.mark.parametrize("steps", [1, 8, B - 1, B, B + 1, 2000])
+    def test_window_step_batches(self, clock, steps):
+        W = self.counting((2, 12))
+        time_window_step(W, 3, steps)
+        assert W.products == steps
+        assert len(clock) == 2 * -(-steps // self.B)
+
+    def test_short_last_batch_is_a_per_step_mean(self, clock):
+        # the fake clock advances 1000 ns between reads, so a full batch
+        # costs 1000 / B ns a step and the short batch of one 1000 ns
+        W = self.counting((2, 12))
+        assert time_window_step(W, 3, self.B + 1) == (1000 / self.B + 1000) / 2
 
 
 class TestParseMatrix:

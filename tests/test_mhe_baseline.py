@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultfilter import (
     ValidationError,
@@ -9,6 +11,9 @@ from faultfilter import (
     run_mhe,
     to_predictor,
 )
+
+from faultfilter import mhe_baseline
+from faultfilter.mhe_baseline import _RANK_CERT_C, _RANK_CERT_COND, _full_rank_certified
 
 from conftest import dense_mhe_gain, random_model, random_predictor
 
@@ -80,6 +85,72 @@ class TestBuildMhe:
         plain = to_predictor(random_model(rng))
         with pytest.raises(ValidationError, match="fault channel"):
             build_mhe(plain, 5)
+
+
+def svd_rank_loss(A):
+    """The SVD rule build_mhe applies when the certificate does not hold."""
+    s = np.linalg.svd(A, compute_uv=False)
+    return bool(s[-1] <= 1e-10 * s[0])
+
+
+class TestRankCertificate:
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2 ** 32 - 1), L=st.integers(1, 8),
+           cols=st.floats(0.0, 1.0), decades=st.floats(0.0, 14.0),
+           lost=st.integers(0, 2), scale=st.floats(-8.0, 8.0))
+    def test_decision_is_the_svd_rule(self, seed, L, cols, decades, lost, scale):
+        # Tf = U diag(s) V' with sigma_min / sigma_max = 10^-decades, or with
+        # `lost` exact zeros; build_mhe must raise exactly where the SVD rule
+        # says rank loss, whether or not the certificate holds
+        rng = np.random.default_rng(seed)
+        pred = random_predictor(rng, n=3, n_y=2, sensors=(0,))
+        m = 2 * L
+        n = 1 + int(cols * (m - 1))
+        U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        e = np.sort(rng.uniform(0.0, decades, n))
+        e[0], e[-1] = 0.0, decades
+        s = 10.0 ** (scale - e)
+        s[n - min(lost, n - 1):] = 0.0
+        Tf = (U * s) @ V.T
+        loss = svd_rank_loss(Tf)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mhe_baseline, "block_toeplitz", lambda blocks, L: Tf)
+            try:
+                build_mhe(pred, L)
+            except WindowRankError:
+                assert loss
+            else:
+                assert not loss
+        certified = _full_rank_certified(Tf)
+        assert not (certified and loss)
+        # the Frobenius bounds lose at most a factor n each, so a well
+        # conditioned matrix takes the certificate and skips the SVD
+        assert certified or s[-1] < 1e-3 * s[0]
+
+    def test_wide_and_non_finite_matrices_not_certified(self):
+        assert not _full_rank_certified(np.ones((2, 3)))
+        assert not _full_rank_certified(np.zeros((4, 2)))
+        assert not _full_rank_certified(np.full((4, 2), np.nan))
+
+    def test_sound_for_a_worst_case_qr(self, monkeypatch):
+        # A has cond2 just above the certified bound.  Householder QR may
+        # return R of A + dA for any dA within its backward error; this dA
+        # lifts sigma_min by almost all of it, which must not certify A.
+        K, m, n = _RANK_CERT_COND, 8, 2
+        kappa = K * (1 + 5e-8)
+        V = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        A = np.zeros((m, n))
+        A[:n] = np.diag([1.0, 1.0 / kappa]) @ V.T
+        # columnwise |dA_j| <= g |A_j| with g = c m n u
+        g = _RANK_CERT_C * m * n * np.finfo(float).eps / 2
+        eta = 0.99 * g * min(np.linalg.norm(A, axis=0)) * np.sqrt(2)
+        dA = np.zeros((m, n))
+        dA[1] = eta * V[:, 1]
+        assert np.all(np.linalg.norm(dA, axis=0) <= g * np.linalg.norm(A, axis=0))
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda M, mode="reduced": qr(M + dA, mode=mode))
+        assert not _full_rank_certified(A)
 
 
 class TestEstimate:

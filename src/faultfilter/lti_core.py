@@ -237,16 +237,23 @@ class LinearSystem:
 
 
 def _write_csv(path, *parts) -> None:
-    """Write each part in turn: a list of rows as given, an array at full precision.
+    """Write each part in turn: a list of rows as given, or a table.
 
-    An array's rows are one ``%`` over a row template, byte for byte what
-    ``csv.writer`` gives for the formatted cells.
+    A table is an array, or a tuple of arrays side by side (a 1-D array
+    is one column).  Integer columns are written with ``%d``, the rest at
+    full precision.  A table's rows are one ``%`` over a row template,
+    byte for byte what ``csv.writer`` gives for the formatted cells.
     """
     with open(path, "w", newline="") as fh:
         for part in parts:
-            if isinstance(part, np.ndarray):
-                row = ",".join([_FMT] * part.shape[1]) + "\r\n"
-                fh.write(row * part.shape[0] % tuple(part.ravel().tolist()))
+            if isinstance(part, (np.ndarray, tuple)):
+                cols = part if isinstance(part, tuple) else (part,)
+                row = ",".join("%d" if c.dtype.kind in "iu" else _FMT
+                               for c in cols
+                               for _ in range(c.shape[1] if c.ndim == 2 else 1))
+                row += "\r\n"
+                table = np.column_stack(cols)
+                fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
             else:
                 csv.writer(fh).writerows(part)
 
@@ -327,7 +334,7 @@ class IOData:
         """Write samples as rows k,u1..u_nu,y1..y_ny with full precision."""
         _write_csv(path, [["k"] + [f"u{i+1}" for i in range(self.n_inputs)]
                           + [f"y{i+1}" for i in range(self.n_outputs)]],
-                   np.column_stack([np.arange(self.n_samples), self.u, self.y]))
+                   (np.arange(self.n_samples), self.u, self.y))
 
     @classmethod
     def from_csv(cls, path) -> "IOData":

@@ -19,6 +19,11 @@ deficient Delta that occurs whenever state and fault contributions are
 not separately identifiable; any minimizer yields the same fitted
 residual.
 
+Gp comes from the Householder factor Tf = Q R that certifies full column
+rank: Tf' Tf = R' R, so Gp = R^-1 R^-T Tf' from the inverted triangle
+the certificate already holds.  When the certificate does not hold, an
+SVD rank test runs and Gp solves the normal equations.
+
 Unlike the recursive inversion filter this estimator touches the whole
 window every step, and its gain is dense rather than block Toeplitz,
 so its per sample cost grows with L.  It serves as the accuracy and cost
@@ -80,8 +85,8 @@ _RANK_CERT_COND = 1e6
 _RANK_CERT_C = 100.0
 
 
-def _full_rank_certified(Tf: np.ndarray) -> bool:
-    """Whether a Householder QR proves cond2(Tf) <= ``_RANK_CERT_COND``.
+def _certified_inverse_factor(Tf: np.ndarray):
+    """R^-1 of a Householder QR that proves cond2(Tf) <= ``_RANK_CERT_COND``.
 
     Householder QR is backward stable: Tf + dA = Q R exactly, with Q
     orthogonal and ||dA||_2 <= ||dA||_F <= g ||Tf||_F, g = c m n u
@@ -93,22 +98,27 @@ def _full_rank_certified(Tf: np.ndarray) -> bool:
     sigma_max(Tf) <= ||Tf||_F this bounds cond2(Tf).  Certifying needs
     ||Tf||_F ||X||_F <~ 1e6, which keeps t below ~1e-8 n (1e-6 at
     n = 100): in that region X is accurate.  Rounding of these few scalars is relative
-    O(n u), far inside the slack.  False means no certificate, not rank
+    O(n u), far inside the slack.  None means no certificate, not rank
     loss; a wide Tf, a singular or non-finite X never certifies.
     """
     m, n = Tf.shape
     if m < n:
-        return False
+        return None
     R = np.linalg.qr(Tf, mode="r")
     X, info = dtrtri(R)
     if info != 0:
-        return False
+        return None
     u = np.finfo(float).eps / 2
     hi = np.linalg.norm(Tf)
     x = np.linalg.norm(X)
     t = _RANK_CERT_C * n * u * np.linalg.norm(R) * x
     lo = (1.0 - t) / x - _RANK_CERT_C * m * n * u * hi
-    return bool(hi <= _RANK_CERT_COND * lo)
+    return X if hi <= _RANK_CERT_COND * lo else None
+
+
+def _full_rank_certified(Tf: np.ndarray) -> bool:
+    """Whether the QR certificate of ``_certified_inverse_factor`` holds."""
+    return _certified_inverse_factor(Tf) is not None
 
 
 def build_mhe(pred: PredictorModel, L: int) -> MheProblem:
@@ -121,6 +131,9 @@ def build_mhe(pred: PredictorModel, L: int) -> MheProblem:
 
     Returns:
         MheProblem with O, Tf and the composite residual-to-fault gain.
+        Its left inverse Gp = R^-1 R^-T Tf' reuses the Householder factor
+        of the rank certificate; without a certificate Gp solves the
+        normal equations (Tf' Tf) Gp = Tf'.
 
     Raises:
         WindowRankError: the fault Toeplitz matrix lost column rank, so
@@ -133,14 +146,20 @@ def build_mhe(pred: PredictorModel, L: int) -> MheProblem:
     O = extended_observability(pred.Phi, pred.C, L)
     Tf = block_toeplitz(markov_parameters(pred, "f", L), L)
 
-    if not _full_rank_certified(Tf):
+    X = _certified_inverse_factor(Tf)
+    if X is not None:
+        Gp = X @ (X.T @ Tf.T)
+    else:
+        # a wide Tf has fewer singular values than columns: the missing
+        # ones are zero
         s = np.linalg.svd(Tf, compute_uv=False)
-        if s[-1] <= 1e-10 * s[0]:
+        s_min = s[-1] if len(s) == Tf.shape[1] else 0.0
+        if s_min <= 1e-10 * s[0]:
             raise WindowRankError(
                 f"window inversion rank failure: fault Toeplitz matrix has "
                 f"numerical rank below {Tf.shape[1]} (smallest singular value "
-                f"{s[-1]:.3g})")
-    Gp = np.linalg.solve(Tf.T @ Tf, Tf.T)
+                f"{s_min:.3g})")
+        Gp = np.linalg.solve(Tf.T @ Tf, Tf.T)
     # The state correction has rank <= n, so it stays factored:
     # Y = O' (I - Tf Gp) is n x L n_y, Delta = Y O, and no L n_y square
     # matrix is formed.

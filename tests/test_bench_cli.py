@@ -23,6 +23,7 @@ from faultfilter.bench_cli import (
     ALGORITHM_NAMES,
     AlgorithmResult,
     BENCH_POLES,
+    _window_map,
     load_bench_config,
     main,
     parse_fault_signal,
@@ -31,7 +32,7 @@ from faultfilter.bench_cli import (
     time_window_step,
     write_report_svg,
 )
-from faultfilter.lti_core import _write_csv
+from faultfilter.lti_core import _write_csv, block_toeplitz
 
 from conftest import planted_zero_predictor
 
@@ -659,6 +660,22 @@ class TestTimerBatches:
         # costs 1000 / B ns a step and the short batch of one 1000 ns
         W = self.counting((2, 12))
         assert time_window_step(W, 3, self.B + 1) == (1000 / self.B + 1000) / 2
+
+
+class TestWindowMap:
+    @pytest.mark.parametrize("nf", [1, 2])
+    @pytest.mark.parametrize("L", [1, 2, 5, 100])
+    def test_equals_toeplitz_product(self, rng, nf, L):
+        # the block correlation alg3 times against the product it replaces,
+        # on the newest rows of an (L nf, L ny) gain as run_comparison takes them
+        ny, q = 3, 5
+        Hz = rng.standard_normal((L + 2, ny, q))
+        gain = rng.standard_normal((L * nf, L * ny))[-nf:]
+        ref = gain @ block_toeplitz(Hz, L)
+        got = _window_map(gain, Hz, L)
+        assert got.shape == ref.shape == (nf, L * q)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
 class TestParseMatrix:

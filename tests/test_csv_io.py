@@ -8,8 +8,12 @@ the fast one accepts, that malformed files keep their messages, and that
 all three file formats round trip every float bit for bit (a nan keeps
 no sign in the text format).  Records may hold nan and inf, which the
 verbs reject by sample; a Markov parameter file or a filter bundle with
-one is refused on reading.
+one is refused on reading.  The three tables led by the sample counter
+``k`` write it with ``%d``; their bytes are pinned against the former
+all-``%.17g`` writer.
 """
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +21,22 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from faultfilter import (
+    AlgorithmResult,
+    ExperimentReport,
     FaultEstimationFilter,
     IdentifiedXi,
     IOData,
     ValidationError,
+    ellipse_stats,
+    open_loop_inverse,
+    reduced_filter,
+    run_filter,
+    stabilizing_gain,
 )
+from faultfilter.bench_cli import main
 from faultfilter.lti_core import _CsvRows, _loadtxt_table, _u_columns, _write_csv
+
+from conftest import stable_invertible_predictor
 
 SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
            2.2250738585072014e-308, -1.1125369292536007e-308, 1.7976931348623157e308]
@@ -229,3 +243,70 @@ def test_lf_and_crlf_take_the_fast_path(tmp_path):
         back = IOData.from_csv(path)
         assert_same_bits(back.u, np.array([[1.0], [-0.0]]))
         assert_same_bits(back.y, np.array([[2.0, 3.0], [np.nan, -np.inf]]))
+
+
+def float_k_csv(path, header, table):
+    """Oracle: the table writer as it was before ``k`` took ``%d``.
+
+    Every cell of the table, the sample counter ``k`` included, went
+    through ``%.17g``.
+    """
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(header)
+        row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+        fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
+
+
+def k_table_values(rng, N, cols):
+    """Random values of all magnitudes led by as many SPECIAL values as fit."""
+    X = rng.standard_normal((N, cols)) * 10.0 ** rng.integers(-320, 300, (N, cols))
+    n = min(X.size, len(SPECIAL))
+    X.reshape(-1)[:n] = SPECIAL[:n]
+    return X
+
+
+# k = 0 and 1, a table holding every SPECIAL value, and one whose last k is 10^4
+K_TABLE_ROWS = [1, 2, len(SPECIAL), 10 ** 4 + 1]
+
+
+@pytest.mark.parametrize("N", K_TABLE_ROWS)
+def test_k_column_bytes_of_iodata(tmp_path, N):
+    rng = np.random.default_rng(N)
+    u, y = k_table_values(rng, N, 2), k_table_values(rng, N, 3)
+    IOData(u, y).to_csv(tmp_path / "got.csv")
+    float_k_csv(tmp_path / "want.csv", [["k", "u1", "u2", "y1", "y2", "y3"]],
+                np.column_stack([np.arange(N), u, y]))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("N", K_TABLE_ROWS)
+def test_k_column_bytes_of_report_estimates(tmp_path, N):
+    rng = np.random.default_rng(N)
+    fault, est = k_table_values(rng, N, 2), k_table_values(rng, N, 2)
+    stats = ellipse_stats(rng.standard_normal((3, 2)))
+    ExperimentReport(plant="unstable4", seed=0, window=(0, N), fault=fault,
+                     results=[AlgorithmResult(name="alg0", ok=True, estimates=est,
+                                              stats=stats)]).to_csv(tmp_path)
+    float_k_csv(tmp_path / "want.csv", [["k", "f1", "f2", "alg0_f1", "alg0_f2"]],
+                np.column_stack([np.arange(N), fault, est]))
+    assert ((tmp_path / "estimates.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
+
+
+@pytest.mark.parametrize("N", K_TABLE_ROWS)
+def test_k_column_bytes_of_estimate_verb(tmp_path, N):
+    # the verb refuses non-finite samples, so its values are plain floats
+    rng = np.random.default_rng(N)
+    pred = stable_invertible_predictor(rng)
+    inv = open_loop_inverse(pred)
+    reduced_filter(pred, stabilizing_gain(inv.Phi1, inv.C2)).to_csv(tmp_path / "f.csv")
+    IOData(rng.standard_normal((N, 2)), rng.standard_normal((N, 2))).to_csv(
+        tmp_path / "io.csv")
+    assert main(["estimate", "--filter", str(tmp_path / "f.csv"), "--data",
+                 str(tmp_path / "io.csv"), "--out", str(tmp_path / "out")]) == 0
+    fhat = run_filter(FaultEstimationFilter.from_csv(tmp_path / "f.csv"),
+                      IOData.from_csv(tmp_path / "io.csv"))
+    float_k_csv(tmp_path / "want.csv", [["k", "fhat1"]],
+                np.column_stack([np.arange(N), fhat]))
+    assert ((tmp_path / "out" / "estimates.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())

@@ -78,6 +78,26 @@ class TestBuildMhe:
         with pytest.raises(WindowRankError, match="window inversion rank"):
             build_mhe(pred, 5)
 
+    def test_wide_fault_channel_is_rank_failure(self, rng):
+        # three fault columns on two outputs: Tf is 10 x 15, so its column
+        # rank is at most 10 whatever its singular values say
+        pred = random_predictor(rng, n_y=2, sensors=(0, 0, 1))
+        with pytest.raises(WindowRankError, match="window inversion rank"):
+            build_mhe(pred, 5)
+
+    @pytest.mark.parametrize("n_y, sensors", [(2, (0,)), (3, (0, 2)), (2, (0, 1))])
+    def test_certified_gain_takes_the_factor(self, rng, n_y, sensors):
+        # at compare's window length a certified Tf never reaches the
+        # normal equations, and R^-1 R^-T Tf' matches the dense oracle
+        pred = random_predictor(rng, n=4, n_y=n_y, sensors=sensors)
+        L = 100
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "solve", None)
+            prob = build_mhe(pred, L)
+        assert _full_rank_certified(prob.Tf)
+        ref = dense_mhe_gain(prob.O, prob.Tf)
+        assert np.max(np.abs(prob.gain - ref)) <= 1e-11 * (1.0 + np.abs(ref).max())
+
     def test_validation(self, rng):
         pred = random_predictor(rng)
         with pytest.raises(ValidationError):

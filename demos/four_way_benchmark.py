@@ -10,7 +10,7 @@ Compares, on the same faulty closed-loop run of an unstable plant:
   alg3  moving-horizon least squares on the identified predictor.
 
 Writes the same artifacts the `faultfilter compare` command produces:
-estimates.csv, stats.csv, report.svg and timing.txt in out/.
+estimates.csv, stats.csv, report.svg and cost.txt in out/.
 """
 import os
 
@@ -21,7 +21,7 @@ from faultfilter.bench_cli import write_report_svg
 
 
 def main():
-    cfg = BenchConfig(seed=1000, timing_steps=2000)
+    cfg = BenchConfig(seed=1000)
     report = run_comparison(cfg)
     print(report.summary())
 
@@ -34,8 +34,8 @@ def main():
     out = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
     report.to_csv(out)
     write_report_svg(report, os.path.join(out, "report.svg"))
-    report.write_timing(os.path.join(out, "timing.txt"))
-    print(f"\nwrote estimates.csv, stats.csv, report.svg, timing.txt to {out}")
+    report.write_cost(os.path.join(out, "cost.txt"))
+    print(f"\nwrote estimates.csv, stats.csv, report.svg, cost.txt to {out}")
 
 
 if __name__ == "__main__":

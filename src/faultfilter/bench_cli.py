@@ -16,10 +16,10 @@ one faulty trajectory and compare their error statistics:
 The registry ships a documented 4-state unstable plant with a printed
 stabilizing output feedback gain; other plants come from a config file
 with a [plant] and a [controller] section.  Reports carry estimate
-series, error means and covariances, 3-sigma ellipse parameters and per
-step timing, and serialize to CSV (authoritative, byte deterministic per
-seed) plus a small self-contained SVG plot; timing goes to a separate
-text file because it is machine dependent.
+series, error means and covariances, 3-sigma ellipse parameters and the
+multiply-adds per sample each estimator costs, counted from its matrix
+shapes.  They serialize to CSV plus a small self-contained SVG plot and
+a cost file, all byte deterministic per seed.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     FaultFilterError,
@@ -66,7 +65,6 @@ from .markov_design import (
     DesignConfig,
     design_filter_from_xi,
     predictor_from_xi,
-    z_markov,
 )
 from .mhe_baseline import build_mhe, run_mhe
 from .sysid_markov import IdentifiedXi, identify_xi
@@ -375,7 +373,7 @@ def ellipse_stats(errors) -> EllipseStats:
 
 
 # ---------------------------------------------------------------------------
-# timing
+# timing (demos, tests and the benchmark harness; compare counts work instead)
 
 
 # Steps per pair of clock reads.  A perf_counter_ns call costs ~50-100 ns,
@@ -453,17 +451,18 @@ def time_window_step(window_map: np.ndarray, block: int, steps: int = 10000) -> 
 class AlgorithmResult:
     """Outcome of one estimator on the benchmark trajectory.
 
-    ``step_time_ns`` is ns per step, the median over batches of the
-    mean step time with the clock cost left out: the bare step matvec
-    for a recursive filter, shared by every filter of the run whose step
-    matrix has the same shape, or the window product for alg3.
+    ``macs_per_sample`` is the multiply-adds one sample costs, counted
+    from matrix shapes: the step matrix's entries for a recursive
+    filter, or for alg3 the residual generator's step plus the newest
+    gain rows, the FIR taps ``run_mhe`` applies.  It is None for a
+    failed arm.
     """
 
     name: str
     ok: bool
     estimates: np.ndarray = None
     stats: EllipseStats = None
-    step_time_ns: float = None
+    macs_per_sample: int = None
     message: str = ""
 
 
@@ -485,11 +484,11 @@ class ExperimentReport:
                 lines.append(f"  {res.name}: FAILED ({res.message})")
                 continue
             tr = float(np.trace(res.stats.covariance))
-            timing = ("" if res.step_time_ns is None
-                      else f", step {res.step_time_ns:.0f} ns")
+            cost = ("" if res.macs_per_sample is None
+                    else f", {res.macs_per_sample} MACs/sample")
             lines.append(
                 f"  {res.name}: trace(cov) {tr:.6g}, mean norm "
-                f"{np.linalg.norm(res.stats.mean):.4g}{timing}")
+                f"{np.linalg.norm(res.stats.mean):.4g}{cost}")
         return "\n".join(lines)
 
     def to_csv(self, out_dir) -> None:
@@ -518,11 +517,11 @@ class ExperimentReport:
                 rows.append([res.name, 0, 0, "", "", "", "", res.message])
         _write_csv(os.path.join(out_dir, "stats.csv"), rows)
 
-    def write_timing(self, path) -> None:
+    def write_cost(self, path) -> None:
         with open(path, "w") as fh:
             for res in self.results:
-                if res.step_time_ns is not None:
-                    fh.write(f"{res.name} median_step_ns {res.step_time_ns:.1f}\n")
+                if res.macs_per_sample is not None:
+                    fh.write(f"{res.name} macs_per_sample {res.macs_per_sample}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +649,8 @@ class BenchConfig:
     and a 1300 sample fault run on sensor 0 scored on samples 300
     onward.  For plants of other sizes set ``order`` to "auto" and
     either supply a matching pole list or switch the strategy to
-    riccati.  A negative seed, fewer than one identification sample,
-    run sample or timing step, or ``sensors`` (zero based) that are not
+    riccati.  A negative seed, fewer than one identification sample or
+    run sample, or ``sensors`` (zero based) that are not
     sorted, unique and nonnegative or do not match the scenario's signal
     count, is a ValidationError naming the field.
     """
@@ -676,12 +675,11 @@ class BenchConfig:
     run_samples: int = 1300
     window_start: int = 300
     window_stop: int = None
-    timing_steps: int = 2000
     seed: int = 0
 
     def __post_init__(self):
         for name, least in (("seed", 0), ("n_ident", 1), ("run_samples", 1),
-                            ("timing_steps", 1), ("p", 1), ("ridge", 0)):
+                            ("p", 1), ("ridge", 0)):
             value = getattr(self, name)
             if value < least:
                 label = "n_ident ([identify] n_samples)" if name == "n_ident" else name
@@ -719,30 +717,14 @@ def _design_config(cfg: BenchConfig) -> DesignConfig:
     )
 
 
-def _window_map(gain_rows: np.ndarray, Hz: np.ndarray, L: int) -> np.ndarray:
-    """``gain_rows @ block_toeplitz(Hz, L)`` as a block correlation.
-
-    With g_i the n_y-wide blocks of the gain rows, zero past i = L-1,
-    block j of the product is sum_k g_(j+k) H_k: one product of a
-    sliding view of the zero-padded rows with the stacked H_k, and no
-    Toeplitz matrix is formed.
-    """
-    nf, width = gain_rows.shape
-    ny = Hz.shape[1]
-    padded = np.concatenate([gain_rows, np.zeros((nf, width - ny))], axis=1)
-    windows = sliding_window_view(padded, width, axis=1)[:, ::ny]
-    return (windows @ Hz[:L].reshape(width, -1)).reshape(nf, -1)
-
-
 def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     """Run the four estimators on one seeded benchmark trajectory.
 
     One generator drives both the identification record and the faulty
     run, so a seed pins the whole experiment.  A bad design value raises
     before any simulation; failures of individual algorithms on the data
-    are captured in their result entries.  The recursive filters (alg0
-    to alg2) whose step matrices have one shape share one
-    ``time_filter_step`` measurement taken in this call.
+    are captured in their result entries.  Nothing is timed: each arm's
+    cost is its multiply-adds per sample, counted from matrix shapes.
     """
     design_cfg = _design_config(cfg)
     model, controller = cfg.resolve_plant()
@@ -763,19 +745,14 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
                                       scenario=cfg.scenario)
 
     results = []
-    # a bare matvec costs the same for every step matrix of one shape,
-    # so each shape is timed once per run and its filters share the number
-    step_ns_by_shape = {}
 
     def run_recursive(filt):
-        shape = filt.step_matrix().shape
-        if shape not in step_ns_by_shape:
-            step_ns_by_shape[shape] = time_filter_step(filt, cfg.timing_steps)
-        return run_filter(filt, run_data), step_ns_by_shape[shape]
+        # one step is the product of the step matrix with [x; u; y]
+        return run_filter(filt, run_data), filt.step_matrix().size
 
     def attempt(name, fn):
         try:
-            estimates, step_ns = fn()
+            estimates, macs = fn()
         except FaultFilterError as err:
             results.append(AlgorithmResult(name=name, ok=False,
                                            message=f"{name}: {err}"))
@@ -783,7 +760,7 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
             err_series = estimates[cfg.window_start:stop] - fault[cfg.window_start:stop]
             results.append(AlgorithmResult(name=name, ok=True, estimates=estimates,
                                            stats=ellipse_stats(err_series),
-                                           step_time_ns=step_ns))
+                                           macs_per_sample=macs))
 
     def model_based_filter(pred):
         inv = open_loop_inverse(pred)
@@ -829,14 +806,13 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
                 raise ValidationError(
                     "needs the realized predictor (alg1 failed upstream)")
             problem = build_mhe(pred1, L)
-            res_series = residual_generator(pred1).run(
-                np.hstack([run_data.u, run_data.y]))
-            estimates = run_mhe(problem, res_series)
-            Hz = z_markov(xi.Hu, xi.Hy, L)
-            window_map = _window_map(problem.gain[-problem.n_faults:], Hz, L)
-            step_ns = time_window_step(window_map, Hz.shape[2],
-                                       cfg.timing_steps)
-            return estimates, step_ns
+            gen = residual_generator(pred1)
+            estimates = run_mhe(problem, gen.run(np.hstack([run_data.u, run_data.y])))
+            # a sample costs one residual-generator step and the FIR taps
+            # of the newest gain rows
+            macs = (gen.A.size + gen.B.size + gen.C.size + gen.D.size
+                    + problem.gain[-problem.n_faults:].size)
+            return estimates, macs
 
         attempt("alg3", alg3)
 
@@ -950,10 +926,9 @@ def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
     separated by ';'), [identify] (``p``, ``n_samples``, ``ridge``,
     ``assume_delay``), [design] (``markov_length``, ``hankel_rows``,
     ``hankel_cols``, ``order``, ``strategy``, ``poles``), [bench]
-    (``run_samples``, ``window_start``, ``window_stop``,
-    ``timing_steps``).  ``plant`` may name a registry entry, which
-    replaces the [plant] ``name`` and matrices, or a config file with its
-    own [plant] section.
+    (``run_samples``, ``window_start``, ``window_stop``).  ``plant`` may
+    name a registry entry, which replaces the [plant] ``name`` and
+    matrices, or a config file with its own [plant] section.
     """
     kwargs = {}
     parser = (configparser.ConfigParser() if config_path is None
@@ -1013,7 +988,7 @@ def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
 
     if "bench" in parser:
         kwargs.update(_ini_values(parser["bench"], dict.fromkeys(
-            ("run_samples", "window_start", "window_stop", "timing_steps"), int)))
+            ("run_samples", "window_start", "window_stop"), int)))
 
     if seed is not None:
         kwargs["seed"] = int(seed)
@@ -1095,9 +1070,9 @@ def _cmd_compare(args, cfg: BenchConfig) -> int:
     report = run_comparison(cfg)
     report.to_csv(out_dir)
     write_report_svg(report, os.path.join(out_dir, "report.svg"))
-    report.write_timing(os.path.join(out_dir, "timing.txt"))
+    report.write_cost(os.path.join(out_dir, "cost.txt"))
     print(report.summary())
-    print(f"wrote estimates.csv, stats.csv, report.svg, timing.txt -> {out_dir}")
+    print(f"wrote estimates.csv, stats.csv, report.svg, cost.txt -> {out_dir}")
     return 0
 
 

@@ -165,6 +165,22 @@ def dense_mhe_gain(O, Tf):
     return Gp + Mp @ (np.eye(Tf.shape[0]) - Tf @ Gp)
 
 
+def _window_map(gain_rows: np.ndarray, Hz: np.ndarray, L: int) -> np.ndarray:
+    """``gain_rows @ block_toeplitz(Hz, L)`` as a block correlation.
+
+    The window map from a stacked [u; y] window to the newest-sample
+    MHE estimate.  With g_i the n_y-wide blocks of the gain rows, zero
+    past i = L-1, block j of the product is sum_k g_(j+k) H_k: one
+    product of a sliding view of the zero-padded rows with the stacked
+    H_k, and no Toeplitz matrix is formed.
+    """
+    nf, width = gain_rows.shape
+    ny = Hz.shape[1]
+    padded = np.concatenate([gain_rows, np.zeros((nf, width - ny))], axis=1)
+    windows = sliding_window_view(padded, width, axis=1)[:, ::ny]
+    return (windows @ Hz[:L].reshape(width, -1)).reshape(nf, -1)
+
+
 def family_matrix(rng, n, kind):
     """Random n x n state matrix of one family.
 

@@ -31,6 +31,7 @@ from faultfilter import (
     spectral_radius,
     stabilizing_gain,
     to_predictor,
+    z_markov,
 )
 from faultfilter import bench_cli
 from faultfilter.bench_cli import (
@@ -41,6 +42,7 @@ from faultfilter.bench_cli import (
 )
 
 from conftest import (
+    _window_map,
     cascade_filter,
     closed_loop_inverse,
     planted_zero_predictor,
@@ -279,7 +281,7 @@ def test_09_four_way_benchmark_ordering():
     all_stable = True
     traces = {name: [] for name in ("alg0", "alg1", "alg2", "alg3")}
     for seed in range(1000, 1020):
-        rep = run_comparison(BenchConfig(seed=seed, timing_steps=8))
+        rep = run_comparison(BenchConfig(seed=seed))
         tr = {}
         for res in rep.results:
             stable = res.ok and np.all(np.isfinite(
@@ -300,23 +302,27 @@ def test_09_four_way_benchmark_ordering():
 
 
 def test_10_recursive_vs_window_cost(monkeypatch):
-    # capture the seed-1000 alg2 filter and alg3 window map, then time
-    # them in alternating rounds so that outside load hits both sides
+    # capture the seed-1000 alg2 filter, alg3's MHE problem and the
+    # identified xi, build alg3's window map from them, then time both
+    # in alternating rounds so that outside load hits both sides
     captured = {}
 
-    def design(*args, **kwargs):
-        captured["filter"] = design_filter_from_xi(*args, **kwargs)
-        return captured["filter"]
+    def capture(name, fn):
+        def wrapped(*args, **kwargs):
+            captured[name] = fn(*args, **kwargs)
+            return captured[name]
+        monkeypatch.setattr(bench_cli, fn.__name__, wrapped)
 
-    def window_step(window_map, block, steps=10000):
-        captured["window"] = (window_map, block)
-        return time_window_step(window_map, block, steps)
-
-    monkeypatch.setattr(bench_cli, "design_filter_from_xi", design)
-    monkeypatch.setattr(bench_cli, "time_window_step", window_step)
-    run_comparison(BenchConfig(seed=1000, timing_steps=8))
+    capture("filter", design_filter_from_xi)
+    capture("problem", build_mhe)
+    capture("xi", identify_xi)
+    cfg = BenchConfig(seed=1000)
+    run_comparison(cfg)
+    problem, xi, L = captured["problem"], captured["xi"], cfg.markov_length
+    Hz = z_markov(xi.Hu, xi.Hy, L)
+    window_map = _window_map(problem.gain[-problem.n_faults:], Hz, L)
     sides = [(lambda: time_filter_step(captured["filter"], 1000), []),
-             (lambda: time_window_step(*captured["window"], 1000), [])]
+             (lambda: time_window_step(window_map, Hz.shape[2], 1000), [])]
     for r in range(10):
         for time_side, medians in sides[::(-1) ** r]:
             medians.append(time_side())

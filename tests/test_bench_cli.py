@@ -23,7 +23,6 @@ from faultfilter.bench_cli import (
     ALGORITHM_NAMES,
     AlgorithmResult,
     BENCH_POLES,
-    _window_map,
     load_bench_config,
     main,
     parse_fault_signal,
@@ -34,7 +33,7 @@ from faultfilter.bench_cli import (
 )
 from faultfilter.lti_core import _write_csv, block_toeplitz
 
-from conftest import planted_zero_predictor
+from conftest import _window_map, planted_zero_predictor
 
 
 def per_sample_closed_loop(model, controller, N, rng, scenario=None, eta=None):
@@ -78,8 +77,7 @@ def result(report, name):
 def small_cfg(**kw):
     """Comparison settings scaled down for test speed."""
     base = dict(p=40, markov_length=40, hankel_rows=12, hankel_cols=12,
-                n_ident=800, run_samples=500, window_start=300,
-                timing_steps=50, seed=3)
+                n_ident=800, run_samples=500, window_start=300, seed=3)
     base.update(kw)
     return BenchConfig(**base)
 
@@ -100,7 +98,6 @@ poles = 0.948 0.532 0.225 0.141
 [bench]
 run_samples = 500
 window_start = 300
-timing_steps = 50
 """
 
 
@@ -315,7 +312,7 @@ def synthetic_report(nf=1, with_failure=True):
     est = fault + 0.05 * rng.standard_normal((N, nf))
     stats = ellipse_stats(est[10:] - fault[10:])
     results = [AlgorithmResult(name="alg0", ok=True, estimates=est,
-                               stats=stats, step_time_ns=500.0)]
+                               stats=stats, macs_per_sample=40)]
     if with_failure:
         results.append(AlgorithmResult(name="alg1", ok=False,
                                        message="alg1: synthetic failure"))
@@ -337,7 +334,7 @@ def svg_variant(nf, variant):
         est[31:33, -1] = np.inf
         rep.results.append(AlgorithmResult(
             name="alg2", ok=True, estimates=est,
-            stats=ellipse_stats(est[10:] - rep.fault[10:]), step_time_ns=700.0))
+            stats=ellipse_stats(est[10:] - rep.fault[10:]), macs_per_sample=40))
     elif variant == "no-ok":
         rep.results = rep.results[1:]
     return rep
@@ -366,12 +363,16 @@ class TestExperimentReport:
         assert "synthetic failure" in stats[2]
         assert stats == (d2 / "stats.csv").read_text().splitlines()
 
-    def test_timing_file(self, tmp_path):
+    def test_summary_states_cost(self):
+        assert ", 40 MACs/sample" in synthetic_report().summary()
+
+    def test_cost_file(self, tmp_path):
+        # the failed alg1 has no count and no line
         rep = synthetic_report()
-        path = tmp_path / "timing.txt"
-        rep.write_timing(path)
+        path = tmp_path / "cost.txt"
+        rep.write_cost(path)
         lines = path.read_text().splitlines()
-        assert lines == ["alg0 median_step_ns 500.0"]
+        assert lines == ["alg0 macs_per_sample 40"]
 
 
 # sha256 of write_report_svg(svg_variant(nf, variant)), keyed (nf, variant)
@@ -480,7 +481,7 @@ class TestRunComparison:
         assert rep.window == (300, 500)
         for res in rep.results:
             assert res.estimates.shape == (500, 1)
-            assert res.step_time_ns > 0
+            assert res.macs_per_sample > 0
             assert np.trace(res.stats.covariance) < 0.5
         assert np.trace(result(rep, "alg0").stats.covariance) < 0.1
 
@@ -520,30 +521,18 @@ class TestRunComparison:
         fhat = ff.run_filter(filt, data)
         assert np.max(np.abs(fhat[100:] - fault[100:])) < 1e-6
 
-    @pytest.fixture
-    def timed(self, monkeypatch):
-        """Step-matrix shapes time_filter_step was called on; the n-th call
-        returns 100 n ns, so a shared value can be told from equal ones."""
-        shapes = []
-
-        def spy(filt, steps=10000, seed=0):
-            shapes.append(filt.step_matrix().shape)
-            return 100.0 * len(shapes)
-
-        monkeypatch.setattr(ff.bench_cli, "time_filter_step", spy)
-        return shapes
-
     @staticmethod
-    def step_times(rep):
-        return [result(rep, name).step_time_ns for name in ("alg0", "alg1", "alg2")]
+    def counts(rep):
+        return [result(rep, name).macs_per_sample for name in ALGORITHM_NAMES]
 
-    def test_equal_step_shapes_share_one_timing(self, timed):
+    def test_counted_work_at_default_config(self):
+        # alg0..alg2 step a 5 x 8 matrix; alg3 steps the 6 x 8 residual
+        # generator and applies 1 x 100 x 2 newest-row FIR taps
         rep = run_comparison(BenchConfig())
-        assert timed == [(5, 8)]
-        assert self.step_times(rep) == [100.0] * 3
-        assert result(rep, "alg3").step_time_ns > 0
+        assert all(res.ok for res in rep.results)
+        assert self.counts(rep) == [40, 40, 40, 48 + 200]
 
-    def test_other_step_shape_timed_apart(self, monkeypatch, timed):
+    def test_other_step_shape_counted_apart(self, monkeypatch):
         design = ff.bench_cli.design_filter_from_xi
 
         def padded(xi, cfg):
@@ -558,23 +547,29 @@ class TestRunComparison:
                 Du=f.Du, Dy=f.Dy, strategy=f.strategy)
 
         plain = run_comparison(small_cfg())
-        timed.clear()
         monkeypatch.setattr(ff.bench_cli, "design_filter_from_xi", padded)
         rep = run_comparison(small_cfg())
-        assert timed == [(5, 8), (6, 9)]
-        assert self.step_times(rep) == [100.0, 100.0, 200.0]
+        assert self.counts(rep)[:3] == [40, 40, 6 * 9]
         assert np.allclose(result(rep, "alg2").estimates,
                            result(plain, "alg2").estimates, rtol=0, atol=1e-12)
 
-    def test_timing_survives_a_failed_arm(self, monkeypatch, timed):
+    def test_failed_arm_has_no_count(self, monkeypatch):
         def fail(model):
             raise ff.NumericalError("no predictor")
 
         monkeypatch.setattr(ff.bench_cli, "to_predictor", fail)
         rep = run_comparison(small_cfg())
         assert not result(rep, "alg0").ok
-        assert timed == [(5, 8)]
-        assert self.step_times(rep) == [None, 100.0, 100.0]
+        assert self.counts(rep)[:3] == [None, 40, 40]
+
+    def test_runs_no_timer(self, monkeypatch):
+        def timer(*args, **kwargs):
+            raise AssertionError("run_comparison called a step timer")
+
+        monkeypatch.setattr(ff.bench_cli, "time_filter_step", timer)
+        monkeypatch.setattr(ff.bench_cli, "time_window_step", timer)
+        rep = run_comparison(BenchConfig(seed=1))
+        assert [res.name for res in rep.results if res.ok] == list(ALGORITHM_NAMES)
 
 
 class TestTimers:
@@ -666,8 +661,8 @@ class TestWindowMap:
     @pytest.mark.parametrize("nf", [1, 2])
     @pytest.mark.parametrize("L", [1, 2, 5, 100])
     def test_equals_toeplitz_product(self, rng, nf, L):
-        # the block correlation alg3 times against the product it replaces,
-        # on the newest rows of an (L nf, L ny) gain as run_comparison takes them
+        # the block correlation acceptance 10 times against the product it
+        # stands for, on the newest rows of an (L nf, L ny) gain
         ny, q = 3, 5
         Hz = rng.standard_normal((L + 2, ny, q))
         gain = rng.standard_normal((L * nf, L * ny))[-nf:]
@@ -892,12 +887,25 @@ class TestCli:
         code = main(["compare", "--config", str(cfg_path), "--seed", "3",
                      "--out", str(tmp_path)])
         assert code == 0
-        for name in ("estimates.csv", "stats.csv", "report.svg", "timing.txt"):
+        for name in ("estimates.csv", "stats.csv", "report.svg", "cost.txt"):
             assert (tmp_path / name).exists(), name
         out = capsys.readouterr().out
         assert "alg0" in out and "alg3" in out
-        timing = (tmp_path / "timing.txt").read_text()
-        assert timing.count("median_step_ns") == 4
+        # markov_length 40: alg3 adds 1 x 40 x 2 FIR taps to its 48
+        assert (tmp_path / "cost.txt").read_text().splitlines() == [
+            "alg0 macs_per_sample 40", "alg1 macs_per_sample 40",
+            "alg2 macs_per_sample 40", "alg3 macs_per_sample 128"]
+
+    def test_compare_outputs_repeat(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text(SMALL_INI)
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for d in dirs:
+            assert main(["compare", "--config", str(cfg_path), "--seed", "3",
+                         "--out", str(d)]) == 0
+        capsys.readouterr()
+        for name in ("estimates.csv", "stats.csv", "report.svg", "cost.txt"):
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
     def test_estimate_requires_files(self, capsys):
         assert main(["estimate"]) == 2
@@ -1040,17 +1048,26 @@ class TestCli:
         (["--seed", "-3"], "", "seed must be at least 0, got -3"),
         ([], "[identify]\nn_samples = -5\n",
          "n_ident ([identify] n_samples) must be at least 1, got -5"),
-        ([], "[bench]\ntiming_steps = 0\n", "timing_steps must be at least 1, got 0"),
         ([], "[bench]\nrun_samples = 0\nwindow_start = 0\n",
          "run_samples must be at least 1, got 0"),
-    ], ids=["negative-seed", "negative-n-samples", "zero-timing-steps", "zero-run-samples"])
+    ], ids=["negative-seed", "negative-n-samples", "zero-run-samples"])
     def test_bad_count_exit_code(self, tmp_path, capsys, args, ini, message):
         cfg_path = tmp_path / "bench.ini"
         cfg_path.write_text(ini)
         code = main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)] + args)
         assert code == 2
         assert f"validation error: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "timing.txt").exists()
+        assert not (tmp_path / "cost.txt").exists()
+
+    def test_removed_timing_steps_key_exit_code(self, tmp_path, capsys):
+        # compare times nothing, so [bench] has no timing_steps key
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text("[bench]\ntiming_steps = 500\n")
+        code = main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 2
+        assert ("validation error: [bench] timing_steps: unknown key; accepted keys "
+                "are run_samples, window_start, window_stop") in capsys.readouterr().err
+        assert not (tmp_path / "cost.txt").exists()
 
     @pytest.mark.parametrize("ini, message", [
         ("[identify]\np = 0\n", "p must be at least 1, got 0"),

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_discrete_are
 
 from .errors import RiccatiError, ValidationError
 
@@ -243,17 +242,22 @@ def _write_csv(path, *parts) -> None:
     is one column).  Integer columns are written with ``%d``, the rest at
     full precision.  A table's rows are one ``%`` over a row template,
     byte for byte what ``csv.writer`` gives for the formatted cells.
+    Cells are filled a column at a time, so an integer column reaches
+    ``%d`` as Python ints.
     """
     with open(path, "w", newline="") as fh:
         for part in parts:
             if isinstance(part, (np.ndarray, tuple)):
-                cols = part if isinstance(part, tuple) else (part,)
+                cols = [c[:, None] if c.ndim == 1 else c
+                        for c in (part if isinstance(part, tuple) else (part,))]
                 row = ",".join("%d" if c.dtype.kind in "iu" else _FMT
-                               for c in cols
-                               for _ in range(c.shape[1] if c.ndim == 2 else 1))
+                               for c in cols for _ in range(c.shape[1]))
                 row += "\r\n"
-                table = np.column_stack(cols)
-                fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
+                n, w = len(cols[0]), sum(c.shape[1] for c in cols)
+                vals = [None] * (n * w)
+                for j, col in enumerate(x for c in cols for x in c.T):
+                    vals[j::w] = col.tolist()
+                fh.write(row * n % tuple(vals))
             else:
                 csv.writer(fh).writerows(part)
 
@@ -496,6 +500,7 @@ def dare_fixed_point(A, C, Q, R, F=None):
     w = np.linalg.eigvalsh(0.5 * (R + R.T))
     if w.size == 0 or w.min() <= 0:
         raise ValidationError("R must be positive definite")
+    from scipy.linalg import solve_discrete_are  # deferred: a filter run needs no scipy
     # homogeneous in (Q, R, P): solved at unit scale, as R = 1e-30 I fails otherwise
     Qt = F @ Q @ F.T
     scale = max(np.abs(Qt).max(initial=0.0), w.max())

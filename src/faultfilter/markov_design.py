@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lstsq, solve_triangular
 
 from .errors import FaultDirectionError, FaultFilterError, ValidationError, rewrap
 from .inverse_filter import (
@@ -121,6 +120,7 @@ def _window_blocks(Hf: np.ndarray, rhs: np.ndarray, L: int) -> np.ndarray:
         raise FaultDirectionError(
             f"fault feedthrough rank deficient: {exc}") from exc
     n_y = G0.shape[1]
+    from scipy.linalg import solve_triangular  # deferred: a filter run needs no scipy
     N = Hf[:L] @ G0
     N[0] = np.eye(n_y)
     X = solve_triangular(block_toeplitz(N),
@@ -283,6 +283,7 @@ def ho_kalman(seq: np.ndarray, l: int, m: int, order="auto",
                 f"requested order {n} exceeds the numerical rank {rank}; "
                 f"singular values: {np.array2string(s[:min(len(s), 12)], precision=3)}",
                 stacklevel=2)
+    from scipy.linalg import lstsq  # deferred: a filter run needs no scipy
     root = np.sqrt(s[:n])
     Ow = U[:, :n] * root
     Cw = root[:, None] * Vt[:n]

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .errors import ValidationError, WindowRankError
 from .lti_core import (
@@ -104,6 +103,7 @@ def _certified_inverse_factor(Tf: np.ndarray):
     m, n = Tf.shape
     if m < n:
         return None
+    from scipy.linalg.lapack import dtrtri  # deferred: a filter run needs no scipy
     R = np.linalg.qr(Tf, mode="r")
     X, info = dtrtri(R)
     if info != 0:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
 
 from .errors import ExcitationError, ValidationError
 from .lti_core import (IOData, PredictorModel, _CsvRows, _finite_samples, _write_csv,
@@ -274,11 +273,13 @@ def identify_xi(data: IOData, p: int, ridge: float = 0.0,
         raise ExcitationError(
             f"insufficient excitation: regressor column {int(np.argmin(scale))} "
             "is identically zero")
+    # deferred: a filter run needs no scipy
+    from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
     A = G[:ncols, :ncols] / np.outer(scale, scale)
     A.flat[::ncols + 1] = diag / (scale * scale)  # with the ridge weight
     try:
         factor = cho_factor(A, check_finite=False)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise ExcitationError(
             "insufficient excitation: the equilibrated regressor Gram matrix is "
             f"not numerically positive definite (condition number "

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,7 +20,6 @@ from faultfilter import (
 )
 
 from faultfilter.bench_cli import main
-from faultfilter import sysid_markov
 from faultfilter.sysid_markov import _lagged_gram, _window_residuals
 
 from conftest import (blockwise_lagged_gram, correlate_window_residuals,
@@ -332,9 +332,10 @@ class TestAgainstGelsyOracle:
         # the two tests above reach this branch only through rounding;
         # a failing factorization pins it whatever the record
         def fail(*args, **kwargs):
-            raise sysid_markov.LinAlgError("leading minor not positive definite")
+            raise np.linalg.LinAlgError("leading minor not positive definite")
 
-        monkeypatch.setattr(sysid_markov, "cho_factor", fail)
+        # identify_xi imports from scipy.linalg at call time, so patch it there
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
         data, _, _ = varx_data(rng)
         with pytest.raises(ExcitationError, match="not numerically positive definite") as err:
             identify_xi(data, p=3)
@@ -348,7 +349,7 @@ class TestAgainstGelsyOracle:
             assert names == ("pocon",)
             return (lambda c, anorm: (1e-20, 0),)
 
-        monkeypatch.setattr(sysid_markov, "get_lapack_funcs", fake_lapack)
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", fake_lapack)
         data, _, _ = varx_data(rng)
         with pytest.raises(ExcitationError, match="condition estimate") as err:
             identify_xi(data, p=3)

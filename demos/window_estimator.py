@@ -2,9 +2,9 @@
 """Moving-horizon least squares as the accuracy/cost baseline.
 
 Builds the windowed estimator from the same predictor the inversion
-filter uses, confirms its closed-form gain solves the stacked LS
-problem, slides it over a faulty run, and times one window update
-against one recursive filter step.
+filter uses, confirms its closed-form newest gain rows solve the
+stacked LS problem, slides it over a faulty run, and times one window
+update against one recursive filter step.
 """
 import numpy as np
 
@@ -13,7 +13,6 @@ from faultfilter import (
     build_mhe,
     closed_loop_sim,
     get_plant,
-    mhe_estimate,
     open_loop_inverse,
     reduced_filter,
     residual_generator,
@@ -36,15 +35,15 @@ def main():
 
     L = 100
     problem = build_mhe(pred, L)
-    print(f"window L={L}: gain {problem.gain.shape}, "
-          f"{problem.n_states} initial states eliminated")
+    print(f"window L={L}: newest gain rows {problem.gain_rows.shape}, "
+          f"{problem.n_states} initial states projected out")
 
-    # the closed-form gain solves the stacked least squares problem
+    # the closed-form rows solve the stacked least squares problem
     rng = np.random.default_rng(3)
     r = rng.standard_normal(problem.Tf.shape[0])
     lsq = np.linalg.pinv(np.hstack([problem.O, problem.Tf])) @ r
-    dev = np.max(np.abs(mhe_estimate(problem, r) - lsq[problem.n_states:]))
-    print(f"gain vs pseudo-inverse solution: max deviation {dev:.2e}")
+    dev = np.max(np.abs(problem.gain_rows @ r - lsq[-problem.n_faults:]))
+    print(f"gain rows vs pseudo-inverse solution: max deviation {dev:.2e}")
 
     # slide over a faulty closed-loop record; the window needs the
     # residual series, so run the innovation filter over [u, y] first
@@ -64,11 +63,11 @@ def main():
 
     # per-sample cost: the recursive filter does one matrix-vector
     # product; the window path shifts the window and multiplies the
-    # newest-sample row of the composite map (residual generation folded
-    # in through the [u; y] -> e convolution)
+    # newest gain rows composed with the residual generator (folded in
+    # through the [u; y] -> e convolution)
     xi = xi_from_predictor(pred, L - 1)
     Hz = z_markov(xi.Hu, xi.Hy, L)
-    window_map = problem.gain[-problem.n_faults:] @ block_toeplitz(Hz, L)
+    window_map = problem.gain_rows @ block_toeplitz(Hz, L)
     t_rec = time_filter_step(filt, steps=5000)
     t_win = time_window_step(window_map, Hz.shape[2], steps=5000)
     print(f"per-sample cost: recursive {t_rec:.0f} ns, "

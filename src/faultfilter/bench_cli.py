@@ -811,7 +811,7 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
             # a sample costs one residual-generator step and the FIR taps
             # of the newest gain rows
             macs = (gen.A.size + gen.B.size + gen.C.size + gen.D.size
-                    + problem.gain[-problem.n_faults:].size)
+                    + problem.gain_rows.size)
             return estimates, macs
 
         attempt("alg3", alg3)

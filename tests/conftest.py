@@ -151,10 +151,12 @@ def sequential_observability(A, C, L):
 
 
 def dense_mhe_gain(O, Tf):
-    """Reference for ``build_mhe``'s gain, with the dense projector.
+    """Full window gain of the MHE estimate, with the dense projector.
 
     Gp + Mp (I - Tf Gp) with Mp = -Gp O Delta^+ O' and
     Delta = O' O - O' Tf Gp O, Delta's spectrum cut at 1e-12 ||O' O||.
+    On an identifiable window its last n_f rows are ``build_mhe``'s
+    ``gain_rows``.
     """
     Gp = np.linalg.solve(Tf.T @ Tf, Tf.T)
     Delta = O.T @ O - O.T @ Tf @ Gp @ O

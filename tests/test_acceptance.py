@@ -240,13 +240,14 @@ def test_07_window_estimator_oracle():
         Psi = np.hstack([prob.O, prob.Tf])
         # both routes solve the same full-rank LS problem; skip draws
         # whose conditioning would drown the comparison in round-off
-        # (the eliminated form squares cond(Psi) in its Schur complement)
+        # (the gain rows R^-1 R^-T Tp' are seminormal equations, whose
+        # error grows with the square of the projected stack's condition)
         if np.linalg.cond(Psi) > 1e3:
             continue
         accepted += 1
         r = rng.standard_normal(2 * L)
-        oracle = (np.linalg.pinv(Psi) @ r)[prob.n_states:]
-        worst = max(worst, np.max(np.abs(prob.gain @ r - oracle)))
+        oracle = (np.linalg.pinv(Psi) @ r)[-prob.n_faults:]
+        worst = max(worst, np.max(np.abs(prob.gain_rows @ r - oracle)))
     verdict(7, "window-estimator-oracle", worst <= 1e-8,
             f"30 instances, max deviation from joint least squares "
             f"{worst:.2e}")
@@ -320,7 +321,7 @@ def test_10_recursive_vs_window_cost(monkeypatch):
     run_comparison(cfg)
     problem, xi, L = captured["problem"], captured["xi"], cfg.markov_length
     Hz = z_markov(xi.Hu, xi.Hy, L)
-    window_map = _window_map(problem.gain[-problem.n_faults:], Hz, L)
+    window_map = _window_map(problem.gain_rows, Hz, L)
     sides = [(lambda: time_filter_step(captured["filter"], 1000), []),
              (lambda: time_window_step(window_map, Hz.shape[2], 1000), [])]
     for r in range(10):

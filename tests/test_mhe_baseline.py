@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,8 @@ from faultfilter import (
     run_mhe,
     to_predictor,
 )
-
-from faultfilter import mhe_baseline
-from faultfilter.mhe_baseline import _RANK_CERT_C, _RANK_CERT_COND, _full_rank_certified
+from faultfilter.lti_core import block_toeplitz, extended_observability, markov_parameters
+from faultfilter.mhe_baseline import MheProblem
 
 from conftest import dense_mhe_gain, random_model, random_predictor
 
@@ -34,7 +35,7 @@ class TestBuildMhe:
         assert prob.n_states == 3
         assert prob.O.shape == (16, 3)
         assert prob.Tf.shape == (16, 8)
-        assert prob.gain.shape == (8, 16)
+        assert prob.gain_rows.shape == (1, 16)
 
     def test_gain_equals_joint_pinv_when_identifiable(self, rng):
         # tall fault channel, enough samples: the joint LS problem has a
@@ -46,31 +47,26 @@ class TestBuildMhe:
             Psi = np.hstack([prob.O, prob.Tf])
             assert np.linalg.matrix_rank(Psi) == Psi.shape[1]
             r = rng.standard_normal(2 * L)
-            assert np.allclose(prob.gain @ r, joint_pinv_fault(prob, r),
-                               atol=1e-8)
-
-    def test_square_channel_degenerates_to_toeplitz_inverse(self, rng):
-        # with as many faults as outputs any state explains nothing extra:
-        # the Schur complement vanishes, the state estimate stays at zero
-        # and the gain is the plain Toeplitz inverse, fitting the window
-        # exactly
-        pred = random_predictor(rng, n_y=2, sensors=(0, 1))
-        prob = build_mhe(pred, 6)
-        assert np.allclose(prob.gain, np.linalg.inv(prob.Tf), atol=1e-8)
-        assert np.allclose(prob.gain @ prob.Tf, np.eye(12), atol=1e-8)
-        r = rng.standard_normal(12)
-        assert np.allclose(prob.Tf @ (prob.gain @ r), r, atol=1e-8)
+            f = joint_pinv_fault(prob, r)
+            assert np.allclose(prob.gain_rows @ r, f[-1:], atol=1e-8)
+            assert np.allclose(mhe_estimate(prob, r), f, atol=1e-8)
 
     @pytest.mark.parametrize("n_y, sensors", [(2, (0,)), (3, (0, 2)), (2, (0, 1)),
                                               (3, (0, 1, 2))])
     @pytest.mark.parametrize("L", [1, 5, 12, 40])
     def test_gain_matches_dense_projector(self, rng, n_y, sensors, L):
-        # the factored state correction against Gp + Mp (I - Tf Gp) formed
-        # with the L n_y square projector, for n_f < n_y and n_f = n_y
+        # the projected rows against the last rows of Gp + Mp (I - Tf Gp)
+        # formed with the L n_y square projector.  A square channel, or a
+        # single sample of n_y < n outputs, has more unknowns than
+        # equations: no window separates its faults from x0
         pred = random_predictor(rng, n=4, n_y=n_y, sensors=sensors)
+        if len(sensors) == n_y or L == 1:
+            with pytest.raises(WindowRankError, match="window inversion rank"):
+                build_mhe(pred, L)
+            return
         prob = build_mhe(pred, L)
-        ref = dense_mhe_gain(prob.O, prob.Tf)
-        assert np.max(np.abs(prob.gain - ref)) <= 1e-11 * (1.0 + np.abs(ref).max())
+        ref = dense_mhe_gain(prob.O, prob.Tf)[-len(sensors):]
+        assert np.max(np.abs(prob.gain_rows - ref)) <= 1e-11 * (1.0 + np.abs(ref).max())
 
     def test_rank_failure(self, rng):
         # both fault columns hit sensor 1: G has dependent columns
@@ -87,16 +83,22 @@ class TestBuildMhe:
 
     @pytest.mark.parametrize("n_y, sensors", [(2, (0,)), (3, (0, 2)), (2, (0, 1))])
     def test_certified_gain_takes_the_factor(self, rng, n_y, sensors):
-        # at compare's window length a certified Tf never reaches the
-        # normal equations, and R^-1 R^-T Tf' matches the dense oracle
+        # at compare's window length a window that passes the rank rule
+        # takes its rows from the triangle R alone, with no normal
+        # equations or dense solve, and they match the dense oracle; a
+        # square channel fails the rule at any length
         pred = random_predictor(rng, n=4, n_y=n_y, sensors=sensors)
         L = 100
+        if len(sensors) == n_y:
+            with pytest.raises(WindowRankError, match="window inversion rank"):
+                build_mhe(pred, L)
+            return
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.linalg, "solve", None)
+            for name in ("solve", "inv", "pinv", "lstsq"):
+                mp.setattr(np.linalg, name, None)
             prob = build_mhe(pred, L)
-        assert _full_rank_certified(prob.Tf)
-        ref = dense_mhe_gain(prob.O, prob.Tf)
-        assert np.max(np.abs(prob.gain - ref)) <= 1e-11 * (1.0 + np.abs(ref).max())
+        ref = dense_mhe_gain(prob.O, prob.Tf)[-len(sensors):]
+        assert np.max(np.abs(prob.gain_rows - ref)) <= 1e-11 * (1.0 + np.abs(ref).max())
 
     def test_validation(self, rng):
         pred = random_predictor(rng)
@@ -107,70 +109,60 @@ class TestBuildMhe:
             build_mhe(plain, 5)
 
 
-def svd_rank_loss(A):
-    """The SVD rule build_mhe applies when the certificate does not hold."""
-    s = np.linalg.svd(A, compute_uv=False)
-    return bool(s[-1] <= 1e-10 * s[0])
+def projected_rank_ratio(O, Tf):
+    """sigma_min of Tf projected off range(O), over ||Tf||_F, by a dense SVD.
+
+    The oracle of build_mhe's rank rule: the projector comes from pinv,
+    and a wide projection counts as rank zero.
+    """
+    Tp = Tf - O @ (np.linalg.pinv(O) @ Tf)
+    s = np.linalg.svd(Tp, compute_uv=False)
+    s_min = s[-1] if len(s) == Tf.shape[1] else 0.0
+    return s_min / np.linalg.norm(Tf)
 
 
-class TestRankCertificate:
+class TestRankRule:
     @settings(max_examples=150)
-    @given(seed=st.integers(0, 2 ** 32 - 1), L=st.integers(1, 8),
-           cols=st.floats(0.0, 1.0), decades=st.floats(0.0, 14.0),
-           lost=st.integers(0, 2), scale=st.floats(-8.0, 8.0))
-    def test_decision_is_the_svd_rule(self, seed, L, cols, decades, lost, scale):
-        # Tf = U diag(s) V' with sigma_min / sigma_max = 10^-decades, or with
-        # `lost` exact zeros; build_mhe must raise exactly where the SVD rule
-        # says rank loss, whether or not the certificate holds
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5),
+           n_y=st.integers(1, 3), faults=st.floats(0.0, 1.0), L=st.integers(1, 12),
+           kind=st.sampled_from(["free", "square", "short", "in_range"]))
+    def test_rows_match_dense_oracle_where_identifiable(self, seed, n, n_y, faults, L, kind):
+        # a window whose projected fault stack keeps full column rank gives
+        # the last rows of the dense oracle; one whose faults cannot be told
+        # apart from x0 raises: a square channel, a single sample of at most
+        # n outputs, or a fault whose first column lies in range(O)
         rng = np.random.default_rng(seed)
-        pred = random_predictor(rng, n=3, n_y=2, sensors=(0,))
-        m = 2 * L
-        n = 1 + int(cols * (m - 1))
-        U = np.linalg.qr(rng.standard_normal((m, n)))[0]
-        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        e = np.sort(rng.uniform(0.0, decades, n))
-        e[0], e[-1] = 0.0, decades
-        s = 10.0 ** (scale - e)
-        s[n - min(lost, n - 1):] = 0.0
-        Tf = (U * s) @ V.T
-        loss = svd_rank_loss(Tf)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mhe_baseline, "block_toeplitz", lambda blocks, L: Tf)
-            try:
+        n_f = n_y if kind == "square" else 1 + int(faults * (n_y - 1))
+        if kind == "short":
+            n, L = max(n, n_y), 1
+        sensors = np.sort(rng.choice(n_y, n_f, replace=False))
+        pred = random_predictor(rng, n=n, n_y=n_y, sensors=sensors)
+        if kind == "in_range":
+            # G_0 = C x and Et_0 = Phi x make the fault's response from
+            # sample 0 the free response O x of the initial state x
+            x = rng.standard_normal(n)
+            G, Et = pred.G.copy(), pred.Et.copy()
+            G[:, 0], Et[:, 0] = pred.C @ x, pred.Phi @ x
+            pred = replace(pred, G=G, Et=Et)
+        O = extended_observability(pred.Phi, pred.C, L)
+        Tf = block_toeplitz(markov_parameters(pred, "f", L), L)
+        ratio = projected_rank_ratio(O, Tf)
+        assert kind == "free" or ratio < 1e-13
+        if ratio < 1e-13:
+            with pytest.raises(WindowRankError, match="window inversion rank"):
                 build_mhe(pred, L)
-            except WindowRankError:
-                assert loss
-            else:
-                assert not loss
-        certified = _full_rank_certified(Tf)
-        assert not (certified and loss)
-        # the Frobenius bounds lose at most a factor n each, so a well
-        # conditioned matrix takes the certificate and skips the SVD
-        assert certified or s[-1] < 1e-3 * s[0]
-
-    def test_wide_and_non_finite_matrices_not_certified(self):
-        assert not _full_rank_certified(np.ones((2, 3)))
-        assert not _full_rank_certified(np.zeros((4, 2)))
-        assert not _full_rank_certified(np.full((4, 2), np.nan))
-
-    def test_sound_for_a_worst_case_qr(self, monkeypatch):
-        # A has cond2 just above the certified bound.  Householder QR may
-        # return R of A + dA for any dA within its backward error; this dA
-        # lifts sigma_min by almost all of it, which must not certify A.
-        K, m, n = _RANK_CERT_COND, 8, 2
-        kappa = K * (1 + 5e-8)
-        V = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        A = np.zeros((m, n))
-        A[:n] = np.diag([1.0, 1.0 / kappa]) @ V.T
-        # columnwise |dA_j| <= g |A_j| with g = c m n u
-        g = _RANK_CERT_C * m * n * np.finfo(float).eps / 2
-        eta = 0.99 * g * min(np.linalg.norm(A, axis=0)) * np.sqrt(2)
-        dA = np.zeros((m, n))
-        dA[1] = eta * V[:, 1]
-        assert np.all(np.linalg.norm(dA, axis=0) <= g * np.linalg.norm(A, axis=0))
-        qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda M, mode="reduced": qr(M + dA, mode=mode))
-        assert not _full_rank_certified(A)
+            return
+        if ratio < 1e-6:
+            return  # too near the rule's 1e-10 cut to call either way
+        prob = build_mhe(pred, L)
+        ref = dense_mhe_gain(O, Tf)[-n_f:]
+        # the oracle solves normal equations: its error grows with the
+        # square of the projected stack's condition
+        tol = 1e-14 * ratio ** -2 * (1.0 + np.abs(ref).max())
+        assert np.max(np.abs(prob.gain_rows - ref)) <= tol
+        r = rng.standard_normal(L * n_y)
+        assert np.allclose(mhe_estimate(prob, r)[-n_f:], prob.gain_rows @ r,
+                           atol=tol * np.abs(r).sum())
 
 
 class TestEstimate:
@@ -196,6 +188,15 @@ class TestEstimate:
         with pytest.raises(ValidationError):
             mhe_estimate(prob, np.zeros(9))
 
+    @pytest.mark.parametrize("shape", [(2, 5), (10, 1), (1, 10), (5, 2, 1)],
+                             ids=["transposed", "column", "row", "3-d"])
+    def test_window_shape_checked(self, rng, shape):
+        # a transposed (n_y, L) window has the right element count, but
+        # flattening it interleaves samples and channels
+        prob = build_mhe(random_predictor(rng), 5)
+        with pytest.raises(ValidationError, match=r"\(5, 2\) array"):
+            mhe_estimate(prob, rng.standard_normal(shape))
+
 
 class TestRunMhe:
     def test_warm_up_rows_are_nan(self, rng):
@@ -218,17 +219,21 @@ class TestRunMhe:
     @pytest.mark.parametrize("n_y, n_f", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
     @pytest.mark.parametrize("extra", [-1, 0, 1, "4L"])
     def test_fir_sweep_matches_every_full_window(self, rng, n_y, n_f, extra):
+        # the sweep against the gain rows times each full window, for
+        # drawn rows: a square channel has no identifiable window to
+        # build them from
         L = 7
         N = 4 * L if extra == "4L" else L + extra
-        prob = build_mhe(random_predictor(rng, n_y=n_y, sensors=range(n_f)), L)
+        prob = MheProblem(O=np.zeros((L * n_y, 0)), Tf=np.zeros((L * n_y, L * n_f)),
+                          L=L, gain_rows=rng.standard_normal((n_f, L * n_y)))
         R = rng.standard_normal((N, n_y))
         out = run_mhe(prob, R)
         assert out.shape == (N, n_f)
         assert np.all(np.isnan(out[:L - 1]))
         # a bound on the magnitude of every product the sums add up
-        scale = np.abs(prob.gain[-n_f:]).sum(axis=1).max() * np.abs(R).max()
+        scale = np.abs(prob.gain_rows).sum(axis=1).max() * np.abs(R).max()
         for k in range(L - 1, N):
-            want = mhe_estimate(prob, R[k - L + 1:k + 1])[-n_f:]
+            want = prob.gain_rows @ R[k - L + 1:k + 1].reshape(-1)
             assert np.max(np.abs(out[k] - want)) <= 1e-13 * scale
 
     def test_short_series_all_nan(self, rng):

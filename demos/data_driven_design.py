@@ -42,11 +42,11 @@ def block_error(est, tru, L):
 
 
 def main():
-    model, controller = get_plant("unstable4").factory()
+    model, gain = get_plant("unstable4").factory()
     faulty = sensor_fault_plant(model, 0)
     pred = to_predictor(faulty)
 
-    data = collect_identification_data(faulty, controller, 4000, seed=0)
+    data = collect_identification_data(faulty, gain, 4000, seed=0)
     truth = xi_from_predictor(pred, 100)
 
     # the plant actuates with a one sample delay, so the true lag-zero
@@ -81,7 +81,7 @@ def main():
           f"{rel:.1%} relative error")
 
     # both filters on a fresh faulty run
-    run, fault = closed_loop_sim(faulty, controller, 1300,
+    run, fault = closed_loop_sim(faulty, gain, 1300,
                                  np.random.default_rng(42),
                                  scenario=FaultScenario(onset=51))
     for name, filt in (("model-based", filt_model), ("data-driven", filt_data)):

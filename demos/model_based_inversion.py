@@ -26,7 +26,7 @@ from faultfilter import (
 
 
 def main():
-    model, controller = get_plant("unstable4").factory()
+    model, gain = get_plant("unstable4").factory()
     print("open-loop spectral radius:", round(spectral_radius(model.A), 4))
 
     # fault channel on sensor 1 (index 0), then predictor form
@@ -50,7 +50,7 @@ def main():
     # faulty closed-loop run: fault appears at sample 51
     scenario = FaultScenario(onset=51)
     rng = np.random.default_rng(7)
-    data, fault = closed_loop_sim(faulty, controller, 800, rng,
+    data, fault = closed_loop_sim(faulty, gain, 800, rng,
                                   scenario=scenario)
     fhat = run_filter(filt, data)
 
@@ -62,7 +62,7 @@ def main():
     # with the noise switched off the reconstruction is exact
     quiet, _ = get_plant("unstable4").factory(q=0.0, r=1e-30)
     quiet_faulty = sensor_fault_plant(quiet, 0)
-    qdata, qfault = closed_loop_sim(quiet_faulty, controller, 400,
+    qdata, qfault = closed_loop_sim(quiet_faulty, gain, 400,
                                     np.random.default_rng(7),
                                     scenario=scenario)
     qhat = run_filter(reduced_filter(to_predictor(quiet_faulty), Kr),

@@ -29,7 +29,7 @@ from faultfilter.markov_design import z_markov
 
 
 def main():
-    model, controller = get_plant("unstable4").factory()
+    model, gain = get_plant("unstable4").factory()
     faulty = sensor_fault_plant(model, 0)
     pred = to_predictor(faulty)
 
@@ -48,7 +48,7 @@ def main():
     # slide over a faulty closed-loop record; the window needs the
     # residual series, so run the innovation filter over [u, y] first
     scenario = FaultScenario(onset=51)
-    data, fault = closed_loop_sim(faulty, controller, 1300,
+    data, fault = closed_loop_sim(faulty, gain, 1300,
                                   np.random.default_rng(11),
                                   scenario=scenario)
     residuals = residual_generator(pred).run(np.hstack([data.u, data.y]))

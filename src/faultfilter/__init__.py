@@ -75,7 +75,6 @@ from .bench_cli import (
     EllipseStats,
     ExperimentReport,
     FaultScenario,
-    FeedbackController,
     closed_loop_sim,
     collect_identification_data,
     ellipse_stats,

@@ -70,7 +70,6 @@ from .mhe_baseline import build_mhe, run_mhe
 from .sysid_markov import IdentifiedXi, identify_xi
 
 __all__ = [
-    "FeedbackController",
     "FaultScenario",
     "parse_fault_signal",
     "get_plant",
@@ -96,17 +95,7 @@ ALGORITHM_NAMES = ("alg0", "alg1", "alg2", "alg3")
 
 
 # ---------------------------------------------------------------------------
-# controllers, scenarios, plants
-
-
-@dataclass
-class FeedbackController:
-    """Static output feedback u(k) = -gain y(k) + eta(k)."""
-
-    gain: np.ndarray
-
-    def __post_init__(self):
-        self.gain = np.atleast_2d(np.asarray(self.gain, dtype=float))
+# fault scenarios, plants
 
 
 def parse_fault_signal(text: str):
@@ -218,6 +207,7 @@ def _closed_loop_system(model: StateSpaceModel, gain) -> LinearSystem:
     """
     A, B, C, D, E, G = model.A, model.B, model.C, model.D, model.E, model.G
     nu, ny = model.n_inputs, model.n_outputs
+    gain = np.atleast_2d(np.asarray(gain, dtype=float))
     if gain.shape != (nu, ny):
         raise ValidationError(f"controller gain must be {nu} x {ny}, got {gain.shape}")
     loop = np.eye(nu) + gain @ D
@@ -273,7 +263,7 @@ def _unstable4_factory(q=None, r=None):
     q = 1e-4 if q is None else float(q)
     r = 1e-2 if r is None else float(r)
     model = StateSpaceModel(A, B, C, Q=q * np.eye(4), R=r * np.eye(2))
-    return model, FeedbackController(gain)
+    return model, gain
 
 
 _REGISTRY = {"unstable4": PlantEntry(_unstable4_factory)}
@@ -283,8 +273,8 @@ _REGISTRY = {"unstable4": PlantEntry(_unstable4_factory)}
 # closed-loop simulation
 
 
-def closed_loop_sim(model: StateSpaceModel, controller: FeedbackController,
-                    N: int, rng, scenario: FaultScenario = None, eta=None):
+def closed_loop_sim(model: StateSpaceModel, gain, N: int, rng,
+                    scenario: FaultScenario = None, eta=None):
     """Simulate the feedback loop u = -gain y + eta, optionally with faults.
 
     ``eta`` is the (N, n_u) excitation, zero when omitted.  The measured
@@ -298,7 +288,7 @@ def closed_loop_sim(model: StateSpaceModel, controller: FeedbackController,
         (IOData, fault_series) with the applied fault values.
     """
     nu, ny = model.n_inputs, model.n_outputs
-    loop = _closed_loop_system(model, controller.gain)
+    loop = _closed_loop_system(model, gain)
     eta = np.zeros((N, nu)) if eta is None else np.asarray(eta, dtype=float)
     if eta.shape != (N, nu):
         raise ValidationError(f"excitation must be {N} x {nu}, got {eta.shape}")
@@ -311,9 +301,8 @@ def closed_loop_sim(model: StateSpaceModel, controller: FeedbackController,
     return IOData(UY[:, :nu], UY[:, nu:]), fault
 
 
-def collect_identification_data(plant: StateSpaceModel,
-                                controller: FeedbackController,
-                                N: int, seed: int) -> IOData:
+def collect_identification_data(plant: StateSpaceModel, gain, N: int,
+                                seed: int) -> IOData:
     """Fault-free closed-loop record for identification.
 
     The excitation is unit white noise, drawn from the seeded generator
@@ -322,7 +311,7 @@ def collect_identification_data(plant: StateSpaceModel,
     """
     rng = np.random.default_rng(seed)
     eta = rng.standard_normal((N, plant.n_inputs))
-    return closed_loop_sim(plant, controller, N, rng, eta=eta)[0]
+    return closed_loop_sim(plant, gain, N, rng, eta=eta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -652,12 +641,14 @@ class BenchConfig:
     riccati.  A negative seed, fewer than one identification sample or
     run sample, or ``sensors`` (zero based) that are not
     sorted, unique and nonnegative or do not match the scenario's signal
-    count, is a ValidationError naming the field.
+    count, is a ValidationError naming the field.  ``controller`` is the
+    static output feedback gain (u = -gain y + eta); None takes the
+    registry plant's.
     """
 
     plant: str = "unstable4"
     model: StateSpaceModel = None
-    controller: FeedbackController = None
+    controller: np.ndarray = None
     sensors: tuple = (0,)
     scenario: FaultScenario = field(default_factory=FaultScenario)
     q: float = None
@@ -669,7 +660,6 @@ class BenchConfig:
     order: object = 4
     strategy: str = "pole_placement"
     poles: tuple = BENCH_POLES
-    ridge: float = 0.0
     assume_delay: bool = True
     n_ident: int = 1000
     run_samples: int = 1300
@@ -679,7 +669,7 @@ class BenchConfig:
 
     def __post_init__(self):
         for name, least in (("seed", 0), ("n_ident", 1), ("run_samples", 1),
-                            ("p", 1), ("ridge", 0)):
+                            ("p", 1)):
             value = getattr(self, name)
             if value < least:
                 label = "n_ident ([identify] n_samples)" if name == "n_ident" else name
@@ -694,7 +684,7 @@ class BenchConfig:
                 f"{len(self.sensors)} sensors but {len(signals)} fault signals")
 
     def resolve_plant(self):
-        """(model, controller) from explicit matrices or the registry."""
+        """(model, gain) from explicit matrices or the registry."""
         if self.model is not None:
             if self.controller is None:
                 raise ValidationError("explicit plant needs a controller")
@@ -774,8 +764,7 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     # identification feeds alg1..alg3; a failure here fails all three
     xi = None
     try:
-        xi = identify_xi(ident, cfg.p, ridge=cfg.ridge,
-                         assume_delay=cfg.assume_delay)
+        xi = identify_xi(ident, cfg.p, assume_delay=cfg.assume_delay)
     except FaultFilterError as err:
         for name in ("alg1", "alg2", "alg3"):
             results.append(AlgorithmResult(
@@ -923,7 +912,7 @@ def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
     Recognized sections: [plant] (registry ``name`` or explicit
     matrices, optional scalar ``q`` / ``r``), [controller] (``gain``
     matrix), [scenario] (``onset``, one based ``sensors``, ``signals``
-    separated by ';'), [identify] (``p``, ``n_samples``, ``ridge``,
+    separated by ';'), [identify] (``p``, ``n_samples``,
     ``assume_delay``), [design] (``markov_length``, ``hankel_rows``,
     ``hankel_cols``, ``order``, ``strategy``, ``poles``), [bench]
     (``run_samples``, ``window_start``, ``window_stop``).  ``plant`` may
@@ -952,7 +941,7 @@ def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
     if "controller" in plant_parser:
         ctrl = _ini_values(plant_parser["controller"], {"gain": parse_matrix})
         if "gain" in ctrl:
-            kwargs["controller"] = FeedbackController(ctrl["gain"])
+            kwargs["controller"] = ctrl["gain"]
 
     if "scenario" in parser:
         scen = _ini_values(parser["scenario"], {
@@ -966,7 +955,7 @@ def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
 
     if "identify" in parser:
         ident = _ini_values(parser["identify"], {
-            "p": int, "n_samples": int, "ridge": float, "assume_delay": _boolean})
+            "p": int, "n_samples": int, "assume_delay": _boolean})
         if "n_samples" in ident:
             ident["n_ident"] = ident.pop("n_samples")
         kwargs.update(ident)
@@ -1022,7 +1011,7 @@ def _cli_identify(args, cfg: BenchConfig):
     else:
         model, controller = _cli_plant(cfg)
         data = collect_identification_data(model, controller, cfg.n_ident, cfg.seed)
-    return identify_xi(data, cfg.p, ridge=cfg.ridge, assume_delay=cfg.assume_delay), data
+    return identify_xi(data, cfg.p, assume_delay=cfg.assume_delay), data
 
 
 def _cmd_identify(args, cfg: BenchConfig) -> int:

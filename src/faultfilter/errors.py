@@ -2,8 +2,9 @@
 
 Two branches matter for tooling: ValidationError covers bad shapes,
 arguments and configuration (CLI exit code 2), NumericalError covers
-failures of the numerics themselves such as divergent iterations,
-rank losses or unstabilizable systems (CLI exit code 3).
+failures of the numerics themselves such as a Riccati equation with
+no stabilizing solution, rank losses or unstabilizable systems (CLI
+exit code 3).
 """
 
 
@@ -24,7 +25,7 @@ class NumericalError(FaultFilterError):
 
 
 class RiccatiError(NumericalError):
-    """Riccati iteration diverged or failed to converge."""
+    """A discrete algebraic Riccati equation has no stabilizing solution."""
 
 
 class ExcitationError(NumericalError):

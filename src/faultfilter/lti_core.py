@@ -311,14 +311,19 @@ class _CsvRows(list):
 
 @dataclass
 class IOData:
-    """Sampled input/output record of one experiment."""
+    """Sampled input/output record of one experiment.
+
+    ``u`` is (N, n_u) and ``y`` is (N, n_y); a 1-D series is N samples
+    of one channel.
+    """
 
     u: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        self.u = np.atleast_2d(np.asarray(self.u, dtype=float))
-        self.y = np.atleast_2d(np.asarray(self.y, dtype=float))
+        u, y = np.asarray(self.u, dtype=float), np.asarray(self.y, dtype=float)
+        self.u = u[:, None] if u.ndim == 1 else np.atleast_2d(u)
+        self.y = y[:, None] if y.ndim == 1 else np.atleast_2d(y)
         if self.u.shape[0] != self.y.shape[0]:
             raise ValidationError("u and y must have the same number of samples")
 

@@ -47,7 +47,7 @@ class IdentifiedXi:
 
     Hu: np.ndarray
     Hy: np.ndarray
-    past_horizon: int
+    p: int
     residual_variance: np.ndarray = None
 
     def __post_init__(self):
@@ -55,9 +55,9 @@ class IdentifiedXi:
         self.Hy = np.asarray(self.Hy, dtype=float)
         if self.Hu.ndim != 3 or self.Hy.ndim != 3:
             raise ValidationError("Hu and Hy must be arrays of shape (blocks, rows, cols)")
-        p = self.past_horizon
+        p = self.p
         if p < 1:
-            raise ValidationError("past horizon must be at least 1")
+            raise ValidationError("past window p must be at least 1")
         if len(self.Hu) != p + 1:
             raise ValidationError(f"expected {p + 1} input blocks, got {len(self.Hu)}")
         if len(self.Hy) != p:
@@ -76,10 +76,6 @@ class IdentifiedXi:
         for name in ("Hu", "Hy", "residual_variance"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValidationError(f"non-finite entry in {name}")
-
-    @property
-    def p(self) -> int:
-        return self.past_horizon
 
     @property
     def n_u(self) -> int:
@@ -215,8 +211,7 @@ def _window_residuals(w: np.ndarray, n_y: int, xi: np.ndarray) -> np.ndarray:
     return (phases @ coef).transpose(1, 0, 2).reshape(-1, n_y)[:rows]
 
 
-def identify_xi(data: IOData, p: int, ridge: float = 0.0,
-                assume_delay: bool = False) -> IdentifiedXi:
+def identify_xi(data: IOData, p: int, assume_delay: bool = False) -> IdentifiedXi:
     """Least squares estimate of the predictor Markov parameters.
 
     The normal equations are formed from the lagged Gram matrix of the
@@ -229,7 +224,6 @@ def identify_xi(data: IOData, p: int, ridge: float = 0.0,
             (not checked beyond a conditioning test on the regressors).
         p: past window length; the truncation bias scales with the p-th
             power of the predictor spectral radius.
-        ridge: optional Tikhonov weight on the coefficients.
         assume_delay: treat the plant as strictly causal from u, pinning
             H_0^u = 0 and excluding u(k) from the regressors.  Use this
             when data were collected under output feedback, where u(k)
@@ -239,19 +233,17 @@ def identify_xi(data: IOData, p: int, ridge: float = 0.0,
         IdentifiedXi with all blocks and the residual covariance.
 
     Raises:
-        ValidationError: p < 1, negative ridge, or a non-finite sample
-            (the message names the first one).
+        ValidationError: p < 1 or a non-finite sample (the message
+            names the first one).
         ExcitationError: fewer usable rows than coefficients, a
             regressor column that is identically zero, a Gram matrix
-            that is not numerically positive definite, or, with
-            ridge = 0, a reciprocal condition estimate of the
-            equilibrated Gram matrix below ncols * eps (cond(Z) above
-            about 3e6 at p = 100 with two inputs and two outputs).
+            that is not numerically positive definite, or a reciprocal
+            condition estimate of the equilibrated Gram matrix below
+            ncols * eps (cond(Z) above about 3e6 at p = 100 with two
+            inputs and two outputs).
     """
     if p < 1:
         raise ValidationError("past window p must be at least 1")
-    if ridge < 0:
-        raise ValidationError("ridge weight must be nonnegative")
     if data.n_samples <= p:
         raise ExcitationError(
             f"insufficient excitation: need more than p={p} samples, "
@@ -267,8 +259,7 @@ def identify_xi(data: IOData, p: int, ridge: float = 0.0,
     # regressor columns are a prefix of the (p+1)-block windows, targets
     # their last n_y columns
     G = _lagged_gram(w, p + 1)
-    diag = np.diag(G)[:ncols] + ridge
-    scale = np.sqrt(diag)
+    scale = np.sqrt(np.diag(G)[:ncols])
     if not scale.all():
         raise ExcitationError(
             f"insufficient excitation: regressor column {int(np.argmin(scale))} "
@@ -276,7 +267,6 @@ def identify_xi(data: IOData, p: int, ridge: float = 0.0,
     # deferred: a filter run needs no scipy
     from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
     A = G[:ncols, :ncols] / np.outer(scale, scale)
-    A.flat[::ncols + 1] = diag / (scale * scale)  # with the ridge weight
     try:
         factor = cho_factor(A, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -284,15 +274,14 @@ def identify_xi(data: IOData, p: int, ridge: float = 0.0,
             "insufficient excitation: the equilibrated regressor Gram matrix is "
             f"not numerically positive definite (condition number "
             f"{np.linalg.cond(A):.2e}) at this window length") from exc
-    if ridge == 0:
-        pocon, = get_lapack_funcs(("pocon",), (A,))
-        rcond, _ = pocon(factor[0], np.abs(A).sum(axis=0).max())
-        if rcond < ncols * np.finfo(float).eps:
-            cond = 1 / rcond if rcond > 0 else np.inf
-            raise ExcitationError(
-                f"insufficient excitation: the equilibrated regressor Gram matrix "
-                f"has condition estimate {cond:.2e}, above the limit "
-                f"{1 / (ncols * np.finfo(float).eps):.2e} at this window length")
+    pocon, = get_lapack_funcs(("pocon",), (A,))
+    rcond, _ = pocon(factor[0], np.abs(A).sum(axis=0).max())
+    if rcond < ncols * np.finfo(float).eps:
+        cond = 1 / rcond if rcond > 0 else np.inf
+        raise ExcitationError(
+            f"insufficient excitation: the equilibrated regressor Gram matrix "
+            f"has condition estimate {cond:.2e}, above the limit "
+            f"{1 / (ncols * np.finfo(float).eps):.2e} at this window length")
     sol = cho_solve(factor, G[:ncols, -n_y:] / scale[:, None],
                     check_finite=False) / scale[:, None]
     xi = sol.T

@@ -14,7 +14,6 @@ from scipy.linalg import lstsq
 
 from faultfilter import (
     ExcitationError,
-    FeedbackController,
     IdentifiedXi,
     LinearSystem,
     PredictorModel,
@@ -47,18 +46,16 @@ def varx_regression(data, p, assume_delay):
     return y[p:N], np.hstack(cols)
 
 
-def gelsy_identify_xi(data, p, ridge=0.0, assume_delay=False):
-    """VARX fit by pivoted QR on the explicit (ridge-stacked) regressor.
+def gelsy_identify_xi(data, p, assume_delay=False):
+    """VARX fit by pivoted QR on the explicit regressor.
 
     The oracle for ``identify_xi``: the same estimate without the Gram
     matrix, with a rank test in place of the conditioning test.
     """
     Y, Z = varx_regression(data, p, assume_delay)
     ncols = Z.shape[1]
-    Zr = np.vstack([Z, np.sqrt(ridge) * np.eye(ncols)])
-    Yr = np.vstack([Y, np.zeros((ncols, data.n_outputs))])
-    sol, _, rank, _ = lstsq(Zr, Yr, lapack_driver="gelsy")
-    if ridge == 0 and rank < ncols:
+    sol, _, rank, _ = lstsq(Z, Y, lapack_driver="gelsy")
+    if rank < ncols:
         raise ExcitationError(f"regressor matrix rank {rank} < {ncols}")
     res = Y - Z @ sol
     xi = sol.T
@@ -228,8 +225,8 @@ def open_loop_sim(model, u, seed=0, scenario=None):
     closed_loop_sim with a zero gain and u as the excitation; the noise
     comes from default_rng(seed), process noise drawn first.
     """
-    ctrl = FeedbackController(np.zeros((model.n_inputs, model.n_outputs)))
-    data, _ = closed_loop_sim(model, ctrl, len(u), np.random.default_rng(seed),
+    gain = np.zeros((model.n_inputs, model.n_outputs))
+    data, _ = closed_loop_sim(model, gain, len(u), np.random.default_rng(seed),
                               scenario=scenario, eta=u)
     return data
 

@@ -25,24 +25,22 @@ from faultfilter import (
     markov_parameters,
     open_loop_inverse,
     reduced_filter,
+    residual_generator,
     run_comparison,
     run_filter,
     sensor_fault_plant,
     spectral_radius,
     stabilizing_gain,
     to_predictor,
-    z_markov,
 )
 from faultfilter import bench_cli
 from faultfilter.bench_cli import (
     BENCH_POLES,
+    closed_loop_sim,
     collect_identification_data,
-    time_filter_step,
-    time_window_step,
 )
 
 from conftest import (
-    _window_map,
     cascade_filter,
     closed_loop_inverse,
     planted_zero_predictor,
@@ -303,9 +301,12 @@ def test_09_four_way_benchmark_ordering():
 
 
 def test_10_recursive_vs_window_cost(monkeypatch):
-    # capture the seed-1000 alg2 filter, alg3's MHE problem and the
-    # identified xi, build alg3's window map from them, then time both
-    # in alternating rounds so that outside load hits both sides
+    # capture the seed-1000 run, its alg2 filter and alg3's MHE problem and
+    # residual generator, then time both estimators sample by sample over
+    # the recorded samples, in alternating rounds so that outside load
+    # hits both sides: the filter's own step(), against one residual
+    # generator step [A B; C D] on [x; z] plus the newest gain rows on the
+    # rolled residual window
     captured = {}
 
     def capture(name, fn):
@@ -316,19 +317,49 @@ def test_10_recursive_vs_window_cost(monkeypatch):
 
     capture("filter", design_filter_from_xi)
     capture("problem", build_mhe)
-    capture("xi", identify_xi)
-    cfg = BenchConfig(seed=1000)
-    run_comparison(cfg)
-    problem, xi, L = captured["problem"], captured["xi"], cfg.markov_length
-    Hz = z_markov(xi.Hu, xi.Hy, L)
-    window_map = _window_map(problem.gain_rows, Hz, L)
-    sides = [(lambda: time_filter_step(captured["filter"], 1000), []),
-             (lambda: time_window_step(window_map, Hz.shape[2], 1000), [])]
+    capture("generator", residual_generator)
+    capture("run", closed_loop_sim)  # the faulty run is the last call
+    report = run_comparison(BenchConfig(seed=1000))
+    filt, problem, gen = captured["filter"], captured["problem"], captured["generator"]
+    U, Y = captured["run"][0].u, captured["run"][0].y
+    N, n, nu, ny = len(U), len(gen.A), U.shape[1], Y.shape[1]
+    M = np.block([[gen.A, gen.B], [gen.C, gen.D]])
+    rows = problem.gain_rows
+
+    def filter_pass(out):
+        filt.reset()
+        t0 = time.perf_counter_ns()
+        for k in range(N):
+            out[k] = filt.step(U[k], Y[k])
+        return (time.perf_counter_ns() - t0) / N
+
+    def window_pass(out):
+        v, win = np.zeros(n + nu + ny), np.zeros(rows.shape[1])
+        x = v[:n]
+        t0 = time.perf_counter_ns()
+        for k in range(N):
+            v[n:n + nu] = U[k]
+            v[n + nu:] = Y[k]
+            s = M.dot(v)
+            x[:] = s[:n]
+            win[:-ny] = win[ny:]
+            win[-ny:] = s[n:]
+            out[k] = rows.dot(win)
+        return (time.perf_counter_ns() - t0) / N
+
+    f2, f3 = np.empty((N, filt.n_faults)), np.empty((N, problem.n_faults))
+    sides = [(lambda: filter_pass(f2), []), (lambda: window_pass(f3), [])]
     for r in range(10):
-        for time_side, medians in sides[::(-1) ** r]:
-            medians.append(time_side())
+        for time_pass, medians in sides[::(-1) ** r]:
+            medians.append(time_pass())
+    # the timed loops are the arms' own estimators: they give the run's
+    # estimates, alg3's once its window has filled
+    est = {res.name: res.estimates for res in report.results}
+    L = problem.L
+    for got, want in ((f2, est["alg2"]), (f3[L - 1:], est["alg3"][L - 1:])):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     t2, t3 = (float(np.median(medians)) for _, medians in sides)
     verdict(10, "recursive-vs-window-cost", t2 < t3,
-            f"recursive filter {t2:.0f} ns/step vs window estimate "
-            f"{t3:.0f} ns/step at window length 100, medians of 10 "
-            f"alternating rounds of 1000 steps")
+            f"recursive filter step() {t2:.0f} ns/sample vs residual step plus "
+            f"window estimate {t3:.0f} ns/sample at window length {L}, medians "
+            f"of 10 alternating passes over the {N} recorded samples")

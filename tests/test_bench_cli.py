@@ -11,7 +11,6 @@ from faultfilter import (
     BenchConfig,
     ExperimentReport,
     FaultScenario,
-    FeedbackController,
     ValidationError,
     closed_loop_sim,
     collect_identification_data,
@@ -36,14 +35,14 @@ from faultfilter.lti_core import _write_csv, block_toeplitz
 from conftest import _window_map, planted_zero_predictor
 
 
-def per_sample_closed_loop(model, controller, N, rng, scenario=None, eta=None):
-    """Reference closed loop: the controller solved sample by sample.
+def per_sample_closed_loop(model, gain, N, rng, scenario=None, eta=None):
+    """Reference closed loop: the feedback solved sample by sample.
 
     Draws process noise and measurement noise in the same order as
     closed_loop_sim, then steps u = (I + gain D)^-1 (eta - gain ycore).
     """
     nu, ny = model.n_inputs, model.n_outputs
-    Fg = controller.gain
+    Fg = gain
     loop_inv = np.linalg.inv(np.eye(nu) + Fg @ model.D)
     eta = np.zeros((N, nu)) if eta is None else eta
     W = rng.standard_normal((N, model.F.shape[1])) @ ff.psd_factor(model.Q).T
@@ -157,9 +156,9 @@ class TestRegistry:
         model, ctrl = entry.factory()
         assert model.n_states == 4
         assert ff.spectral_radius(model.A) > 1.0
-        assert ctrl.gain.shape == (2, 2)
+        assert ctrl.shape == (2, 2)
         # the built-in gain stabilizes its loop (the check closed_loop_sim runs)
-        loop = ff.bench_cli._closed_loop_system(model, ctrl.gain)
+        loop = ff.bench_cli._closed_loop_system(model, ctrl)
         assert ff.spectral_radius(loop.A) < 1.0
 
     def test_unknown_plant(self):
@@ -220,10 +219,10 @@ class TestClosedLoopSim:
         rng = np.random.default_rng(0)
         with pytest.raises(ValidationError, match="gain"):
             closed_loop_sim(self.faulty,
-                            FeedbackController(np.zeros((3, 2))), 10, rng)
+                            np.zeros((3, 2)), 10, rng)
         with pytest.raises(ValidationError, match="unstable"):
             closed_loop_sim(self.faulty,
-                            FeedbackController(np.zeros((2, 2))), 10, rng)
+                            np.zeros((2, 2)), 10, rng)
         with pytest.raises(ValidationError, match="excitation must be 10 x 2"):
             closed_loop_sim(self.faulty, self.ctrl, 10, rng, eta=np.zeros((5, 2)))
         both = ff.sensor_fault_plant(self.model, [0, 1])
@@ -253,7 +252,7 @@ class TestClosedLoopSim:
     def test_near_singular_loop_rejected(self):
         # gain -inv(D) makes I + gain D vanish up to rounding only
         model = with_feedthrough(self.model, D_PLANT)
-        ctrl = FeedbackController(-np.linalg.inv(D_PLANT))
+        ctrl = -np.linalg.inv(D_PLANT)
         with pytest.raises(ValidationError, match="algebraically singular"):
             closed_loop_sim(model, ctrl, 10, np.random.default_rng(0))
 
@@ -263,7 +262,7 @@ class TestClosedLoopSim:
         assert a.n_samples == 200
         assert np.array_equal(a.u, b.u) and np.array_equal(a.y, b.y)
         # excitation keeps the input from being a pure function of y
-        resid = a.u + a.y @ self.ctrl.gain.T
+        resid = a.u + a.y @ self.ctrl.T
         assert np.std(resid) > 0.1
 
 
@@ -661,8 +660,9 @@ class TestWindowMap:
     @pytest.mark.parametrize("nf", [1, 2])
     @pytest.mark.parametrize("L", [1, 2, 5, 100])
     def test_equals_toeplitz_product(self, rng, nf, L):
-        # the block correlation acceptance 10 times against the product it
-        # stands for, on the newest rows of an (L nf, L ny) gain
+        # the block correlation form of alg3's window map, the input of
+        # time_window_step, against the product it stands for, on the
+        # newest rows of an (L nf, L ny) gain
         ny, q = 3, 5
         Hz = rng.standard_normal((L + 2, ny, q))
         gain = rng.standard_normal((L * nf, L * ny))[-nf:]
@@ -714,7 +714,7 @@ class TestLoadBenchConfig:
         assert cfg.p == 60 and cfg.n_ident == 1500 and cfg.assume_delay
         assert cfg.q == 1e-5 and cfg.order == "auto"
         assert cfg.poles == [0.7, 0.5, 0.3, 0.1]
-        assert cfg.controller.gain.shape == (2, 2)
+        assert cfg.controller.shape == (2, 2)
 
     def test_design_section_values(self, tmp_path):
         path = tmp_path / "design.ini"
@@ -758,7 +758,7 @@ class TestLoadBenchConfig:
         assert model.n_states == 2
         assert np.allclose(model.Q, 0.001 * np.eye(2))
         assert np.allclose(model.R, [[0.01, 0.0], [0.0, 0.04]])
-        assert ctrl.gain.shape == (1, 2)
+        assert ctrl.shape == (1, 2)
 
     def test_scalar_q_defers_to_matrix_Q(self, tmp_path):
         path = tmp_path / "plant.ini"
@@ -1069,9 +1069,18 @@ class TestCli:
                 "are run_samples, window_start, window_stop") in capsys.readouterr().err
         assert not (tmp_path / "cost.txt").exists()
 
+    def test_removed_ridge_key_exit_code(self, tmp_path, capsys):
+        # identification is plain least squares, so [identify] has no ridge key
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text("[identify]\nridge = 0.0\n")
+        code = main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 2
+        assert ("validation error: [identify] ridge: unknown key; accepted keys "
+                "are p, n_samples, assume_delay") in capsys.readouterr().err
+        assert not (tmp_path / "stats.csv").exists()
+
     @pytest.mark.parametrize("ini, message", [
         ("[identify]\np = 0\n", "p must be at least 1, got 0"),
-        ("[identify]\nridge = -1\n", "ridge must be at least 0, got -1.0"),
         ("[design]\nmarkov_length = -1\n", "markov_length -1 too short"),
         ("[design]\nhankel_rows = 0\n", "hankel_rows and hankel_cols must be at least 2"),
         ("[design]\norder = -2\n", "order must be positive or 'auto'"),
@@ -1079,7 +1088,7 @@ class TestCli:
          "pole_placement needs poles"),
         ("[design]\norder = 4\npoles = 0.5 0.4 0.3\n",
          "pole_placement at order 4 needs 4 poles, got 3"),
-    ], ids=["zero-p", "negative-ridge", "negative-markov-length", "zero-hankel-rows",
+    ], ids=["zero-p", "negative-markov-length", "zero-hankel-rows",
             "negative-order", "pole-placement-without-poles", "pole-count-not-order"])
     def test_compare_rejects_config_before_running(self, tmp_path, capsys, ini, message):
         # no record could satisfy these values, so compare stops before
@@ -1123,7 +1132,7 @@ class TestCli:
             np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
             Q=1e-4 * np.eye(2), R=1e-2 * np.eye(3))
         rng = np.random.default_rng(1)
-        data, _ = closed_loop_sim(model, ff.FeedbackController(np.zeros((1, 3))), 400,
+        data, _ = closed_loop_sim(model, np.zeros((1, 3)), 400,
                                   rng, eta=rng.standard_normal((400, 1)))
         data.to_csv(tmp_path / "rec.csv")
         ini = ("[identify]\np = 20\n[design]\nmarkov_length = 20\nhankel_rows = 8\n"

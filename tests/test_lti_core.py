@@ -373,6 +373,20 @@ class TestIOData:
         with pytest.raises(ValidationError):
             IOData(rng.standard_normal((5, 1)), rng.standard_normal((6, 1)))
 
+    def test_one_dimensional_series_is_one_channel(self, rng, tmp_path):
+        # a 1-D series is N samples of one channel, not one sample of N
+        u, y = rng.standard_normal(300), rng.standard_normal((300, 2))
+        data = IOData(u, y)
+        assert (data.n_samples, data.n_inputs, data.n_outputs) == (300, 1, 2)
+        assert np.array_equal(data.u, u[:, None])
+        data.to_csv(tmp_path / "run.csv")
+        assert (tmp_path / "run.csv").read_text().splitlines()[0] == "k,u1,y1,y2"
+        assert np.array_equal(IOData.from_csv(tmp_path / "run.csv").u, data.u)
+        short = IOData(np.ones(50), np.ones(50))
+        assert (short.u.shape, short.y.shape) == ((50, 1), (50, 1))
+        with pytest.raises(ff.ExcitationError, match="got 50"):
+            ff.identify_xi(short, p=100)
+
 
 class TestPsdFactor:
     def test_factor_recovers_matrix(self, rng):

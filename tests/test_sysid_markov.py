@@ -66,13 +66,6 @@ class TestExactRecovery:
         for i in range(1, 4):
             assert np.allclose(xi.Hu[i], Hu[i], atol=1e-9)
 
-    def test_ridge_shrinks_towards_zero(self, rng):
-        data, _, _ = varx_data(rng)
-        plain = identify_xi(data, p=3)
-        shrunk = identify_xi(data, p=3, ridge=1e3)
-        assert (np.linalg.norm(shrunk.stacked())
-                < np.linalg.norm(plain.stacked()))
-
 
 class TestStatisticalRecovery:
     def test_open_loop_markov_estimates(self, rng):
@@ -194,11 +187,6 @@ class TestErrors:
         with pytest.raises(ExcitationError, match="insufficient excitation"):
             identify_xi(IOData(u, y), p=4)
 
-    def test_negative_ridge_rejected(self, rng):
-        data, _, _ = varx_data(rng)
-        with pytest.raises(ValidationError):
-            identify_xi(data, p=3, ridge=-1.0)
-
     def test_bad_p(self, rng):
         data, _, _ = varx_data(rng)
         with pytest.raises(ValidationError):
@@ -237,12 +225,12 @@ class TestAgainstGelsyOracle:
         assert np.abs(G[:ncols, -n_y:] - Z.T @ Y).max() <= 1e-12 * scale
 
     @settings(max_examples=40)
-    @given(ridge=st.sampled_from([0.0, 1e-3, 1.0, 1e2]), **RECORDS)
+    @given(**RECORDS)
     def test_estimate_matches_oracle(self, seed, p, n_u, n_y, extra,
-                                     assume_delay, ridge):
+                                     assume_delay):
         data = random_record(seed, p, n_u, n_y, extra, assume_delay)
-        got = identify_xi(data, p, ridge=ridge, assume_delay=assume_delay)
-        want = gelsy_identify_xi(data, p, ridge=ridge, assume_delay=assume_delay)
+        got = identify_xi(data, p, assume_delay=assume_delay)
+        want = gelsy_identify_xi(data, p, assume_delay=assume_delay)
         assert (np.linalg.norm(got.stacked() - want.stacked())
                 <= 1e-8 * np.linalg.norm(want.stacked()))
         assert (np.abs(got.residual_variance - want.residual_variance).max()
@@ -310,7 +298,6 @@ class TestAgainstGelsyOracle:
         gelsy_identify_xi(data, 5)
         with pytest.raises(ExcitationError, match="condition estimate"):
             identify_xi(data, p=5)
-        identify_xi(data, p=5, ridge=1e-6)
 
     @pytest.mark.parametrize("scale", [1e-7, 1e-8, 1e-9])
     def test_rejection_reports_a_condition_figure(self, rng, scale):

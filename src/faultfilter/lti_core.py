@@ -49,10 +49,15 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
-_CHUNK = 64  # samples per chunk of lti_recursion's block Toeplitz path
+# Samples per chunk of lti_recursion's block Toeplitz path.  Of 8, 16, 32
+# and 64, 16 was fastest or within noise of it on 1000-10^4-sample
+# records of the package's closed loop, filters and residual generators
+# (the fixed cost per call shrinks with T, the work per sample grows).
+_CHUNK = 16
 # Widest min(p m, n^2) the chunked path takes: it costs about
-# _CHUNK min(p m, n^2) flops per sample, and beyond ~500-700 the
-# per-sample loop was as fast or faster (1 BLAS thread).
+# _CHUNK min(p m, n^2) flops per sample.  At T = 16 it beat the
+# per-sample loop 1.1-4.6x up to a width of ~800 and was about even at
+# 1024 (1300 and 10^4 samples, 1 BLAS thread); 512 keeps a margin.
 _CHUNK_WIDTH = 512
 
 
@@ -314,16 +319,19 @@ class IOData:
     """Sampled input/output record of one experiment.
 
     ``u`` is (N, n_u) and ``y`` is (N, n_y); a 1-D series is N samples
-    of one channel.
+    of one channel.  An array of more than two dimensions is a
+    ValidationError naming it and its shape.
     """
 
     u: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        u, y = np.asarray(self.u, dtype=float), np.asarray(self.y, dtype=float)
-        self.u = u[:, None] if u.ndim == 1 else np.atleast_2d(u)
-        self.y = y[:, None] if y.ndim == 1 else np.atleast_2d(y)
+        for name in ("u", "y"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.ndim > 2:
+                raise ValidationError(f"{name} must be 1-D or 2-D, got shape {a.shape}")
+            setattr(self, name, a[:, None] if a.ndim == 1 else np.atleast_2d(a))
         if self.u.shape[0] != self.y.shape[0]:
             raise ValidationError("u and y must have the same number of samples")
 
@@ -426,21 +434,25 @@ def lti_recursion(A, B, C, D, inputs, x0=None):
     """x(k+1) = A x(k) + B z(k), out(k) = C x(k) + D z(k) over an (N, n_in) record.
 
     The package's one record-length state recursion, taken in chunks of
-    T = ``_CHUNK`` samples.  A chunk's outputs are its start state s
-    through C, CA, ..., CA^(T-1) plus the lower block Toeplitz matrix of
-    the Markov blocks D, CB, ..., CA^(T-2)B times its inputs: two matrix
-    products for all chunks at once.  Only the start states are carried
-    by a loop, s <- A^T s + the chunk's zero-state end state.  Those
-    products cost T p m flops per sample for p outputs and m inputs;
-    when n^2 is smaller, the scheme runs on the map from B z to the
-    state x, and C and D are applied after.
+    T = ``_CHUNK`` samples, the last one padded with zero inputs.  A
+    chunk's outputs are its start state s through C, CA, ..., CA^(T-1)
+    plus the lower block Toeplitz matrix of the Markov blocks D, CB, ...,
+    CA^(T-2)B (the first T-1 blocks of that stack times B) times its
+    inputs: two matrix products for all chunks at once.  The start states obey s <- A^T s + the
+    chunk's zero-state end state, a linear recurrence solved by a
+    doubling scan: after the step with stride d = 1, 2, 4, ... each row
+    holds the sum over the 2d rows up to it, so ceil(log2 chunks)
+    products replace the carry loop.  x(N) is the last chunk's start
+    state advanced over its r real samples.  The Toeplitz product costs
+    T p m flops per sample for p outputs and m inputs; when n^2 is
+    smaller, the scheme runs on the map from B z to the state x, and C
+    and D are applied after.
 
-    The last N mod T samples run sample by sample, and so does the whole
-    record when rho(A) >= 1 (the chunk maps grow with A^T), N < 2T,
-    there are no states, min(p m, n^2) exceeds ``_CHUNK_WIDTH`` (the
-    products would cost more than the loop), or a matrix entry, input or
-    x0 is non-finite (a product over the chunk would carry a nan to the
-    samples before it).
+    The whole record runs sample by sample instead when rho(A) >= 1
+    (the chunk maps grow with A^T), N < 2T, there are no states,
+    min(p m, n^2) exceeds ``_CHUNK_WIDTH`` (the products would cost more
+    than the loop), or a matrix entry, input or x0 is non-finite (a
+    product over the chunk would carry a nan to the samples before it).
     That loop only applies A; the input and readout terms are one matrix
     product each.  Returns (out, x(N)); callers validate shapes.
     """
@@ -449,30 +461,30 @@ def lti_recursion(A, B, C, D, inputs, x0=None):
         X, x_end = lti_recursion(A, np.eye(n), np.eye(n), np.zeros((n, n)), inputs @ B.T, x0)
         return X @ C.T + inputs @ D.T, x_end
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    out = np.empty((N, p))
-    done = 0  # samples taken by the chunked path
-    if (N >= 2 * T and n > 0 and p * m <= _CHUNK_WIDTH
+    if not (N >= 2 * T and n > 0 and p * m <= _CHUNK_WIDTH
             and all(np.isfinite(a).all() for a in (A, B, C, D, inputs, x))
             and spectral_radius(A) < 1.0):
-        nc = N // T
-        done = nc * T
-        Z = inputs[:done].reshape(nc, T * m)
-        # zero-state end state of a chunk: sum_j A^(T-1-j) B z(j)
-        ctrl = extended_observability(A.T, B.T, T).reshape(T, m, n)[::-1].reshape(T * m, n)
-        AT, ends, S = np.linalg.matrix_power(A, T), Z @ ctrl, np.empty((nc, n))
-        for c in range(nc):
-            S[c] = x
-            x = AT @ x + ends[c]
-        out[:done] = (Z @ block_toeplitz(markov_from_ss(A, B, C, D, T)).T
-                      + S @ extended_observability(A, C, T).T).reshape(done, p)
-    X = np.empty((N - done + 1, n))
-    X[0] = x
-    X[1:] = inputs[done:] @ B.T
-    rows = list(X)  # row views: each step adds A x(k) into x(k+1) in place
-    for k in range(N - done):
-        rows[k + 1] += A.dot(rows[k])
-    out[done:] = X[:-1] @ C.T + inputs[done:] @ D.T
-    return out, X[-1].copy()
+        X = np.vstack([x, inputs @ B.T])
+        rows = list(X)  # row views: each step adds A x(k) into x(k+1) in place
+        for k in range(N):
+            rows[k + 1] += A.dot(rows[k])
+        return X[:-1] @ C.T + inputs @ D.T, X[-1].copy()
+    nc, r = -(-N // T), (N - 1) % T + 1  # chunks, and real samples in the last one
+    Z = np.concatenate([inputs, np.zeros((nc * T - N, m))]).reshape(nc, T * m)
+    O = extended_observability(A, C, T)
+    # row block j maps z(j) to the chunk's zero-state end state: A^(T-1-j) B
+    ctrl = extended_observability(A.T, B.T, T).reshape(T, m, n)[::-1].reshape(T * m, n)
+    S = np.vstack([x, Z[:-1] @ ctrl])
+    P, d = np.linalg.matrix_power(A, T).T, 1
+    while d < nc:
+        S[d:] += S[:-d] @ P
+        d *= 2
+        if d < nc:
+            P = P @ P
+    H = np.concatenate([D[None], (O[:(T - 1) * p] @ B).reshape(T - 1, p, m)])
+    out = (Z @ block_toeplitz(H).T + S @ O.T).reshape(nc * T, p)[:N]
+    x_end = S[-1] @ np.linalg.matrix_power(A, r).T + Z[-1, :r * m] @ ctrl[(T - r) * m:]
+    return out, x_end
 
 
 def dare_fixed_point(A, C, Q, R, F=None):
@@ -592,8 +604,7 @@ def markov_from_ss(A, B, C, D, L: int) -> np.ndarray:
     """Markov parameters D, CB, CAB, ..., CA^(L-2)B of a quadruple."""
     if L < 1:
         raise ValidationError("need at least one Markov block")
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
+    B, D = _as_matrix(B), _as_matrix(D)
     blocks = np.empty((L,) + D.shape)
     blocks[0] = D
     if L > 1:
@@ -663,8 +674,7 @@ def extended_observability(A, C, L: int) -> np.ndarray:
     """
     if L < 1:
         raise ValidationError("need at least one block row")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    A, C = _as_matrix(A), _as_matrix(C)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or C.ndim != 2 or C.shape[1] != A.shape[0]:
         raise ValidationError(
             f"extended observability needs a square A with as many columns as C, "

@@ -89,6 +89,26 @@ class TestLtiRecursion:
         assert np.max(np.abs(x_end - x_ref), initial=0.0) <= 1e-12 * (
             1.0 + np.abs(x_ref).max(initial=0.0))
 
+    @pytest.mark.parametrize("kind", ["dense", "non-normal"])
+    @pytest.mark.parametrize("N", [2 * _CHUNK, 2 * _CHUNK + 1, 5 * _CHUNK - 1, 5 * _CHUNK,
+                                   1000, 1300, 10_000])
+    @pytest.mark.parametrize("n, m, p", [(4, 9, 4), (4, 4, 1), (4, 4, 2)],
+                             ids=["closed-loop", "filter", "residual-generator"])
+    def test_long_records_match_per_sample_loop(self, rng, n, m, p, N, kind):
+        # the benchmark's shapes (the closed loop on the state branch) at
+        # record lengths whose chunk start-state scan takes up to
+        # ceil(log2(10^4 / T)) doublings, with a zero-padded last chunk
+        # whenever T does not divide N
+        A = family_matrix(rng, n, kind)
+        B, C, D = (rng.standard_normal(s) for s in ((n, m), (p, n), (p, m)))
+        x0 = rng.standard_normal(n)
+        Z = rng.standard_normal((N, m))
+        out, x_end = lti_recursion(A, B, C, D, Z, x0)
+        ref, x_ref = per_sample_run(A, B, C, D, Z, x0)
+        assert out.shape == (N, p)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.abs(ref).max()
+        assert np.max(np.abs(x_end - x_ref)) <= 1e-12 * np.abs(x_ref).max()
+
     @pytest.mark.parametrize("n, p, m, branch", [
         (4, 1, 4, "markov-blocks"),   # the benchmark filter
         (4, 2, 4, "markov-blocks"),   # its residual generator
@@ -97,15 +117,16 @@ class TestLtiRecursion:
         (50, 20, 40, "loop"),
     ])
     def test_cost_rule_picks_branch(self, rng, monkeypatch, n, p, m, branch):
-        # the chunked path takes its Toeplitz blocks from markov_from_ss,
-        # on (A, I, I, 0) for the state branch; the loop never calls it
+        # the chunked path builds one block Toeplitz matrix of its Markov
+        # blocks, m columns wide, or n wide on (A, I, I, 0) for the state
+        # branch; the loop never builds one
         seen = []
 
-        def spy(A, B, C, D, L):
-            seen.append(B.shape[1])
-            return markov_from_ss(A, B, C, D, L)
+        def spy(seq, L=None):
+            seen.append(seq.shape[2])
+            return block_toeplitz(seq, L)
 
-        monkeypatch.setattr(lti_core, "markov_from_ss", spy)
+        monkeypatch.setattr(lti_core, "block_toeplitz", spy)
         A = rng.standard_normal((n, n))
         A *= 0.9 / spectral_radius(A)
         B, C, D = (rng.standard_normal(s) for s in ((n, m), (p, n), (p, m)))
@@ -118,15 +139,18 @@ class TestLtiRecursion:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("k0", [0, 1, _CHUNK - 1, _CHUNK, 3 * _CHUNK + 5, 5 * _CHUNK + 6])
+    @pytest.mark.parametrize("k0", [0, 1, 63, 64, 197, 326])
     @pytest.mark.parametrize("n", [4, 2], ids=["markov-blocks", "state"])
     def test_non_finite_input_spreads_forward_only(self, rng, k0, bad, n):
         # in a chunk product 0 * nan = nan would reach the samples before
-        # k0 in the same chunk; the per-sample path keeps them exact
+        # k0 in the same chunk; the per-sample path keeps them exact.  For
+        # a T dividing 64, k0 = 63 and 64 end and start a chunk, and 326 is
+        # the last sample of the 327, in a zero-padded last chunk
+        assert 64 % _CHUNK == 0 and 327 % _CHUNK != 0
         A = rng.standard_normal((n, n))
         A *= 0.9 / spectral_radius(A)
         B, C, D = (rng.standard_normal(s) for s in ((n, 3), (2, n), (2, 3)))
-        Z = rng.standard_normal((5 * _CHUNK + 7, 3))
+        Z = rng.standard_normal((327, 3))
         Z[k0, 1] = bad
         out, _ = lti_recursion(A, B, C, D, Z)
         ref, _ = per_sample_run(A, B, C, D, Z, np.zeros(n))
@@ -372,6 +396,15 @@ class TestIOData:
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValidationError):
             IOData(rng.standard_normal((5, 1)), rng.standard_normal((6, 1)))
+
+    @pytest.mark.parametrize("u_shape, y_shape", [((300, 2, 2), (300, 1)),
+                                                  ((300, 1), (300, 1, 1))])
+    def test_more_than_two_dimensions_rejected(self, u_shape, y_shape):
+        # a third axis used to pass as extra channels and fail later in numpy
+        name, shape = ("u", u_shape) if len(u_shape) == 3 else ("y", y_shape)
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{name} must be 1-D or 2-D, got shape {shape}")):
+            IOData(np.ones(u_shape), np.ones(y_shape))
 
     def test_one_dimensional_series_is_one_channel(self, rng, tmp_path):
         # a 1-D series is N samples of one channel, not one sample of N

@@ -1024,11 +1024,12 @@ def _cmd_identify(args, cfg: BenchConfig) -> int:
 
 def _cmd_design(args, cfg: BenchConfig) -> int:
     out = os.path.join(_out_dir(args), "filter.csv")
+    design_cfg = _design_config(cfg)  # a bad [design] value stops before identification
     xi = (IdentifiedXi.from_csv(args.xi) if args.xi is not None
           else _cli_identify(args, cfg)[0])
     # a simulated record has passed _cli_plant; a file has its own outputs
     _check_sensors(cfg, xi.n_y, args.xi or args.data)
-    filt = design_filter_from_xi(xi, _design_config(cfg))
+    filt = design_filter_from_xi(xi, design_cfg)
     filt.to_csv(out)
     print(f"designed order {filt.n_states} filter "
           f"(strategy {filt.strategy}) -> {out}")

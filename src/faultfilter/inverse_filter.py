@@ -190,6 +190,49 @@ def invariant_zeros_stable(Phi, Etilde, C, G):
     return ok, zeros
 
 
+def _real_stable_poles(poles) -> np.ndarray:
+    """Requested closed loop poles as a 1-D float array.
+
+    Raises:
+        ValidationError: the list is not one-dimensional, or a pole is
+            not a real number, not finite or not inside the unit circle;
+            the message names the first such pole.
+    """
+    poles = np.asarray(poles, dtype=complex)
+    if poles.ndim != 1:
+        raise ValidationError(f"poles must be a flat list, got shape {poles.shape}")
+    bad = poles[(poles.imag != 0) | ~(np.abs(poles) < 1.0)]
+    if bad.size:
+        p = bad[0].real if bad[0].imag == 0 else bad[0]
+        raise ValidationError(f"requested pole {p:g} is not a real number "
+                              "inside the unit circle")
+    return poles.real
+
+
+def _place_rank1(A, b, poles) -> np.ndarray:
+    """Gain g with eig(A - b g) = poles for one input column b (KNV 1985).
+
+    A single input leaves no freedom: the closed loop eigenvector for
+    pole p spans the null space of u1^T (A - p I), where [u0 u1] is the
+    full QR basis of b.  X holds these eigenvectors, one per pole, from
+    one batched SVD; M = X diag(poles) X^-1 is the closed loop matrix
+    and g solves u0^T (A - M) = z00 g.
+
+    Raises:
+        ValueError: X is singular by numpy's matrix_rank rule, so no
+            gain places the poles (a mode of A that b cannot move).
+    """
+    q, z = np.linalg.qr(b, "complete")
+    u0, u1 = q[:, :1], q[:, 1:]
+    X = np.linalg.svd((u1.T @ A)[None] - poles[:, None, None] * u1.T)[2][:, -1].T
+    s = np.linalg.svd(X, compute_uv=False)
+    if s[-1] <= len(s) * np.finfo(float).eps * s[0]:
+        raise ValueError("singular eigenvector matrix: a mode the healthy "
+                         "outputs do not see cannot be moved")
+    M = np.linalg.solve(X.T, poles[:, None] * X.T).T
+    return (u0.T @ (A - M)) / z[0, 0]
+
+
 def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndarray:
     """Output injection gain Kr making Phi1 - Kr C2 stable.
 
@@ -198,14 +241,20 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
     for every detectable pair but the gain depends on the state basis.
     ``pole_placement`` assigns the closed loop spectrum directly, is
     insensitive to output scalings of C2 and needs a ``poles`` list of
-    length n; rank deficient C2 is handled by placing on a row
-    compressed copy.
+    n real values inside the unit circle.  It places on a row
+    compressed copy C2c of C2, of rank r.  With r = 1 the gain is unique
+    and has a closed form, computed here with numpy; r >= 2 leaves
+    freedom that ``scipy.signal.place_poles`` spends on a well
+    conditioned eigenvector basis (Yang-Tits), so only that case
+    imports ``scipy.signal``.  A pole may be repeated at most r times.
 
     Raises:
+        ValidationError: a bad strategy or pole list.
         StabilizationError: an unstable mode of Phi1 is unobservable
             through C2 (an unstable invariant zero), pole placement
-            failed on the pair, or the computed gain fails the closed
-            loop stability check.
+            failed on the pair (a pole repeated more than r times, or
+            no gain reaches the poles), or the computed gain fails the
+            closed loop stability check.
     """
     Phi1 = _as_matrix(Phi1, name="Phi1")
     n = Phi1.shape[0]
@@ -226,11 +275,9 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
     elif strategy == "pole_placement":
         if poles is None:
             raise ValidationError("pole_placement needs an explicit pole list")
-        poles = np.asarray(poles, dtype=float)
+        poles = _real_stable_poles(poles)
         if poles.shape != (n,):
             raise ValidationError(f"need exactly {n} poles, got shape {poles.shape}")
-        if np.max(np.abs(poles)) >= 1.0:
-            raise ValidationError("requested poles must lie inside the unit circle")
         U, s, Vt = np.linalg.svd(C2)
         r = int(np.sum(s > 1e-9 * max(1.0, s[0] if s.size else 0.0)))
         if r == 0:
@@ -238,14 +285,21 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
                 "C2 is numerically zero; the inverse spectrum cannot be moved")
         W = U[:, :r] * s[:r]
         C2c = Vt[:r]
-        from scipy.signal import place_poles  # ~0.9 s to import; only pole placement pays it
+        values, counts = np.unique(poles, return_counts=True)
         try:
-            placed = place_poles(Phi1.T, C2c.T, poles)
+            if counts.max() > r:
+                raise ValueError(f"pole {values[counts.argmax()]:g} is requested "
+                                 f"{counts.max()} times, more than rank(C2) = {r}")
+            if r == 1:
+                gain = _place_rank1(Phi1.T, C2c.T, poles)
+            else:
+                from scipy.signal import place_poles  # ~0.5 s to import
+                gain = place_poles(Phi1.T, C2c.T, poles).gain_matrix
         except ValueError as exc:
             raise StabilizationError(
                 f"pole placement failed on this pair ({exc}); the riccati "
                 "strategy handles any detectable pair") from exc
-        Kr = placed.gain_matrix.T @ np.linalg.pinv(W)
+        Kr = gain.T @ np.linalg.pinv(W)
     else:
         raise ValidationError(f"unknown strategy {strategy!r}")
 

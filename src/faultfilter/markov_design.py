@@ -30,6 +30,7 @@ from .errors import FaultDirectionError, FaultFilterError, ValidationError, rewr
 from .inverse_filter import (
     FaultEstimationFilter,
     _injected_filter,
+    _real_stable_poles,
     left_inverse,
     stabilizing_gain,
 )
@@ -191,7 +192,8 @@ class DesignConfig:
     least l + m, at most p + 1 of the identified xi) and also sets the
     MHE window of the ``compare`` benchmark.
     Pole placement needs ``poles``, one per state when ``order`` is an
-    integer.
+    integer; a pole that is not real, not finite or not inside the unit
+    circle is a ValidationError naming it.
     """
 
     sensor: object = 0
@@ -217,7 +219,7 @@ class DesignConfig:
         if self.strategy not in ("riccati", "pole_placement"):
             raise ValidationError(f"unknown strategy {self.strategy!r}")
         if self.poles is not None:
-            self.poles = [float(p) for p in self.poles]
+            self.poles = _real_stable_poles(self.poles).tolist()
         if self.strategy == "pole_placement" and self.poles is None:
             raise ValidationError("pole_placement needs poles")
         if self.strategy == "pole_placement" and self.order not in ("auto", len(self.poles)):

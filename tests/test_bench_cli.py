@@ -1088,8 +1088,13 @@ class TestCli:
          "pole_placement needs poles"),
         ("[design]\norder = 4\npoles = 0.5 0.4 0.3\n",
          "pole_placement at order 4 needs 4 poles, got 3"),
+        ("[design]\npoles = nan 0.3 0.2 0.1\n",
+         "requested pole nan is not a real number inside the unit circle"),
+        ("[design]\npoles = 1.5 0.3 0.2 0.1\n",
+         "requested pole 1.5 is not a real number inside the unit circle"),
     ], ids=["zero-p", "negative-markov-length", "zero-hankel-rows",
-            "negative-order", "pole-placement-without-poles", "pole-count-not-order"])
+            "negative-order", "pole-placement-without-poles", "pole-count-not-order",
+            "nan-pole", "pole-outside-circle"])
     def test_compare_rejects_config_before_running(self, tmp_path, capsys, ini, message):
         # no record could satisfy these values, so compare stops before
         # simulating instead of writing every affected arm as failed
@@ -1099,6 +1104,18 @@ class TestCli:
         assert code == 2
         assert f"validation error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "stats.csv").exists()
+
+    @pytest.mark.parametrize("pole", ["nan", "1.5"])
+    def test_design_rejects_pole_before_identifying(self, tmp_path, capsys, pole):
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text(f"[design]\npoles = {pole} 0.3 0.2 0.1\n")
+        code = main(["design", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"validation error: requested pole {pole} is not a "
+                                "real number inside the unit circle\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     @pytest.mark.parametrize("verb", ["zeros", "design", "compare"])
     def test_unsorted_sensors_exit_code(self, tmp_path, capsys, verb):

@@ -3,11 +3,13 @@
 Running a designed filter needs only numpy, so ``import faultfilter``
 and the ``estimate`` verb load no scipy module at all: ``scipy.linalg``
 costs ~0.25 s to import and identification and design load it on first
-use.  ``scipy.signal`` costs ~0.9 s, more than the rest of the package
-together, and its only user is pole placement in ``stabilizing_gain``.
+use.  ``scipy.signal`` costs ~0.5 s more, and its only user is pole
+placement in ``stabilizing_gain`` when the healthy outputs give C2 a
+rank of 2 or more; rank one, as on every single-sensor fault of the
+two-output ``unstable4``, has a closed-form gain computed with numpy.
 Each case runs in a fresh interpreter, so a later top-level import that
 brings either cost back to ``import faultfilter``, the ``estimate`` and
-``identify`` verbs or a riccati design fails here.
+``identify`` verbs, or a riccati or rank-one design fails here.
 """
 import subprocess
 import sys
@@ -89,22 +91,34 @@ def test_identify_loads_scipy_linalg_not_signal(tmp_path, rng):
     assert (tmp_path / "xi.csv").exists()
 
 
-def test_only_pole_placement_loads_scipy_signal():
+def test_rank_one_pole_placement_loads_no_scipy_signal(tmp_path):
+    # design and compare on unstable4 place poles for alg0, alg1 and alg2
+    argv = ["--seed", "1", "--out", str(tmp_path)]
+    run_fresh(f"""
+from faultfilter.bench_cli import main
+assert main(["design", *{argv!r}]) == 0
+assert main(["compare", *{argv!r}]) == 0
+assert 'scipy.linalg' in sys.modules, 'design did not load scipy.linalg'
+assert 'scipy.signal' not in sys.modules, 'scipy.signal was loaded'
+""")
+    assert (tmp_path / "filter.csv").exists()
+    rows = (tmp_path / "stats.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["1"] * 4  # every arm ran
+
+
+def test_rank_two_pole_placement_loads_scipy_signal():
+    # three outputs and one faulty sensor leave two healthy rows in C2
     run_fresh("""
 import numpy as np
-from faultfilter import (DesignConfig, design_filter_from_xi, open_loop_inverse,
-                         sensor_fault_plant, spectral_radius, stabilizing_gain,
-                         to_predictor, xi_from_predictor)
-from faultfilter.bench_cli import BENCH_POLES, get_plant
+from faultfilter import (StateSpaceModel, open_loop_inverse, sensor_fault_plant,
+                         spectral_radius, stabilizing_gain, to_predictor)
 
-model, _ = get_plant("unstable4").factory()
-cfg = DesignConfig(sensor=0, markov_length=60, hankel_rows=12, hankel_cols=12,
-                   order=4, strategy="riccati")
-filt = design_filter_from_xi(xi_from_predictor(to_predictor(model), 60), cfg)
-assert spectral_radius(filt.Af) < 1
-assert 'scipy.signal' not in sys.modules, 'scipy.signal was loaded'
+A = np.array([[0.9, 0.2, 0.0], [0.0, 1.1, 0.3], [0.1, 0.0, 0.5]])
+model = StateSpaceModel(A, np.ones((3, 1)), np.eye(3), Q=1e-3 * np.eye(3),
+                        R=1e-2 * np.eye(3))
 inv = open_loop_inverse(to_predictor(sensor_fault_plant(model, 0)))
-Kr = stabilizing_gain(inv.Phi1, inv.C2, "pole_placement", poles=BENCH_POLES)
+assert np.linalg.matrix_rank(inv.C2) == 2
+Kr = stabilizing_gain(inv.Phi1, inv.C2, "pole_placement", poles=[0.5, 0.3, 0.1])
 assert spectral_radius(inv.Phi1 - Kr @ inv.C2) < 1
-assert 'scipy.signal' in sys.modules, 'pole placement did not load scipy.signal'
+assert 'scipy.signal' in sys.modules, 'rank-two pole placement did not load scipy.signal'
 """)

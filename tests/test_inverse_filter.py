@@ -1,10 +1,11 @@
 import copy
 import pickle
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import faultfilter as ff
@@ -31,6 +32,7 @@ from conftest import (
     assert_same_zeros,
     cascade_filter,
     closed_loop_inverse,
+    family_matrix,
     pencil_zeros,
     planted_zero_predictor,
     random_predictor,
@@ -265,6 +267,81 @@ class TestStabilizingGain:
                              poles=[0.5, 0.3, 0.2, 1.5])
         with pytest.raises(ValidationError):
             stabilizing_gain(inv.Phi1, inv.C2, strategy="nonsense")
+
+    @pytest.mark.parametrize("bad, shown", [
+        (np.nan, "nan"), (np.inf, "inf"), (-1.0, "-1"), (0.3 + 0.2j, "0.3+0.2j"),
+    ], ids=["nan", "inf", "on-circle", "complex"])
+    def test_bad_pole_is_named(self, rng, bad, shown):
+        inv = open_loop_inverse(random_predictor(rng))
+        match = f"requested pole {re.escape(shown)} is not a real"
+        with pytest.raises(ValidationError, match=match):
+            stabilizing_gain(inv.Phi1, inv.C2, strategy="pole_placement",
+                             poles=[bad, 0.3, 0.2, 0.1])
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 6), kind=st.sampled_from(["random", "dense", "unstable",
+                                                      "non-normal"]),
+           rows=st.sampled_from(["one", "zero-row", "scaled-row"]),
+           keep_eigenvalue=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, kind="random", rows="one", keep_eigenvalue=False, seed=0)
+    @example(n=1, kind="dense", rows="zero-row", keep_eigenvalue=True, seed=1)
+    @example(n=4, kind="non-normal", rows="one", keep_eigenvalue=True, seed=2)
+    def test_rank_one_gain_matches_scipy(self, n, kind, rows, keep_eigenvalue, seed):
+        # one independent C2 row leaves a unique gain, so the numpy
+        # construction and scipy's must agree to rounding, which grows
+        # with the condition of the closed loop eigenvector matrix X
+        from scipy.signal import place_poles
+        rng = np.random.default_rng(seed)
+        Phi1 = (rng.standard_normal((n, n)) if kind == "random"
+                else family_matrix(rng, n, kind))
+        c = rng.standard_normal((1, n))
+        C2 = {"one": c, "zero-row": np.vstack([np.zeros((1, n)), c]),
+              "scaled-row": np.vstack([c, -2.5 * c])}[rows]
+        poles = rng.uniform(-0.9, 0.9, n)
+        if keep_eigenvalue:  # a pole the injection leaves where it is
+            lams = np.linalg.eigvals(Phi1)
+            real = lams[(lams.imag == 0) & (np.abs(lams) < 0.9)].real
+            assume(real.size > 0)
+            poles[0] = real[0]
+        assume(n == 1 or np.diff(np.sort(poles)).min() > 0.05)
+        oracle = place_poles(Phi1.T, c.T, poles)
+        cond = np.linalg.cond(oracle.X)
+        assume(cond < 1e8)  # nearer an uncontrollable mode no gain is trustworthy
+        want = oracle.gain_matrix.T @ c
+        got = stabilizing_gain(Phi1, C2, strategy="pole_placement", poles=poles) @ C2
+        assert np.abs(got - want).max() <= 1e-13 * cond * max(1.0, np.abs(want).max())
+        if cond <= 1e3:  # pole error is about eps * cond(X) for any gain, scipy's too
+            placed = np.sort(np.linalg.eigvals(Phi1 - got).real)
+            assert np.abs(placed - np.sort(poles)).max() <= 1e-8
+
+    def test_rank_two_gain_is_scipys(self, rng):
+        # two independent C2 rows leave freedom; scipy's Yang-Tits
+        # iteration spends it, and its gain comes back bit for bit
+        from scipy.signal import place_poles
+        Phi1 = family_matrix(rng, 4, "unstable")
+        C2 = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 4))
+        poles = np.array([0.5, 0.5, 0.3, -0.2])  # rank two allows a double pole
+        U, s, Vt = np.linalg.svd(C2)
+        want = (place_poles(Phi1.T, Vt[:2].T, poles).gain_matrix.T
+                @ np.linalg.pinv(U[:, :2] * s[:2]))
+        got = stabilizing_gain(Phi1, C2, strategy="pole_placement", poles=poles)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("C2, poles, shown", [
+        (np.array([[1.0, 1.0, 0.0]]), [0.5, 0.5, 0.1], "pole 0.5 is requested 2 times"),
+        (np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), [0.2, 0.2, 0.2],
+         "pole 0.2 is requested 3 times"),
+        (np.array([[1.0, 0.0, 1.0]]), [0.3, 0.2, 0.1], "singular eigenvector matrix"),
+        (np.array([[1.0, 1e-18, 1.0]]), [0.3, 0.2, 0.1], "singular eigenvector matrix"),
+    ], ids=["double-pole-rank-one", "triple-pole-rank-two", "singular-X",
+            "numerically-singular-X"])
+    def test_unplaceable_poles_suggest_riccati(self, C2, poles, shown):
+        # C2 = [1 0 1] does not see the stable mode 0.4, so no gain moves
+        # it and the closed loop eigenvector matrix is singular; at
+        # [1 1e-18 1] the mode is seen only at rounding level
+        Phi1 = np.diag([0.5, 0.4, 0.2])
+        with pytest.raises(StabilizationError, match=f"{shown}.*riccati"):
+            stabilizing_gain(Phi1, C2, strategy="pole_placement", poles=poles)
 
 
 class TestClosedLoopInverse:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -413,3 +415,13 @@ class TestDesignConfig:
                          hankel_cols=20)
         with pytest.raises(ValidationError):
             DesignConfig(sensor=0, strategy="magic")
+
+    @pytest.mark.parametrize("bad, shown", [
+        (float("nan"), "nan"), (1.5, "1.5"), (-1.0, "-1"), (0.2 - 0.1j, "0.2-0.1j"),
+    ], ids=["nan", "outside", "on-circle", "complex"])
+    def test_bad_pole_is_named(self, bad, shown):
+        # checked for either strategy: no design could use such a pole
+        for strategy in ("pole_placement", "riccati"):
+            with pytest.raises(ValidationError, match=f"^requested pole {re.escape(shown)} "):
+                DesignConfig(sensor=0, order=4, strategy=strategy,
+                             poles=[0.3, bad, 0.2, 0.1])

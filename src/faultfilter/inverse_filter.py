@@ -24,7 +24,7 @@ order cascade realization.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -311,6 +311,7 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
 
 
 _MATRICES = ("Af", "Bu", "By", "Cf", "Du", "Dy")
+_FIXED = (*_MATRICES, "state")  # set only at construction (state: by reset)
 
 
 @dataclass
@@ -322,14 +323,15 @@ class FaultEstimationFilter:
         x(k+1) = Af x(k) + Bu u(k) + By y(k)
         fh(k)  = Cf x(k) + Du u(k) + Dy y(k)
 
-    which :meth:`step` computes as one matvec of the cached step matrix
-    M = [[Af Bu By], [Cf Du Dy]] with a work vector [x; u; y].  The six
-    matrices are views of M, so in-place edits reach it; assigning a
-    matrix rebuilds M at the next step.  ``state`` is the live x, a view
-    of the work vector (copy it to keep a value; assigning copies in).
-    :meth:`run` resets the state and leaves it where step would at the
-    end of the record, so an instance serves one stream at a time;
-    copies and pickles get their own work vector.  ``strategy`` records
+    which :meth:`step` computes as one matvec of the step matrix
+    M = [[Af Bu By], [Cf Du Dy]], built once, with a work vector
+    [x; u; y].  The six matrices are read-only views of M: assigning one
+    raises AttributeError, editing one in place raises ValueError.
+    ``state`` is the live x, a view of the work vector (copy it to keep
+    a value) that only :meth:`reset` sets.  :meth:`run` resets the
+    state and leaves it where step would at the end of the record, so
+    an instance serves one stream at a time; copies and pickles get
+    their own work vector and continue the stream.  ``strategy`` records
     how the injection gain was chosen and travels with saved files.
     """
 
@@ -340,45 +342,33 @@ class FaultEstimationFilter:
     Du: np.ndarray
     Dy: np.ndarray
     strategy: str = "riccati"
-    state: np.ndarray = field(default=None, repr=False)
-    _cache = None  # what step() unpacks; None after a matrix is assigned
 
-    def __post_init__(self):  # the matrices are 2-D float arrays already, see __setattr__
-        n, nf = self.n_states, self.n_faults
-        _as_matrix(self.Af, cols=n, name="Af")
-        _as_matrix(self.Bu, rows=n, name="Bu")
-        _as_matrix(self.By, rows=n, name="By")
-        _as_matrix(self.Cf, cols=n, name="Cf")
-        _as_matrix(self.Du, rows=nf, cols=self.n_inputs, name="Du")
-        _as_matrix(self.Dy, rows=nf, cols=self.n_outputs, name="Dy")
-        self.reset(self.state)
+    def __post_init__(self):
+        mats = [_as_matrix(getattr(self, k), name=k) for k in _MATRICES]
+        Af, Bu, By, Cf, Du, Dy = mats
+        n, nu, ny, nf = Af.shape[0], Bu.shape[1], By.shape[1], Cf.shape[0]
+        shapes = [(n, n), (n, nu), (n, ny), (nf, n), (nf, nu), (nf, ny)]
+        for k, A, shape in zip(_MATRICES, mats, shapes):
+            _as_matrix(A, *shape, name=k)
+        M = np.block([[Af, Bu, By], [Cf, Du, Dy]])
+        M.flags.writeable = False
+        ku, ky = slice(n, n + nu), slice(n + nu, None)
+        d = self.__dict__
+        d["Af"], d["Bu"], d["By"] = M[:n, :n], M[:n, ku], M[:n, ky]
+        d["Cf"], d["Du"], d["Dy"] = M[n:, :n], M[n:, ku], M[n:, ky]
+        v = np.zeros(n + nu + ny)
+        d["state"] = v[:n]
+        d["_work"] = (M, v, v[:n], n, ku, ky, (nu,), (ny,))  # what step() unpacks
 
     def __setattr__(self, name, value):
-        if name in _MATRICES:
-            value = _as_matrix(value, name=name)
-            self.__dict__["_cache"] = None
-        elif name == "state" and "state" in self.__dict__:  # set after __init__
-            n = self.n_states
-            x = np.zeros(n) if value is None else np.asarray(value, dtype=float).reshape(n)
-            value = (self._cache or self._rebuild(x))[2]
-            value[:] = x
+        if name in _FIXED and "_work" in self.__dict__:
+            raise AttributeError(f"cannot assign {name}: a built filter is fixed; "
+                                 "build a new one, or reset(x0) to set the state")
         object.__setattr__(self, name, value)
 
-    def _rebuild(self, x0) -> tuple:
-        """Cache M, a work vector starting from state x0, and step's slices."""
-        M = self.step_matrix()
-        n, nu, ny = self.n_states, self.n_inputs, self.n_outputs
-        d = self.__dict__
-        d["Af"], d["Bu"], d["By"] = M[:n, :n], M[:n, n:n + nu], M[:n, n + nu:]
-        d["Cf"], d["Du"], d["Dy"] = M[n:, :n], M[n:, n:n + nu], M[n:, n + nu:]
-        v = np.zeros(n + nu + ny)
-        v[:n] = x0
-        d["_cache"] = (M, v, v[:n], n, slice(n, n + nu), slice(n + nu, None), (nu,), (ny,))
-        d["state"] = v[:n]
-        return d["_cache"]
-
-    def __reduce__(self):  # copies and pickles are built anew, with their own cache
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    def __reduce__(self):  # copies and pickles are built anew and continue the stream
+        return (type(self), (*(getattr(self, k) for k in _MATRICES), self.strategy),
+                self.state.copy())
 
     @property
     def n_states(self) -> int:
@@ -398,11 +388,14 @@ class FaultEstimationFilter:
 
     def reset(self, x0=None) -> None:
         """Set the internal state (zero when omitted)."""
-        self.state = x0
+        x = self.state
+        x[:] = 0.0 if x0 is None else np.asarray(x0, dtype=float).reshape(x.shape)
+
+    __setstate__ = reset
 
     def step(self, u, y) -> np.ndarray:
         """Advance one sample and return the fault estimate at it."""
-        M, v, x, n, ku, ky, su, sy = self._cache or self._rebuild(self.state)
+        M, v, x, n, ku, ky, su, sy = self._work
         if not (type(u) is type(y) is np.ndarray and u.shape == su and y.shape == sy):
             u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
             if u.size != su[0] or y.size != sy[0]:
@@ -417,13 +410,12 @@ class FaultEstimationFilter:
 
     def step_matrix(self) -> np.ndarray:
         """A fresh copy of the combined update [[Af Bu By], [Cf Du Dy]]."""
-        return np.concatenate([np.concatenate([self.Af, self.Bu, self.By], axis=1),
-                               np.concatenate([self.Cf, self.Du, self.Dy], axis=1)])
+        return self._work[0].copy()
 
     def as_system(self) -> LinearSystem:
         """Stateless state space view with stacked input [u; y]."""
-        return LinearSystem(self.Af, np.hstack([self.Bu, self.By]),
-                            self.Cf, np.hstack([self.Du, self.Dy]))
+        M, n = self._work[0], self.n_states
+        return LinearSystem(self.Af, M[:n, n:], self.Cf, M[n:, n:])
 
     def run(self, u, y, x0=None) -> np.ndarray:
         """Fault estimates over aligned input and output records."""
@@ -436,9 +428,10 @@ class FaultEstimationFilter:
                 f"expected widths ({self.n_inputs}, {self.n_outputs}), "
                 f"got ({U.shape[1]}, {Y.shape[1]})")
         self.reset(x0)
-        out, self.state = lti_recursion(
-            self.Af, np.hstack([self.Bu, self.By]), self.Cf,
-            np.hstack([self.Du, self.Dy]), np.hstack([U, Y]), self.state)
+        M, n = self._work[0], self.n_states
+        out, x_end = lti_recursion(self.Af, M[:n, n:], self.Cf, M[n:, n:],
+                                   np.hstack([U, Y]), self.state)
+        self.state[:] = x_end
         return out
 
     def to_csv(self, path) -> None:

@@ -1235,10 +1235,11 @@ class TestCli:
     @staticmethod
     def estimate_with_Af(tmp_path, rng, i, j, value):
         """Exit code of estimate with a stable filter whose Af[i, j] is set to value."""
+        Af = 0.5 * np.eye(2)
+        Af[i, j] = value
         filt = ff.FaultEstimationFilter(
-            0.5 * np.eye(2), rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
+            Af, rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
             rng.standard_normal((1, 2)), np.zeros((1, 2)), np.ones((1, 2)))
-        filt.Af[i, j] = value
         filt.to_csv(tmp_path / "filter.csv")
         ff.IOData(rng.standard_normal((100, 2)), rng.standard_normal((100, 2))).to_csv(
             tmp_path / "run.csv")

@@ -486,7 +486,11 @@ class TestFaultEstimationFilter:
 
 
 class TestStepCache:
-    """``step()`` is one matvec on a cached step matrix and work vector."""
+    """``step()`` is one matvec on a fixed step matrix and a work vector.
+
+    The matrices are read-only views of the step matrix, built once, and
+    ``state`` a view of the work vector that only ``reset`` sets.
+    """
 
     def make(self, rng):
         return TestFaultEstimationFilter().make_filter(rng)[1]
@@ -506,29 +510,35 @@ class TestStepCache:
         b = filt.step(np.array([1, 2]), np.array([3.0, 4.0]))
         assert np.array_equal(a, b)
 
-    def test_reassigned_matrix_used_by_next_step(self, rng):
+    @pytest.mark.parametrize("name", ["Af", "Bu", "By", "Cf", "Du", "Dy", "state"])
+    def test_assignment_raises_and_names_attribute(self, rng, name):
         filt = self.make(rng)
-        u, y = rng.standard_normal((20, 2)), rng.standard_normal((20, 2))
-        self.stream(filt, u[:10], y[:10])
-        filt.Dy = 2.0 * filt.Dy
-        filt.Af = 0.5 * filt.Af
-        x = filt.state.copy()
-        got = filt.step(u[10], y[10])
-        assert np.allclose(got, filt.Cf @ x + filt.Du @ u[10] + filt.Dy @ y[10], atol=1e-13)
-        assert np.allclose(filt.state, filt.Af @ x + filt.Bu @ u[10] + filt.By @ y[10],
-                           atol=1e-13)
-        assert np.array_equal(filt.step_matrix()[:filt.n_states, :filt.n_states], filt.Af)
+        before = filt.step_matrix()
+        with pytest.raises(AttributeError, match=f"cannot assign {name}: a built filter is fixed"):
+            setattr(filt, name, np.zeros_like(getattr(filt, name)))
+        assert np.array_equal(filt.step_matrix(), before)
 
-    def test_in_place_edit_reaches_step(self, rng):
+    def test_in_place_edit_raises(self, rng):
+        filt = self.make(rng)
+        before = filt.step_matrix()
+        with pytest.raises(ValueError, match="read-only"):
+            filt.Du[0, 1] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            filt.Af[:] = 0.0
+        assert np.array_equal(filt.step_matrix(), before)
+
+    def test_step_matrix_copy_does_not_reach_step(self, rng):
         filt = self.make(rng)
         u, y = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
         filt.step(u[0], y[0])
-        filt.Du[0, 1] += 1.0  # a matrix is a view of the cached step matrix
-        filt.Af[:] = 0.0
+        M = filt.step_matrix()
+        M[:] = 0.0
         x = filt.state.copy()
         want = filt.Cf @ x + filt.Du @ u[1] + filt.Dy @ y[1]
         assert np.allclose(filt.step(u[1], y[1]), want, atol=1e-13)
-        assert np.allclose(filt.state, filt.Bu @ u[1] + filt.By @ y[1], atol=1e-13)
+        assert np.allclose(filt.state, filt.Af @ x + filt.Bu @ u[1] + filt.By @ y[1],
+                           atol=1e-13)
+        assert np.any(filt.step_matrix() != 0.0)
 
     @pytest.mark.parametrize("clone", [copy.deepcopy, copy.copy,
                                        lambda f: pickle.loads(pickle.dumps(f))])
@@ -554,15 +564,18 @@ class TestStepCache:
         scale = 1.0 + np.abs(whole).max()
         assert np.max(np.abs(rest - whole[200:])) <= 1e-12 * scale
 
-    def test_state_is_live_and_assignable(self, rng):
+    def test_state_is_a_live_view(self, rng):
         filt = self.make(rng)
         live = filt.state
         filt.step(np.ones(2), np.ones(2))
         assert np.array_equal(live, filt.state) and np.any(live != 0.0)
         x0 = rng.standard_normal(filt.n_states)
-        filt.state = x0
+        filt.reset(x0)
+        assert np.array_equal(live, x0)
         x0[:] = 0.0  # the filter holds its own copy
         assert not np.array_equal(filt.state, x0)
+        filt.run(np.ones((5, 2)), np.ones((5, 2)))
+        assert np.array_equal(live, filt.state) and np.any(live != 0.0)
         filt.reset()
         assert np.array_equal(live, np.zeros(filt.n_states))
 

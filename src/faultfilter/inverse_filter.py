@@ -418,19 +418,16 @@ class FaultEstimationFilter:
         return LinearSystem(self.Af, M[:n, n:], self.Cf, M[n:, n:])
 
     def run(self, u, y, x0=None) -> np.ndarray:
-        """Fault estimates over aligned input and output records."""
-        U = np.atleast_2d(np.asarray(u, dtype=float))
-        Y = np.atleast_2d(np.asarray(y, dtype=float))
-        if U.shape[0] != Y.shape[0]:
-            raise ValidationError("u and y must have equal length")
-        if U.shape[1] != self.n_inputs or Y.shape[1] != self.n_outputs:
+        """Fault estimates over aligned records, read as :class:`IOData` reads them."""
+        data = IOData(u, y)
+        if (data.n_inputs, data.n_outputs) != (self.n_inputs, self.n_outputs):
             raise ValidationError(
                 f"expected widths ({self.n_inputs}, {self.n_outputs}), "
-                f"got ({U.shape[1]}, {Y.shape[1]})")
+                f"got ({data.n_inputs}, {data.n_outputs})")
         self.reset(x0)
         M, n = self._work[0], self.n_states
         out, x_end = lti_recursion(self.Af, M[:n, n:], self.Cf, M[n:, n:],
-                                   np.hstack([U, Y]), self.state)
+                                   np.hstack([data.u, data.y]), self.state)
         self.state[:] = x_end
         return out
 

@@ -70,6 +70,14 @@ def _as_matrix(M, rows=None, cols=None, name="matrix"):
     return M
 
 
+def _as_series(a, name) -> np.ndarray:
+    """(N, channels) float array; a 1-D series is N samples of one channel."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim > 2:
+        raise ValidationError(f"{name} must be 1-D or 2-D, got shape {a.shape}")
+    return a[:, None] if a.ndim == 1 else np.atleast_2d(a)
+
+
 def _check_symmetric_psd(M, name):
     if not np.allclose(M, M.T, atol=1e-10 * max(1.0, np.abs(M).max(initial=0.0))):
         raise ValidationError(f"{name} must be symmetric")
@@ -229,8 +237,8 @@ class LinearSystem:
         self.D = _as_matrix(self.D, rows=self.C.shape[0], cols=self.B.shape[1], name="D")
 
     def run(self, inputs, x0=None) -> np.ndarray:
-        """Simulate the system over an (N, n_in) input array."""
-        U = np.atleast_2d(np.asarray(inputs, dtype=float))
+        """Simulate the system over an (N, n_in) input array (1-D: n_in = 1)."""
+        U = _as_series(inputs, "inputs")
         if U.shape[1] != self.B.shape[1]:
             raise ValidationError(
                 f"input width {U.shape[1]} does not match B ({self.B.shape[1]} columns)")
@@ -327,11 +335,7 @@ class IOData:
     y: np.ndarray
 
     def __post_init__(self):
-        for name in ("u", "y"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.ndim > 2:
-                raise ValidationError(f"{name} must be 1-D or 2-D, got shape {a.shape}")
-            setattr(self, name, a[:, None] if a.ndim == 1 else np.atleast_2d(a))
+        self.u, self.y = _as_series(self.u, "u"), _as_series(self.y, "y")
         if self.u.shape[0] != self.y.shape[0]:
             raise ValidationError("u and y must have the same number of samples")
 

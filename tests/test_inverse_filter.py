@@ -427,6 +427,22 @@ class TestFaultEstimationFilter:
         fhat = run_filter(filt, data)
         assert np.allclose(fhat, f, atol=1e-8)
 
+    def test_one_dimensional_series_is_one_channel(self, rng):
+        # as in IOData: a 1-D series is N samples of one channel, not one
+        # sample of N channels
+        siso = FaultEstimationFilter(0.5 * np.eye(1), np.ones((1, 1)), np.ones((1, 1)),
+                                     np.ones((1, 1)), np.zeros((1, 1)), np.ones((1, 1)))
+        u, y = rng.standard_normal(300), rng.standard_normal(300)
+        got = siso.run(u, y)
+        assert got.shape == (300, 1)
+        assert np.array_equal(got, siso.run(u[:, None], y[:, None]))
+        wide = FaultEstimationFilter(0.5 * np.eye(2), np.ones((2, 3)), np.ones((2, 3)),
+                                     np.ones((1, 2)), np.zeros((1, 3)), np.ones((1, 3)))
+        with pytest.raises(ValidationError, match=r"expected widths \(3, 3\), got \(1, 1\)"):
+            wide.run(np.ones(3), np.ones(3))
+        with pytest.raises(ValidationError, match=r"y must be 1-D or 2-D, got shape \(3, 3, 1\)"):
+            wide.run(np.ones((3, 3)), np.ones((3, 3, 1)))
+
     def test_step_matrix_layout(self, rng):
         pred, filt = self.make_filter(rng)
         M = filt.step_matrix()

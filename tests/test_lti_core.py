@@ -421,6 +421,22 @@ class TestIOData:
             ff.identify_xi(short, p=100)
 
 
+class TestLinearSystemRun:
+    def test_one_dimensional_input_is_one_channel(self, rng):
+        # as in IOData: a 1-D input is N samples of one channel
+        sys = LinearSystem(0.5 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.ones((1, 1)))
+        u = rng.standard_normal(300)
+        got = sys.run(u)
+        assert got.shape == (300, 1)
+        assert np.array_equal(got, sys.run(u[:, None]))
+
+    def test_more_than_two_dimensions_rejected(self):
+        sys = LinearSystem(0.5 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.ones((1, 1)))
+        with pytest.raises(ValidationError,
+                           match=re.escape("inputs must be 1-D or 2-D, got shape (30, 1, 1)")):
+            sys.run(np.ones((30, 1, 1)))
+
+
 class TestPsdFactor:
     def test_factor_recovers_matrix(self, rng):
         S = rng.standard_normal((4, 4))

@@ -283,7 +283,6 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
         if r == 0:
             raise StabilizationError(
                 "C2 is numerically zero; the inverse spectrum cannot be moved")
-        W = U[:, :r] * s[:r]
         C2c = Vt[:r]
         values, counts = np.unique(poles, return_counts=True)
         try:
@@ -299,7 +298,9 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
             raise StabilizationError(
                 f"pole placement failed on this pair ({exc}); the riccati "
                 "strategy handles any detectable pair") from exc
-        Kr = gain.T @ np.linalg.pinv(W)
+        # C2 = W C2c with W = U_r diag(s_r); W's columns are orthogonal, so
+        # diag(1 / s_r) U_r^T is its exact pseudo-inverse
+        Kr = gain.T @ (U[:, :r] / s[:r]).T
     else:
         raise ValidationError(f"unknown strategy {strategy!r}")
 

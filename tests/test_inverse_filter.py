@@ -316,14 +316,17 @@ class TestStabilizingGain:
 
     def test_rank_two_gain_is_scipys(self, rng):
         # two independent C2 rows leave freedom; scipy's Yang-Tits
-        # iteration spends it, and its gain comes back bit for bit
+        # iteration spends it, and its gain comes back bit for bit, mapped
+        # back through the pseudo-inverse of W = U_r diag(s_r), C2 = W Vt_r
         from scipy.signal import place_poles
         Phi1 = family_matrix(rng, 4, "unstable")
         C2 = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 4))
         poles = np.array([0.5, 0.5, 0.3, -0.2])  # rank two allows a double pole
         U, s, Vt = np.linalg.svd(C2)
-        want = (place_poles(Phi1.T, Vt[:2].T, poles).gain_matrix.T
-                @ np.linalg.pinv(U[:, :2] * s[:2]))
+        W_pinv = (U[:, :2] / s[:2]).T
+        np.testing.assert_allclose(W_pinv, np.linalg.pinv(U[:, :2] * s[:2]),
+                                   rtol=0, atol=1e-14 * np.abs(W_pinv).max())
+        want = place_poles(Phi1.T, Vt[:2].T, poles).gain_matrix.T @ W_pinv
         got = stabilizing_gain(Phi1, C2, strategy="pole_placement", poles=poles)
         np.testing.assert_array_equal(got, want)
 

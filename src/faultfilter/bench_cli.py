@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import copy
 import functools
 import os
 import sys
@@ -273,6 +274,36 @@ _REGISTRY = {"unstable4": PlantEntry(_unstable4_factory)}
 # closed-loop simulation
 
 
+@dataclass(eq=False)
+class _Loop:
+    """A plant under feedback and its noise factors: closed_loop_sim less the draws."""
+
+    model: StateSpaceModel
+    system: LinearSystem
+    w_factor: np.ndarray
+    v_factor: np.ndarray
+
+    @classmethod
+    def build(cls, model: StateSpaceModel, gain) -> "_Loop":
+        return cls(model, _closed_loop_system(model, gain),
+                   psd_factor(model.Q), psd_factor(model.R))
+
+    def simulate(self, N: int, rng, scenario: FaultScenario = None, eta=None):
+        """closed_loop_sim on this loop."""
+        model, loop = self.model, self.system
+        nu, ny = model.n_inputs, model.n_outputs
+        eta = np.zeros((N, nu)) if eta is None else np.asarray(eta, dtype=float)
+        if eta.shape != (N, nu):
+            raise ValidationError(f"excitation must be {N} x {nu}, got {eta.shape}")
+        W = rng.standard_normal((N, model.F.shape[1])) @ self.w_factor.T
+        V = rng.standard_normal((N, ny)) @ self.v_factor.T
+        nf = model.n_faults
+        fault = np.zeros((N, nf)) if scenario is None else scenario.evaluate(N, nf)
+        UY, _ = lti_recursion(loop.A, loop.B, loop.C, loop.D,
+                              np.hstack([eta, W, V, fault]))
+        return IOData(UY[:, :nu], UY[:, nu:]), fault
+
+
 def closed_loop_sim(model: StateSpaceModel, gain, N: int, rng,
                     scenario: FaultScenario = None, eta=None):
     """Simulate the feedback loop u = -gain y + eta, optionally with faults.
@@ -287,18 +318,7 @@ def closed_loop_sim(model: StateSpaceModel, gain, N: int, rng,
     Returns:
         (IOData, fault_series) with the applied fault values.
     """
-    nu, ny = model.n_inputs, model.n_outputs
-    loop = _closed_loop_system(model, gain)
-    eta = np.zeros((N, nu)) if eta is None else np.asarray(eta, dtype=float)
-    if eta.shape != (N, nu):
-        raise ValidationError(f"excitation must be {N} x {nu}, got {eta.shape}")
-    W = rng.standard_normal((N, model.F.shape[1])) @ psd_factor(model.Q).T
-    V = rng.standard_normal((N, ny)) @ psd_factor(model.R).T
-    nf = model.n_faults
-    fault = np.zeros((N, nf)) if scenario is None else scenario.evaluate(N, nf)
-    UY, _ = lti_recursion(loop.A, loop.B, loop.C, loop.D,
-                          np.hstack([eta, W, V, fault]))
-    return IOData(UY[:, :nu], UY[:, nu:]), fault
+    return _Loop.build(model, gain).simulate(N, rng, scenario=scenario, eta=eta)
 
 
 def collect_identification_data(plant: StateSpaceModel, gain, N: int,
@@ -318,7 +338,7 @@ def collect_identification_data(plant: StateSpaceModel, gain, N: int,
 # statistics
 
 
-@dataclass
+@dataclass(eq=False)
 class EllipseStats:
     """Mean, covariance and the 3-sigma contour of an error cloud.
 
@@ -436,7 +456,7 @@ def time_window_step(window_map: np.ndarray, block: int, steps: int = 10000) -> 
 # report
 
 
-@dataclass
+@dataclass(eq=False)
 class AlgorithmResult:
     """Outcome of one estimator on the benchmark trajectory.
 
@@ -455,7 +475,7 @@ class AlgorithmResult:
     message: str = ""
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentReport:
     """Everything one benchmark run produced."""
 
@@ -641,9 +661,10 @@ class BenchConfig:
     riccati.  A negative seed, fewer than one identification sample or
     run sample, or ``sensors`` (zero based) that are not
     sorted, unique and nonnegative or do not match the scenario's signal
-    count, is a ValidationError naming the field.  ``controller`` is the
-    static output feedback gain (u = -gain y + eta); None takes the
-    registry plant's.
+    count, is a ValidationError naming the field; so is a noise scale
+    ``q`` or ``r`` (Q = q I, R = r I) that is not finite or is negative.
+    ``controller`` is the static output feedback gain (u = -gain y +
+    eta); None takes the registry plant's.
     """
 
     plant: str = "unstable4"
@@ -674,6 +695,7 @@ class BenchConfig:
             if value < least:
                 label = "n_ident ([identify] n_samples)" if name == "n_ident" else name
                 raise ValidationError(f"{label} must be at least {least}, got {value}")
+        _check_noise_scales(self.q, self.r)
         self.sensors = tuple(int(j) for j in np.atleast_1d(self.sensors))
         if list(self.sensors) != sorted(set(self.sensors)) or min(self.sensors, default=0) < 0:
             raise ValidationError("sensors must be sorted, unique and nonnegative, "
@@ -695,6 +717,13 @@ class BenchConfig:
         return model, ctrl
 
 
+def _check_noise_scales(q, r) -> None:
+    """Reject a noise scale q or r that is not finite or is negative."""
+    for name, value in (("q", q), ("r", r)):
+        if value is not None and not (np.isfinite(value) and value >= 0):
+            raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def _design_config(cfg: BenchConfig) -> DesignConfig:
     return DesignConfig(
         sensor=list(cfg.sensors),
@@ -707,18 +736,74 @@ def _design_config(cfg: BenchConfig) -> DesignConfig:
     )
 
 
+def _read_only(*objs) -> None:
+    """Mark the array fields of cached objects read-only."""
+    for obj in objs:
+        for value in vars(obj).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
+def _model_based_filter(pred, strategy: str, poles) -> FaultEstimationFilter:
+    """The inversion filter of a predictor: alg0's design, and alg1's."""
+    inv = open_loop_inverse(pred)
+    Kr = stabilizing_gain(inv.Phi1, inv.C2, strategy=strategy, poles=poles)
+    return reduced_filter(pred, Kr, strategy=strategy)
+
+
+def _true_filter(faulty: StateSpaceModel, strategy: str, poles) -> FaultEstimationFilter:
+    """alg0's filter, designed on the true plant's predictor."""
+    return _model_based_filter(to_predictor(faulty), strategy, poles)
+
+
+# The plant-only half of a registry comparison, shared by every seed.  A
+# call that raised is not kept, so its error comes again on every call.
+@functools.lru_cache(maxsize=8)
+def _registry_loop(plant: str, q, r, sensors: tuple) -> _Loop:
+    model, controller = get_plant(plant).factory(q=q, r=r)
+    loop = _Loop.build(sensor_fault_plant(model, sensors), controller)
+    _read_only(loop, loop.model, loop.system)
+    return loop
+
+
+@functools.lru_cache(maxsize=8)
+def _registry_alg0(plant: str, q, r, sensors: tuple, strategy: str,
+                   poles) -> FaultEstimationFilter:
+    filt = _true_filter(_registry_loop(plant, q, r, sensors).model, strategy, poles)
+    _read_only(filt)  # its matrices already are; this covers the state
+    return filt
+
+
 def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     """Run the four estimators on one seeded benchmark trajectory.
 
     One generator drives both the identification record and the faulty
-    run, so a seed pins the whole experiment.  A bad design value raises
-    before any simulation; failures of individual algorithms on the data
-    are captured in their result entries.  Nothing is timed: each arm's
-    cost is its multiply-adds per sample, counted from matrix shapes.
+    run, so a seed pins the whole experiment.  A bad design or plant
+    value raises before any simulation; failures of individual
+    algorithms on the data are captured in their result entries.
+    Nothing is timed: each arm's cost is its multiply-adds per sample,
+    counted from matrix shapes.
+
+    The plant-only half of the work, which depends on (plant, q, r,
+    sensors, strategy, poles) and not on the seed, is the faulty plant,
+    its closed loop with the noise factors both simulations draw
+    through, and alg0's filter.  For a registry plant under its registry
+    controller it is built once per process and kept, read-only; alg0
+    runs on a copy of the kept filter.  A seed sweep thus repeats only
+    the simulations, the identification and alg1..alg3, with the same
+    results as building everything anew.  An explicit ``model`` or
+    ``controller`` is built on every call.
     """
     design_cfg = _design_config(cfg)
-    model, controller = cfg.resolve_plant()
-    faulty = sensor_fault_plant(model, cfg.sensors)
+    poles = None if design_cfg.poles is None else tuple(design_cfg.poles)
+    if cfg.model is None and cfg.controller is None:
+        plant = (cfg.plant, cfg.q, cfg.r, cfg.sensors)
+        loop = _registry_loop(*plant)
+        alg0_filter = functools.partial(_registry_alg0, *plant, design_cfg.strategy, poles)
+    else:
+        model, controller = cfg.resolve_plant()
+        loop = _Loop.build(sensor_fault_plant(model, cfg.sensors), controller)
+        alg0_filter = functools.partial(_true_filter, loop.model, design_cfg.strategy, poles)
     L = cfg.markov_length
     stop = cfg.run_samples if cfg.window_stop is None else cfg.window_stop
     # from sample L - 1 on, where the MHE window fills, every arm has estimates
@@ -729,10 +814,9 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
             f"window of markov_length {L} fills")
 
     rng = np.random.default_rng(cfg.seed)
-    ident, _ = closed_loop_sim(faulty, controller, cfg.n_ident, rng,
-                               eta=rng.standard_normal((cfg.n_ident, model.n_inputs)))
-    run_data, fault = closed_loop_sim(faulty, controller, cfg.run_samples, rng,
-                                      scenario=cfg.scenario)
+    ident, _ = loop.simulate(cfg.n_ident, rng,
+                             eta=rng.standard_normal((cfg.n_ident, loop.model.n_inputs)))
+    run_data, fault = loop.simulate(cfg.run_samples, rng, scenario=cfg.scenario)
 
     results = []
 
@@ -752,14 +836,8 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
                                            stats=ellipse_stats(err_series),
                                            macs_per_sample=macs))
 
-    def model_based_filter(pred):
-        inv = open_loop_inverse(pred)
-        Kr = stabilizing_gain(inv.Phi1, inv.C2, strategy=design_cfg.strategy,
-                              poles=design_cfg.poles)
-        return reduced_filter(pred, Kr, strategy=design_cfg.strategy)
-
-    # alg0: inversion filter from the true plant
-    attempt("alg0", lambda: run_recursive(model_based_filter(to_predictor(faulty))))
+    # alg0: inversion filter from the true plant, run on a copy of its own
+    attempt("alg0", lambda: run_recursive(copy.copy(alg0_filter())))
 
     # identification feeds alg1..alg3; a failure here fails all three
     xi = None
@@ -779,7 +857,8 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
             base, _ = predictor_from_xi(xi, cfg.hankel_rows, cfg.hankel_cols,
                                         order=cfg.order)
             pred1 = sensor_fault_channel(base, cfg.sensors)
-            return run_recursive(model_based_filter(pred1))
+            return run_recursive(_model_based_filter(pred1, design_cfg.strategy,
+                                                     design_cfg.poles))
 
         attempt("alg1", alg1)
 
@@ -891,6 +970,7 @@ def _plant_from_values(vals: dict) -> StateSpaceModel:
         if key not in kwargs:
             raise ValidationError(f"[plant] section must define {key}")
     model = StateSpaceModel(**kwargs)
+    _check_noise_scales(vals.get("q"), vals.get("r"))
     if "q" in vals and "Q" not in kwargs:
         kwargs["Q"] = vals["q"] * np.eye(model.F.shape[1])
     if "r" in vals and "R" not in kwargs:

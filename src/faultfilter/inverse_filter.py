@@ -92,7 +92,7 @@ def residual_generator(pred: PredictorModel) -> LinearSystem:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class InverseMatrices:
     """Matrices of the open loop inverse and its unused output rows.
 
@@ -315,7 +315,7 @@ _MATRICES = ("Af", "Bu", "By", "Cf", "Du", "Dy")
 _FIXED = (*_MATRICES, "state")  # set only at construction (state: by reset)
 
 
-@dataclass
+@dataclass(eq=False)
 class FaultEstimationFilter:
     """Recursive fault estimator driven by raw plant inputs and outputs.
 

@@ -107,7 +107,7 @@ def psd_factor(M) -> np.ndarray:
     return V * np.sqrt(w)
 
 
-@dataclass
+@dataclass(eq=False)
 class StateSpaceModel:
     """Discrete time plant with noise channels and fault directions."""
 
@@ -166,7 +166,7 @@ class StateSpaceModel:
         return self.G.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class PredictorModel:
     """Steady state one step ahead predictor of a plant.
 
@@ -220,7 +220,7 @@ class PredictorModel:
         return self.G.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearSystem:
     """Plain deterministic state space quadruple (A, B, C, D)."""
 
@@ -322,7 +322,7 @@ class _CsvRows(list):
         return block
 
 
-@dataclass
+@dataclass(eq=False)
 class IOData:
     """Sampled input/output record of one experiment.
 

@@ -49,7 +49,7 @@ __all__ = ["MheProblem", "build_mhe", "mhe_estimate", "run_mhe"]
 _RANK_TOL = 1e-10
 
 
-@dataclass
+@dataclass(eq=False)
 class MheProblem:
     """Precomputed matrices of the windowed least squares estimator.
 

@@ -33,7 +33,7 @@ from .lti_core import (IOData, PredictorModel, _CsvRows, _finite_samples, _write
 __all__ = ["IdentifiedXi", "xi_from_predictor", "identify_xi"]
 
 
-@dataclass
+@dataclass(eq=False)
 class IdentifiedXi:
     """Estimated predictor Markov parameters up to lag p.
 

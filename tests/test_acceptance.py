@@ -36,7 +36,6 @@ from faultfilter import (
 from faultfilter import bench_cli
 from faultfilter.bench_cli import (
     BENCH_POLES,
-    closed_loop_sim,
     collect_identification_data,
 )
 
@@ -315,13 +314,17 @@ def test_10_recursive_vs_window_cost(monkeypatch):
             return captured[name]
         monkeypatch.setattr(bench_cli, fn.__name__, wrapped)
 
+    def run_on(filt, data):  # every recursive arm runs on the faulty run
+        captured["run"] = data
+        return run_filter(filt, data)
+
     capture("filter", design_filter_from_xi)
     capture("problem", build_mhe)
     capture("generator", residual_generator)
-    capture("run", closed_loop_sim)  # the faulty run is the last call
+    monkeypatch.setattr(bench_cli, "run_filter", run_on)
     report = run_comparison(BenchConfig(seed=1000))
     filt, problem, gen = captured["filter"], captured["problem"], captured["generator"]
-    U, Y = captured["run"][0].u, captured["run"][0].y
+    U, Y = captured["run"].u, captured["run"].y
     N, n, nu, ny = len(U), len(gen.A), U.shape[1], Y.shape[1]
     M = np.block([[gen.A, gen.B], [gen.C, gen.D]])
     rows = problem.gain_rows

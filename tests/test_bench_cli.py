@@ -1,4 +1,6 @@
 import hashlib
+import re
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from types import SimpleNamespace
@@ -442,7 +444,7 @@ class TestBenchConfig:
     def test_window_before_mhe_fills_rejected(self, monkeypatch, start, stop):
         # the MHE estimate (alg3) starts at sample markov_length - 1 = 39;
         # an earlier window would score it on fewer samples than the others
-        monkeypatch.setattr(ff.bench_cli, "closed_loop_sim", None)  # nothing simulated
+        monkeypatch.setattr(ff.bench_cli._Loop, "simulate", None)  # nothing simulated
         with pytest.raises(ValidationError, match=rf"window \[{start}, {stop}\) for 500 "
                            "samples; it must start at or after sample 39, where the MHE "
                            "window of markov_length 40 fills"):
@@ -458,9 +460,20 @@ class TestBenchConfig:
                       scenario=FaultScenario(onset=5, signals=("step 1", "step 1")))
 
     def test_python_sensors_stay_zero_based(self, monkeypatch):
-        monkeypatch.setattr(ff.bench_cli, "closed_loop_sim", None)  # nothing simulated
+        monkeypatch.setattr(ff.bench_cli._Loop, "simulate", None)  # nothing simulated
         with pytest.raises(ValidationError, match=r"sensor index 2 outside \[0, 2\)"):
             run_comparison(small_cfg(sensors=2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("name", ["q", "r"])
+    def test_bad_noise_scale_rejected(self, name, value):
+        # before the factory forms q * I, which warns on inf and gives
+        # an asymmetric nan matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"{name} must be finite and nonnegative, got {value}")):
+                BenchConfig(**{name: value})
 
     @pytest.mark.parametrize("sensors, signals, message", [
         ((0, 0), None, r"sorted, unique and nonnegative, got zero based \[0, 0\]"),
@@ -552,14 +565,13 @@ class TestRunComparison:
         assert np.allclose(result(rep, "alg2").estimates,
                            result(plain, "alg2").estimates, rtol=0, atol=1e-12)
 
-    def test_failed_arm_has_no_count(self, monkeypatch):
-        def fail(model):
-            raise ff.NumericalError("no predictor")
-
-        monkeypatch.setattr(ff.bench_cli, "to_predictor", fail)
-        rep = run_comparison(small_cfg())
+    def test_failed_arm_has_no_count(self):
+        # without measurement noise the true plant has no Kalman predictor,
+        # so alg0 fails; the identified arms still run and are counted
+        rep = run_comparison(small_cfg(r=0.0))
         assert not result(rep, "alg0").ok
-        assert self.counts(rep)[:3] == [None, 40, 40]
+        assert "R must be positive definite" in result(rep, "alg0").message
+        assert self.counts(rep) == [None, 40, 40, 128]
 
     def test_runs_no_timer(self, monkeypatch):
         def timer(*args, **kwargs):
@@ -569,6 +581,108 @@ class TestRunComparison:
         monkeypatch.setattr(ff.bench_cli, "time_window_step", timer)
         rep = run_comparison(BenchConfig(seed=1))
         assert [res.name for res in rep.results if res.ok] == list(ALGORITHM_NAMES)
+
+
+@pytest.fixture
+def cold_plant_cache():
+    """Empty the kept registry plants before and after the test."""
+    def clear():
+        bench_cli._registry_loop.cache_clear()
+        bench_cli._registry_alg0.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+def report_files(report, out_dir):
+    """The bytes of the files compare writes that do not name the plant."""
+    report.to_csv(out_dir)
+    report.write_cost(out_dir / "cost.txt")
+    return {name: (out_dir / name).read_bytes()
+            for name in ("estimates.csv", "stats.csv", "cost.txt")}
+
+
+def assert_same_report(a, b):
+    """Equal reports, every number bit for bit (nan where nan)."""
+    assert (a.plant, a.seed, a.window) == (b.plant, b.seed, b.window)
+    assert np.array_equal(a.fault, b.fault)
+    assert len(a.results) == len(b.results)
+    for x, y in zip(a.results, b.results):
+        assert (x.name, x.ok, x.message, x.macs_per_sample) == (
+            y.name, y.ok, y.message, y.macs_per_sample)
+        if x.ok:
+            assert np.array_equal(x.estimates, y.estimates, equal_nan=True)
+            assert np.array_equal(x.stats.covariance, y.stats.covariance)
+
+
+class TestPlantMemo:
+    """run_comparison keeps the plant-only half of a registry comparison.
+
+    Kept or built anew, the plant gives the same report bit for bit.
+    """
+
+    def test_seed_order_does_not_matter(self, cold_plant_cache):
+        first = {seed: run_comparison(small_cfg(seed=seed)) for seed in (5, 6)}
+        again = run_comparison(small_cfg(seed=5))
+        assert bench_cli._registry_loop.cache_info().misses == 1
+        assert bench_cli._registry_alg0.cache_info().misses == 1
+        assert_same_report(again, first[5])
+        for seed in (6, 5):
+            cold_plant_cache()
+            assert_same_report(run_comparison(small_cfg(seed=seed)), first[seed])
+
+    @pytest.mark.parametrize("explicit", ["model", "controller"])
+    def test_explicit_plant_matches_registry(self, cold_plant_cache, tmp_path, explicit):
+        model, ctrl = ff.get_plant("unstable4").factory()
+        kw = dict(controller=ctrl, **({"model": model} if explicit == "model" else {}))
+        registry = run_comparison(small_cfg())
+        given = run_comparison(small_cfg(**kw))
+        assert report_files(given, tmp_path / "given") == report_files(
+            registry, tmp_path / "registry")
+        assert given.summary().split("\n")[1:] == registry.summary().split("\n")[1:]
+        # the explicit plant was built on the call: nothing kept, nothing frozen
+        assert bench_cli._registry_loop.cache_info().currsize == 1
+        assert model.A.flags.writeable and ctrl.flags.writeable
+
+    @pytest.mark.parametrize("kw", [dict(poles=(0.5,) * 4), dict(r=0.0)],
+                             ids=["four-fold-pole", "no-measurement-noise"])
+    def test_repeated_alg0_failure(self, cold_plant_cache, kw):
+        reports = [run_comparison(small_cfg(**kw)) for _ in range(3)]
+        for rep in reports:
+            assert not result(rep, "alg0").ok
+            assert result(rep, "alg0").message.startswith("alg0: ")
+            assert_same_report(rep, reports[0])
+        # the plant is kept; the failed design is tried again on each call
+        assert bench_cli._registry_loop.cache_info().misses == 1
+        info = bench_cli._registry_alg0.cache_info()
+        assert (info.misses, info.currsize) == (3, 0)
+        assert result(reports[0], "alg3").ok
+
+    def test_plant_errors_are_not_kept(self, cold_plant_cache, monkeypatch):
+        monkeypatch.setattr(ff.bench_cli._Loop, "simulate", None)  # nothing simulated
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="outside"):
+                run_comparison(small_cfg(sensors=2))
+            with pytest.raises(ValidationError, match="unknown plant 'bogus'"):
+                run_comparison(small_cfg(plant="bogus"))
+        assert bench_cli._registry_loop.cache_info().currsize == 0
+
+    def test_kept_arrays_are_read_only(self, cold_plant_cache):
+        cfg = small_cfg()
+        rep = run_comparison(cfg)
+        loop = bench_cli._registry_loop(cfg.plant, cfg.q, cfg.r, cfg.sensors)
+        filt = bench_cli._registry_alg0(cfg.plant, cfg.q, cfg.r, cfg.sensors,
+                                        cfg.strategy, cfg.poles)
+        arrays = [v for obj in (loop, loop.model, loop.system, filt)
+                  for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        assert bench_cli._registry_loop.cache_info().misses == 1
+        assert bench_cli._registry_alg0.cache_info().misses == 1
+        assert len(arrays) == 2 + 9 + 4 + 7
+        assert not any(a.flags.writeable for a in arrays)
+        # alg0 ran on a copy: the kept filter's state never moved
+        assert not filt.state.any()
+        assert_same_report(run_comparison(cfg), rep)
 
 
 class TestTimers:
@@ -1055,6 +1169,21 @@ class TestCli:
         cfg_path = tmp_path / "bench.ini"
         cfg_path.write_text(ini)
         code = main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)] + args)
+        assert code == 2
+        assert f"validation error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "cost.txt").exists()
+
+    @pytest.mark.parametrize("ini, message", [
+        ("[plant]\nq = nan\n", "q must be finite and nonnegative, got nan"),
+        ("[plant]\nname = unstable4\nr = -1\n",
+         "r must be finite and nonnegative, got -1.0"),
+        ("[plant]\nA = 0.5\nB = 1\nC = 1\nq = inf\n[controller]\ngain = 0.1\n",
+         "q must be finite and nonnegative, got inf"),
+    ], ids=["nan-q", "negative-r", "explicit-plant-inf-q"])
+    def test_bad_noise_scale_exit_code(self, tmp_path, capsys, ini, message):
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text(ini)
+        code = main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert code == 2
         assert f"validation error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "cost.txt").exists()

@@ -537,6 +537,12 @@ class TestStepCache:
             setattr(filt, name, np.zeros_like(getattr(filt, name)))
         assert np.array_equal(filt.step_matrix(), before)
 
+    def test_equality_is_identity(self, rng):
+        # a field-wise == would ask numpy for the truth value of an array
+        filt = self.make(rng)
+        assert filt == filt
+        assert (filt == copy.deepcopy(filt)) is False
+
     def test_in_place_edit_raises(self, rng):
         filt = self.make(rng)
         before = filt.step_matrix()

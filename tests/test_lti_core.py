@@ -421,6 +421,16 @@ class TestIOData:
             ff.identify_xi(short, p=100)
 
 
+@pytest.mark.parametrize("cls", [
+    ff.StateSpaceModel, ff.PredictorModel, ff.LinearSystem, ff.IOData,
+    ff.InverseMatrices, ff.FaultEstimationFilter, ff.IdentifiedXi, ff.MheProblem,
+    ff.EllipseStats, ff.AlgorithmResult, ff.ExperimentReport,
+], ids=lambda cls: cls.__name__)
+def test_array_dataclasses_compare_by_identity(cls):
+    # a generated field-wise __eq__ raises numpy's ambiguous-truth error
+    assert cls.__eq__ is object.__eq__
+
+
 class TestLinearSystemRun:
     def test_one_dimensional_input_is_one_channel(self, rng):
         # as in IOData: a 1-D input is N samples of one channel

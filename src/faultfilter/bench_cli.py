@@ -30,7 +30,7 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .lti_core import (
     LinearSystem,
     StateSpaceModel,
     _FMT,
+    _as_int,
     _finite_samples,
     _write_csv,
     lti_recursion,
@@ -162,8 +163,7 @@ class FaultScenario:
         if self.signals is not None:
             self.signals = tuple(tuple(parse_fault_signal(sig) if isinstance(sig, str)
                                        else sig) for sig in self.signals)
-        if self.onset < 0:
-            raise ValidationError("onset must be nonnegative")
+        self.onset = _as_int(self.onset, "onset", 0)
 
     def evaluate(self, N: int, n_faults: int) -> np.ndarray:
         """Fault value series of shape (N, n_faults)."""
@@ -263,8 +263,7 @@ def _unstable4_factory(q=None, r=None):
                      [-0.5, 0.7]])
     q = 1e-4 if q is None else float(q)
     r = 1e-2 if r is None else float(r)
-    model = StateSpaceModel(A, B, C, Q=q * np.eye(4), R=r * np.eye(2))
-    return model, gain
+    return StateSpaceModel(A, B, C, Q=q * np.eye(4), R=r * np.eye(2)), gain
 
 
 _REGISTRY = {"unstable4": PlantEntry(_unstable4_factory)}
@@ -393,8 +392,7 @@ _TIMING_BATCH = 20
 
 def _batch_sizes(steps: int) -> list:
     """Split ``steps`` into batches of ``_TIMING_BATCH``, the last one short."""
-    if steps < 1:
-        raise ValidationError(f"steps must be at least 1, got {steps}")
+    steps = _as_int(steps, "steps", 1)
     return [min(_TIMING_BATCH, steps - i) for i in range(0, steps, _TIMING_BATCH)]
 
 
@@ -658,13 +656,18 @@ class BenchConfig:
     and a 1300 sample fault run on sensor 0 scored on samples 300
     onward.  For plants of other sizes set ``order`` to "auto" and
     either supply a matching pole list or switch the strategy to
-    riccati.  A negative seed, fewer than one identification sample or
-    run sample, or ``sensors`` (zero based) that are not
-    sorted, unique and nonnegative or do not match the scenario's signal
-    count, is a ValidationError naming the field; so is a noise scale
-    ``q`` or ``r`` (Q = q I, R = r I) that is not finite or is negative.
-    ``controller`` is the static output feedback gain (u = -gain y +
-    eta); None takes the registry plant's.
+    riccati.  ``controller`` is the static output feedback gain (u =
+    -gain y + eta); None takes the registry plant's.
+
+    Every setting is checked here, before any plant is built: a count
+    that is not an integer or is below its bound, ``sensors`` (zero
+    based) that are empty, not sorted, unique and nonnegative, or do not
+    match the scenario's signal count, a noise scale ``q`` or ``r`` (Q =
+    q I, R = r I) that is not finite or is negative, a value DesignConfig
+    rejects, or a statistics window that starts before every arm has
+    estimates (sample markov_length - 1, where the MHE window fills) is
+    a ValidationError naming the field.  ``design`` is the checked
+    DesignConfig, built from its fields (``sensor`` from ``sensors``).
     """
 
     plant: str = "unstable4"
@@ -687,23 +690,36 @@ class BenchConfig:
     window_start: int = 300
     window_stop: int = None
     seed: int = 0
+    design: DesignConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, least in (("seed", 0), ("n_ident", 1), ("run_samples", 1),
-                            ("p", 1)):
-            value = getattr(self, name)
-            if value < least:
-                label = "n_ident ([identify] n_samples)" if name == "n_ident" else name
-                raise ValidationError(f"{label} must be at least {least}, got {value}")
+                            ("p", 1), ("window_start", None)):
+            label = "n_ident ([identify] n_samples)" if name == "n_ident" else name
+            setattr(self, name, _as_int(getattr(self, name), label, least))
+        if self.window_stop is not None:
+            self.window_stop = _as_int(self.window_stop, "window_stop")
         _check_noise_scales(self.q, self.r)
-        self.sensors = tuple(int(j) for j in np.atleast_1d(self.sensors))
-        if list(self.sensors) != sorted(set(self.sensors)) or min(self.sensors, default=0) < 0:
+        self.sensors = tuple(_as_int(j, "each entry of sensors")
+                             for j in np.atleast_1d(self.sensors).tolist())
+        if not self.sensors:
+            raise ValidationError("sensors must name at least one sensor, got none")
+        if list(self.sensors) != sorted(set(self.sensors)) or self.sensors[0] < 0:
             raise ValidationError("sensors must be sorted, unique and nonnegative, "
                                   f"got zero based {list(self.sensors)}")
         signals = self.scenario.signals
         if signals is not None and len(signals) != len(self.sensors):
             raise ValidationError(
                 f"{len(self.sensors)} sensors but {len(signals)} fault signals")
+        self.design = DesignConfig(sensor=list(self.sensors), **{
+            f.name: getattr(self, f.name) for f in fields(DesignConfig) if f.name != "sensor"})
+        L = self.design.markov_length
+        stop = self.run_samples if self.window_stop is None else self.window_stop
+        if not L - 1 <= self.window_start < stop <= self.run_samples:
+            raise ValidationError(
+                f"bad statistics window [{self.window_start}, {stop}) for "
+                f"{self.run_samples} samples; it must start at or after sample {L - 1}, "
+                f"where the MHE window of markov_length {L} fills")
 
     def resolve_plant(self):
         """(model, gain) from explicit matrices or the registry."""
@@ -712,9 +728,7 @@ class BenchConfig:
                 raise ValidationError("explicit plant needs a controller")
             return self.model, self.controller
         model, ctrl = get_plant(self.plant).factory(q=self.q, r=self.r)
-        if self.controller is not None:
-            ctrl = self.controller
-        return model, ctrl
+        return model, ctrl if self.controller is None else self.controller
 
 
 def _check_noise_scales(q, r) -> None:
@@ -722,18 +736,6 @@ def _check_noise_scales(q, r) -> None:
     for name, value in (("q", q), ("r", r)):
         if value is not None and not (np.isfinite(value) and value >= 0):
             raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
-
-
-def _design_config(cfg: BenchConfig) -> DesignConfig:
-    return DesignConfig(
-        sensor=list(cfg.sensors),
-        markov_length=cfg.markov_length,
-        hankel_rows=cfg.hankel_rows,
-        hankel_cols=cfg.hankel_cols,
-        order=cfg.order,
-        strategy=cfg.strategy,
-        poles=cfg.poles,
-    )
 
 
 def _read_only(*objs) -> None:
@@ -778,11 +780,12 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     """Run the four estimators on one seeded benchmark trajectory.
 
     One generator drives both the identification record and the faulty
-    run, so a seed pins the whole experiment.  A bad design or plant
-    value raises before any simulation; failures of individual
-    algorithms on the data are captured in their result entries.
-    Nothing is timed: each arm's cost is its multiply-adds per sample,
-    counted from matrix shapes.
+    run, so a seed pins the whole experiment.  Settings were checked when
+    ``cfg`` was built; design settings are read from ``cfg.design``.  A
+    bad plant or controller raises before any simulation; failures of
+    individual algorithms on the data are captured in their result
+    entries.  Nothing is timed: each arm's cost is its multiply-adds per
+    sample, counted from matrix shapes.
 
     The plant-only half of the work, which depends on (plant, q, r,
     sensors, strategy, poles) and not on the seed, is the faulty plant,
@@ -794,24 +797,16 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     results as building everything anew.  An explicit ``model`` or
     ``controller`` is built on every call.
     """
-    design_cfg = _design_config(cfg)
-    poles = None if design_cfg.poles is None else tuple(design_cfg.poles)
+    design = cfg.design
     if cfg.model is None and cfg.controller is None:
         plant = (cfg.plant, cfg.q, cfg.r, cfg.sensors)
         loop = _registry_loop(*plant)
-        alg0_filter = functools.partial(_registry_alg0, *plant, design_cfg.strategy, poles)
+        alg0_filter = functools.partial(_registry_alg0, *plant, design.strategy, design.poles)
     else:
         model, controller = cfg.resolve_plant()
         loop = _Loop.build(sensor_fault_plant(model, cfg.sensors), controller)
-        alg0_filter = functools.partial(_true_filter, loop.model, design_cfg.strategy, poles)
-    L = cfg.markov_length
+        alg0_filter = functools.partial(_true_filter, loop.model, design.strategy, design.poles)
     stop = cfg.run_samples if cfg.window_stop is None else cfg.window_stop
-    # from sample L - 1 on, where the MHE window fills, every arm has estimates
-    if not L - 1 <= cfg.window_start < stop <= cfg.run_samples:
-        raise ValidationError(
-            f"bad statistics window [{cfg.window_start}, {stop}) for {cfg.run_samples} "
-            f"samples; it must start at or after sample {L - 1}, where the MHE "
-            f"window of markov_length {L} fills")
 
     rng = np.random.default_rng(cfg.seed)
     ident, _ = loop.simulate(cfg.n_ident, rng,
@@ -854,16 +849,15 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
         # then run the model based design on it
         def alg1():
             nonlocal pred1
-            base, _ = predictor_from_xi(xi, cfg.hankel_rows, cfg.hankel_cols,
-                                        order=cfg.order)
+            base, _ = predictor_from_xi(xi, design.hankel_rows, design.hankel_cols,
+                                        order=design.order)
             pred1 = sensor_fault_channel(base, cfg.sensors)
-            return run_recursive(_model_based_filter(pred1, design_cfg.strategy,
-                                                     design_cfg.poles))
+            return run_recursive(_model_based_filter(pred1, design.strategy, design.poles))
 
         attempt("alg1", alg1)
 
         # alg2: direct data-driven design, no intermediate plant model
-        attempt("alg2", lambda: run_recursive(design_filter_from_xi(xi, design_cfg)))
+        attempt("alg2", lambda: run_recursive(design_filter_from_xi(xi, design)))
 
         # alg3: moving horizon LS on alg1's realized predictor, so the
         # residual recursion and the window model come from one
@@ -873,7 +867,7 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
             if pred1 is None:
                 raise ValidationError(
                     "needs the realized predictor (alg1 failed upstream)")
-            problem = build_mhe(pred1, L)
+            problem = build_mhe(pred1, design.markov_length)
             gen = residual_generator(pred1)
             estimates = run_mhe(problem, gen.run(np.hstack([run_data.u, run_data.y])))
             # a sample costs one residual-generator step and the FIR taps
@@ -1070,9 +1064,8 @@ def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
 
 def _check_sensors(cfg: BenchConfig, n_outputs: int, source: str) -> None:
     """Reject a sensor past ``n_outputs``, one based as [scenario] sensors is."""
-    last = max(cfg.sensors, default=-1) + 1
-    if last > n_outputs:
-        raise ValidationError(f"[scenario] sensors: sensor {last} outside "
+    if cfg.sensors[-1] >= n_outputs:  # the last, as they are sorted
+        raise ValidationError(f"[scenario] sensors: sensor {cfg.sensors[-1] + 1} outside "
                               f"1..{n_outputs}, the outputs of {source}")
 
 
@@ -1104,12 +1097,11 @@ def _cmd_identify(args, cfg: BenchConfig) -> int:
 
 def _cmd_design(args, cfg: BenchConfig) -> int:
     out = os.path.join(_out_dir(args), "filter.csv")
-    design_cfg = _design_config(cfg)  # a bad [design] value stops before identification
     xi = (IdentifiedXi.from_csv(args.xi) if args.xi is not None
           else _cli_identify(args, cfg)[0])
     # a simulated record has passed _cli_plant; a file has its own outputs
     _check_sensors(cfg, xi.n_y, args.xi or args.data)
-    filt = design_filter_from_xi(xi, design_cfg)
+    filt = design_filter_from_xi(xi, cfg.design)
     filt.to_csv(out)
     print(f"designed order {filt.n_states} filter "
           f"(strategy {filt.strategy}) -> {out}")

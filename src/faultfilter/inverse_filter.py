@@ -165,9 +165,8 @@ def invariant_zeros_stable(Phi, Etilde, C, G):
         as failures; ``zeros`` is a complex array sorted by magnitude
         (possibly empty).
     """
-    Phi = _as_matrix(Phi, name="Phi")
+    Phi = _as_matrix(Phi, name="Phi", square=True)
     n = Phi.shape[0]
-    _as_matrix(Phi, cols=n, name="Phi")
     C = _as_matrix(C, cols=n, name="C")
     G = _as_matrix(G, rows=C.shape[0], name="G")
     Etilde = _as_matrix(Etilde, rows=n, cols=G.shape[1], name="Etilde")
@@ -256,9 +255,8 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
             no gain reaches the poles), or the computed gain fails the
             closed loop stability check.
     """
-    Phi1 = _as_matrix(Phi1, name="Phi1")
+    Phi1 = _as_matrix(Phi1, name="Phi1", square=True)
     n = Phi1.shape[0]
-    _as_matrix(Phi1, cols=n, name="Phi1")
     C2 = _as_matrix(C2, cols=n, name="C2")
 
     blocked = [lam for lam in np.linalg.eigvals(Phi1)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +62,25 @@ _CHUNK = 16
 _CHUNK_WIDTH = 512
 
 
-def _as_matrix(M, rows=None, cols=None, name="matrix"):
+def _as_matrix(M, rows=None, cols=None, name="matrix", square=False):
     M = np.atleast_2d(np.asarray(M, dtype=float))
+    cols = M.shape[0] if square else cols
     if rows is not None and M.shape[0] != rows:
         raise ValidationError(f"{name} must have {rows} rows, got {M.shape[0]}")
     if cols is not None and M.shape[1] != cols:
         raise ValidationError(f"{name} must have {cols} columns, got {M.shape[1]}")
     return M
+
+
+def _as_int(value, name, least=None) -> int:
+    """An integer, or a string of one, as an int; not one, or below ``least``, raises."""
+    try:
+        value = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _as_series(a, name) -> np.ndarray:
@@ -122,10 +135,8 @@ class StateSpaceModel:
     R: np.ndarray = None
 
     def __post_init__(self):
-        self.A = _as_matrix(self.A, name="A")
+        self.A = _as_matrix(self.A, name="A", square=True)
         n = self.A.shape[0]
-        if self.A.shape[1] != n:
-            raise ValidationError("A must be square")
         self.B = _as_matrix(self.B, rows=n, name="B")
         self.C = _as_matrix(self.C, cols=n, name="C")
         ny = self.C.shape[0]
@@ -185,10 +196,8 @@ class PredictorModel:
     SigmaE: np.ndarray = None
 
     def __post_init__(self):
-        self.Phi = _as_matrix(self.Phi, name="Phi")
+        self.Phi = _as_matrix(self.Phi, name="Phi", square=True)
         n = self.Phi.shape[0]
-        if self.Phi.shape[1] != n:
-            raise ValidationError("Phi must be square")
         self.C = _as_matrix(self.C, cols=n, name="C")
         ny = self.C.shape[0]
         self.Bt = _as_matrix(self.Bt, rows=n, name="Bt")
@@ -230,7 +239,7 @@ class LinearSystem:
     D: np.ndarray
 
     def __post_init__(self):
-        self.A = _as_matrix(self.A, name="A")
+        self.A = _as_matrix(self.A, name="A", square=True)
         n = self.A.shape[0]
         self.B = _as_matrix(self.B, rows=n, name="B")
         self.C = _as_matrix(self.C, cols=n, name="C")
@@ -511,7 +520,7 @@ def dare_fixed_point(A, C, Q, R, F=None):
         RiccatiError: no stabilizing solution was found (typically a non
             detectable pair).
     """
-    A = _as_matrix(A, name="A")
+    A = _as_matrix(A, name="A", square=True)
     n = A.shape[0]
     C = _as_matrix(C, cols=n, name="C")
     F = np.eye(n) if F is None else _as_matrix(F, rows=n, name="F")
@@ -563,7 +572,7 @@ def _sensor_list(sensors, n_y):
         sensors = [sensors]
     out = []
     for j in sensors:
-        j = int(j)
+        j = _as_int(j, "sensor index")
         if not 0 <= j < n_y:
             raise ValidationError(f"sensor index {j} outside [0, {n_y})")
         out.append(j)

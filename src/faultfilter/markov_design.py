@@ -37,6 +37,7 @@ from .inverse_filter import (
 from .lti_core import (
     LinearSystem,
     PredictorModel,
+    _as_int,
     _sensor_list,
     block_hankel,
     block_toeplitz,
@@ -190,7 +191,8 @@ class DesignConfig:
     The design reads the first l + m window blocks, l = ``hankel_rows``
     and m = ``hankel_cols``; ``markov_length`` only bounds them (at
     least l + m, at most p + 1 of the identified xi) and also sets the
-    MHE window of the ``compare`` benchmark.
+    MHE window of the ``compare`` benchmark.  A count or ``order`` that
+    is not an integer, or a string of one, is a ValidationError naming it.
     Pole placement needs ``poles``, one per state when ``order`` is an
     integer; a pole that is not real, not finite or not inside the unit
     circle is a ValidationError naming it.
@@ -205,6 +207,8 @@ class DesignConfig:
     poles: object = None
 
     def __post_init__(self):
+        for name in ("markov_length", "hankel_rows", "hankel_cols"):
+            setattr(self, name, _as_int(getattr(self, name), name))
         L, l, m = self.markov_length, self.hankel_rows, self.hankel_cols
         if l < 2 or m < 2:
             raise ValidationError("hankel_rows and hankel_cols must be at least 2")
@@ -213,13 +217,13 @@ class DesignConfig:
                 f"markov_length {L} too short for a {l} x {m} block Hankel "
                 f"matrix; need at least {l + m}")
         if self.order != "auto":
-            self.order = int(self.order)
+            self.order = _as_int(self.order, "order")
             if self.order < 1:
                 raise ValidationError("order must be positive or 'auto'")
         if self.strategy not in ("riccati", "pole_placement"):
             raise ValidationError(f"unknown strategy {self.strategy!r}")
         if self.poles is not None:
-            self.poles = _real_stable_poles(self.poles).tolist()
+            self.poles = tuple(_real_stable_poles(self.poles).tolist())
         if self.strategy == "pole_placement" and self.poles is None:
             raise ValidationError("pole_placement needs poles")
         if self.strategy == "pole_placement" and self.order not in ("auto", len(self.poles)):

@@ -27,8 +27,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ExcitationError, ValidationError
-from .lti_core import (IOData, PredictorModel, _CsvRows, _finite_samples, _write_csv,
-                       markov_parameters)
+from .lti_core import (IOData, PredictorModel, _CsvRows, _as_int, _finite_samples,
+                       _write_csv, markov_parameters)
 
 __all__ = ["IdentifiedXi", "xi_from_predictor", "identify_xi"]
 
@@ -55,9 +55,7 @@ class IdentifiedXi:
         self.Hy = np.asarray(self.Hy, dtype=float)
         if self.Hu.ndim != 3 or self.Hy.ndim != 3:
             raise ValidationError("Hu and Hy must be arrays of shape (blocks, rows, cols)")
-        p = self.p
-        if p < 1:
-            raise ValidationError("past window p must be at least 1")
+        p = self.p = _as_int(self.p, "past window p", 1)
         if len(self.Hu) != p + 1:
             raise ValidationError(f"expected {p + 1} input blocks, got {len(self.Hu)}")
         if len(self.Hy) != p:
@@ -233,8 +231,8 @@ def identify_xi(data: IOData, p: int, assume_delay: bool = False) -> IdentifiedX
         IdentifiedXi with all blocks and the residual covariance.
 
     Raises:
-        ValidationError: p < 1 or a non-finite sample (the message
-            names the first one).
+        ValidationError: p not an integer, p < 1 or a non-finite sample
+            (the message names the first one).
         ExcitationError: fewer usable rows than coefficients, a
             regressor column that is identically zero, a Gram matrix
             that is not numerically positive definite, or a reciprocal
@@ -242,8 +240,7 @@ def identify_xi(data: IOData, p: int, assume_delay: bool = False) -> IdentifiedX
             ncols * eps (cond(Z) above about 3e6 at p = 100 with two
             inputs and two outputs).
     """
-    if p < 1:
-        raise ValidationError("past window p must be at least 1")
+    p = _as_int(p, "past window p", 1)
     if data.n_samples <= p:
         raise ExcitationError(
             f"insufficient excitation: need more than p={p} samples, "

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import warnings
@@ -81,6 +82,32 @@ def small_cfg(**kw):
                 n_ident=800, run_samples=500, window_start=300, seed=3)
     base.update(kw)
     return BenchConfig(**base)
+
+
+def never_build(*args, **kwargs):
+    raise AssertionError("a closed loop was built")
+
+
+# config values no run could satisfy, each with its message
+REJECTED_INI = [
+    pytest.param("[identify]\np = 0\n", "p must be at least 1, got 0", id="zero-p"),
+    pytest.param("[design]\nmarkov_length = -1\n", "markov_length -1 too short",
+                 id="negative-markov-length"),
+    pytest.param("[design]\nhankel_rows = 0\n",
+                 "hankel_rows and hankel_cols must be at least 2", id="zero-hankel-rows"),
+    pytest.param("[design]\norder = -2\n", "order must be positive or 'auto'",
+                 id="negative-order"),
+    pytest.param("[design]\nstrategy = pole_placement\npoles = none\n",
+                 "pole_placement needs poles", id="pole-placement-without-poles"),
+    pytest.param("[design]\norder = 4\npoles = 0.5 0.4 0.3\n",
+                 "pole_placement at order 4 needs 4 poles, got 3", id="pole-count-not-order"),
+    pytest.param("[design]\npoles = nan 0.3 0.2 0.1\n",
+                 "requested pole nan is not a real number inside the unit circle",
+                 id="nan-pole"),
+    pytest.param("[design]\npoles = 1.5 0.3 0.2 0.1\n",
+                 "requested pole 1.5 is not a real number inside the unit circle",
+                 id="pole-outside-circle"),
+]
 
 
 SMALL_INI = """
@@ -483,6 +510,106 @@ class TestBenchConfig:
     def test_bad_sensors_rejected(self, sensors, signals, message):
         with pytest.raises(ValidationError, match=message):
             small_cfg(sensors=sensors, scenario=FaultScenario(signals=signals))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: small_cfg(sensors=()), "sensors must name at least one sensor, got none"),
+        (lambda: BenchConfig(sensors=[]), "sensors must name at least one sensor, got none"),
+        (lambda: small_cfg(sensors=(0.5,)), "each entry of sensors must be an integer, got 0.5"),
+        (lambda: small_cfg(p=40.5), "p must be an integer, got 40.5"),
+        (lambda: small_cfg(n_ident="many"),
+         "n_ident ([identify] n_samples) must be an integer, got 'many'"),
+        (lambda: small_cfg(seed=None), "seed must be an integer, got None"),
+        (lambda: small_cfg(hankel_rows=12.0), "hankel_rows must be an integer, got 12.0"),
+        (lambda: small_cfg(order="abc"), "order must be an integer, got 'abc'"),
+        (lambda: small_cfg(window_start=300.5), "window_start must be an integer, got 300.5"),
+        (lambda: small_cfg(window_stop=400.0), "window_stop must be an integer, got 400.0"),
+        (lambda: small_cfg(scenario=FaultScenario(onset=5.5)),
+         "onset must be an integer, got 5.5"),
+        (lambda: small_cfg(window_start=500), "bad statistics window [500, 500)"),
+        (lambda: small_cfg(window_start=38, window_stop=300),
+         "bad statistics window [38, 300) for 500 samples"),
+        (lambda: small_cfg(markov_length=-1), "markov_length -1 too short"),
+        (lambda: small_cfg(hankel_cols=1), "hankel_rows and hankel_cols must be at least 2"),
+        (lambda: small_cfg(order=0), "order must be positive or 'auto'"),
+        (lambda: small_cfg(strategy="magic"), "unknown strategy 'magic'"),
+        (lambda: small_cfg(poles=None), "pole_placement needs poles"),
+        (lambda: small_cfg(poles=(0.5, 0.4, 0.3)),
+         "pole_placement at order 4 needs 4 poles, got 3"),
+        (lambda: small_cfg(poles=(np.nan, 0.3, 0.2, 0.1)), "requested pole nan"),
+    ], ids=["empty-sensors", "empty-sensor-list", "fractional-sensor", "fractional-p",
+            "text-n-ident", "no-seed", "float-hankel-rows", "text-order",
+            "fractional-window-start", "float-window-stop", "fractional-onset",
+            "window-past-run", "window-before-mhe-fills", "negative-markov-length",
+            "one-hankel-col", "zero-order", "unknown-strategy", "no-poles",
+            "pole-count-not-order", "nan-pole"])
+    def test_bad_setting_raises_on_construction(self, monkeypatch, build, message):
+        # checked when the config is built, before any closed loop
+        monkeypatch.setattr(ff.bench_cli._Loop, "build", never_build)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            build()
+
+    @pytest.mark.parametrize("ini, message", REJECTED_INI + [
+        pytest.param("[scenario]\nsensors =\n",
+                     "sensors must name at least one sensor, got none", id="empty-sensors"),
+        pytest.param("[bench]\nwindow_start = 10\n", "bad statistics window [10, 1300)",
+                     id="window-before-mhe-fills"),
+    ])
+    def test_bad_ini_value_raises_on_load(self, tmp_path, monkeypatch, ini, message):
+        monkeypatch.setattr(ff.bench_cli._Loop, "build", never_build)
+        path = tmp_path / "bench.ini"
+        path.write_text(ini)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            load_bench_config(path)
+
+    def test_window_reported_before_controller(self, monkeypatch):
+        # a zero gain leaves the unstable plant unstable, but the window
+        # is checked first, when the config is built
+        with pytest.raises(ValidationError, match="controller fails to stabilize"):
+            run_comparison(small_cfg(controller=np.zeros((2, 2))))
+        monkeypatch.setattr(ff.bench_cli._Loop, "build", never_build)
+        with pytest.raises(ValidationError, match=r"^bad statistics window \[0, 500\)"):
+            run_comparison(small_cfg(controller=np.zeros((2, 2)), window_start=0))
+
+    def test_replace_rebuilds_design(self):
+        cfg = small_cfg()
+        new = dataclasses.replace(cfg, hankel_rows=15, order="auto", strategy="riccati",
+                                  sensors=(1,))
+        assert (new.design.hankel_rows, new.design.order, new.design.strategy,
+                new.design.sensor) == (15, "auto", "riccati", [1])
+        assert (cfg.design.hankel_rows, cfg.design.order, cfg.design.strategy,
+                cfg.design.sensor) == (12, 4, "pole_placement", [0])
+        with pytest.raises(ValidationError, match="hankel_rows and hankel_cols"):
+            dataclasses.replace(cfg, hankel_rows=1)
+        with pytest.raises(ValidationError, match="bad statistics window"):
+            dataclasses.replace(cfg, markov_length=400)
+
+    def test_design_holds_the_checked_settings(self):
+        cfg = small_cfg(order="4", hankel_cols=np.int64(12), poles=[0.9, 0.5, 0.3, 0.1],
+                        sensors=1)
+        assert cfg.design == ff.DesignConfig(
+            sensor=[1], markov_length=40, hankel_rows=12, hankel_cols=12, order=4,
+            strategy="pole_placement", poles=(0.9, 0.5, 0.3, 0.1))
+        assert type(cfg.design.order) is int and type(cfg.design.hankel_cols) is int
+        assert cfg.order == "4"  # the field keeps the value given
+
+    def test_checked_design_reaches_alg1_and_alg2(self, monkeypatch):
+        seen = {}
+        predictor, design = bench_cli.predictor_from_xi, bench_cli.design_filter_from_xi
+
+        def alg1_predictor(xi, l, m, order):
+            seen["alg1"] = (l, m, order)
+            return predictor(xi, l, m, order=order)
+
+        def alg2_design(xi, cfg):
+            seen["alg2"] = (cfg.hankel_rows, cfg.hankel_cols, cfg.order)
+            return design(xi, cfg)
+
+        monkeypatch.setattr(bench_cli, "predictor_from_xi", alg1_predictor)
+        monkeypatch.setattr(bench_cli, "design_filter_from_xi", alg2_design)
+        rep = run_comparison(small_cfg(order="4", hankel_rows=np.int64(12)))
+        assert all(res.ok for res in rep.results)
+        assert seen["alg1"] == seen["alg2"] == (12, 12, 4)
+        assert all(type(v) is int for v in seen["alg1"] + seen["alg2"])
 
 
 class TestRunComparison:
@@ -1208,22 +1335,7 @@ class TestCli:
                 "are p, n_samples, assume_delay") in capsys.readouterr().err
         assert not (tmp_path / "stats.csv").exists()
 
-    @pytest.mark.parametrize("ini, message", [
-        ("[identify]\np = 0\n", "p must be at least 1, got 0"),
-        ("[design]\nmarkov_length = -1\n", "markov_length -1 too short"),
-        ("[design]\nhankel_rows = 0\n", "hankel_rows and hankel_cols must be at least 2"),
-        ("[design]\norder = -2\n", "order must be positive or 'auto'"),
-        ("[design]\nstrategy = pole_placement\npoles = none\n",
-         "pole_placement needs poles"),
-        ("[design]\norder = 4\npoles = 0.5 0.4 0.3\n",
-         "pole_placement at order 4 needs 4 poles, got 3"),
-        ("[design]\npoles = nan 0.3 0.2 0.1\n",
-         "requested pole nan is not a real number inside the unit circle"),
-        ("[design]\npoles = 1.5 0.3 0.2 0.1\n",
-         "requested pole 1.5 is not a real number inside the unit circle"),
-    ], ids=["zero-p", "negative-markov-length", "zero-hankel-rows",
-            "negative-order", "pole-placement-without-poles", "pole-count-not-order",
-            "nan-pole", "pole-outside-circle"])
+    @pytest.mark.parametrize("ini, message", REJECTED_INI)
     def test_compare_rejects_config_before_running(self, tmp_path, capsys, ini, message):
         # no record could satisfy these values, so compare stops before
         # simulating instead of writing every affected arm as failed
@@ -1255,6 +1367,34 @@ class TestCli:
         captured = capsys.readouterr()
         assert ("validation error: sensors must be sorted, unique and nonnegative, "
                 "got zero based [1, 0]") in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize("verb", ["zeros", "design", "compare"])
+    def test_empty_sensors_exit_code(self, tmp_path, capsys, verb):
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text("[scenario]\nsensors =\n")
+        code = main([verb, "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("validation error: sensors must name at least one "
+                                "sensor, got none\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize("verb", ["identify", "estimate", "zeros", "design", "compare"])
+    def test_bad_design_value_stops_every_verb(self, tmp_path, capsys, verb):
+        # the config is checked whole on loading, also by verbs that do
+        # not design; estimate's missing files are never reached
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text("[design]\nhankel_rows = 0\n")
+        extra = (["--filter", str(tmp_path / "filter.csv"), "--data", str(tmp_path / "rec.csv")]
+                 if verb == "estimate" else [])
+        code = main([verb, "--config", str(cfg_path), "--out", str(tmp_path)] + extra)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("validation error: hankel_rows and hankel_cols must be "
+                                "at least 2\n")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [cfg_path]
 

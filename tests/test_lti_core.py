@@ -229,6 +229,11 @@ class TestDare:
         with pytest.raises(ValidationError):
             dare_fixed_point(model.A, model.C, model.Q, 0.0 * model.R)
 
+    def test_rejects_non_square_A(self):
+        # named here, before scipy's own "Matrix a should be square"
+        with pytest.raises(ValidationError, match="^A must have 2 columns, got 3$"):
+            dare_fixed_point(np.ones((2, 3)), np.ones((1, 2)), np.eye(2), np.eye(1))
+
 
 class TestPredictor:
     def test_innovation_form_consistency(self, rng):
@@ -269,6 +274,10 @@ class TestPredictor:
             sensor_fault_plant(model, [2])
         with pytest.raises(ValidationError):
             sensor_fault_plant(model, [0, 0])
+        # not truncated to sensor 0
+        with pytest.raises(ValidationError,
+                           match="^sensor index must be an integer, got 0.5$"):
+            sensor_fault_plant(model, [0.5])
 
 
 class TestMarkov:
@@ -439,6 +448,12 @@ class TestLinearSystemRun:
         got = sys.run(u)
         assert got.shape == (300, 1)
         assert np.array_equal(got, sys.run(u[:, None]))
+
+    @pytest.mark.parametrize("cls", [LinearSystem, StateSpaceModel])
+    def test_non_square_A_rejected(self, cls):
+        # on construction, not as numpy's LinAlgError on the first run
+        with pytest.raises(ValidationError, match="^A must have 2 columns, got 3$"):
+            cls(np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 2)), 0)
 
     def test_more_than_two_dimensions_rejected(self):
         sys = LinearSystem(0.5 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.ones((1, 1)))

@@ -416,6 +416,24 @@ class TestDesignConfig:
         with pytest.raises(ValidationError):
             DesignConfig(sensor=0, strategy="magic")
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(order="abc"), "order must be an integer, got 'abc'"),
+        (dict(order=4.5), "order must be an integer, got 4.5"),
+        (dict(hankel_rows=12.0), "hankel_rows must be an integer, got 12.0"),
+        (dict(hankel_cols="x"), "hankel_cols must be an integer, got 'x'"),
+        (dict(markov_length=None), "markov_length must be an integer, got None"),
+    ], ids=["text-order", "fractional-order", "float-hankel-rows", "text-hankel-cols",
+            "no-markov-length"])
+    def test_non_integer_count_is_named(self, kw, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            DesignConfig(**kw)
+
+    def test_counts_read_as_int(self):
+        cfg = DesignConfig(markov_length=np.int64(60), hankel_rows="12", order="4",
+                           strategy="pole_placement", poles=[0.5, 0.4, 0.3, 0.2])
+        assert (cfg.markov_length, cfg.hankel_rows, cfg.order) == (60, 12, 4)
+        assert all(type(v) is int for v in (cfg.markov_length, cfg.hankel_rows, cfg.order))
+
     @pytest.mark.parametrize("bad, shown", [
         (float("nan"), "nan"), (1.5, "1.5"), (-1.0, "-1"), (0.2 - 0.1j, "0.2-0.1j"),
     ], ids=["nan", "outside", "on-circle", "complex"])

@@ -189,8 +189,19 @@ class TestErrors:
 
     def test_bad_p(self, rng):
         data, _, _ = varx_data(rng)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^past window p must be at least 1, got 0$"):
             identify_xi(data, p=0)
+
+    @pytest.mark.parametrize("p", [4.0, 4.5, None])
+    def test_non_integer_p_is_named(self, rng, p):
+        data, _, _ = varx_data(rng)
+        with pytest.raises(ValidationError, match=f"^past window p must be an integer, got {p}$"):
+            identify_xi(data, p)
+
+    def test_integer_like_p_accepted(self, rng):
+        data, _, _ = varx_data(rng)
+        xi = identify_xi(data, np.int64(3))
+        assert type(xi.p) is int and xi.p == 3
 
 
 def random_record(seed, p, n_u, n_y, extra, assume_delay):

@@ -55,6 +55,7 @@ from .lti_core import (
     _FMT,
     _as_int,
     _finite_samples,
+    _read_only,
     _write_csv,
     lti_recursion,
     psd_factor,
@@ -736,14 +737,6 @@ def _check_noise_scales(q, r) -> None:
     for name, value in (("q", q), ("r", r)):
         if value is not None and not (np.isfinite(value) and value >= 0):
             raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
-
-
-def _read_only(*objs) -> None:
-    """Mark the array fields of cached objects read-only."""
-    for obj in objs:
-        for value in vars(obj).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
 
 
 def _model_based_filter(pred, strategy: str, poles) -> FaultEstimationFilter:

@@ -83,6 +83,14 @@ def _as_int(value, name, least=None) -> int:
     return value
 
 
+def _read_only(*objs) -> None:
+    """Mark the array fields of cached objects read-only."""
+    for obj in objs:
+        for value in vars(obj).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
 def _as_series(a, name) -> np.ndarray:
     """(N, channels) float array; a 1-D series is N samples of one channel."""
     a = np.asarray(a, dtype=float)
@@ -566,9 +574,9 @@ def to_predictor(model: StateSpaceModel) -> PredictorModel:
     )
 
 
-def _sensor_list(sensors, n_y):
+def _sensor_list(sensors, n_y=np.inf):
     """Normalize a sensor index or index collection to a sorted list."""
-    if np.isscalar(sensors):
+    if np.isscalar(sensors) or sensors is None:
         sensors = [sensors]
     out = []
     for j in sensors:

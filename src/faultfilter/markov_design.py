@@ -22,6 +22,7 @@ identified-model baseline.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ from .lti_core import (
     LinearSystem,
     PredictorModel,
     _as_int,
+    _read_only,
     _sensor_list,
     block_hankel,
     block_toeplitz,
@@ -57,6 +59,9 @@ __all__ = [
     "predictor_from_xi",
     "design_filter_from_xi",
 ]
+
+# {xi: (Hu, Hy fingerprint, {design key: realized inverse})}, weakly keyed
+_REALIZED = weakref.WeakKeyDictionary()
 
 
 def fault_markov(Hy: np.ndarray, sensor, L: int = None) -> np.ndarray:
@@ -185,14 +190,15 @@ def convolve_Q(Hz: np.ndarray, Hf: np.ndarray, Ri: np.ndarray,
 class DesignConfig:
     """Knobs of the data-driven design.
 
-    ``sensor`` uses zero based indexing (an int or a collection).
+    ``sensor`` uses zero based indexing (an int or a nonempty collection).
     ``order`` is either an integer or "auto", in which case the largest
     singular value ratio gap picks the order (ties to the smaller one).
     The design reads the first l + m window blocks, l = ``hankel_rows``
     and m = ``hankel_cols``; ``markov_length`` only bounds them (at
     least l + m, at most p + 1 of the identified xi) and also sets the
-    MHE window of the ``compare`` benchmark.  A count or ``order`` that
-    is not an integer, or a string of one, is a ValidationError naming it.
+    MHE window of the ``compare`` benchmark.  A sensor, count or ``order``
+    that is not an integer, or a string of one, is a ValidationError
+    naming it, as is a negative or repeated sensor.
     Pole placement needs ``poles``, one per state when ``order`` is an
     integer; a pole that is not real, not finite or not inside the unit
     circle is a ValidationError naming it.
@@ -207,6 +213,8 @@ class DesignConfig:
     poles: object = None
 
     def __post_init__(self):
+        if not _sensor_list(self.sensor):
+            raise ValidationError("sensor must name at least one sensor, got none")
         for name in ("markov_length", "hankel_rows", "hankel_cols"):
             setattr(self, name, _as_int(getattr(self, name), name))
         L, l, m = self.markov_length, self.hankel_rows, self.hankel_cols
@@ -382,23 +390,35 @@ def design_filter_from_xi(xi: IdentifiedXi, cfg: DesignConfig) -> FaultEstimatio
     blocks depend only on the leading blocks of the right-hand side.
     Any failure is re-raised with a stage tag (markov,
     realize, stabilize) so callers can tell which step broke.
+
+    A xi keeps one realization per key (sensors, hankel_rows, hankel_cols,
+    order) while it lives: a design differing only in ``strategy`` or
+    ``poles`` only stabilizes, and ho_kalman's rank warning shows once per
+    key.  Editing xi.Hu or xi.Hy realizes anew; failures are not kept.
     """
     if cfg.markov_length > xi.p + 1:
         raise ValidationError(
             f"markov_length {cfg.markov_length} exceeds the {xi.p + 1} identified blocks")
     L = cfg.hankel_rows + cfg.hankel_cols  # the blocks realize reads
+    fingerprint = [(a.shape, a.tobytes()) for a in (xi.Hu, xi.Hy)]
+    if _REALIZED.get(xi, (None,))[0] != fingerprint:
+        _REALIZED[xi] = fingerprint, {}
+    realized = _REALIZED[xi][1]
+    stage = "markov"
     try:
-        Hf = fault_markov(xi.Hy, cfg.sensor, L)
-        Hz = z_markov(xi.Hu, xi.Hy, L)
-        Wi = _window_blocks(Hf, Hz, L)
-    except FaultFilterError as err:
-        raise rewrap(err, "markov") from err
-    try:
-        inv, _ = realize(Wi, cfg)
-    except FaultFilterError as err:
-        raise rewrap(err, "realize") from err
-    try:
+        key = (tuple(_sensor_list(cfg.sensor, xi.n_y)), cfg.hankel_rows,
+               cfg.hankel_cols, cfg.order)
+        inv = realized.get(key)
+        if inv is None:
+            Hf = fault_markov(xi.Hy, cfg.sensor, L)
+            Hz = z_markov(xi.Hu, xi.Hy, L)
+            Wi = _window_blocks(Hf, Hz, L)
+            stage = "realize"
+            inv, _ = realize(Wi, cfg)
+            _read_only(inv)
+            realized[key] = inv
+        stage = "stabilize"
         return assemble_filter(inv, cfg.sensor, strategy=cfg.strategy,
                                poles=cfg.poles)
     except FaultFilterError as err:
-        raise rewrap(err, "stabilize") from err
+        raise rewrap(err, stage) from err

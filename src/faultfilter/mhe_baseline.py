@@ -76,6 +76,17 @@ class MheProblem:
         return self.O.shape[1]
 
 
+def _smallest_singular_value(R: np.ndarray, tol: float) -> float:
+    """sigma_min of the upper triangular R (0 if wide), or its lower bound
+    1/||R^-1||_F when that exceeds 2 tol, which spares the SVD."""
+    if R.shape[0] < R.shape[1]:
+        return 0.0
+    from scipy.linalg.lapack import dtrtri  # deferred: a filter run needs no scipy
+    Rinv, info = dtrtri(R)
+    bound = 1.0 / np.linalg.norm(Rinv) if info == 0 else 0.0
+    return bound if bound > 2.0 * tol else np.linalg.svd(R, compute_uv=False)[-1]
+
+
 def build_mhe(pred: PredictorModel, L: int) -> MheProblem:
     """Assemble the window estimator of a predictor with a fault channel.
 
@@ -106,11 +117,9 @@ def build_mhe(pred: PredictorModel, L: int) -> MheProblem:
     Q = U[:, s > _RANK_TOL * s.max(initial=0.0)]
     Tp = Tf - Q @ (Q.T @ Tf)
     R = np.linalg.qr(Tp, mode="r")
-    # a wide Tp has fewer singular values than columns: the missing ones
-    # are zero
-    sv = np.linalg.svd(R, compute_uv=False)
-    s_min = sv[-1] if len(sv) == Tf.shape[1] else 0.0
-    if not s_min > _RANK_TOL * np.linalg.norm(Tf):
+    tol = _RANK_TOL * np.linalg.norm(Tf)
+    s_min = _smallest_singular_value(R, tol)
+    if not s_min > tol:
         raise WindowRankError(
             f"window inversion rank failure: fault Toeplitz matrix projected "
             f"off the initial state has numerical rank below {Tf.shape[1]} "

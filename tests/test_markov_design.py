@@ -1,4 +1,8 @@
+import copy
+import gc
 import re
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from faultfilter import (
 )
 from faultfilter.bench_cli import BENCH_POLES
 from faultfilter.inverse_filter import _inverse_system
+from faultfilter import markov_design
 from faultfilter.markov_design import _window_blocks
 
 from conftest import (
@@ -305,10 +310,12 @@ class TestDesignPipeline:
     @pytest.mark.parametrize("sensor", [0, 1])
     def test_markov_length_only_bounds_the_design(self, bench_xi, sensor, strategy):
         # the design reads l + m = 40 window blocks whatever markov_length
-        # allows, and gives the filter the full 100-block solve gives
+        # allows, and gives the filter the full 100-block solve gives; each
+        # design runs on its own copy, as one xi would reuse its realization
         cfgs = [DesignConfig(sensor=sensor, markov_length=L, order=4, strategy=strategy,
                              poles=list(BENCH_POLES)) for L in (100, 40)]
-        long_, short = (design_filter_from_xi(bench_xi, cfg).step_matrix() for cfg in cfgs)
+        long_, short = (design_filter_from_xi(copy.deepcopy(bench_xi), cfg).step_matrix()
+                        for cfg in cfgs)
         Hf = fault_markov(bench_xi.Hy, sensor, 100)
         Hz = z_markov(bench_xi.Hu, bench_xi.Hy, 100)
         inv, _ = realize(_window_blocks(Hf, Hz, 100), cfgs[0])
@@ -406,6 +413,104 @@ class TestDesignPipeline:
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
 
+def pp_config(**kw):
+    return DesignConfig(**{"sensor": 0, "markov_length": 100, "order": 4,
+                           "strategy": "pole_placement", "poles": POLES4, **kw})
+
+
+def count_realize(monkeypatch):
+    calls = []
+    realize_ = markov_design.realize
+
+    def counted(Wi, cfg):
+        calls.append(cfg)
+        return realize_(Wi, cfg)
+
+    monkeypatch.setattr(markov_design, "realize", counted)
+    return calls
+
+
+class TestRealizationCache:
+    """A xi keeps one realized inverse per (sensors, l, m, order)."""
+
+    @pytest.fixture
+    def xi(self, rng):
+        return exact_xi(stable_invertible_predictor(rng), p=100)
+
+    def test_repeat_designs_match_fresh_ones(self, xi):
+        cfgs = [pp_config(), pp_config(strategy="riccati"), pp_config()]
+        got = [design_filter_from_xi(xi, cfg).step_matrix() for cfg in cfgs]
+        for cfg, M in zip(cfgs, got):
+            assert np.array_equal(M, design_filter_from_xi(copy.deepcopy(xi), cfg).step_matrix())
+        assert not np.array_equal(got[0], got[1])
+
+    def test_realize_runs_once_per_key(self, xi, monkeypatch):
+        calls = count_realize(monkeypatch)
+        for cfg in (pp_config(), pp_config(strategy="riccati"), pp_config(sensor=[0]),
+                    pp_config(markov_length=40), pp_config(poles=[0.2, 0.1, 0.3, 0.4])):
+            design_filter_from_xi(xi, cfg)
+        assert len(calls) == 1
+        for cfg in (pp_config(sensor=1), pp_config(hankel_rows=15),
+                    pp_config(hankel_cols=15), pp_config(order=3, poles=POLES4[:3])):
+            design_filter_from_xi(xi, cfg)
+            design_filter_from_xi(xi, cfg)
+        assert len(calls) == 5
+        design_filter_from_xi(copy.deepcopy(xi), pp_config())
+        assert len(calls) == 6
+        key = ((0,), 20, 20, 4)
+        inv = markov_design._REALIZED[xi][1][key]
+        assert not any(M.flags.writeable for M in (inv.A, inv.B, inv.C, inv.D))
+
+    @pytest.mark.parametrize("edit", ["in_place", "reassigned"])
+    def test_edited_xi_is_realized_anew(self, xi, edit):
+        cfg = pp_config()
+        before = design_filter_from_xi(xi, cfg).step_matrix()
+        if edit == "in_place":
+            xi.Hy[0] *= 1.1
+        else:
+            xi.Hu = xi.Hu * 1.1
+        after = design_filter_from_xi(xi, cfg).step_matrix()
+        assert np.array_equal(after, design_filter_from_xi(copy.deepcopy(xi), cfg).step_matrix())
+        assert not np.array_equal(after, before)
+
+    def test_entry_lives_as_long_as_its_xi(self, rng):
+        xi = exact_xi(stable_invertible_predictor(rng), p=100)  # not the fixture's: it holds one
+        design_filter_from_xi(xi, pp_config())
+        gc.collect()  # other tests' xi may wait in reference cycles
+        entries = len(markov_design._REALIZED)
+        inv = weakref.ref(markov_design._REALIZED[xi][1][((0,), 20, 20, 4)])
+        ref = weakref.ref(xi)
+        del xi
+        gc.collect()
+        assert ref() is None and inv() is None
+        assert len(markov_design._REALIZED) == entries - 1
+
+    @pytest.mark.parametrize("cfg, message", [
+        (dict(order=200), "realize: order 200 outside [1, 60] for this Hankel matrix"),
+        (dict(sensor=2, strategy="riccati"), "markov: sensor index 2 outside [0, 2)"),
+    ], ids=["realize", "markov"])
+    def test_failure_is_not_kept(self, xi, monkeypatch, cfg, message):
+        calls = count_realize(monkeypatch)
+        cfg = pp_config(**{"poles": None, "strategy": "riccati", **cfg})
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                design_filter_from_xi(xi, cfg)
+        assert len(calls) == (2 if message.startswith("realize") else 0)
+
+    def test_rank_warning_once_per_key(self, xi):
+        # exact data of a 4-state predictor: orders above 4 exceed the rank
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for order in (5, 5, 6, 5, 6):
+                for strategy in ("riccati", "pole_placement"):
+                    design_filter_from_xi(xi, pp_config(
+                        order=order, strategy=strategy,
+                        poles=list(np.linspace(0.1, 0.6, order))))
+        assert [str(w.message).split(";")[0] for w in caught] == [
+            "requested order 5 exceeds the numerical rank 4",
+            "requested order 6 exceeds the numerical rank 4"]
+
+
 class TestDesignConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -427,6 +532,23 @@ class TestDesignConfig:
     def test_non_integer_count_is_named(self, kw, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             DesignConfig(**kw)
+
+    @pytest.mark.parametrize("sensor, message", [
+        ([], "sensor must name at least one sensor, got none"),
+        ((), "sensor must name at least one sensor, got none"),
+        (0.5, "sensor index must be an integer, got 0.5"),
+        ([0, "x"], "sensor index must be an integer, got 'x'"),
+        (None, "sensor index must be an integer, got None"),
+        (-1, "sensor index -1 outside [0, inf)"),
+        ([1, 1], "duplicate sensor indices in [1, 1]"),
+    ], ids=["empty-list", "empty-tuple", "fraction", "text", "none", "negative", "repeated"])
+    def test_bad_sensor_is_named(self, sensor, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            DesignConfig(sensor=sensor)
+
+    def test_sensor_kept_as_given(self):
+        assert DesignConfig(sensor=[1, 0]).sensor == [1, 0]
+        assert DesignConfig(sensor=np.int64(5)).sensor == 5
 
     def test_counts_read_as_int(self):
         cfg = DesignConfig(markov_length=np.int64(60), hankel_rows="12", order="4",

@@ -14,7 +14,7 @@ from faultfilter import (
     to_predictor,
 )
 from faultfilter.lti_core import block_toeplitz, extended_observability, markov_parameters
-from faultfilter.mhe_baseline import MheProblem
+from faultfilter.mhe_baseline import MheProblem, _smallest_singular_value
 
 from conftest import dense_mhe_gain, random_model, random_predictor
 
@@ -163,6 +163,60 @@ class TestRankRule:
         r = rng.standard_normal(L * n_y)
         assert np.allclose(mhe_estimate(prob, r)[-n_f:], prob.gain_rows @ r,
                            atol=tol * np.abs(r).sum())
+
+
+def triangular_factor(seed, n, log_cond):
+    """Upper triangular R of a random n x n matrix with the given condition."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.logspace(0.0, -log_cond, n)
+    return np.linalg.qr((U * s) @ V.T, mode="r")
+
+
+class TestRankScreen:
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+           log_cond=st.floats(0.0, 14.0), log_tol=st.floats(-16.0, 1.0))
+    def test_bound_is_below_smallest_singular_value(self, seed, n, log_cond, log_tol):
+        # 1/||R^-1||_F <= sigma_min(R), up to rounding of the order of
+        # eps ||R||; so a bound above 2 tol decides the rule as the SVD does
+        R = triangular_factor(seed, n, log_cond)
+        sv = np.linalg.svd(R, compute_uv=False)
+        rounding = 8 * n * np.finfo(float).eps * sv[0]
+        bound = _smallest_singular_value(R, 0.0)
+        assert 0.0 < bound <= sv[-1] + rounding
+        tol = 10.0 ** log_tol
+        got = _smallest_singular_value(R, tol)
+        assert got == bound if bound > 2 * tol else got == sv[-1]
+        if abs(sv[-1] - tol) > rounding:
+            assert (got > tol) == (sv[-1] > tol)
+
+    def test_inconclusive_bound_falls_back_to_svd(self, monkeypatch):
+        # the identity's bound is 1/sqrt(n) of its sigma_min = 1: at
+        # tol = 0.1 it does not clear 2 tol, but the SVD passes the rule
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        assert _smallest_singular_value(np.eye(100), 0.1) == 1.0
+        assert len(calls) == 1
+        assert _smallest_singular_value(np.eye(100), 0.01) == 0.1
+        assert len(calls) == 1
+
+    def test_wide_factor_has_a_zero_singular_value(self):
+        assert _smallest_singular_value(np.triu(np.ones((2, 3))), 1e-300) == 0.0
+
+    def test_certified_window_runs_one_svd(self, rng, monkeypatch):
+        # the screen settles an identifiable window: the only SVD left is
+        # the one of O
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        pred = random_predictor(rng, n=3, n_y=2, sensors=(0,))
+        prob = build_mhe(pred, 20)
+        assert len(calls) == 1
+        ref = dense_mhe_gain(prob.O, prob.Tf)[-1:]
+        assert np.allclose(prob.gain_rows, ref, atol=1e-8 * np.abs(ref).max())
 
 
 class TestEstimate:

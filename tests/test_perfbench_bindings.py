@@ -68,3 +68,27 @@ def test_traced_step_on_a_copy_matches_run(monkeypatch):
     got = np.array([stream.step(u[k], y[k]) for k in range(len(u))])
     assert len(tracer.start) == len(u)
     assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+def test_second_strategy_on_one_xi_skips_realize(monkeypatch):
+    # a xi keeps its realized inverse: the traced design of the other gain
+    # strategy records an assemble_filter span but no second realize span
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    model, ctrl = ff.get_plant("unstable4").factory()
+    xi = ff.identify_xi(ff.collect_identification_data(ff.sensor_fault_plant(model, 0), ctrl,
+                                                       2000, seed=3), 40, assume_delay=True)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        for strategy in ("pole_placement", "riccati"):
+            ff.design_filter_from_xi(xi, ff.DesignConfig(
+                sensor=0, markov_length=40, hankel_rows=10, hankel_cols=10, order=4,
+                strategy=strategy, poles=[0.5, 0.4, 0.3, 0.2]))
+    finally:
+        tracer.uninstall()
+    spans = [tracer.names[i] for i in tracer.name]
+    assert spans.count("markov_design.design_filter_from_xi") == 2
+    assert spans.count("markov_design.realize") == 1
+    assert spans.count("markov_design.assemble_filter") == 2

@@ -146,9 +146,9 @@ def parse_fault_signal(text: str):
 _DEFAULT_SIGNAL = (("sin", 1.0, 0.1 * np.pi), ("step", 1.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultScenario:
-    """When and how the plant's faults act.
+    """When and how the plant's faults act, fixed once built and checked.
 
     The plant's fault channels (its E and G columns) place the faults;
     one signal term list per channel describes the fault value from the
@@ -160,11 +160,13 @@ class FaultScenario:
     onset: int = 51
     signals: tuple = None
 
-    def __post_init__(self):
-        if self.signals is not None:
-            self.signals = tuple(tuple(parse_fault_signal(sig) if isinstance(sig, str)
-                                       else sig) for sig in self.signals)
-        self.onset = _as_int(self.onset, "onset", 0)
+    def __post_init__(self):  # a frozen instance: fields are set here only
+        if isinstance(self.signals, str):
+            raise ValidationError(f"signals needs one string per fault, not {self.signals!r}")
+        signals = self.signals if self.signals is None else tuple(
+            tuple(parse_fault_signal(sig) if isinstance(sig, str) else sig)
+            for sig in self.signals)
+        self.__dict__.update(signals=signals, onset=_as_int(self.onset, "onset", 0))
 
     def evaluate(self, N: int, n_faults: int) -> np.ndarray:
         """Fault value series of shape (N, n_faults)."""
@@ -647,9 +649,9 @@ def write_report_svg(report: ExperimentReport, path) -> None:
 # benchmark configuration and orchestration
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchConfig:
-    """Everything a comparison run needs.
+    """Everything a comparison run needs, fixed once built and checked.
 
     Defaults reproduce the standard protocol on the registry plant:
     p = 100 past window, window length 100, 20 x 20 Hankel blocks,
@@ -669,6 +671,7 @@ class BenchConfig:
     estimates (sample markov_length - 1, where the MHE window fills) is
     a ValidationError naming the field.  ``design`` is the checked
     DesignConfig, built from its fields (``sensor`` from ``sensors``).
+    Assigning a field raises; ``dataclasses.replace`` checks again.
     """
 
     plant: str = "unstable4"
@@ -694,14 +697,15 @@ class BenchConfig:
     design: DesignConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        d = self.__dict__  # a frozen instance: fields are set here only
         for name, least in (("seed", 0), ("n_ident", 1), ("run_samples", 1),
                             ("p", 1), ("window_start", None)):
             label = "n_ident ([identify] n_samples)" if name == "n_ident" else name
-            setattr(self, name, _as_int(getattr(self, name), label, least))
+            d[name] = _as_int(getattr(self, name), label, least)
         if self.window_stop is not None:
-            self.window_stop = _as_int(self.window_stop, "window_stop")
+            d["window_stop"] = _as_int(self.window_stop, "window_stop")
         _check_noise_scales(self.q, self.r)
-        self.sensors = tuple(_as_int(j, "each entry of sensors")
+        d["sensors"] = tuple(_as_int(j, "each entry of sensors")
                              for j in np.atleast_1d(self.sensors).tolist())
         if not self.sensors:
             raise ValidationError("sensors must name at least one sensor, got none")
@@ -712,7 +716,7 @@ class BenchConfig:
         if signals is not None and len(signals) != len(self.sensors):
             raise ValidationError(
                 f"{len(self.sensors)} sensors but {len(signals)} fault signals")
-        self.design = DesignConfig(sensor=list(self.sensors), **{
+        d["design"] = DesignConfig(sensor=self.sensors, **{
             f.name: getattr(self, f.name) for f in fields(DesignConfig) if f.name != "sensor"})
         L = self.design.markov_length
         stop = self.run_samples if self.window_stop is None else self.window_stop

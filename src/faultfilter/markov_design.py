@@ -60,7 +60,7 @@ __all__ = [
     "design_filter_from_xi",
 ]
 
-# {xi: (Hu, Hy fingerprint, {design key: realized inverse})}, weakly keyed
+# {xi: {design key: realized inverse}}, weakly keyed; a xi is fixed once built
 _REALIZED = weakref.WeakKeyDictionary()
 
 
@@ -186,22 +186,22 @@ def convolve_Q(Hz: np.ndarray, Hf: np.ndarray, Ri: np.ndarray,
     return Hz[:L] - conv.reshape(Hz[:L].shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignConfig:
-    """Knobs of the data-driven design.
+    """Knobs of the data-driven design, fixed once built and checked.
 
-    ``sensor`` uses zero based indexing (an int or a nonempty collection).
-    ``order`` is either an integer or "auto", in which case the largest
-    singular value ratio gap picks the order (ties to the smaller one).
-    The design reads the first l + m window blocks, l = ``hankel_rows``
-    and m = ``hankel_cols``; ``markov_length`` only bounds them (at
-    least l + m, at most p + 1 of the identified xi) and also sets the
-    MHE window of the ``compare`` benchmark.  A sensor, count or ``order``
-    that is not an integer, or a string of one, is a ValidationError
-    naming it, as is a negative or repeated sensor.
-    Pole placement needs ``poles``, one per state when ``order`` is an
-    integer; a pole that is not real, not finite or not inside the unit
-    circle is a ValidationError naming it.
+    ``sensor`` uses zero based indexing (an int or a nonempty collection),
+    kept as a sorted tuple.  ``order`` is either an integer or "auto", in
+    which case the largest singular value ratio gap picks the order (ties to
+    the smaller one).  The design reads the first l + m window blocks, l =
+    ``hankel_rows`` and m = ``hankel_cols``; ``markov_length`` only bounds
+    them (at least l + m, at most p + 1 of the identified xi) and also sets
+    the MHE window of the ``compare`` benchmark.  A sensor, count or
+    ``order`` that is not an integer, or a string of one, is a
+    ValidationError naming it, as is a negative or repeated sensor.  Pole
+    placement needs ``poles``, one per state when ``order`` is an integer; a
+    pole that is not real, not finite or not inside the unit circle is a
+    ValidationError naming it.  ``dataclasses.replace`` checks again.
     """
 
     sensor: object = 0
@@ -213,10 +213,12 @@ class DesignConfig:
     poles: object = None
 
     def __post_init__(self):
-        if not _sensor_list(self.sensor):
+        d = self.__dict__  # a frozen instance: fields are set here only
+        d["sensor"] = tuple(_sensor_list(self.sensor))
+        if not self.sensor:
             raise ValidationError("sensor must name at least one sensor, got none")
         for name in ("markov_length", "hankel_rows", "hankel_cols"):
-            setattr(self, name, _as_int(getattr(self, name), name))
+            d[name] = _as_int(getattr(self, name), name)
         L, l, m = self.markov_length, self.hankel_rows, self.hankel_cols
         if l < 2 or m < 2:
             raise ValidationError("hankel_rows and hankel_cols must be at least 2")
@@ -225,13 +227,13 @@ class DesignConfig:
                 f"markov_length {L} too short for a {l} x {m} block Hankel "
                 f"matrix; need at least {l + m}")
         if self.order != "auto":
-            self.order = _as_int(self.order, "order")
+            d["order"] = _as_int(self.order, "order")
             if self.order < 1:
                 raise ValidationError("order must be positive or 'auto'")
         if self.strategy not in ("riccati", "pole_placement"):
             raise ValidationError(f"unknown strategy {self.strategy!r}")
         if self.poles is not None:
-            self.poles = tuple(_real_stable_poles(self.poles).tolist())
+            d["poles"] = tuple(_real_stable_poles(self.poles).tolist())
         if self.strategy == "pole_placement" and self.poles is None:
             raise ValidationError("pole_placement needs poles")
         if self.strategy == "pole_placement" and self.order not in ("auto", len(self.poles)):
@@ -323,11 +325,10 @@ def realize(Wi: np.ndarray, cfg: DesignConfig):
         (LinearSystem, singular_values) as from :func:`ho_kalman`, which
         raises on too few blocks.
     """
-    n_f = 1 if np.isscalar(cfg.sensor) else len(set(int(j) for j in cfg.sensor))
-    n_y = Wi.shape[1] - n_f  # blocks are (n_f + n_y) x (n_u + n_y)
+    n_y = Wi.shape[1] - len(cfg.sensor)  # blocks are (n_f + n_y) x (n_u + n_y)
     if n_y < 1 or Wi.shape[2] < n_y:
         raise ValidationError(
-            f"window block shape {Wi.shape[1:]} inconsistent with {n_f} sensors")
+            f"window block shape {Wi.shape[1:]} inconsistent with {len(cfg.sensor)} sensors")
     return ho_kalman(Wi, cfg.hankel_rows, cfg.hankel_cols, order=cfg.order,
                      shift="controllability")
 
@@ -394,22 +395,18 @@ def design_filter_from_xi(xi: IdentifiedXi, cfg: DesignConfig) -> FaultEstimatio
     A xi keeps one realization per key (sensors, hankel_rows, hankel_cols,
     order) while it lives: a design differing only in ``strategy`` or
     ``poles`` only stabilizes, and ho_kalman's rank warning shows once per
-    key.  Editing xi.Hu or xi.Hy realizes anew; failures are not kept.
+    key.  A xi and a cfg are fixed once built; failures are not kept.
     """
-    if cfg.markov_length > xi.p + 1:
-        raise ValidationError(
-            f"markov_length {cfg.markov_length} exceeds the {xi.p + 1} identified blocks")
-    L = cfg.hankel_rows + cfg.hankel_cols  # the blocks realize reads
-    fingerprint = [(a.shape, a.tobytes()) for a in (xi.Hu, xi.Hy)]
-    if _REALIZED.get(xi, (None,))[0] != fingerprint:
-        _REALIZED[xi] = fingerprint, {}
-    realized = _REALIZED[xi][1]
+    realized = _REALIZED.setdefault(xi, {})
+    key = (cfg.sensor, cfg.hankel_rows, cfg.hankel_cols, cfg.order)
     stage = "markov"
     try:
-        key = (tuple(_sensor_list(cfg.sensor, xi.n_y)), cfg.hankel_rows,
-               cfg.hankel_cols, cfg.order)
+        if cfg.markov_length > xi.p + 1:
+            raise ValidationError(f"markov_length {cfg.markov_length} exceeds the "
+                                  f"{xi.p + 1} identified blocks")
         inv = realized.get(key)
         if inv is None:
+            L = cfg.hankel_rows + cfg.hankel_cols  # the blocks realize reads
             Hf = fault_markov(xi.Hy, cfg.sensor, L)
             Hz = z_markov(xi.Hu, xi.Hy, L)
             Wi = _window_blocks(Hf, Hz, L)

@@ -28,21 +28,22 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ExcitationError, ValidationError
 from .lti_core import (IOData, PredictorModel, _CsvRows, _as_int, _finite_samples,
-                       _write_csv, markov_parameters)
+                       _read_only, _write_csv, markov_parameters)
 
 __all__ = ["IdentifiedXi", "xi_from_predictor", "identify_xi"]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class IdentifiedXi:
-    """Estimated predictor Markov parameters up to lag p.
+    """Estimated predictor Markov parameters up to lag p, fixed once built.
 
     ``Hu`` holds H_0^u .. H_p^u (index equals the lag); ``Hy`` holds
     H_1^y .. H_p^y, so ``Hy[i]`` is the lag i+1 block and the implicit
     H_0^y = 0 is not stored; both are (blocks, rows, cols) arrays.
     ``residual_variance`` is the sample covariance of the regression
     residuals, an estimate of the innovation covariance.  A nan or inf
-    entry in any of them raises a ValidationError.
+    entry in any of them raises a ValidationError.  The arrays are kept
+    as read-only copies; copies and pickles are rebuilt and checked.
     """
 
     Hu: np.ndarray
@@ -51,11 +52,11 @@ class IdentifiedXi:
     residual_variance: np.ndarray = None
 
     def __post_init__(self):
-        self.Hu = np.asarray(self.Hu, dtype=float)
-        self.Hy = np.asarray(self.Hy, dtype=float)
+        d = self.__dict__  # a frozen instance: fields are set here only
+        d["Hu"], d["Hy"] = np.array(self.Hu, dtype=float), np.array(self.Hy, dtype=float)
         if self.Hu.ndim != 3 or self.Hy.ndim != 3:
             raise ValidationError("Hu and Hy must be arrays of shape (blocks, rows, cols)")
-        p = self.p = _as_int(self.p, "past window p", 1)
+        p = d["p"] = _as_int(self.p, "past window p", 1)
         if len(self.Hu) != p + 1:
             raise ValidationError(f"expected {p + 1} input blocks, got {len(self.Hu)}")
         if len(self.Hy) != p:
@@ -64,16 +65,17 @@ class IdentifiedXi:
         if self.Hy.shape[1:] != (ny, ny):
             raise ValidationError(
                 f"output blocks must be {ny} x {ny}, got {self.Hy.shape[1:]}")
-        if self.residual_variance is None:
-            self.residual_variance = np.zeros((ny, ny))
-        else:
-            self.residual_variance = np.atleast_2d(
-                np.asarray(self.residual_variance, dtype=float))
-            if self.residual_variance.shape != (ny, ny):
-                raise ValidationError("residual variance must be n_y x n_y")
+        cov = np.zeros((ny, ny)) if self.residual_variance is None else self.residual_variance
+        cov = d["residual_variance"] = np.atleast_2d(np.array(cov, dtype=float))
+        if cov.shape != (ny, ny):
+            raise ValidationError("residual variance must be n_y x n_y")
         for name in ("Hu", "Hy", "residual_variance"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValidationError(f"non-finite entry in {name}")
+        _read_only(self)
+
+    def __reduce__(self):  # copies and pickles are built anew, so checked and fixed
+        return type(self), (self.Hu, self.Hy, self.p, self.residual_variance)
 
     @property
     def n_u(self) -> int:
@@ -103,7 +105,7 @@ class IdentifiedXi:
                 f"stacked shape {xi.shape} does not match p={p}, n_u={n_u}, n_y={n_y}")
         lags = xi[:, :p * w].reshape(n_y, p, w).transpose(1, 0, 2)[::-1]  # lag 1 first
         Hu = np.concatenate([xi[None, :, p * w:], lags[:, :, :n_u]])
-        return cls(Hu, lags[:, :, n_u:].copy(), p, residual_variance)
+        return cls(Hu, lags[:, :, n_u:], p, residual_variance)
 
     def to_csv(self, path) -> None:
         """Write the estimate with a small manifest header.

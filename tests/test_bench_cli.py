@@ -178,6 +178,19 @@ class TestFaultScenario:
         with pytest.raises(ValidationError, match="onset"):
             FaultScenario(onset=-1)
 
+    def test_bare_string_signals_rejected(self):
+        # a bare string would be read one character per fault
+        with pytest.raises(ValidationError, match=re.escape(
+                "signals needs one string per fault, not 'step 1'")):
+            FaultScenario(signals="step 1")
+
+    @pytest.mark.parametrize("name, value", [("onset", 5), ("signals", ("step 2",))])
+    def test_fields_are_fixed(self, name, value):
+        scen = FaultScenario(onset=10, signals=("step 1",))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(scen, name, value)
+        assert (scen.onset, scen.signals) == (10, ((("step", 1.0),),))
+
 
 class TestRegistry:
     def test_default_plant_registered(self):
@@ -575,13 +588,26 @@ class TestBenchConfig:
         new = dataclasses.replace(cfg, hankel_rows=15, order="auto", strategy="riccati",
                                   sensors=(1,))
         assert (new.design.hankel_rows, new.design.order, new.design.strategy,
-                new.design.sensor) == (15, "auto", "riccati", [1])
+                new.design.sensor) == (15, "auto", "riccati", (1,))
         assert (cfg.design.hankel_rows, cfg.design.order, cfg.design.strategy,
-                cfg.design.sensor) == (12, 4, "pole_placement", [0])
+                cfg.design.sensor) == (12, 4, "pole_placement", (0,))
         with pytest.raises(ValidationError, match="hankel_rows and hankel_cols"):
             dataclasses.replace(cfg, hankel_rows=1)
         with pytest.raises(ValidationError, match="bad statistics window"):
             dataclasses.replace(cfg, markov_length=400)
+
+    @pytest.mark.parametrize("name, value", [
+        ("sensors", (1,)), ("hankel_rows", 1), ("order", "junk"), ("seed", 4),
+        ("design", ff.DesignConfig()),
+    ])
+    def test_fields_are_fixed(self, name, value):
+        # an assigned field would leave cfg.design built from the old one
+        cfg = small_cfg()
+        design = cfg.design
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+        assert (cfg.sensors, cfg.hankel_rows, cfg.order, cfg.seed) == ((0,), 12, 4, 3)
+        assert cfg.design is design and design.sensor == (0,)
 
     def test_design_holds_the_checked_settings(self):
         cfg = small_cfg(order="4", hankel_cols=np.int64(12), poles=[0.9, 0.5, 0.3, 0.1],

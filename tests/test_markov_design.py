@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import gc
+import pickle
 import re
 import warnings
 import weakref
@@ -366,6 +368,12 @@ class TestDesignPipeline:
             design_filter_from_xi(
                 xi, DesignConfig(sensor=0, markov_length=50, order=4))
 
+    def test_markov_length_failure_is_stage_tagged(self, rng):
+        xi = exact_xi(random_predictor(rng), p=40)
+        message = "markov: markov_length 100 exceeds the 41 identified blocks"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            design_filter_from_xi(xi, DesignConfig(sensor=0, markov_length=100, order=4))
+
     def test_design_from_data_end_to_end(self, rng):
         # noisy data from the registry loop; the designed filter must
         # track a fault on fresh data reasonably well
@@ -458,27 +466,46 @@ class TestRealizationCache:
         design_filter_from_xi(copy.deepcopy(xi), pp_config())
         assert len(calls) == 6
         key = ((0,), 20, 20, 4)
-        inv = markov_design._REALIZED[xi][1][key]
+        inv = markov_design._REALIZED[xi][key]
         assert not any(M.flags.writeable for M in (inv.A, inv.B, inv.C, inv.D))
 
     @pytest.mark.parametrize("edit", ["in_place", "reassigned"])
-    def test_edited_xi_is_realized_anew(self, xi, edit):
+    def test_edits_raise(self, xi, edit):
+        # a xi is fixed once built, so its realization cannot go stale
         cfg = pp_config()
         before = design_filter_from_xi(xi, cfg).step_matrix()
         if edit == "in_place":
-            xi.Hy[0] *= 1.1
+            with pytest.raises(ValueError, match="read-only"):
+                xi.Hy[0] *= 1.1
         else:
-            xi.Hu = xi.Hu * 1.1
-        after = design_filter_from_xi(xi, cfg).step_matrix()
-        assert np.array_equal(after, design_filter_from_xi(copy.deepcopy(xi), cfg).step_matrix())
-        assert not np.array_equal(after, before)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                xi.Hu = xi.Hu * 1.1
+        assert np.array_equal(design_filter_from_xi(xi, cfg).step_matrix(), before)
+
+    @pytest.mark.parametrize("rebuild", [copy.deepcopy,
+                                         lambda xi: pickle.loads(pickle.dumps(xi))],
+                             ids=["deepcopy", "pickle"])
+    def test_copy_is_fixed_and_realized_anew(self, xi, monkeypatch, rebuild):
+        cfg = pp_config()
+        before = design_filter_from_xi(xi, cfg).step_matrix()
+        calls = count_realize(monkeypatch)
+        twin = rebuild(xi)
+        assert type(twin) is type(xi) and twin.p == xi.p
+        for name in ("Hu", "Hy", "residual_variance"):
+            a, b = getattr(xi, name), getattr(twin, name)
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)
+            assert not b.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.p = 3
+        assert np.array_equal(design_filter_from_xi(twin, cfg).step_matrix(), before)
+        assert len(calls) == 1 and twin in markov_design._REALIZED
 
     def test_entry_lives_as_long_as_its_xi(self, rng):
         xi = exact_xi(stable_invertible_predictor(rng), p=100)  # not the fixture's: it holds one
         design_filter_from_xi(xi, pp_config())
         gc.collect()  # other tests' xi may wait in reference cycles
         entries = len(markov_design._REALIZED)
-        inv = weakref.ref(markov_design._REALIZED[xi][1][((0,), 20, 20, 4)])
+        inv = weakref.ref(markov_design._REALIZED[xi][((0,), 20, 20, 4)])
         ref = weakref.ref(xi)
         del xi
         gc.collect()
@@ -546,9 +573,21 @@ class TestDesignConfig:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             DesignConfig(sensor=sensor)
 
-    def test_sensor_kept_as_given(self):
-        assert DesignConfig(sensor=[1, 0]).sensor == [1, 0]
-        assert DesignConfig(sensor=np.int64(5)).sensor == 5
+    def test_sensor_kept_as_sorted_tuple(self):
+        assert DesignConfig(sensor=[1, 0]).sensor == (0, 1)
+        assert DesignConfig(sensor=np.int64(5)).sensor == (5,)
+        assert type(DesignConfig(sensor=np.int64(5)).sensor[0]) is int
+
+    @pytest.mark.parametrize("name, value", [
+        ("sensor", 1), ("hankel_rows", 1), ("order", "junk"), ("strategy", "riccati"),
+        ("poles", None),
+    ])
+    def test_fields_are_fixed(self, name, value):
+        cfg = DesignConfig(order=4, strategy="pole_placement", poles=POLES4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+        assert cfg == DesignConfig(order=4, strategy="pole_placement", poles=POLES4)
+        assert dataclasses.replace(cfg, sensor=[1]).sensor == (1,)
 
     def test_counts_read_as_int(self):
         cfg = DesignConfig(markov_length=np.int64(60), hankel_rows="12", order="4",

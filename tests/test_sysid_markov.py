@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -133,6 +134,47 @@ class TestReference:
         blocks[flat] = blocks[flat].reshape(len(blocks[flat]), -1)
         with pytest.raises(ValidationError, match=r"shape \(blocks, rows, cols\)"):
             IdentifiedXi(blocks["Hu"], blocks["Hy"], 5)
+
+
+class TestFixedXi:
+    """A built xi is fixed: read-only copies of its arrays, no assignment."""
+
+    @pytest.fixture
+    def parts(self, rng):
+        xi = xi_from_predictor(to_predictor(random_model(rng, n=3)), p=5)
+        return [np.array(a) for a in (xi.Hu, xi.Hy)] + [5, np.eye(2)]
+
+    @pytest.mark.parametrize("name, value", [
+        ("Hu", np.zeros((6, 2, 2))), ("Hy", np.zeros((5, 2, 2))), ("p", 4),
+        ("residual_variance", np.eye(2)),
+    ])
+    def test_assigning_a_field_raises(self, parts, name, value):
+        xi = IdentifiedXi(*parts)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(xi, name, value)
+        assert xi.p == 5 and np.array_equal(xi.Hu, parts[0])
+
+    @pytest.mark.parametrize("name", ["Hu", "Hy", "residual_variance"])
+    def test_editing_an_array_in_place_raises(self, parts, name):
+        xi = IdentifiedXi(*parts)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(xi, name)[0] += 1.0
+
+    def test_callers_arrays_stay_writeable(self, parts):
+        xi = IdentifiedXi(*parts)
+        arrays = (parts[0], parts[1], parts[3])
+        assert all(a.flags.writeable for a in arrays)
+        for a, b in zip(arrays, (xi.Hu, xi.Hy, xi.residual_variance)):
+            assert not np.shares_memory(a, b)
+        parts[0][0] += 1.0  # the caller's edit does not reach the xi
+        assert not np.array_equal(xi.Hu, parts[0])
+
+    def test_predictor_stays_writeable(self, rng):
+        pred = to_predictor(random_model(rng, n=3))
+        xi = xi_from_predictor(pred, p=5)
+        assert pred.SigmaE.flags.writeable
+        assert not np.shares_memory(pred.SigmaE, xi.residual_variance)
+        assert not xi.residual_variance.flags.writeable
 
 
 class TestResiduals:

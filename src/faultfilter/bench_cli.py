@@ -27,6 +27,7 @@ import argparse
 import configparser
 import copy
 import functools
+import numbers
 import os
 import sys
 import time
@@ -53,11 +54,12 @@ from .lti_core import (
     LinearSystem,
     StateSpaceModel,
     _FMT,
+    _RecursionPlan,
     _as_int,
     _finite_samples,
     _read_only,
+    _recursion_plan,
     _write_csv,
-    lti_recursion,
     psd_factor,
     sensor_fault_channel,
     sensor_fault_plant,
@@ -144,6 +146,26 @@ def parse_fault_signal(text: str):
 
 
 _DEFAULT_SIGNAL = (("sin", 1.0, 0.1 * np.pi), ("step", 1.0))
+_TERM_SIZES = {"step": 2, "sin": 3, "cos": 3}  # the name and its numbers
+
+
+def _signal_terms(sig) -> tuple:
+    """A fault signal's term tuples: a string parsed, a sequence checked."""
+    if isinstance(sig, str):
+        return tuple(parse_fault_signal(sig))
+    try:
+        terms = tuple(sig)
+    except TypeError:
+        raise ValidationError(
+            f"fault signal {sig!r} is neither a string nor a sequence of terms") from None
+    for term in terms:
+        if not (isinstance(term, tuple) and term and isinstance(term[0], str)
+                and _TERM_SIZES.get(term[0]) == len(term)
+                and all(isinstance(x, numbers.Real) and np.isfinite(x) for x in term[1:])):
+            raise ValidationError(
+                f"bad term {term!r} in fault signal {sig!r}: expected ('step', amp) or "
+                "('sin' | 'cos', amp, freq) with finite real numbers")
+    return tuple((term[0], *map(float, term[1:])) for term in terms)
 
 
 @dataclass(frozen=True)
@@ -164,8 +186,7 @@ class FaultScenario:
         if isinstance(self.signals, str):
             raise ValidationError(f"signals needs one string per fault, not {self.signals!r}")
         signals = self.signals if self.signals is None else tuple(
-            tuple(parse_fault_signal(sig) if isinstance(sig, str) else sig)
-            for sig in self.signals)
+            _signal_terms(sig) for sig in self.signals)
         self.__dict__.update(signals=signals, onset=_as_int(self.onset, "onset", 0))
 
     def evaluate(self, N: int, n_faults: int) -> np.ndarray:
@@ -184,10 +205,8 @@ class FaultScenario:
                     val += term[1]
                 elif term[0] == "sin":
                     val += term[1] * np.sin(term[2] * k)
-                elif term[0] == "cos":
-                    val += term[1] * np.cos(term[2] * k)
                 else:
-                    raise ValidationError(f"unknown fault term {term!r}")
+                    val += term[1] * np.cos(term[2] * k)
             f[self.onset:, i] = val
         return f
 
@@ -278,21 +297,24 @@ _REGISTRY = {"unstable4": PlantEntry(_unstable4_factory)}
 
 @dataclass(eq=False)
 class _Loop:
-    """A plant under feedback and its noise factors: closed_loop_sim less the draws."""
+    """A plant under feedback, its noise factors and its recursion plan:
+    closed_loop_sim less the draws."""
 
     model: StateSpaceModel
     system: LinearSystem
     w_factor: np.ndarray
     v_factor: np.ndarray
+    plan: _RecursionPlan
 
     @classmethod
     def build(cls, model: StateSpaceModel, gain) -> "_Loop":
-        return cls(model, _closed_loop_system(model, gain),
-                   psd_factor(model.Q), psd_factor(model.R))
+        system = _closed_loop_system(model, gain)
+        return cls(model, system, psd_factor(model.Q), psd_factor(model.R),
+                   _recursion_plan(system.A, system.B, system.C, system.D))
 
     def simulate(self, N: int, rng, scenario: FaultScenario = None, eta=None):
         """closed_loop_sim on this loop."""
-        model, loop = self.model, self.system
+        model = self.model
         nu, ny = model.n_inputs, model.n_outputs
         eta = np.zeros((N, nu)) if eta is None else np.asarray(eta, dtype=float)
         if eta.shape != (N, nu):
@@ -301,8 +323,7 @@ class _Loop:
         V = rng.standard_normal((N, ny)) @ self.v_factor.T
         nf = model.n_faults
         fault = np.zeros((N, nf)) if scenario is None else scenario.evaluate(N, nf)
-        UY, _ = lti_recursion(loop.A, loop.B, loop.C, loop.D,
-                              np.hstack([eta, W, V, fault]))
+        UY, _ = self.plan.apply(np.hstack([eta, W, V, fault]))
         return IOData(UY[:, :nu], UY[:, nu:]), fault
 
 
@@ -761,7 +782,7 @@ def _true_filter(faulty: StateSpaceModel, strategy: str, poles) -> FaultEstimati
 def _registry_loop(plant: str, q, r, sensors: tuple) -> _Loop:
     model, controller = get_plant(plant).factory(q=q, r=r)
     loop = _Loop.build(sensor_fault_plant(model, sensors), controller)
-    _read_only(loop, loop.model, loop.system)
+    _read_only(loop, loop.model, loop.system, loop.plan, loop.plan.state)
     return loop
 
 
@@ -787,12 +808,12 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     The plant-only half of the work, which depends on (plant, q, r,
     sensors, strategy, poles) and not on the seed, is the faulty plant,
     its closed loop with the noise factors both simulations draw
-    through, and alg0's filter.  For a registry plant under its registry
-    controller it is built once per process and kept, read-only; alg0
-    runs on a copy of the kept filter.  A seed sweep thus repeats only
-    the simulations, the identification and alg1..alg3, with the same
-    results as building everything anew.  An explicit ``model`` or
-    ``controller`` is built on every call.
+    through and the loop's recursion plan, and alg0's filter.  For a
+    registry plant under its registry controller it is built once per
+    process and kept, read-only; alg0 runs on a copy of the kept filter.
+    A seed sweep thus repeats only the simulations, the identification
+    and alg1..alg3, with the same results as building everything anew.
+    An explicit ``model`` or ``controller`` is built on every call.
     """
     design = cfg.design
     if cfg.model is None and cfg.controller is None:

@@ -84,8 +84,8 @@ def _as_int(value, name, least=None) -> int:
 
 
 def _read_only(*objs) -> None:
-    """Mark the array fields of cached objects read-only."""
-    for obj in objs:
+    """Mark the array fields of cached objects read-only; None is skipped."""
+    for obj in filter(None, objs):
         for value in vars(obj).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -476,36 +476,82 @@ def lti_recursion(A, B, C, D, inputs, x0=None):
     product over the chunk would carry a nan to the samples before it).
     That loop only applies A; the input and readout terms are one matrix
     product each.  Returns (out, x(N)); callers validate shapes.
+
+    The work splits in two: :func:`_recursion_plan` builds what depends
+    on the matrices alone, and :meth:`_RecursionPlan.apply` runs a
+    record through it with the per-call checks.  A caller that runs many
+    records through one quadruple can keep the plan.
     """
-    T, (n, m), (p, N) = _CHUNK, B.shape, (C.shape[0], inputs.shape[0])
+    return _recursion_plan(A, B, C, D).apply(inputs, x0)
+
+
+@dataclass(eq=False)
+class _RecursionPlan:
+    """The matrix-only half of :func:`lti_recursion` for one (A, B, C, D).
+
+    ``state`` is the plan on (A, I, I, 0) when the scheme runs on the
+    state map, else None.  ``O``, ``ctrl``, ``power`` (A^T transposed)
+    and ``toeplitz`` are the chunk factors, None when the matrices rule
+    the chunks out.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    state: "_RecursionPlan" = None
+    O: np.ndarray = None
+    ctrl: np.ndarray = None
+    power: np.ndarray = None
+    toeplitz: np.ndarray = None
+
+    def apply(self, inputs, x0=None):
+        """(out, x(N)) of :func:`lti_recursion` for this plan's matrices."""
+        A, B, C, D = self.A, self.B, self.C, self.D
+        if self.state is not None:
+            X, x_end = self.state.apply(inputs @ B.T, x0)
+            return X @ C.T + inputs @ D.T, x_end
+        T, (n, m), N = _CHUNK, B.shape, inputs.shape[0]
+        x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
+        if not (self.O is not None and N >= 2 * T
+                and np.isfinite(inputs).all() and np.isfinite(x).all()):
+            X = np.vstack([x, inputs @ B.T])
+            rows = list(X)  # row views: each step adds A x(k) into x(k+1) in place
+            for k in range(N):
+                rows[k + 1] += A.dot(rows[k])
+            return X[:-1] @ C.T + inputs @ D.T, X[-1].copy()
+        nc, r = -(-N // T), (N - 1) % T + 1  # chunks, and real samples in the last one
+        Z = np.concatenate([inputs, np.zeros((nc * T - N, m))]).reshape(nc, T * m)
+        S = np.vstack([x, Z[:-1] @ self.ctrl])
+        P, d = self.power, 1
+        while d < nc:
+            S[d:] += S[:-d] @ P
+            d *= 2
+            if d < nc:
+                P = P @ P
+        out = (Z @ self.toeplitz + S @ self.O.T).reshape(nc * T, C.shape[0])[:N]
+        x_end = (S[-1] @ np.linalg.matrix_power(A, r).T
+                 + Z[-1, :r * m] @ self.ctrl[(T - r) * m:])
+        return out, x_end
+
+
+def _recursion_plan(A, B, C, D) -> _RecursionPlan:
+    """What :func:`lti_recursion` builds from the matrices alone."""
+    T, (n, m), p = _CHUNK, B.shape, C.shape[0]
     if n * n < p * m and n * n <= _CHUNK_WIDTH:
-        X, x_end = lti_recursion(A, np.eye(n), np.eye(n), np.zeros((n, n)), inputs @ B.T, x0)
-        return X @ C.T + inputs @ D.T, x_end
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    if not (N >= 2 * T and n > 0 and p * m <= _CHUNK_WIDTH
-            and all(np.isfinite(a).all() for a in (A, B, C, D, inputs, x))
+        return _RecursionPlan(A, B, C, D, state=_recursion_plan(
+            A, np.eye(n), np.eye(n), np.zeros((n, n))))
+    if not (n > 0 and p * m <= _CHUNK_WIDTH
+            and all(np.isfinite(a).all() for a in (A, B, C, D))
             and spectral_radius(A) < 1.0):
-        X = np.vstack([x, inputs @ B.T])
-        rows = list(X)  # row views: each step adds A x(k) into x(k+1) in place
-        for k in range(N):
-            rows[k + 1] += A.dot(rows[k])
-        return X[:-1] @ C.T + inputs @ D.T, X[-1].copy()
-    nc, r = -(-N // T), (N - 1) % T + 1  # chunks, and real samples in the last one
-    Z = np.concatenate([inputs, np.zeros((nc * T - N, m))]).reshape(nc, T * m)
+        return _RecursionPlan(A, B, C, D)
     O = extended_observability(A, C, T)
     # row block j maps z(j) to the chunk's zero-state end state: A^(T-1-j) B
     ctrl = extended_observability(A.T, B.T, T).reshape(T, m, n)[::-1].reshape(T * m, n)
-    S = np.vstack([x, Z[:-1] @ ctrl])
-    P, d = np.linalg.matrix_power(A, T).T, 1
-    while d < nc:
-        S[d:] += S[:-d] @ P
-        d *= 2
-        if d < nc:
-            P = P @ P
     H = np.concatenate([D[None], (O[:(T - 1) * p] @ B).reshape(T - 1, p, m)])
-    out = (Z @ block_toeplitz(H).T + S @ O.T).reshape(nc * T, p)[:N]
-    x_end = S[-1] @ np.linalg.matrix_power(A, r).T + Z[-1, :r * m] @ ctrl[(T - r) * m:]
-    return out, x_end
+    return _RecursionPlan(A, B, C, D, O=O, ctrl=ctrl,
+                          power=np.linalg.matrix_power(A, T).T,
+                          toeplitz=block_toeplitz(H).T)
 
 
 def dare_fixed_point(A, C, Q, R, F=None):

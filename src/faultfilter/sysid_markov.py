@@ -216,8 +216,9 @@ def identify_xi(data: IOData, p: int, assume_delay: bool = False) -> IdentifiedX
 
     The normal equations are formed from the lagged Gram matrix of the
     samples (see :func:`_lagged_gram`), column-equilibrated and solved
-    by Cholesky; the regressor matrix itself is never built.  The
-    residual covariance comes from the residuals themselves.
+    by a Cholesky factorization made in place; the regressor matrix
+    itself is never built.  The residual covariance comes from the
+    residuals themselves.
 
     Args:
         data: recorded experiment; inputs must be persistently exciting
@@ -266,15 +267,19 @@ def identify_xi(data: IOData, p: int, assume_delay: bool = False) -> IdentifiedX
     # deferred: a filter run needs no scipy
     from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
     A = G[:ncols, :ncols] / np.outer(scale, scale)
+    anorm = np.abs(A).sum(axis=0).max()
     try:
-        factor = cho_factor(A, check_finite=False)
+        # A is exactly symmetric, so A.T is the Fortran-ordered matrix
+        # LAPACK wants: factored in place, not copied
+        factor = cho_factor(A.T, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
+        A = G[:ncols, :ncols] / np.outer(scale, scale)  # the factorization overwrote it
         raise ExcitationError(
             "insufficient excitation: the equilibrated regressor Gram matrix is "
             f"not numerically positive definite (condition number "
             f"{np.linalg.cond(A):.2e}) at this window length") from exc
     pocon, = get_lapack_funcs(("pocon",), (A,))
-    rcond, _ = pocon(factor[0], np.abs(A).sum(axis=0).max())
+    rcond, _ = pocon(factor[0], anorm)
     if rcond < ncols * np.finfo(float).eps:
         cond = 1 / rcond if rcond > 0 else np.inf
         raise ExcitationError(

@@ -33,7 +33,7 @@ from faultfilter.bench_cli import (
     time_window_step,
     write_report_svg,
 )
-from faultfilter.lti_core import _write_csv, block_toeplitz
+from faultfilter.lti_core import _CHUNK, _write_csv, block_toeplitz, lti_recursion
 
 from conftest import _window_map, planted_zero_predictor
 
@@ -86,6 +86,10 @@ def small_cfg(**kw):
 
 def never_build(*args, **kwargs):
     raise AssertionError("a closed loop was built")
+
+
+def never_chunk(*args, **kwargs):
+    raise AssertionError("a record took the chunked path")
 
 
 # config values no run could satisfy, each with its message
@@ -183,6 +187,24 @@ class TestFaultScenario:
         with pytest.raises(ValidationError, match=re.escape(
                 "signals needs one string per fault, not 'step 1'")):
             FaultScenario(signals="step 1")
+
+    @pytest.mark.parametrize("signal, message", [
+        (5, "fault signal 5 is neither a string nor a sequence of terms"),
+        ([("ramp", 1.0)], "bad term ('ramp', 1.0) in fault signal [('ramp', 1.0)]"),
+        ([("step",)], "bad term ('step',) in fault signal [('step',)]"),
+        ([("sin", np.nan, 0.3)], "bad term ('sin', nan, 0.3) in fault signal"),
+    ], ids=["not-a-sequence", "unknown-term", "missing-amplitude", "nan-amplitude"])
+    def test_bad_term_tuples_rejected(self, monkeypatch, signal, message):
+        # checked when the scenario is built, not when a comparison runs it
+        monkeypatch.setattr(ff.bench_cli._Loop, "build", never_build)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            BenchConfig(scenario=FaultScenario(signals=[signal]))
+
+    def test_term_tuples_match_their_strings(self):
+        given = FaultScenario(onset=3, signals=[[("step", 2), ("cos", 0.5, 0.3)]])
+        parsed = FaultScenario(onset=3, signals=["step 2 + 0.5 cos 0.3"])
+        assert given.signals == parsed.signals == ((("step", 2.0), ("cos", 0.5, 0.3)),)
+        assert np.array_equal(given.evaluate(20, 1), parsed.evaluate(20, 1))
 
     @pytest.mark.parametrize("name, value", [("onset", 5), ("signals", ("step 2",))])
     def test_fields_are_fixed(self, name, value):
@@ -827,15 +849,48 @@ class TestPlantMemo:
         loop = bench_cli._registry_loop(cfg.plant, cfg.q, cfg.r, cfg.sensors)
         filt = bench_cli._registry_alg0(cfg.plant, cfg.q, cfg.r, cfg.sensors,
                                         cfg.strategy, cfg.poles)
-        arrays = [v for obj in (loop, loop.model, loop.system, filt)
+        # the closed loop's plan runs on its state map (n^2 = 16 < 4 x 9),
+        # so it holds the quadruple and the plan of (A, I, I, 0) with its
+        # four chunk factors
+        plans = (loop.plan, loop.plan.state)
+        arrays = [v for obj in (loop, loop.model, loop.system, *plans, filt)
                   for v in vars(obj).values() if isinstance(v, np.ndarray)]
         assert bench_cli._registry_loop.cache_info().misses == 1
         assert bench_cli._registry_alg0.cache_info().misses == 1
-        assert len(arrays) == 2 + 9 + 4 + 7
+        assert len(arrays) == 2 + 9 + 4 + (4 + 8) + 7
         assert not any(a.flags.writeable for a in arrays)
         # alg0 ran on a copy: the kept filter's state never moved
         assert not filt.state.any()
         assert_same_report(run_comparison(cfg), rep)
+
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("N, k", [(500, 137), (2 * _CHUNK - 1, None)],
+                             ids=["nan-in-eta", "short-record"])
+    def test_kept_loop_runs_the_per_call_checks(self, cold_plant_cache, monkeypatch, N, k):
+        # the kept plan fixes what the matrices decide; a nan input or a
+        # record under two chunks still sends the run sample by sample
+        cfg = small_cfg()
+        run_comparison(cfg)
+        loop = bench_cli._registry_loop(cfg.plant, cfg.q, cfg.r, cfg.sensors)
+        eta = np.random.default_rng(7).standard_normal((N, 2))
+        if k is not None:
+            eta[k, 1] = np.nan
+        with monkeypatch.context() as m:
+            if k is None:  # only the chunked path takes a matrix power per call
+                m.setattr(np.linalg, "matrix_power", never_chunk)
+            data, fault = loop.simulate(N, np.random.default_rng(8),
+                                        scenario=cfg.scenario, eta=eta)
+        rng = np.random.default_rng(8)  # the same draws, through a fresh plan
+        Z = np.hstack([eta, rng.standard_normal((N, 4)) @ loop.w_factor.T,
+                       rng.standard_normal((N, 2)) @ loop.v_factor.T, fault])
+        system = loop.system
+        UY, _ = lti_recursion(system.A, system.B, system.C, system.D, Z)
+        got = np.hstack([data.u, data.y])
+        assert np.array_equal(got, UY, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(UY))
+        if k is not None:  # a chunk product would carry the nan to the chunk's start
+            assert np.isfinite(got[:k]).all() and np.isnan(got[k:]).any(axis=1).all()
 
 
 class TestTimers:

@@ -28,6 +28,16 @@ from conftest import (blockwise_lagged_gram, correlate_window_residuals,
                       varx_regression, xi_residuals)
 
 
+def equilibrated_gram(data, p, assume_delay=False):
+    """The matrix identify_xi factors, built apart from it: the regressor
+    block of the lagged Gram matrix over the outer product of its column
+    norms."""
+    ncols = p * (data.n_inputs + data.n_outputs) + (0 if assume_delay else data.n_inputs)
+    G = blockwise_lagged_gram(np.hstack([data.u, data.y]), p + 1)[:ncols, :ncols]
+    scale = np.sqrt(np.diag(G))
+    return G / np.outer(scale, scale)
+
+
 def varx_data(rng, p=3, n_u=2, n_y=2, N=400, with_feedthrough=True):
     """Data generated exactly by a finite VARX recursion.
 
@@ -366,6 +376,8 @@ class TestAgainstGelsyOracle:
         assert ("not numerically positive definite" in message) == (scale == 1e-8)
         figure = re.search(r"condition (?:estimate|number) ([^,)]+)", message).group(1)
         assert float(figure) > 1e14
+        if scale == 1e-8:  # the figure is of the matrix before the factorization
+            assert figure == f"{np.linalg.cond(equilibrated_gram(data, 5)):.2e}"
 
 
     def test_cholesky_failure_reports_a_condition_figure(self, rng, monkeypatch):
@@ -385,14 +397,18 @@ class TestAgainstGelsyOracle:
     def test_condition_estimate_branch_reports_its_figure(self, rng, monkeypatch):
         # a factorization that succeeds but whose pocon estimate says
         # rcond = 1e-20 pins the condition-estimate branch
+        anorms = []
+
         def fake_lapack(names, arrays):
             assert names == ("pocon",)
-            return (lambda c, anorm: (1e-20, 0),)
+            return (lambda c, anorm: (anorms.append(anorm), (1e-20, 0))[1],)
 
         monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", fake_lapack)
         data, _, _ = varx_data(rng)
         with pytest.raises(ExcitationError, match="condition estimate") as err:
             identify_xi(data, p=3)
+        # the 1-norm of the equilibrated matrix, not of its in-place factor
+        assert anorms == [np.abs(equilibrated_gram(data, 3)).sum(axis=0).max()]
         figure = re.search(r"condition estimate ([^,]+),", str(err.value)).group(1)
         ncols = 3 * (data.n_inputs + data.n_outputs) + data.n_inputs
         assert float(figure) > 1 / (ncols * np.finfo(float).eps)

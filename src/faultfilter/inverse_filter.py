@@ -39,8 +39,9 @@ from .lti_core import (
     PredictorModel,
     _CsvRows,
     _as_matrix,
+    _dare,
+    _state_vector,
     _write_csv,
-    dare_fixed_point,
     lti_recursion,
     spectral_radius,
 )
@@ -248,12 +249,16 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
     imports ``scipy.signal``.  A pole may be repeated at most r times.
 
     Raises:
-        ValidationError: a bad strategy or pole list.
+        ValidationError: a bad strategy or pole list, or ``riccati`` on
+            a C2 with no rows.
         StabilizationError: an unstable mode of Phi1 is unobservable
             through C2 (an unstable invariant zero), pole placement
             failed on the pair (a pole repeated more than r times, or
-            no gain reaches the poles), or the computed gain fails the
+            no gain reaches the poles), or the placed gain fails the
             closed loop stability check.
+        RiccatiError: ``riccati`` found no stabilizing solution, or its
+            gain fails the closed loop stability check (checked once,
+            with the solution).
     """
     Phi1 = _as_matrix(Phi1, name="Phi1", square=True)
     n = Phi1.shape[0]
@@ -269,8 +274,11 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
             "zeros); no injection gain exists")
 
     if strategy == "riccati":
-        _, Kr, _ = dare_fixed_point(Phi1, C2, np.eye(n), np.eye(C2.shape[0]))
-    elif strategy == "pole_placement":
+        if not C2.shape[0]:
+            raise ValidationError("the riccati strategy needs at least one row of C2")
+        # identity weights need no checks, and _dare checks rho(Phi1 - Kr C2) < 1
+        return _dare(Phi1, C2, np.eye(n), np.eye(C2.shape[0]), 1.0)[1]
+    if strategy == "pole_placement":
         if poles is None:
             raise ValidationError("pole_placement needs an explicit pole list")
         poles = _real_stable_poles(poles)
@@ -386,9 +394,12 @@ class FaultEstimationFilter:
         return self.Cf.shape[0]
 
     def reset(self, x0=None) -> None:
-        """Set the internal state (zero when omitted)."""
+        """Set the internal state (zero when omitted).
+
+        An x0 with another entry count than the state is a ValidationError.
+        """
         x = self.state
-        x[:] = 0.0 if x0 is None else np.asarray(x0, dtype=float).reshape(x.shape)
+        x[:] = 0.0 if x0 is None else _state_vector(x0, x.size)
 
     __setstate__ = reset
 

@@ -21,7 +21,6 @@ first index is the lag.
 from __future__ import annotations
 
 import csv
-import io
 import operator
 from dataclasses import dataclass
 
@@ -97,6 +96,14 @@ def _as_series(a, name) -> np.ndarray:
     if a.ndim > 2:
         raise ValidationError(f"{name} must be 1-D or 2-D, got shape {a.shape}")
     return a[:, None] if a.ndim == 1 else np.atleast_2d(a)
+
+
+def _state_vector(x0, n) -> np.ndarray:
+    """x0 as a float vector of n entries; another entry count is a ValidationError."""
+    x = np.asarray(x0, dtype=float)
+    if x.size != n:
+        raise ValidationError(f"x0 must have {n} entries, one per state, got {x.size}")
+    return x.reshape(n)
 
 
 def _check_symmetric_psd(M, name):
@@ -428,13 +435,15 @@ def _loadtxt_table(path):
     if "\r" in first or not body or body.isspace():
         return None
     header = first.split(",")
+    # split at \n only, as a text stream is, so a bare CR stays in its line
+    lines = body.split("\n")
     try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
+    rows = len(lines) - (not lines[-1])  # a final newline leaves one empty string
     # loadtxt skips blank lines, which the row reader rejects
-    lines = body.count("\n") + (not body.endswith("\n"))
-    return (header, data) if data.shape == (lines, len(header)) else None
+    return (header, data) if data.shape == (rows, len(header)) else None
 
 
 def _finite_samples(data: IOData, source: str = "the record") -> np.ndarray:
@@ -508,11 +517,11 @@ class _RecursionPlan:
     def apply(self, inputs, x0=None):
         """(out, x(N)) of :func:`lti_recursion` for this plan's matrices."""
         A, B, C, D = self.A, self.B, self.C, self.D
-        if self.state is not None:
-            X, x_end = self.state.apply(inputs @ B.T, x0)
-            return X @ C.T + inputs @ D.T, x_end
         T, (n, m), N = _CHUNK, B.shape, inputs.shape[0]
-        x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
+        x = np.zeros(n) if x0 is None else _state_vector(x0, n)
+        if self.state is not None:
+            X, x_end = self.state.apply(inputs @ B.T, x)
+            return X @ C.T + inputs @ D.T, x_end
         if not (self.O is not None and N >= 2 * T
                 and np.isfinite(inputs).all() and np.isfinite(x).all()):
             X = np.vstack([x, inputs @ B.T])
@@ -584,10 +593,15 @@ def dare_fixed_point(A, C, Q, R, F=None):
     w = np.linalg.eigvalsh(0.5 * (R + R.T))
     if w.size == 0 or w.min() <= 0:
         raise ValidationError("R must be positive definite")
+    Qt = F @ Q @ F.T
+    return _dare(A, C, Qt, R, max(np.abs(Qt).max(initial=0.0), w.max()))
+
+
+def _dare(A, C, Qt, R, scale):
+    """:func:`dare_fixed_point` past its checks, with Qt = F Q F^T and
+    ``scale`` the larger of max |Qt| and the largest eigenvalue of R."""
     from scipy.linalg import solve_discrete_are  # deferred: a filter run needs no scipy
     # homogeneous in (Q, R, P): solved at unit scale, as R = 1e-30 I fails otherwise
-    Qt = F @ Q @ F.T
-    scale = max(np.abs(Qt).max(initial=0.0), w.max())
     try:
         P = scale * solve_discrete_are(A.T, C.T, Qt / scale, R / scale)
     except np.linalg.LinAlgError as exc:

@@ -267,7 +267,10 @@ def ho_kalman(seq: np.ndarray, l: int, m: int, order="auto",
 
     Args:
         seq: blocks H_0 .. H_{l+m-1} at least (H_0 used as D only);
-            later blocks are not read.
+            later blocks are not read.  A row that is zero in every
+            block only adds l singular values at rounding level, which
+            the "auto" rule would take for a gap; :func:`realize` drops
+            such rows first.
         order: state dimension, or "auto" for the largest gap rule.
         shift: which factor carries the shift equation.
 
@@ -321,16 +324,27 @@ def realize(Wi: np.ndarray, cfg: DesignConfig):
     z = [u; y] to the fault estimate (first n_f rows) and the healthy
     output residual q (the rest), like the model-based inverse.
 
+    The q rows of the faulty sensors are exactly zero in every block
+    (I - H_0^f G_0 has zero rows there), so the Hankel matrix is built
+    from the live rows only, l n_y rows instead of l (n_f + n_y), and the
+    realized C gets exact zero rows back in their place.
+
     Returns:
-        (LinearSystem, singular_values) as from :func:`ho_kalman`, which
-        raises on too few blocks.
+        (LinearSystem, singular_values) as from :func:`ho_kalman` on the
+        live rows, which raises on too few blocks or an integer order
+        above min(l n_y, m (n_u + n_y)).
     """
-    n_y = Wi.shape[1] - len(cfg.sensor)  # blocks are (n_f + n_y) x (n_u + n_y)
-    if n_y < 1 or Wi.shape[2] < n_y:
+    n_f = len(cfg.sensor)
+    n_y = Wi.shape[1] - n_f  # blocks are (n_f + n_y) x (n_u + n_y)
+    if n_y < 1 or Wi.shape[2] < n_y or cfg.sensor[-1] >= n_y:
         raise ValidationError(
-            f"window block shape {Wi.shape[1:]} inconsistent with {len(cfg.sensor)} sensors")
-    return ho_kalman(Wi, cfg.hankel_rows, cfg.hankel_cols, order=cfg.order,
-                     shift="controllability")
+            f"window block shape {Wi.shape[1:]} inconsistent with sensors {cfg.sensor}")
+    live = np.delete(np.arange(n_f + n_y), np.add(cfg.sensor, n_f))
+    sys, s = ho_kalman(Wi[:, live], cfg.hankel_rows, cfg.hankel_cols, order=cfg.order,
+                       shift="controllability")
+    C = np.zeros((n_f + n_y, sys.A.shape[0]))
+    C[live] = sys.C
+    return LinearSystem(sys.A, sys.B, C, Wi[0]), s
 
 
 def assemble_filter(inv: LinearSystem, sensor, Kr=None, strategy: str = "riccati",

@@ -182,7 +182,10 @@ def _lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
         tail = np.einsum("ta,tbd->tabd", end[t], tails[t, :, :n])
         np.subtract(tail, head, out=steps[lo:i1, :, :, :n])
         run = steps[max(lo - 1, 1):i1, :, :, :n]  # on from the band before
-        np.cumsum(run, axis=0, out=run)
+        # a running sum by whole rows; np.cumsum's inner loop would run along
+        # the long row stride, one band's height at a time
+        for k in range(1, len(run)):
+            np.add(run[k - 1], run[k], out=run[k])
         np.add(first[..., :n], steps[i0:i1, ..., :n], out=lower[i0:i1, ..., :n])
         np.add(first[..., :n], steps[i0:i1, ..., :n], out=upper[i0:i1, ..., :n])
     return buf.reshape(K * m, K * m)[:B * m, :B * m]

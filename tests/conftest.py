@@ -9,7 +9,7 @@ same examples.
 import numpy as np
 import pytest
 from hypothesis import settings
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.linalg import lstsq
 
 from faultfilter import (
@@ -20,6 +20,7 @@ from faultfilter import (
     StateSpaceModel,
     ValidationError,
     closed_loop_sim,
+    ho_kalman,
     open_loop_inverse,
     spectral_radius,
 )
@@ -123,6 +124,52 @@ def blockwise_lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
     blocks = upper[np.minimum(I, J), np.abs(J - I)]
     blocks = np.where((J < I)[..., None, None], blocks.swapaxes(2, 3), blocks)
     return blocks.transpose(0, 2, 1, 3).reshape(B * m, B * m)
+
+
+def cumsum_lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
+    """``sysid_markov._lagged_gram`` with each band's running sum taken
+    by ``np.cumsum``.
+
+    cumsum adds row i to the running sum of rows < i, in that order, as
+    the row additions do, so the two must agree bit for bit.
+    """
+    N, m = w.shape
+    rows = N - B + 1
+    windows = sliding_window_view(w, B, axis=0)
+    first = np.matmul(w[:rows].T, windows.transpose(2, 0, 1)).transpose(1, 2, 0)
+    end = np.concatenate([w[rows:], np.zeros((B - 1, m))])
+    heads = sliding_window_view(w[:2 * B - 2], B, axis=0)
+    tails = sliding_window_view(end, B, axis=0)
+    steps = np.zeros((B, m, m, B))
+    K = 2 * B - 1
+    buf = np.empty((K, m, K, m))
+    s_i, s_a, s_j, s_b = buf.strides
+    shape = (B, m, m, B)
+    lower = as_strided(buf, shape, (s_i + s_j, s_b, s_a, s_i))
+    upper = as_strided(buf, shape, (s_i + s_j, s_a, s_b, s_j))
+    height = -(-B // 4)
+    for i0 in range(0, B, height):
+        i1, n, lo = min(i0 + height, B), B - i0, max(i0, 1)
+        t = slice(lo - 1, i1 - 1)
+        head = np.einsum("ta,tbd->tabd", w[t], heads[t, :, :n])
+        tail = np.einsum("ta,tbd->tabd", end[t], tails[t, :, :n])
+        np.subtract(tail, head, out=steps[lo:i1, :, :, :n])
+        run = steps[max(lo - 1, 1):i1, :, :, :n]
+        np.cumsum(run, axis=0, out=run)
+        np.add(first[..., :n], steps[i0:i1, ..., :n], out=lower[i0:i1, ..., :n])
+        np.add(first[..., :n], steps[i0:i1, ..., :n], out=upper[i0:i1, ..., :n])
+    return buf.reshape(K * m, K * m)[:B * m, :B * m]
+
+
+def full_row_realize(Wi, cfg):
+    """``markov_design.realize`` on every row of the window blocks.
+
+    The oracle of the live-row realization: the Hankel matrix keeps the
+    faulty sensors' q rows, which are exactly zero, so it has l n_f rows
+    more and as many more singular values at rounding level.
+    """
+    return ho_kalman(Wi, cfg.hankel_rows, cfg.hankel_cols, order=cfg.order,
+                     shift="controllability")
 
 
 def per_sample_run(A, B, C, D, Z, x0):

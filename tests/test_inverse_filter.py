@@ -230,6 +230,45 @@ class TestStabilizingGain:
             Kr = stabilizing_gain(inv.Phi1, inv.C2)
             assert spectral_radius(inv.Phi1 - Kr @ inv.C2) < 1.0
 
+    def test_riccati_gain_is_dare_fixed_points(self, rng):
+        # the identity-weighted solve skips dare_fixed_point's checks of
+        # Q = I and R = I but shares its core, so the gain is bit for bit
+        for n, kind in ((1, "unstable"), (4, "unstable"), (4, "dense"), (6, "non-normal")):
+            Phi1 = family_matrix(rng, n, kind)
+            C2 = rng.standard_normal((3, n))
+            C2[1] = 0.0  # a zeroed faulty-sensor row, as assemble_filter leaves it
+            want = ff.dare_fixed_point(Phi1, C2, np.eye(n), np.eye(3))[1]
+            assert np.array_equal(stabilizing_gain(Phi1, C2), want)
+
+    @pytest.mark.parametrize("solution", ["stabilizing", "zero"])
+    def test_riccati_checks_the_closed_loop_once(self, rng, monkeypatch, solution):
+        # one spectral radius per gain; a solution that does not stabilize
+        # raises dare_fixed_point's RiccatiError and message
+        import scipy.linalg
+        Phi1, C2 = family_matrix(rng, 3, "unstable"), rng.standard_normal((1, 3))
+        calls = []
+
+        def counted(A):
+            calls.append(A)
+            return spectral_radius(A)
+
+        for module in (ff.lti_core, ff.inverse_filter):
+            monkeypatch.setattr(module, "spectral_radius", counted)
+        if solution == "stabilizing":
+            Kr = stabilizing_gain(Phi1, C2)
+            assert spectral_radius(Phi1 - Kr @ C2) < 1.0
+        else:
+            monkeypatch.setattr(scipy.linalg, "solve_discrete_are",
+                                lambda *args: np.zeros((3, 3)))
+            with pytest.raises(RiccatiError,
+                               match=r"^Riccati solution is not stabilizing \(spectral radius "):
+                stabilizing_gain(Phi1, C2)
+        assert len(calls) == 1
+
+    def test_riccati_needs_a_healthy_row(self):
+        with pytest.raises(ValidationError, match="needs at least one row of C2"):
+            stabilizing_gain(0.5 * np.eye(2), np.zeros((0, 2)))
+
     def test_pole_placement_hits_requested_poles(self, rng):
         pred = random_predictor(rng)
         inv = open_loop_inverse(pred)
@@ -409,6 +448,21 @@ class TestFaultEstimationFilter:
         scale = 1.0 + np.abs(streamed).max()
         assert np.max(np.abs(batch - streamed)) <= 1e-12 * scale
         assert np.max(np.abs(x_end - filt.state)) <= 1e-12 * (1.0 + np.abs(filt.state).max())
+
+    @pytest.mark.parametrize("entry", ["reset", "run"])
+    def test_wrong_size_x0_is_named(self, rng, entry):
+        # a ValidationError naming both sizes, not numpy's reshape error,
+        # and the state is left as it was
+        _, filt = self.make_filter(rng)
+        filt.reset(rng.standard_normal(filt.n_states))
+        before = filt.state.copy()
+        message = f"x0 must have {filt.n_states} entries, one per state, got 3"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            if entry == "reset":
+                filt.reset([1.0, 2.0, 3.0])
+            else:
+                filt.run(np.zeros((40, 2)), np.zeros((40, 2)), x0=[1.0, 2.0, 3.0])
+        assert np.array_equal(filt.state, before)
 
     def test_run_filter_resets_state(self, rng):
         pred, filt = self.make_filter(rng)

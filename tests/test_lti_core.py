@@ -455,6 +455,33 @@ class TestLinearSystemRun:
         with pytest.raises(ValidationError, match="^A must have 2 columns, got 3$"):
             cls(np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 2)), 0)
 
+    @pytest.mark.parametrize("width", [1, 30], ids=["markov-blocks", "state"])
+    def test_wrong_size_x0_is_named(self, width):
+        # either plan branch: a ValidationError naming both sizes, not
+        # numpy's reshape error
+        sys = LinearSystem(0.5 * np.eye(4), np.ones((4, width)), np.ones((width, 4)),
+                           np.zeros((width, width)))
+        message = "x0 must have 4 entries, one per state, got 3"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sys.run(np.zeros((50, width)), x0=[1.0, 2.0, 3.0])
+
+    def test_non_finite_x0_runs_sample_by_sample(self, rng, monkeypatch):
+        # a nan in an x0 of the right size is no error: the record runs
+        # sample by sample (of a built plan, only the chunked path calls
+        # matrix_power) and gives the loop's values
+        A, B, C, D = 0.5 * np.eye(4), rng.standard_normal((4, 2)), np.ones((1, 4)), np.ones((1, 2))
+        Z, x0 = rng.standard_normal((50, 2)), np.array([1.0, np.nan, 0.0, 0.0])
+        plan = lti_core._recursion_plan(A, B, C, D)
+
+        def no_chunks(*args):
+            raise AssertionError("chunked path taken")
+
+        monkeypatch.setattr(np.linalg, "matrix_power", no_chunks)
+        got, x_end = plan.apply(Z, x0)
+        want, x_want = per_sample_run(A, B, C, D, Z, x0)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(x_end, x_want, equal_nan=True)
+
     def test_more_than_two_dimensions_rejected(self):
         sys = LinearSystem(0.5 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.ones((1, 1)))
         with pytest.raises(ValidationError,

@@ -45,6 +45,7 @@ from faultfilter import markov_design
 from faultfilter.markov_design import _window_blocks
 
 from conftest import (
+    full_row_realize,
     gelsy_identify_xi,
     planted_zero_predictor,
     random_model,
@@ -298,6 +299,57 @@ def bench_xi():
     return identify_xi(data, 99, assume_delay=True)
 
 
+def window_blocks(xi, sensor, L=40):
+    return _window_blocks(fault_markov(xi.Hy, sensor, L), z_markov(xi.Hu, xi.Hy, L), L)
+
+
+class TestLiveRowRealization:
+    """realize leaves out the faulty sensors' q rows, which are exactly zero."""
+
+    @pytest.fixture(params=["bench", "exact"])
+    def xi(self, request, bench_xi):
+        if request.param == "bench":
+            return bench_xi
+        return exact_xi(stable_invertible_predictor(np.random.default_rng(11)), p=100)
+
+    @pytest.mark.parametrize("sensor", [0, 1, (0, 1)], ids=["0", "1", "0-1"])
+    def test_faulty_rows_are_exactly_zero(self, xi, sensor):
+        J = np.atleast_1d(sensor)
+        rows = len(J) + J  # the q rows of the faulty sensors
+        Wi = window_blocks(xi, sensor)
+        assert not Wi[:, rows].any()
+        inv, s = realize(Wi, DesignConfig(sensor=sensor, order=4))
+        assert not inv.C[rows].any() and np.delete(inv.C, rows, axis=0).all()
+        assert len(s) == 20 * (Wi.shape[1] - len(J))
+
+    @pytest.mark.parametrize("strategy", ["riccati", "pole_placement"])
+    @pytest.mark.parametrize("sensor", [0, 1])
+    def test_design_matches_full_row_oracle(self, xi, sensor, strategy):
+        cfg = DesignConfig(sensor=sensor, order=4, strategy=strategy, poles=list(BENCH_POLES))
+        got = design_filter_from_xi(xi, cfg).step_matrix()
+        inv, _ = full_row_realize(window_blocks(xi, sensor), cfg)
+        want = assemble_filter(inv, sensor, strategy=strategy, poles=cfg.poles).step_matrix()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_sensor_outside_the_blocks_is_named(self, bench_xi):
+        # the live rows are read by sensor index, so one past the q rows
+        # is a ValidationError, not an IndexError
+        with pytest.raises(ValidationError, match=re.escape(
+                "window block shape (3, 4) inconsistent with sensors (2,)")):
+            realize(window_blocks(bench_xi, 0), DesignConfig(sensor=2, order=4))
+
+    def test_live_hankel_has_no_structural_tail(self, bench_xi):
+        # all 60 rows give rank 40 and 20 singular values at rounding
+        # level; the 40 live rows give the same 40 and no tail
+        cfg = DesignConfig(sensor=0, order=4)
+        Wi = window_blocks(bench_xi, 0)
+        _, s = realize(Wi, cfg)
+        _, full = full_row_realize(Wi, cfg)
+        assert len(s) == 40 and s[-1] > 1e-10 * s[0]
+        assert full[40:].max() < 1e-14 * full[0]
+        assert np.abs(s - full[:40]).max() <= 1e-13 * s[0]
+
+
 class TestDesignPipeline:
     @pytest.mark.parametrize("sensor", [0, 1])
     def test_leading_window_blocks_keep_their_bits(self, bench_xi, sensor):
@@ -513,7 +565,7 @@ class TestRealizationCache:
         assert len(markov_design._REALIZED) == entries - 1
 
     @pytest.mark.parametrize("cfg, message", [
-        (dict(order=200), "realize: order 200 outside [1, 60] for this Hankel matrix"),
+        (dict(order=200), "realize: order 200 outside [1, 40] for this Hankel matrix"),
         (dict(sensor=2, strategy="riccati"), "markov: sensor index 2 outside [0, 2)"),
     ], ids=["realize", "markov"])
     def test_failure_is_not_kept(self, xi, monkeypatch, cfg, message):

@@ -24,8 +24,8 @@ from faultfilter.bench_cli import main
 from faultfilter.sysid_markov import _lagged_gram, _window_residuals
 
 from conftest import (blockwise_lagged_gram, correlate_window_residuals,
-                      gelsy_identify_xi, open_loop_sim, random_model,
-                      varx_regression, xi_residuals)
+                      cumsum_lagged_gram, gelsy_identify_xi, open_loop_sim,
+                      random_model, varx_regression, xi_residuals)
 
 
 def equilibrated_gram(data, p, assume_delay=False):
@@ -323,6 +323,17 @@ class TestAgainstGelsyOracle:
         w[draw.draw(st.lists(st.integers(0, N - 1), max_size=N // 3), label="zero rows")] = 0.0
         got, want = _lagged_gram(w, B), blockwise_lagged_gram(w, B)
         assert got.shape == want.shape == (B * m, B * m)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("N", [1000, 10_000])
+    def test_lagged_gram_matches_cumsum_bands(self, N):
+        # the row additions repeat np.cumsum's adds in its order; at p = 100,
+        # the window of both benchmark records, with a few zero rows
+        rng = np.random.default_rng(N)
+        w = rng.standard_normal((N, 4)) * np.array([1.0, 1e-3, 10.0, 1e2])
+        w[rng.choice(N, 20, replace=False)] = 0.0
+        got, want = _lagged_gram(w, 101), cumsum_lagged_gram(w, 101)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 

@@ -261,7 +261,7 @@ def ho_kalman(seq: np.ndarray, l: int, m: int, order="auto",
     recovers the state map from the block shift: by one block column of
     the controllability factor (width = input count) or one block row of
     the observability factor.  Block 0 becomes the feedthrough.  Each
-    singular pair is signed so that the largest-magnitude entry of its
+    kept singular pair is signed so that the largest-magnitude entry of its
     left vector is positive, which pins the realized state basis against
     LAPACK's arbitrary sign choice.
 
@@ -285,8 +285,6 @@ def ho_kalman(seq: np.ndarray, l: int, m: int, order="auto",
     p, q = seq.shape[1:]
     H = block_hankel(seq[1:], l, m)
     U, s, Vt = np.linalg.svd(H, full_matrices=False)
-    sign = np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])])
-    U, Vt = U * sign, Vt * sign[:, None]
     if s[0] == 0.0:
         raise ValidationError("all Markov blocks are zero, nothing to realize")
     if order == "auto":
@@ -303,9 +301,10 @@ def ho_kalman(seq: np.ndarray, l: int, m: int, order="auto",
                 f"singular values: {np.array2string(s[:min(len(s), 12)], precision=3)}",
                 stacklevel=2)
     from scipy.linalg import lstsq  # deferred: a filter run needs no scipy
+    sign = np.sign(U[np.argmax(np.abs(U[:, :n]), axis=0), np.arange(n)])  # kept pairs only
     root = np.sqrt(s[:n])
-    Ow = U[:, :n] * root
-    Cw = root[:, None] * Vt[:n]
+    Ow = U[:, :n] * sign * root
+    Cw = root[:, None] * (Vt[:n] * sign[:, None])
     if shift == "controllability":
         A = lstsq(Cw[:, :q * (m - 1)].T, Cw[:, q:].T, lapack_driver="gelsy")[0].T
     elif shift == "observability":

@@ -14,10 +14,12 @@ negligible for the plants in scope.
 
 The regressor rows are sliding windows of the samples [u(k) y(k)], so
 the normal equations come from the block-Hankel structure in
-O(N p m^2) work (m = n_u + n_y) without building the regressor, in
-passes whose innermost axis is the p + 1 lags, not the m channels; one
-Cholesky factorization solves them, and a condition estimate guards
-against regressors too close to rank deficient for that route.
+O(N p m^2) work (m = n_u + n_y) without building the regressor: the
+windows p + 1 samples apart tile the record, so one stacked product
+over the p + 1 phases gives the Gram matrix's first block row (another
+the residuals), and running sums over the p + 1 lags the other blocks.
+One Cholesky factorization solves them, and a condition estimate
+guards against regressors too close to rank deficient for that route.
 """
 from __future__ import annotations
 
@@ -141,6 +143,22 @@ def xi_from_predictor(pred: PredictorModel, p: int) -> IdentifiedXi:
                         residual_variance=pred.SigmaE)
 
 
+def _phase_tiles(w: np.ndarray, B: int) -> np.ndarray:
+    """The B-block windows of the sample rows as B phase matrices.
+
+    Windows that start B samples apart tile the flattened samples
+    without overlap, so phase f's windows f, f + B, ... form a (k, B m)
+    matrix with row stride B m, which BLAS takes as it is: ``[f, j]`` is
+    window f + jB, flattened.  k phase rows cover the N - B + 1 windows;
+    the samples are zero padded, so windows past the record read zeros.
+    """
+    N, m = w.shape
+    k = -(-(N - B + 1) // B)
+    flat = np.concatenate([w.reshape(-1), np.zeros((k * B + B - 1 - N) * m)])
+    s = flat.strides[0]
+    return as_strided(flat, (B, k, B * m), (m * s, B * m * s, s), writeable=False)
+
+
 def _lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
     """Gram matrix of the B-block sliding windows of the sample rows.
 
@@ -151,20 +169,31 @@ def _lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
     w(rows+i-1) w(rows+j-1)^T, so the first block row plus a cumulative
     sum of those terms gives every block.
 
-    The passes run over (t, a, b, d) arrays with the lag d innermost, so
-    every numpy inner loop is up to B long, not m; each band of block
-    rows takes the lags d < B - i of its first row only.  ``+ first``
-    writes blocks (i, i+d) and (i+d, i) through two strided views of a
-    buffer 2B-1 blocks square, so entries with i+d >= B fall outside the
-    returned view; the upper view goes last, so diagonal blocks keep
-    their own sums.
+    The first block row, the sum of w(r)^T times window r, is one
+    stacked product of the phase matrices of :func:`_phase_tiles` with
+    their windows' first samples (zero past the last window), summed in
+    phase order; the head end terms read the first B - 1 zero-padded
+    windows, so a record with fewer windows needs no special case.
+
+    The band passes run over (t, a, b, d) arrays with the lag d
+    innermost, so every numpy inner loop is up to B long, not m; each
+    band of block rows takes the lags d < B - i of its first row only.
+    ``+ first`` writes blocks (i, i+d) and (i+d, i) through two strided
+    views of a buffer 2B-1 blocks square, so entries with i+d >= B fall
+    outside the returned view; the upper view goes last, so diagonal
+    blocks keep their own sums.
     """
     N, m = w.shape
     rows = N - B + 1
-    windows = sliding_window_view(w, B, axis=0)  # [r, :, j] = w(r + j)
-    first = np.matmul(w[:rows].T, windows.transpose(2, 0, 1)).transpose(1, 2, 0)
+    tiles = _phase_tiles(w, B)
+    k = tiles.shape[1]
+    starts = np.zeros((k * B, m))  # [f + jB] = w(f + jB), zero past the last window
+    starts[:rows] = w[:rows]
+    # [f, d m + b, a] = sum_j w(f + jB + d)_b w(f + jB)_a, then over f: [a, b, d]
+    first = np.matmul(tiles.transpose(0, 2, 1), starts.reshape(k, B, m).transpose(1, 0, 2))
+    first = first.sum(axis=0).reshape(B, m, m).transpose(2, 1, 0)
     end = np.concatenate([w[rows:], np.zeros((B - 1, m))])
-    heads = sliding_window_view(w[:2 * B - 2], B, axis=0)
+    heads = tiles[:B - 1, 0].reshape(B - 1, B, m).transpose(0, 2, 1)  # [t, :, d] = w(t + d)
     tails = sliding_window_view(end, B, axis=0)
     steps = np.zeros((B, m, m, B))  # [i] = sum of the end terms for t < i
     K = 2 * B - 1
@@ -184,8 +213,8 @@ def _lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
         run = steps[max(lo - 1, 1):i1, :, :, :n]  # on from the band before
         # a running sum by whole rows; np.cumsum's inner loop would run along
         # the long row stride, one band's height at a time
-        for k in range(1, len(run)):
-            np.add(run[k - 1], run[k], out=run[k])
+        for i in range(1, len(run)):
+            np.add(run[i - 1], run[i], out=run[i])
         np.add(first[..., :n], steps[i0:i1, ..., :n], out=lower[i0:i1, ..., :n])
         np.add(first[..., :n], steps[i0:i1, ..., :n], out=upper[i0:i1, ..., :n])
     return buf.reshape(K * m, K * m)[:B * m, :B * m]
@@ -195,23 +224,14 @@ def _window_residuals(w: np.ndarray, n_y: int, xi: np.ndarray) -> np.ndarray:
     """y(k) - xi z(k) for k = p .. N-1, with xi in the stacked layout.
 
     The coefficients [-xi, I] weigh the (p+1)-block window of w, whose
-    last n_y columns are y(k).  Windows that start B = p + 1 samples
-    apart tile the flattened samples without overlap, so the windows of
-    phase f < B (rows f, f + B, ...) form a matrix with row stride B m,
-    which BLAS takes as it is.  One stacked product over the B phases
-    gives every residual; the flattened samples are zero padded so each
-    phase has the same row count, and the rows past the record are
-    dropped.
+    last n_y columns are y(k).  One stacked product of the B = p + 1
+    phase matrices of :func:`_phase_tiles` with them gives every
+    residual; the rows past the record are dropped.
     """
     N, m = w.shape
     coef = np.hstack([-xi, np.eye(n_y)]).T
     B = len(coef) // m
-    rows = N - B + 1
-    k = -(-rows // B)
-    flat = np.concatenate([w.reshape(-1), np.zeros((k * B + B - 1 - N) * m)])
-    s = flat.strides[0]
-    phases = as_strided(flat, (B, k, B * m), (m * s, B * m * s, s))  # [f, j] = window f + jB
-    return (phases @ coef).transpose(1, 0, 2).reshape(-1, n_y)[:rows]
+    return (_phase_tiles(w, B) @ coef).transpose(1, 0, 2).reshape(-1, n_y)[:N - B + 1]
 
 
 def identify_xi(data: IOData, p: int, assume_delay: bool = False) -> IdentifiedXi:

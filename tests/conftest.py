@@ -19,12 +19,14 @@ from faultfilter import (
     PredictorModel,
     StateSpaceModel,
     ValidationError,
+    block_hankel,
     closed_loop_sim,
     ho_kalman,
     open_loop_inverse,
     spectral_radius,
 )
 from faultfilter.lti_core import _finite_samples
+from faultfilter.markov_design import _pick_order
 from faultfilter.sysid_markov import _window_residuals
 
 settings.register_profile("faultfilter", deadline=None, derandomize=True)
@@ -94,6 +96,29 @@ def correlate_window_residuals(w, n_y, xi):
         for c in np.hstack([-xi, np.eye(n_y)])])
 
 
+def tiled_first_row(w: np.ndarray, B: int) -> np.ndarray:
+    """First block row of the lagged Gram matrix, [a, b, d] = sum_r
+    w(r)_a w(r+d)_b over the windows r = 0 .. N-B, summed the way
+    ``sysid_markov._lagged_gram`` sums it.
+
+    Row r of the explicit window matrix over the zero-padded samples is
+    window r, flattened.  Phase f's windows are its rows f, f + B, ...,
+    k of them for every phase, and X_f their first samples, zero past
+    the last window.  The products W_f^T X_f are added one by one in
+    phase order.
+    """
+    N, m = w.shape
+    rows = N - B + 1
+    k = -(-rows // B)
+    padded = np.vstack([w, np.zeros((k * B + B - 1 - N, m))])
+    windows = sliding_window_view(padded, B, axis=0).transpose(0, 2, 1).reshape(k * B, B * m)
+    starts = np.where(np.arange(k * B)[:, None] < rows, windows[:, :m], 0.0)
+    acc = windows[0::B].T @ starts[0::B]
+    for f in range(1, B):
+        acc = acc + windows[f::B].T @ starts[f::B]
+    return acc.reshape(B, m, m).transpose(2, 1, 0)
+
+
 def blockwise_lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
     """Gram matrix of the B-block sliding windows of the sample rows.
 
@@ -110,8 +135,7 @@ def blockwise_lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
     """
     N, m = w.shape
     rows = N - B + 1
-    windows = sliding_window_view(w, B, axis=0)  # [r, :, j] = w(r + j)
-    first = np.matmul(w[:rows].T, windows.transpose(2, 0, 1))
+    first = tiled_first_row(w, B).transpose(2, 0, 1)  # [d, a, b]
     end = np.concatenate([w[rows:], np.zeros((B - 1, m))])
     # ends[t, d] = w(t) w(t+d)^T at the head and tail of the record
     head = np.einsum("ta,tbd->tdab", w[:B - 1],
@@ -135,8 +159,7 @@ def cumsum_lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
     """
     N, m = w.shape
     rows = N - B + 1
-    windows = sliding_window_view(w, B, axis=0)
-    first = np.matmul(w[:rows].T, windows.transpose(2, 0, 1)).transpose(1, 2, 0)
+    first = tiled_first_row(w, B)
     end = np.concatenate([w[rows:], np.zeros((B - 1, m))])
     heads = sliding_window_view(w[:2 * B - 2], B, axis=0)
     tails = sliding_window_view(end, B, axis=0)
@@ -170,6 +193,25 @@ def full_row_realize(Wi, cfg):
     """
     return ho_kalman(Wi, cfg.hankel_rows, cfg.hankel_cols, order=cfg.order,
                      shift="controllability")
+
+
+def sign_all_ho_kalman(seq, l, m, order):
+    """``markov_design.ho_kalman`` (controllability shift) with every
+    singular pair signed, not only the ``order`` pairs it keeps.
+
+    Signing a pair only flips the signs of its entries, so the kept
+    pairs, and with them the realization, must agree bit for bit.
+    Returns (A, B, C, D, singular_values).
+    """
+    p, q = seq.shape[1:]
+    U, s, Vt = np.linalg.svd(block_hankel(seq[1:], l, m), full_matrices=False)
+    sign = np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])])
+    U, Vt = U * sign, Vt * sign[:, None]
+    n = _pick_order(s, min(l * p, m * q) - 1) if order == "auto" else order
+    root = np.sqrt(s[:n])
+    Ow, Cw = U[:, :n] * root, root[:, None] * Vt[:n]
+    A = lstsq(Cw[:, :q * (m - 1)].T, Cw[:, q:].T, lapack_driver="gelsy")[0].T
+    return A, Cw[:, :q], Ow[:p], seq[0], s
 
 
 def per_sample_run(A, B, C, D, Z, x0):

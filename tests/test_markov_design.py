@@ -50,6 +50,7 @@ from conftest import (
     planted_zero_predictor,
     random_model,
     random_predictor,
+    sign_all_ho_kalman,
     stable_invertible_predictor,
 )
 
@@ -348,6 +349,18 @@ class TestLiveRowRealization:
         assert len(s) == 40 and s[-1] > 1e-10 * s[0]
         assert full[40:].max() < 1e-14 * full[0]
         assert np.abs(s - full[:40]).max() <= 1e-13 * s[0]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, "auto"])
+def test_ho_kalman_signs_only_kept_pairs(bench_xi, order):
+    # signing the pairs past the order is work thrown away: the kept ones
+    # carry the realization, and it keeps its bits
+    seq = window_blocks(bench_xi, 0)[:, [0, 2]]  # the live rows of sensor 0
+    sys, s = ho_kalman(seq, 20, 20, order=order)
+    want = sign_all_ho_kalman(seq, 20, 20, order)
+    for got, ref in zip((sys.A, sys.B, sys.C, sys.D, s), want):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 class TestDesignPipeline:

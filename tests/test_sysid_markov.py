@@ -287,6 +287,29 @@ class TestAgainstGelsyOracle:
         assert np.abs(G[:ncols, :ncols] - ZtZ).max() <= 1e-12 * scale
         assert np.abs(G[:ncols, -n_y:] - Z.T @ Y).max() <= 1e-12 * scale
 
+    @settings(max_examples=150)
+    @given(m=st.integers(1, 6), p=st.integers(1, 12), k=st.integers(1, 6),
+           length=st.sampled_from(["short", "kB-1", "kB", "kB+1"]),
+           seed=st.integers(0, 2**32 - 1), draw=st.data())
+    def test_lagged_gram_is_window_gram_at_tile_edges(self, m, p, k, length, seed, draw):
+        # the phase tiles' first row and head windows for row counts below
+        # B = p + 1 and around its multiples, where the last phase row is
+        # part padding; columns 1e-6 .. 1e6 apart and some all-zero rows
+        B = p + 1
+        rows = {"short": draw.draw(st.integers(1, p), label="rows"),
+                "kB-1": k * B - 1, "kB": k * B, "kB+1": k * B + 1}[length]
+        N = rows + p
+        exponents = draw.draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m),
+                              label="column exponents")
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((N, m)) * 10.0 ** np.array(exponents)
+        w[draw.draw(st.lists(st.integers(0, N - 1), max_size=N // 3), label="zero rows")] = 0.0
+        Z = sliding_window_view(w, B, axis=0).transpose(0, 2, 1).reshape(rows, B * m)
+        ZtZ = Z.T @ Z
+        G = _lagged_gram(w, B)
+        assert G.shape == (B * m, B * m)
+        assert np.abs(G - ZtZ).max() <= 1e-12 * np.abs(ZtZ).max()
+
     @settings(max_examples=40)
     @given(**RECORDS)
     def test_estimate_matches_oracle(self, seed, p, n_u, n_y, extra,
@@ -363,20 +386,21 @@ class TestAgainstGelsyOracle:
 
     def test_ill_conditioned_regressor_rejected(self, rng):
         # cond(Z) ~ 1e9: gelsy still calls this full rank, the normal
-        # equations would lose every digit
+        # equations would lose every digit; on this record the rounding of
+        # the Gram matrix makes the factorization itself fail
         u1 = rng.standard_normal(2000)
         u = np.column_stack([u1, u1 + 1e-9 * rng.standard_normal(2000)])
         data = IOData(u, rng.standard_normal((2000, 2)))
         Y, Z = varx_regression(data, 5, assume_delay=False)
         assert 1e9 < np.linalg.cond(Z) < 1e10
         gelsy_identify_xi(data, 5)
-        with pytest.raises(ExcitationError, match="condition estimate"):
+        with pytest.raises(ExcitationError, match="not numerically positive definite"):
             identify_xi(data, p=5)
 
     @pytest.mark.parametrize("scale", [1e-7, 1e-8, 1e-9])
     def test_rejection_reports_a_condition_figure(self, rng, scale):
-        # at 1e-8 the Cholesky factorization itself fails; its neighbours
-        # pass it and fail the condition estimate, and every message
+        # at 1e-8 and 1e-9 the Cholesky factorization itself fails; at 1e-7
+        # it passes and the condition estimate fails, and every message
         # carries a figure far above 1/(ncols eps) ~ 2e14
         u1 = rng.standard_normal(2000)
         u = np.column_stack([u1, u1 + scale * rng.standard_normal(2000)])
@@ -384,10 +408,11 @@ class TestAgainstGelsyOracle:
         with pytest.raises(ExcitationError) as err:
             identify_xi(data, p=5)
         message = str(err.value)
-        assert ("not numerically positive definite" in message) == (scale == 1e-8)
+        cholesky = scale in (1e-8, 1e-9)
+        assert ("not numerically positive definite" in message) == cholesky
         figure = re.search(r"condition (?:estimate|number) ([^,)]+)", message).group(1)
         assert float(figure) > 1e14
-        if scale == 1e-8:  # the figure is of the matrix before the factorization
+        if cholesky:  # the figure is of the matrix before the factorization
             assert figure == f"{np.linalg.cond(equilibrated_gram(data, 5)):.2e}"
 
 

@@ -42,9 +42,9 @@ from .errors import (
 )
 from .inverse_filter import (
     FaultEstimationFilter,
+    _injected_filter,
+    _inverse_system,
     invariant_zeros_stable,
-    open_loop_inverse,
-    reduced_filter,
     residual_generator,
     run_filter,
     stabilizing_gain,
@@ -765,10 +765,14 @@ def _check_noise_scales(q, r) -> None:
 
 
 def _model_based_filter(pred, strategy: str, poles) -> FaultEstimationFilter:
-    """The inversion filter of a predictor: alg0's design, and alg1's."""
-    inv = open_loop_inverse(pred)
-    Kr = stabilizing_gain(inv.Phi1, inv.C2, strategy=strategy, poles=poles)
-    return reduced_filter(pred, Kr, strategy=strategy)
+    """The inversion filter of a predictor: alg0's design, and alg1's.
+
+    :func:`reduced_filter` with its gain, from one open loop inverse: the
+    folded inverse's state matrix is Phi1 and its residual rows are -C2.
+    """
+    inv, n_f = _inverse_system(pred), pred.n_faults
+    Kr = stabilizing_gain(inv.A, -inv.C[n_f:], strategy=strategy, poles=poles)
+    return _injected_filter(inv, n_f, Kr, strategy)
 
 
 def _true_filter(faulty: StateSpaceModel, strategy: str, poles) -> FaultEstimationFilter:

@@ -566,13 +566,15 @@ def _recursion_plan(A, B, C, D) -> _RecursionPlan:
 def dare_fixed_point(A, C, Q, R, F=None):
     """Steady state filter Riccati equation, stabilizing solution.
 
-    Solves P = A P A^T - A P C^T (C P C^T + R)^-1 C P A^T + F Q F^T with
-    :func:`scipy.linalg.solve_discrete_are` on the dual (control) pair.
+    Solves P = A P A^T - A P C^T (C P C^T + R)^-1 C P A^T + F Q F^T by
+    the generalized eigenvalue method on the dual (control) pair, as
+    :func:`scipy.linalg.solve_discrete_are` runs it (see
+    :func:`_dare_qz`).
 
     Args:
         A, C: system and output matrices of the pair to filter.
         Q: process noise covariance (in the F channel).
-        R: measurement noise covariance, positive definite.
+        R: measurement noise covariance, symmetric positive definite.
         F: process noise input matrix, identity when omitted.
 
     Returns:
@@ -590,6 +592,7 @@ def dare_fixed_point(A, C, Q, R, F=None):
     Q = _as_matrix(Q, rows=F.shape[1], cols=F.shape[1], name="Q")
     R = _as_matrix(R, rows=C.shape[0], cols=C.shape[0], name="R")
     _check_symmetric_psd(Q, "Q")
+    _check_symmetric_psd(R, "R")
     w = np.linalg.eigvalsh(0.5 * (R + R.T))
     if w.size == 0 or w.min() <= 0:
         raise ValidationError("R must be positive definite")
@@ -600,18 +603,82 @@ def dare_fixed_point(A, C, Q, R, F=None):
 def _dare(A, C, Qt, R, scale):
     """:func:`dare_fixed_point` past its checks, with Qt = F Q F^T and
     ``scale`` the larger of max |Qt| and the largest eigenvalue of R."""
-    from scipy.linalg import solve_discrete_are  # deferred: a filter run needs no scipy
     # homogeneous in (Q, R, P): solved at unit scale, as R = 1e-30 I fails otherwise
     try:
-        P = scale * solve_discrete_are(A.T, C.T, Qt / scale, R / scale)
+        P = scale * _dare_qz(A, C, Qt / scale, R / scale)
+        S = C @ P @ C.T + R
+        K = np.linalg.solve(S.T, (A @ P @ C.T).T).T  # S singular: R tiny, rows > states
     except np.linalg.LinAlgError as exc:
         raise RiccatiError(f"no stabilizing Riccati solution: {exc}") from exc
-    S = C @ P @ C.T + R
-    K = np.linalg.solve(S.T, (A @ P @ C.T).T).T
     rho = spectral_radius(A - K @ C)
     if not rho < 1.0:
         raise RiccatiError(f"Riccati solution is not stabilizing (spectral radius {rho:.6g})")
     return P, K, S
+
+
+def _dare_qz(A, C, Q, R):
+    """Stabilizing P of the filter Riccati equation by ordered QZ.
+
+    The method of Pappas, Laub & Sandell (IEEE TAC 25(4), 1980) with
+    Van Dooren's deflation (SIAM J. Sci. Stat. Comput. 2(2), 1981), step
+    for step as :func:`scipy.linalg.solve_discrete_are` takes it on the
+    dual pair (A^T, C^T), without its argument checks and wrappers:
+
+    - the (2n + m) pencil H - z J of the pair, scaled by the symplectic
+      balancing diag(D, D^-1, E) from ``gebal`` (Benner); its entries
+      are powers of two, so a unit scaling changes no bit;
+    - the m R columns deflated by the orthogonal complement of their QR
+      factor, leaving a 2n pencil;
+    - QZ ordered with the eigenvalues inside the unit circle first, whose
+      n Schur vectors [u00; u10] span the stable subspace;
+    - P = u10 u00^-1 through u00's LU factors, unscaled and symmetrized.
+
+    Raises:
+        LinAlgError: a non-finite pencil; a reordering that ``tgsen``
+            refuses (scipy's ValueError); u00 numerically singular (no
+            finite solution); or u00^T u10 far from symmetric, which
+            means eigenvalues too close to the unit circle to split.
+    """
+    from scipy.linalg import ordqz  # deferred: a filter run needs no scipy
+    from scipy.linalg.lapack import dgebal, dgeqrf, dgetrf, dgetrs, dorgqr
+    m, n = C.shape
+    H, J = np.zeros((2, 2 * n + m, 2 * n + m))
+    H[:n, :n], H[:n, 2 * n:] = A.T, C.T
+    H[n:2 * n, :n], H[n:2 * n, n:2 * n] = -Q, np.eye(n)
+    H[2 * n:, 2 * n:] = R
+    J[:n, :n], J[n:2 * n, n:2 * n], J[2 * n:, n:2 * n] = np.eye(n), A, -C
+    M = np.abs(H) + np.abs(J)
+    if not np.isfinite(M).all():
+        raise np.linalg.LinAlgError("the Riccati pencil has non-finite entries")
+    np.fill_diagonal(M, 0.0)  # gebal does not skip the diagonal
+    sca = np.log2(dgebal(M, scale=1, permute=0)[3])
+    s = np.round((sca[n:2 * n] - sca[:n]) / 2)
+    sca = 2 ** np.r_[s, -s, sca[2 * n:]]
+    scaling = sca[:, None] * np.reciprocal(sca)
+    H *= scaling
+    J *= scaling
+    qr, tau = dgeqrf(H[:, 2 * n:])[:2]
+    Z = np.zeros((2 * n + m, 2 * n + m), order="F")
+    Z[:, :m] = qr
+    Z = dorgqr(Z, tau, lwork=2 * n + m, overwrite_a=1)[0][:, m:].T
+    try:
+        u = ordqz(Z @ H[:, :2 * n], Z @ J[:, :2 * n], sort="iuc",
+                  overwrite_a=True, overwrite_b=True, check_finite=False)[5]
+    except ValueError as exc:  # tgsen could not reorder an ill-conditioned pencil
+        raise np.linalg.LinAlgError(str(exc)) from exc
+    u00, u10 = u[:n, :n], u[n:, :n]
+    lu, piv = dgetrf(u00)[:2]
+    sv = np.linalg.svd(np.triu(lu), compute_uv=False)
+    if sv[-1] <= np.spacing(1.0) * sv[0]:
+        raise np.linalg.LinAlgError("Failed to find a finite solution.")
+    X = dgetrs(lu, piv, u10.T, trans=1)[0].T
+    X *= sca[:n, None] * sca[:n]
+    sym = u00.T @ u10
+    if (np.abs(sym - sym.T).sum(axis=0).max()
+            > max(np.spacing(1000.0), 0.1 * np.abs(sym).sum(axis=0).max())):
+        raise np.linalg.LinAlgError("The associated symplectic pencil has "
+                                    "eigenvalues too close to the unit circle")
+    return (X + X.T) / 2
 
 
 def to_predictor(model: StateSpaceModel) -> PredictorModel:

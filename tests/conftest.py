@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy.linalg import lstsq
+from scipy.linalg import lstsq, solve_discrete_are
 
 from faultfilter import (
     ExcitationError,
@@ -282,6 +282,33 @@ def family_matrix(rng, n, kind):
     A = rng.standard_normal((n, n))
     rho = rng.uniform(1.0, 1.05) if kind == "unstable" else rng.uniform(0.0, 0.999)
     return A * (rho / max(spectral_radius(A), 1e-12))
+
+
+def scipy_dare(A, C, Qt, R):
+    """The Riccati core as it ran through ``scipy.linalg.solve_discrete_are``.
+
+    Solved at the unit scale dare_fixed_point uses; the stabilizing P,
+    or None where scipy raised, C P C^T + R is singular or P leaves
+    rho(A - K C) >= 1.
+    """
+    scale = max(np.abs(Qt).max(initial=0.0), np.linalg.eigvalsh(R).max())
+    try:
+        # matrix_balance casts the scalings to int for a permutation it does
+        # not use here; a scaling past the int range (tiny Q) warns there
+        with np.errstate(invalid="ignore"):
+            P = scale * solve_discrete_are(A.T, C.T, Qt / scale, R / scale)
+        K = np.linalg.solve((C @ P @ C.T + R).T, (A @ P @ C.T).T).T  # as dare_fixed_point
+    except (np.linalg.LinAlgError, ValueError):
+        return None
+    return P if spectral_radius(A - K @ C) < 1.0 else None
+
+
+def riccati_residual(P, A, C, Qt, R):
+    """Relative residual of the filter Riccati equation at P."""
+    APC = A @ P @ C.T
+    rhs = A @ P @ A.T - APC @ np.linalg.solve(C @ P @ C.T + R, APC.T) + Qt
+    size = max(np.linalg.norm(P), np.linalg.norm(A @ P @ A.T), np.linalg.norm(Qt))
+    return np.linalg.norm(rhs - P) / size if size > 0 else 0.0
 
 
 def random_stable(rng, n, rho=0.8):

@@ -35,7 +35,7 @@ from faultfilter.bench_cli import (
 )
 from faultfilter.lti_core import _CHUNK, _write_csv, block_toeplitz, lti_recursion
 
-from conftest import _window_map, planted_zero_predictor
+from conftest import _window_map, planted_zero_predictor, stable_invertible_predictor
 
 
 def per_sample_closed_loop(model, gain, N, rng, scenario=None, eta=None):
@@ -842,6 +842,26 @@ class TestPlantMemo:
             with pytest.raises(ValidationError, match="unknown plant 'bogus'"):
                 run_comparison(small_cfg(plant="bogus"))
         assert bench_cli._registry_loop.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("strategy", ["riccati", "pole_placement"])
+    def test_model_based_filter_is_the_public_design(self, strategy):
+        # alg0's and alg1's design folds the inverse once and takes the gain
+        # from it; the filter is the public open_loop_inverse ->
+        # stabilizing_gain -> reduced_filter chain's, bit for bit
+        model, _ = ff.get_plant("unstable4").factory()
+        preds = [ff.to_predictor(ff.sensor_fault_plant(model, s)) for s in (0, 1)]
+        preds += [stable_invertible_predictor(np.random.default_rng(seed), n_y=3)
+                  for seed in (3, 4)]
+        for pred in preds:
+            inv = ff.open_loop_inverse(pred)
+            Kr = ff.stabilizing_gain(inv.Phi1, inv.C2, strategy=strategy,
+                                     poles=BENCH_POLES)
+            want = ff.reduced_filter(pred, Kr, strategy=strategy)
+            got = bench_cli._model_based_filter(pred, strategy, BENCH_POLES)
+            assert got.strategy == want.strategy == strategy
+            for name in ("Af", "Bu", "By", "Cf", "Du", "Dy"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_kept_arrays_are_read_only(self, cold_plant_cache):
         cfg = small_cfg()

@@ -36,6 +36,8 @@ from conftest import (
     per_sample_run,
     random_model,
     random_predictor,
+    riccati_residual,
+    scipy_dare,
     sequential_observability,
 )
 
@@ -223,6 +225,61 @@ class TestDare:
         C = np.array([[0.0, 1.0]])
         with pytest.raises(RiccatiError):
             dare_fixed_point(A, C, np.eye(2), np.eye(1))
+
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), m=st.integers(1, 3),
+           q=st.floats(0.0, 1.0), log_r=st.floats(-30.0, 0.0))
+    def test_balanced_core_matches_scipy_on_scaled_states(self, seed, n, m, q, log_r):
+        # states 10^-3 .. 10^3 apart: the pencil's symplectic balancing keeps
+        # the core's verdict and accuracy those of scipy's solver, which runs
+        # the same method; unbalanced, such pencils raise or lose digits
+        rng = np.random.default_rng(seed)
+        t = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(0.3, 1.5) / max(spectral_radius(A), 1e-12)
+        A, C = A * t[:, None] / t, rng.standard_normal((m, n)) / t
+        Q, R, F = q * np.eye(n), 10.0 ** log_r * np.eye(m), np.diag(t)
+        Qt = F @ Q @ F.T
+        want = scipy_dare(A, C, Qt, R)
+        try:
+            got = dare_fixed_point(A, C, Q, R, F)[0]
+        except RiccatiError:
+            got = None
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (riccati_residual(got, A, C, Qt, R)
+                    <= 10 * max(riccati_residual(want, A, C, Qt, R), np.finfo(float).eps))
+
+    @pytest.mark.parametrize("lam", [1.0, 1.3])
+    def test_unseen_mode_on_or_outside_the_circle_has_no_finite_solution(self, lam):
+        # the stable subspace misses the unseen mode, so u00 is singular
+        A, C = np.diag([lam, 0.5]), np.array([[0.0, 1.0]])
+        with pytest.raises(RiccatiError, match=r"^no stabilizing Riccati solution: "
+                                               r"Failed to find a finite solution\.$"):
+            dare_fixed_point(A, C, np.eye(2), np.eye(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pair_is_a_riccati_error(self, bad):
+        # the pencil's finite check keeps the value from gebal, which would
+        # print a LAPACK parameter error and go on
+        with pytest.raises(RiccatiError, match="pencil has non-finite entries"):
+            dare_fixed_point(0.5 * np.eye(2), np.array([[bad, 1.0]]), np.eye(2), np.eye(1))
+
+    def test_failed_reordering_is_a_riccati_error(self, monkeypatch):
+        # ordqz raises ValueError when tgsen cannot reorder the pencil
+        import scipy.linalg
+
+        def refuse(*args, **kwargs):
+            raise ValueError("Reordering of (A, B) failed")
+
+        monkeypatch.setattr(scipy.linalg, "ordqz", refuse)
+        with pytest.raises(RiccatiError, match=r"^no stabilizing Riccati solution: Reordering"):
+            dare_fixed_point(0.5 * np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+
+    def test_rejects_asymmetric_R(self):
+        with pytest.raises(ValidationError, match="^R must be symmetric$"):
+            dare_fixed_point(0.5 * np.eye(2), np.eye(2), np.eye(2),
+                             np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_rejects_indefinite_R(self, rng):
         model = random_model(rng)

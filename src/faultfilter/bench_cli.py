@@ -42,12 +42,11 @@ from .errors import (
 )
 from .inverse_filter import (
     FaultEstimationFilter,
-    _injected_filter,
     _inverse_system,
+    assemble_filter,
     invariant_zeros_stable,
     residual_generator,
     run_filter,
-    stabilizing_gain,
 )
 from .lti_core import (
     IOData,
@@ -764,22 +763,6 @@ def _check_noise_scales(q, r) -> None:
             raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
 
 
-def _model_based_filter(pred, strategy: str, poles) -> FaultEstimationFilter:
-    """The inversion filter of a predictor: alg0's design, and alg1's.
-
-    :func:`reduced_filter` with its gain, from one open loop inverse: the
-    folded inverse's state matrix is Phi1 and its residual rows are -C2.
-    """
-    inv, n_f = _inverse_system(pred), pred.n_faults
-    Kr = stabilizing_gain(inv.A, -inv.C[n_f:], strategy=strategy, poles=poles)
-    return _injected_filter(inv, n_f, Kr, strategy)
-
-
-def _true_filter(faulty: StateSpaceModel, strategy: str, poles) -> FaultEstimationFilter:
-    """alg0's filter, designed on the true plant's predictor."""
-    return _model_based_filter(to_predictor(faulty), strategy, poles)
-
-
 # The plant-only half of a registry comparison, shared by every seed.  A
 # call that raised is not kept, so its error comes again on every call.
 @functools.lru_cache(maxsize=8)
@@ -793,7 +776,8 @@ def _registry_loop(plant: str, q, r, sensors: tuple) -> _Loop:
 @functools.lru_cache(maxsize=8)
 def _registry_alg0(plant: str, q, r, sensors: tuple, strategy: str,
                    poles) -> FaultEstimationFilter:
-    filt = _true_filter(_registry_loop(plant, q, r, sensors).model, strategy, poles)
+    pred = to_predictor(_registry_loop(plant, q, r, sensors).model)
+    filt = assemble_filter(_inverse_system(pred), sensors, strategy=strategy, poles=poles)
     _read_only(filt)  # its matrices already are; this covers the state
     return filt
 
@@ -827,7 +811,11 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     else:
         model, controller = cfg.resolve_plant()
         loop = _Loop.build(sensor_fault_plant(model, cfg.sensors), controller)
-        alg0_filter = functools.partial(_true_filter, loop.model, design.strategy, design.poles)
+
+        def alg0_filter():  # built in alg0's attempt, so a failure is alg0's
+            return assemble_filter(_inverse_system(to_predictor(loop.model)), cfg.sensors,
+                                   strategy=design.strategy, poles=design.poles)
+
     stop = cfg.run_samples if cfg.window_stop is None else cfg.window_stop
 
     rng = np.random.default_rng(cfg.seed)
@@ -874,7 +862,8 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
             base, _ = predictor_from_xi(xi, design.hankel_rows, design.hankel_cols,
                                         order=design.order)
             pred1 = sensor_fault_channel(base, cfg.sensors)
-            return run_recursive(_model_based_filter(pred1, design.strategy, design.poles))
+            return run_recursive(assemble_filter(_inverse_system(pred1), cfg.sensors,
+                                                 strategy=design.strategy, poles=design.poles))
 
         attempt("alg1", alg1)
 

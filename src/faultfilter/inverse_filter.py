@@ -134,6 +134,7 @@ _PBH_RANK = 1e-8  # PBH ratio at or below which a mode counts as unobservable
 # too near _PBH_RANK to trust: true defective zeros gave <= 1.1e-15, and
 # observable modes 1e-11 to 1e-9 when miscounted, >= 9.2e-7 otherwise
 _PBH_AMBIGUOUS = (1e-12, 1e-7)
+_UNSTABLE_MARGIN = 1e-6  # a zero with |z| >= 1 - margin blocks a stable inverse
 
 
 def _pbh_ratio(Phi1, C2, lam) -> float:
@@ -186,7 +187,7 @@ def invariant_zeros_stable(Phi, Etilde, C, G):
     zeros = np.asarray(lams[ratios <= _PBH_RANK], dtype=complex)
     if zeros.size:
         zeros = zeros[np.argsort(np.abs(zeros))]
-    ok = bool(zeros.size == 0 or np.max(np.abs(zeros)) < 1.0 - 1e-6)
+    ok = bool(zeros.size == 0 or np.max(np.abs(zeros)) < 1.0 - _UNSTABLE_MARGIN)
     return ok, zeros
 
 
@@ -251,8 +252,8 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
     Raises:
         ValidationError: a bad strategy or pole list, or ``riccati`` on
             a C2 with no rows.
-        StabilizationError: an unstable mode of Phi1 is unobservable
-            through C2 (an unstable invariant zero), pole placement
+        StabilizationError: a mode of Phi1 with |lam| >= 1 - 1e-6 is
+            unobservable through C2 (a zero the zero test fails), pole placement
             failed on the pair (a pole repeated more than r times, or
             no gain reaches the poles), or the placed gain fails the
             closed loop stability check.
@@ -265,13 +266,14 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
     C2 = _as_matrix(C2, cols=n, name="C2")
 
     blocked = [lam for lam in np.linalg.eigvals(Phi1)
-               if abs(lam) >= 1.0 - 1e-9 and _pbh_ratio(Phi1, C2, lam) <= _PBH_RANK]
+               if abs(lam) >= 1.0 - _UNSTABLE_MARGIN
+               and _pbh_ratio(Phi1, C2, lam) <= _PBH_RANK]
     if blocked:
-        listing = ", ".join(f"{lam:.6g}" for lam in blocked)
+        listing = ", ".join(f"{lam:.9g}" for lam in blocked)
         raise StabilizationError(
-            f"unstabilizable pair: modes [{listing}] are not strictly stable "
-            "and unobservable through the healthy outputs (unstable invariant "
-            "zeros); no injection gain exists")
+            f"unstabilizable pair: modes [{listing}] lie within {_UNSTABLE_MARGIN:g} of "
+            "the unit circle or outside it and are unobservable through the healthy "
+            "outputs (unstable invariant zeros); no injection gain exists")
 
     if strategy == "riccati":
         if not C2.shape[0]:
@@ -505,16 +507,22 @@ def _inverse_system(pred: PredictorModel) -> LinearSystem:
     )
 
 
-def _injected_filter(inv: LinearSystem, n_f: int, Kr,
-                     strategy: str) -> FaultEstimationFilter:
+def assemble_filter(inv: LinearSystem, sensor, Kr=None, strategy: str = "riccati",
+                    poles=None) -> FaultEstimationFilter:
     """The filter x(k+1) = A x + B z + Kr q, fh = C_f x + D_f z.
 
-    ``inv`` is a folded inverse on z = [u; y] whose first ``n_f`` output
-    rows are the fault estimate fh and whose remaining n_y rows are the
-    healthy-output residual q.  Both design routes end here.
+    ``inv`` is a folded inverse on z = [u; y] from :func:`_inverse_system`
+    or :func:`~faultfilter.markov_design.realize`: its first n_f output
+    rows are fh, the other n_y the healthy-output residual q = -C2 x + ...
+    Only the count n_f of ``sensor`` (an index or a collection) is read.
+    The gain stabilizes (A, C2) unless ``Kr`` is given.  Every design
+    route, model-based and data-driven, ends here.
     """
+    n_f = 1 if np.isscalar(sensor) else len(sensor)
     n_y = inv.C.shape[0] - n_f
     n_u = inv.B.shape[1] - n_y
+    if Kr is None:
+        Kr = stabilizing_gain(inv.A, -inv.C[n_f:], strategy=strategy, poles=poles)
     Kr = _as_matrix(Kr, rows=inv.A.shape[0], cols=n_y, name="Kr")
     Bz = inv.B + Kr @ inv.D[n_f:]
     return FaultEstimationFilter(
@@ -537,7 +545,7 @@ def reduced_filter(pred: PredictorModel, Kr,
     ``strategy`` only records how the gain was produced; Kr itself must
     already be stabilizing (see :func:`stabilizing_gain`).
     """
-    return _injected_filter(_inverse_system(pred), pred.n_faults, Kr, strategy)
+    return assemble_filter(_inverse_system(pred), range(pred.n_faults), Kr, strategy)
 
 
 def run_filter(filt: FaultEstimationFilter, data: IOData) -> np.ndarray:

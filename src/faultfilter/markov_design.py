@@ -30,10 +30,9 @@ import numpy as np
 from .errors import FaultDirectionError, FaultFilterError, ValidationError, rewrap
 from .inverse_filter import (
     FaultEstimationFilter,
-    _injected_filter,
     _real_stable_poles,
+    assemble_filter,
     left_inverse,
-    stabilizing_gain,
 )
 from .lti_core import (
     LinearSystem,
@@ -344,27 +343,6 @@ def realize(Wi: np.ndarray, cfg: DesignConfig):
     C = np.zeros((n_f + n_y, sys.A.shape[0]))
     C[live] = sys.C
     return LinearSystem(sys.A, sys.B, C, Wi[0]), s
-
-
-def assemble_filter(inv: LinearSystem, sensor, Kr=None, strategy: str = "riccati",
-                    poles=None) -> FaultEstimationFilter:
-    """Stabilize a realized inverse and pack it into a runnable filter.
-
-    ``inv`` maps z = [u; y] to the fault estimate of the ``sensor`` list
-    and the healthy-output residual q = -C2 x + ..., as :func:`realize`
-    returns it.  The rows of C2 that belong to the faulty sensors are
-    zeroed first: for sensor faults those rows are structurally zero,
-    and scrubbing the realization noise off them keeps the injection
-    gain from feeding the faulty measurement back into the state.  The
-    gain stabilizes (A, C2) unless ``Kr`` is given.
-    """
-    n_f = 1 if np.isscalar(sensor) else len(sensor)
-    C2 = -inv.C[n_f:]
-    C2[_sensor_list(sensor, C2.shape[0])] = 0.0
-    if Kr is None:
-        Kr = stabilizing_gain(inv.A, C2, strategy=strategy, poles=poles)
-    inv = LinearSystem(inv.A, inv.B, np.vstack([inv.C[:n_f], -C2]), inv.D)
-    return _injected_filter(inv, n_f, Kr, strategy)
 
 
 def predictor_from_xi(xi: IdentifiedXi, l: int, m: int, order="auto"):

@@ -42,8 +42,8 @@ class IdentifiedXi:
     ``Hu`` holds H_0^u .. H_p^u (index equals the lag); ``Hy`` holds
     H_1^y .. H_p^y, so ``Hy[i]`` is the lag i+1 block and the implicit
     H_0^y = 0 is not stored; both are (blocks, rows, cols) arrays.
-    ``residual_variance`` is the sample covariance of the regression
-    residuals, an estimate of the innovation covariance.  A nan or inf
+    ``residual_variance`` estimates the innovation covariance: the residual
+    sum of squares over the fit's rows - ncols degrees of freedom.  A nan or inf
     entry in any of them raises a ValidationError.  The arrays are kept
     as read-only copies; copies and pickles are rebuilt and checked.
     """
@@ -240,8 +240,8 @@ def identify_xi(data: IOData, p: int, assume_delay: bool = False) -> IdentifiedX
     The normal equations are formed from the lagged Gram matrix of the
     samples (see :func:`_lagged_gram`), column-equilibrated and solved
     by a Cholesky factorization made in place; the regressor matrix
-    itself is never built.  The residual covariance comes from the
-    residuals themselves.
+    itself is never built.  The residual covariance divides the residual
+    sum of squares by rows - ncols, not rows, which would bias it low.
 
     Args:
         data: recorded experiment; inputs must be persistently exciting
@@ -259,7 +259,7 @@ def identify_xi(data: IOData, p: int, assume_delay: bool = False) -> IdentifiedX
     Raises:
         ValidationError: p not an integer, p < 1 or a non-finite sample
             (the message names the first one).
-        ExcitationError: fewer usable rows than coefficients, a
+        ExcitationError: no more usable rows than coefficients, a
             regressor column that is identically zero, a Gram matrix
             that is not numerically positive definite, or a reciprocal
             condition estimate of the equilibrated Gram matrix below
@@ -275,9 +275,9 @@ def identify_xi(data: IOData, p: int, assume_delay: bool = False) -> IdentifiedX
     n_u, n_y = data.n_inputs, data.n_outputs
     rows = data.n_samples - p
     ncols = p * (n_u + n_y) + (0 if assume_delay else n_u)
-    if rows < ncols:
+    if rows <= ncols:
         raise ExcitationError(
-            f"insufficient excitation: {rows} regression rows cannot determine "
+            f"insufficient excitation: {rows} regression rows must exceed the "
             f"{ncols} coefficient columns; record more samples or lower p")
     # regressor columns are a prefix of the (p+1)-block windows, targets
     # their last n_y columns
@@ -315,4 +315,5 @@ def identify_xi(data: IOData, p: int, assume_delay: bool = False) -> IdentifiedX
     if assume_delay:
         xi = np.hstack([xi, np.zeros((n_y, n_u))])
     res = _window_residuals(w, n_y, xi)
-    return IdentifiedXi.from_stacked(xi, p, n_u, n_y, residual_variance=res.T @ res / rows)
+    return IdentifiedXi.from_stacked(xi, p, n_u, n_y,
+                                     residual_variance=res.T @ res / (rows - ncols))

@@ -65,7 +65,7 @@ def gelsy_identify_xi(data, p, assume_delay=False):
     if assume_delay:
         xi = np.hstack([xi, np.zeros((data.n_outputs, data.n_inputs))])
     return IdentifiedXi.from_stacked(xi, p, data.n_inputs, data.n_outputs,
-                                     residual_variance=res.T @ res / len(Y))
+                                     residual_variance=res.T @ res / (len(Y) - ncols))
 
 
 def xi_residuals(xi, data):

@@ -33,6 +33,7 @@ from faultfilter.bench_cli import (
     time_window_step,
     write_report_svg,
 )
+from faultfilter.inverse_filter import _inverse_system, assemble_filter
 from faultfilter.lti_core import _CHUNK, _write_csv, block_toeplitz, lti_recursion
 
 from conftest import _window_map, planted_zero_predictor, stable_invertible_predictor
@@ -834,6 +835,15 @@ class TestPlantMemo:
         assert (info.misses, info.currsize) == (3, 0)
         assert result(reports[0], "alg3").ok
 
+    def test_explicit_plant_alg0_failure_is_an_arm_failure(self):
+        # the explicit plant's alg0 filter is built in alg0's attempt, so a
+        # design failure there fails alg0 and does not leave run_comparison
+        model, ctrl = ff.get_plant("unstable4").factory()
+        rep = run_comparison(small_cfg(model=model, controller=ctrl, poles=(0.5,) * 4))
+        assert [res.ok for res in rep.results] == [False, False, False, True]
+        assert [res.name for res in rep.results] == ["alg0", "alg1", "alg2", "alg3"]
+        assert result(rep, "alg0").message.startswith("alg0: ")
+
     def test_plant_errors_are_not_kept(self, cold_plant_cache, monkeypatch):
         monkeypatch.setattr(ff.bench_cli._Loop, "simulate", None)  # nothing simulated
         for _ in range(2):
@@ -845,9 +855,9 @@ class TestPlantMemo:
 
     @pytest.mark.parametrize("strategy", ["riccati", "pole_placement"])
     def test_model_based_filter_is_the_public_design(self, strategy):
-        # alg0's and alg1's design folds the inverse once and takes the gain
-        # from it; the filter is the public open_loop_inverse ->
-        # stabilizing_gain -> reduced_filter chain's, bit for bit
+        # alg0's and alg1's design, assemble_filter on the folded inverse,
+        # takes the gain from it; the filter is the public open_loop_inverse
+        # -> stabilizing_gain -> reduced_filter chain's, bit for bit
         model, _ = ff.get_plant("unstable4").factory()
         preds = [ff.to_predictor(ff.sensor_fault_plant(model, s)) for s in (0, 1)]
         preds += [stable_invertible_predictor(np.random.default_rng(seed), n_y=3)
@@ -857,7 +867,8 @@ class TestPlantMemo:
             Kr = ff.stabilizing_gain(inv.Phi1, inv.C2, strategy=strategy,
                                      poles=BENCH_POLES)
             want = ff.reduced_filter(pred, Kr, strategy=strategy)
-            got = bench_cli._model_based_filter(pred, strategy, BENCH_POLES)
+            got = assemble_filter(_inverse_system(pred), range(pred.n_faults),
+                                  strategy=strategy, poles=BENCH_POLES)
             assert got.strategy == want.strategy == strategy
             for name in ("Af", "Bu", "By", "Cf", "Du", "Dy"):
                 a, b = getattr(got, name), getattr(want, name)

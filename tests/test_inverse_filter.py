@@ -236,7 +236,7 @@ class TestStabilizingGain:
         for n, kind in ((1, "unstable"), (4, "unstable"), (4, "dense"), (6, "non-normal")):
             Phi1 = family_matrix(rng, n, kind)
             C2 = rng.standard_normal((3, n))
-            C2[1] = 0.0  # a zeroed faulty-sensor row, as assemble_filter leaves it
+            C2[1] = 0.0  # a faulty-sensor row, exactly zero as realize leaves it
             want = ff.dare_fixed_point(Phi1, C2, np.eye(n), np.eye(3))[1]
             assert np.array_equal(stabilizing_gain(Phi1, C2), want)
 
@@ -283,6 +283,19 @@ class TestStabilizingGain:
             stabilizing_gain(inv.Phi1, inv.C2)
         with pytest.raises(StabilizationError, match="1.2"):
             stabilizing_gain(inv.Phi1, inv.C2)
+
+    @pytest.mark.parametrize("strategy", ["riccati", "pole_placement"])
+    def test_zero_the_zero_test_fails_blocks_the_gain(self, strategy):
+        # a zero at 1 - 1e-7 lies inside the margin the zero test keeps
+        # from the unit circle; the gain keeps the same margin, so it
+        # raises rather than leave rho(Phi1 - Kr C2) = 0.9999999
+        pred = planted_zero_predictor(np.random.default_rng(5), 1 - 1e-7)
+        ok, _ = invariant_zeros_stable(pred.Phi, pred.Et, pred.C, pred.G)
+        assert not ok
+        inv = open_loop_inverse(pred)
+        with pytest.raises(StabilizationError,
+                           match=r"^unstabilizable pair: modes \[0\.9999999"):
+            stabilizing_gain(inv.Phi1, inv.C2, strategy=strategy, poles=[0.5, 0.4, 0.3, 0.2])
 
     def test_pole_placement_failure_suggests_riccati(self, rng):
         # healthy output row is rank one, so a fourfold repeated pole

@@ -92,3 +92,30 @@ def test_second_strategy_on_one_xi_skips_realize(monkeypatch):
     assert spans.count("markov_design.design_filter_from_xi") == 2
     assert spans.count("markov_design.realize") == 1
     assert spans.count("markov_design.assemble_filter") == 2
+
+
+def test_every_arm_designs_through_assemble_filter(monkeypatch):
+    # alg0, alg1 and alg2 all end in one assemble_filter; a warm plant
+    # cache keeps alg0's filter, so the second comparison designs two
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    cfg = ff.BenchConfig(p=40, markov_length=40, hankel_rows=12, hankel_cols=12,
+                         n_ident=800, run_samples=500, window_start=300, seed=3)
+    counts = []
+    tracer = tracing.Tracer()
+    bench_cli._registry_loop.cache_clear()
+    bench_cli._registry_alg0.cache_clear()
+    try:
+        tracing.install(tracer)
+        for _ in range(2):
+            start = len(tracer.name)
+            report = ff.run_comparison(cfg)
+            assert all(res.ok for res in report.results)
+            spans = [tracer.names[i] for i in tracer.name[start:]]
+            counts.append(spans.count("markov_design.assemble_filter"))
+    finally:
+        tracer.uninstall()
+        bench_cli._registry_loop.cache_clear()
+        bench_cli._registry_alg0.cache_clear()
+    assert counts == [3, 2]

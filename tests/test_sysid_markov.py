@@ -116,6 +116,17 @@ class TestStatisticalRecovery:
         assert rel(clean) < 0.6 * rel(biased)
         assert rel(clean) < 0.5
 
+    def test_residual_variance_is_unbiased(self):
+        # at p = 100 the fit spends 400 of 900 rows on coefficients: over
+        # rows the variance would read (900 - 400) / 900 = 0.556 of the truth
+        model, ctrl = ff.get_plant("unstable4").factory()
+        truth = np.diag(to_predictor(model).SigmaE)
+        ratios = [np.diag(identify_xi(ff.collect_identification_data(model, ctrl, 1000, seed=s),
+                                      100, assume_delay=True).residual_variance) / truth
+                  for s in range(20)]
+        mean = np.mean(ratios, axis=0)
+        assert np.all((0.9 <= mean) & (mean <= 1.1)), mean
+
 
 class TestReference:
     def test_xi_from_predictor_matches_markov_parameters(self, rng):

@@ -27,7 +27,6 @@ import argparse
 import configparser
 import copy
 import functools
-import numbers
 import os
 import sys
 import time
@@ -43,6 +42,7 @@ from .errors import (
 from .inverse_filter import (
     FaultEstimationFilter,
     _inverse_system,
+    _listing,
     assemble_filter,
     invariant_zeros_stable,
     residual_generator,
@@ -113,6 +113,7 @@ def parse_fault_signal(text: str):
         [<amp>] cos <freq>      cosinusoid
 
     Frequencies accept a trailing ``pi`` multiplier, e.g. ``0.1pi``.
+    A number, a term tuple or any other non-string raises ValidationError.
     """
     def number(tok, what):
         try:
@@ -126,6 +127,8 @@ def parse_fault_signal(text: str):
             return (number(head, "frequency") if head else 1.0) * np.pi
         return number(tok, "frequency")
 
+    if not isinstance(text, str):
+        raise ValidationError(f"fault signal {text!r} is not a string in the [scenario] grammar")
     terms = []
     for part in text.split("+"):
         toks = part.split()
@@ -145,26 +148,6 @@ def parse_fault_signal(text: str):
 
 
 _DEFAULT_SIGNAL = (("sin", 1.0, 0.1 * np.pi), ("step", 1.0))
-_TERM_SIZES = {"step": 2, "sin": 3, "cos": 3}  # the name and its numbers
-
-
-def _signal_terms(sig) -> tuple:
-    """A fault signal's term tuples: a string parsed, a sequence checked."""
-    if isinstance(sig, str):
-        return tuple(parse_fault_signal(sig))
-    try:
-        terms = tuple(sig)
-    except TypeError:
-        raise ValidationError(
-            f"fault signal {sig!r} is neither a string nor a sequence of terms") from None
-    for term in terms:
-        if not (isinstance(term, tuple) and term and isinstance(term[0], str)
-                and _TERM_SIZES.get(term[0]) == len(term)
-                and all(isinstance(x, numbers.Real) and np.isfinite(x) for x in term[1:])):
-            raise ValidationError(
-                f"bad term {term!r} in fault signal {sig!r}: expected ('step', amp) or "
-                "('sin' | 'cos', amp, freq) with finite real numbers")
-    return tuple((term[0], *map(float, term[1:])) for term in terms)
 
 
 @dataclass(frozen=True)
@@ -172,7 +155,7 @@ class FaultScenario:
     """When and how the plant's faults act, fixed once built and checked.
 
     The plant's fault channels (its E and G columns) place the faults;
-    one signal term list per channel describes the fault value from the
+    one signal string per channel describes the fault value from the
     onset sample on (zero before), and without ``signals`` every channel
     gets the default signal.  Signals are evaluated on the absolute
     sample index, so a sinusoid keeps its phase regardless of the onset.
@@ -185,7 +168,7 @@ class FaultScenario:
         if isinstance(self.signals, str):
             raise ValidationError(f"signals needs one string per fault, not {self.signals!r}")
         signals = self.signals if self.signals is None else tuple(
-            _signal_terms(sig) for sig in self.signals)
+            tuple(parse_fault_signal(sig)) for sig in self.signals)
         self.__dict__.update(signals=signals, onset=_as_int(self.onset, "onset", 0))
 
     def evaluate(self, N: int, n_faults: int) -> np.ndarray:
@@ -687,11 +670,12 @@ class BenchConfig:
     based) that are empty, not sorted, unique and nonnegative, or do not
     match the scenario's signal count, a noise scale ``q`` or ``r`` (Q =
     q I, R = r I) that is not finite or is negative, a value DesignConfig
-    rejects, or a statistics window that starts before every arm has
-    estimates (sample markov_length - 1, where the MHE window fills) is
-    a ValidationError naming the field.  ``design`` is the checked
-    DesignConfig, built from its fields (``sensor`` from ``sensors``).
-    Assigning a field raises; ``dataclasses.replace`` checks again.
+    rejects, or a statistics window [window_start, run_samples) that is
+    empty or starts before sample markov_length - 1, where the MHE
+    window fills and every arm has estimates, is a ValidationError
+    naming the field.  ``design`` is the checked DesignConfig, built
+    from its fields (``sensor`` from ``sensors``).  Assigning a field
+    raises; ``dataclasses.replace`` checks again.
     """
 
     plant: str = "unstable4"
@@ -712,7 +696,6 @@ class BenchConfig:
     n_ident: int = 1000
     run_samples: int = 1300
     window_start: int = 300
-    window_stop: int = None
     seed: int = 0
     design: DesignConfig = field(init=False, repr=False, compare=False)
 
@@ -722,8 +705,6 @@ class BenchConfig:
                             ("p", 1), ("window_start", None)):
             label = "n_ident ([identify] n_samples)" if name == "n_ident" else name
             d[name] = _as_int(getattr(self, name), label, least)
-        if self.window_stop is not None:
-            d["window_stop"] = _as_int(self.window_stop, "window_stop")
         _check_noise_scales(self.q, self.r)
         d["sensors"] = tuple(_as_int(j, "each entry of sensors")
                              for j in np.atleast_1d(self.sensors).tolist())
@@ -739,10 +720,9 @@ class BenchConfig:
         d["design"] = DesignConfig(sensor=self.sensors, **{
             f.name: getattr(self, f.name) for f in fields(DesignConfig) if f.name != "sensor"})
         L = self.design.markov_length
-        stop = self.run_samples if self.window_stop is None else self.window_stop
-        if not L - 1 <= self.window_start < stop <= self.run_samples:
+        if not L - 1 <= self.window_start < self.run_samples:
             raise ValidationError(
-                f"bad statistics window [{self.window_start}, {stop}) for "
+                f"bad statistics window [{self.window_start}, {self.run_samples}) for "
                 f"{self.run_samples} samples; it must start at or after sample {L - 1}, "
                 f"where the MHE window of markov_length {L} fills")
 
@@ -816,8 +796,6 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
             return assemble_filter(_inverse_system(to_predictor(loop.model)), cfg.sensors,
                                    strategy=design.strategy, poles=design.poles)
 
-    stop = cfg.run_samples if cfg.window_stop is None else cfg.window_stop
-
     rng = np.random.default_rng(cfg.seed)
     ident, _ = loop.simulate(cfg.n_ident, rng,
                              eta=rng.standard_normal((cfg.n_ident, loop.model.n_inputs)))
@@ -836,7 +814,7 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
             results.append(AlgorithmResult(name=name, ok=False,
                                            message=f"{name}: {err}"))
         else:
-            err_series = estimates[cfg.window_start:stop] - fault[cfg.window_start:stop]
+            err_series = estimates[cfg.window_start:] - fault[cfg.window_start:]
             results.append(AlgorithmResult(name=name, ok=True, estimates=estimates,
                                            stats=ellipse_stats(err_series),
                                            macs_per_sample=macs))
@@ -892,7 +870,7 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     return ExperimentReport(
         plant=cfg.plant if cfg.model is None else "custom",
         seed=cfg.seed,
-        window=(cfg.window_start, stop),
+        window=(cfg.window_start, cfg.run_samples),
         fault=fault,
         results=results,
     )
@@ -1000,9 +978,9 @@ def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
     separated by ';'), [identify] (``p``, ``n_samples``,
     ``assume_delay``), [design] (``markov_length``, ``hankel_rows``,
     ``hankel_cols``, ``order``, ``strategy``, ``poles``), [bench]
-    (``run_samples``, ``window_start``, ``window_stop``).  ``plant`` may
-    name a registry entry, which replaces the [plant] ``name`` and
-    matrices, or a config file with its own [plant] section.
+    (``run_samples``, ``window_start``).  ``plant`` may name a
+    registry entry, which replaces the [plant] ``name`` and matrices,
+    or a config file with its own [plant] section.
     """
     kwargs = {}
     parser = (configparser.ConfigParser() if config_path is None
@@ -1062,7 +1040,7 @@ def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
 
     if "bench" in parser:
         kwargs.update(_ini_values(parser["bench"], dict.fromkeys(
-            ("run_samples", "window_start", "window_stop"), int)))
+            ("run_samples", "window_start"), int)))
 
     if seed is not None:
         kwargs["seed"] = int(seed)
@@ -1157,10 +1135,7 @@ def _cmd_zeros(args, cfg: BenchConfig) -> int:
     if zeros.size == 0:
         print(f"sensors {sensors_1b}: no invariant zeros")
     else:
-        listing = ", ".join(
-            f"{z.real:.6g}" if abs(z.imag) < 1e-12 else f"{z:.6g}"
-            for z in zeros)
-        print(f"sensors {sensors_1b}: invariant zeros [{listing}]")
+        print(f"sensors {sensors_1b}: invariant zeros [{_listing(zeros, 6)}]")
     print("stable inversion possible" if ok
           else "stable inversion NOT possible (zero on or outside the unit circle)")
     return 0

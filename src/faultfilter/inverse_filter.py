@@ -137,6 +137,11 @@ _PBH_AMBIGUOUS = (1e-12, 1e-7)
 _UNSTABLE_MARGIN = 1e-6  # a zero with |z| >= 1 - margin blocks a stable inverse
 
 
+def _listing(values, digits: int) -> str:
+    """Values joined by ', ', one with |imag| < 1e-12 printed as a real."""
+    return ", ".join(f"{v.real if abs(v.imag) < 1e-12 else v:.{digits}g}" for v in values)
+
+
 def _pbh_ratio(Phi1, C2, lam) -> float:
     """s_min / max(1, s_max) of [Phi1 - lam I; C2], small at an unobservable mode."""
     n = Phi1.shape[0]
@@ -269,11 +274,10 @@ def stabilizing_gain(Phi1, C2, strategy: str = "riccati", poles=None) -> np.ndar
                if abs(lam) >= 1.0 - _UNSTABLE_MARGIN
                and _pbh_ratio(Phi1, C2, lam) <= _PBH_RANK]
     if blocked:
-        listing = ", ".join(f"{lam:.9g}" for lam in blocked)
         raise StabilizationError(
-            f"unstabilizable pair: modes [{listing}] lie within {_UNSTABLE_MARGIN:g} of "
-            "the unit circle or outside it and are unobservable through the healthy "
-            "outputs (unstable invariant zeros); no injection gain exists")
+            f"unstabilizable pair: modes [{_listing(blocked, 9)}] lie within "
+            f"{_UNSTABLE_MARGIN:g} of the unit circle or outside it and are unobservable "
+            "through the healthy outputs (unstable invariant zeros); no injection gain exists")
 
     if strategy == "riccati":
         if not C2.shape[0]:

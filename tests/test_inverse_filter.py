@@ -294,7 +294,7 @@ class TestStabilizingGain:
         assert not ok
         inv = open_loop_inverse(pred)
         with pytest.raises(StabilizationError,
-                           match=r"^unstabilizable pair: modes \[0\.9999999"):
+                           match=r"^unstabilizable pair: modes \[0\.9999999\] lie"):
             stabilizing_gain(inv.Phi1, inv.C2, strategy=strategy, poles=[0.5, 0.4, 0.3, 0.2])
 
     def test_pole_placement_failure_suggests_riccati(self, rng):

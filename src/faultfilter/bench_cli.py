@@ -102,18 +102,19 @@ ALGORITHM_NAMES = ("alg0", "alg1", "alg2", "alg3")
 # fault scenarios, plants
 
 
-def parse_fault_signal(text: str):
-    """Parse a fault signal expression into term tuples.
+def parse_fault_signal(text: str, k) -> np.ndarray:
+    """Values of a fault signal expression at the sample indices ``k``.
 
     Grammar: terms joined by '+', each one of
 
-        <amp>                   constant offset from onset on
+        <amp>                   constant offset
         step <amp>              same, spelled out
         [<amp>] sin <freq>      sinusoid amp*sin(freq*k), amp defaults 1
         [<amp>] cos <freq>      cosinusoid
 
     Frequencies accept a trailing ``pi`` multiplier, e.g. ``0.1pi``.
-    A number, a term tuple or any other non-string raises ValidationError.
+    The terms are summed in order.  Text outside the grammar, or a
+    ``text`` that is not a string, raises ValidationError naming it.
     """
     def number(tok, what):
         try:
@@ -129,25 +130,20 @@ def parse_fault_signal(text: str):
 
     if not isinstance(text, str):
         raise ValidationError(f"fault signal {text!r} is not a string in the [scenario] grammar")
-    terms = []
+    val = np.zeros(len(k))
     for part in text.split("+"):
         toks = part.split()
         if not toks:
             raise ValidationError(f"empty term in fault signal {text!r}")
-        if toks[0] in ("sin", "cos") and len(toks) == 2:
-            terms.append((toks[0], 1.0, freq(toks[1])))
+        if len(toks) == 2 and toks[0] in ("step", "sin", "cos"):
+            toks = toks[1:] if toks[0] == "step" else ["1", *toks]
+        if len(toks) == 1:
+            val += number(toks[0], "amplitude")
         elif len(toks) == 3 and toks[1] in ("sin", "cos"):
-            terms.append((toks[1], number(toks[0], "amplitude"), freq(toks[2])))
-        elif toks[0] == "step" and len(toks) == 2:
-            terms.append(("step", number(toks[1], "amplitude")))
-        elif len(toks) == 1:
-            terms.append(("step", number(toks[0], "amplitude")))
+            val += number(toks[0], "amplitude") * getattr(np, toks[1])(freq(toks[2]) * k)
         else:
             raise ValidationError(f"cannot parse fault signal term {part!r}")
-    return terms
-
-
-_DEFAULT_SIGNAL = (("sin", 1.0, 0.1 * np.pi), ("step", 1.0))
+    return val
 
 
 @dataclass(frozen=True)
@@ -155,41 +151,37 @@ class FaultScenario:
     """When and how the plant's faults act, fixed once built and checked.
 
     The plant's fault channels (its E and G columns) place the faults;
-    one signal string per channel describes the fault value from the
-    onset sample on (zero before), and without ``signals`` every channel
-    gets the default signal.  Signals are evaluated on the absolute
-    sample index, so a sinusoid keeps its phase regardless of the onset.
+    ``signals`` holds one :func:`parse_fault_signal` string per channel
+    for the fault value from the onset sample on (zero before), and
+    without it every channel gets "sin 0.1pi + 1".  Signals are evaluated
+    on the absolute sample index, so a sinusoid keeps its phase regardless
+    of the onset.  Anything but a collection of such strings is a
+    ValidationError naming it; ``dataclasses.replace`` checks again.
     """
 
     onset: int = 51
     signals: tuple = None
 
     def __post_init__(self):  # a frozen instance: fields are set here only
-        if isinstance(self.signals, str):
-            raise ValidationError(f"signals needs one string per fault, not {self.signals!r}")
-        signals = self.signals if self.signals is None else tuple(
-            tuple(parse_fault_signal(sig)) for sig in self.signals)
+        signals = self.signals
+        if signals is not None:
+            if isinstance(signals, (str, bytes)) or not hasattr(signals, "__iter__"):
+                raise ValidationError(f"signals needs one string per fault, not {signals!r}")
+            signals = tuple(signals)
+            for sig in signals:
+                parse_fault_signal(sig, np.arange(0))
         self.__dict__.update(signals=signals, onset=_as_int(self.onset, "onset", 0))
 
     def evaluate(self, N: int, n_faults: int) -> np.ndarray:
         """Fault value series of shape (N, n_faults)."""
-        signals = (_DEFAULT_SIGNAL,) * n_faults if self.signals is None else self.signals
+        signals = ("sin 0.1pi + 1",) * n_faults if self.signals is None else self.signals
         if len(signals) != n_faults:
-            raise ValidationError(
-                f"scenario gives {len(signals)} fault signals for a plant with "
-                f"{n_faults} faults")
+            raise ValidationError(f"scenario gives {len(signals)} fault signals for a plant "
+                                  f"with {n_faults} faults")
         f = np.zeros((N, n_faults))
         k = np.arange(self.onset, N)
-        for i, terms in enumerate(signals):
-            val = np.zeros(len(k))
-            for term in terms:
-                if term[0] == "step":
-                    val += term[1]
-                elif term[0] == "sin":
-                    val += term[1] * np.sin(term[2] * k)
-                else:
-                    val += term[1] * np.cos(term[2] * k)
-            f[self.onset:, i] = val
+        for i, text in enumerate(signals):
+            f[self.onset:, i] = parse_fault_signal(text, k)
         return f
 
 
@@ -657,7 +649,7 @@ class BenchConfig:
     """Everything a comparison run needs, fixed once built and checked.
 
     Defaults reproduce the standard protocol on the registry plant:
-    p = 100 past window, window length 100, 20 x 20 Hankel blocks,
+    p = 100 past window, MHE window 100, 20 x 20 Hankel blocks,
     order 4, pole placement at BENCH_POLES, 1000 identification samples
     and a 1300 sample fault run on sensor 0 scored on samples 300
     onward.  For plants of other sizes set ``order`` to "auto" and
@@ -672,10 +664,10 @@ class BenchConfig:
     q I, R = r I) that is not finite or is negative, a value DesignConfig
     rejects, or a statistics window [window_start, run_samples) that is
     empty or starts before sample markov_length - 1, where the MHE
-    window fills and every arm has estimates, is a ValidationError
-    naming the field.  ``design`` is the checked DesignConfig, built
-    from its fields (``sensor`` from ``sensors``).  Assigning a field
-    raises; ``dataclasses.replace`` checks again.
+    window fills, is a ValidationError naming the field; l + m above
+    p + 1 fails alg1..alg3 in the run.  ``design`` is the checked
+    DesignConfig, built from its fields (``sensor`` from ``sensors``).
+    Assigning a field raises; ``dataclasses.replace`` checks again.
     """
 
     plant: str = "unstable4"
@@ -805,7 +797,8 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
 
     def run_recursive(filt):
         # one step is the product of the step matrix with [x; u; y]
-        return run_filter(filt, run_data), filt.step_matrix().size
+        n = filt.n_states
+        return run_filter(filt, run_data), (n + filt.n_faults) * (n + filt.n_inputs + filt.n_outputs)
 
     def attempt(name, fn):
         try:
@@ -883,13 +876,12 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
 def parse_matrix(text: str) -> np.ndarray:
     """Parse 'a b; c d' into a 2-D array."""
     rows = [r.split() for r in text.split(";")]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValidationError(f"ragged matrix literal {text!r}")
     try:
-        M = np.array([[float(v) for v in r] for r in rows])
+        return np.array([[float(v) for v in r] for r in rows])
     except ValueError as exc:
         raise ValidationError(f"bad matrix literal {text!r}") from exc
-    if M.ndim != 2 or any(len(r) != len(rows[0]) for r in rows):
-        raise ValidationError(f"ragged matrix literal {text!r}")
-    return M
 
 
 _PLANT_KEYS = {"name": str, **dict.fromkeys("ABCDEGFQR", parse_matrix),

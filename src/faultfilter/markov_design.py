@@ -193,9 +193,9 @@ class DesignConfig:
     kept as a sorted tuple.  ``order`` is either an integer or "auto", in
     which case the largest singular value ratio gap picks the order (ties to
     the smaller one).  The design reads the first l + m window blocks, l =
-    ``hankel_rows`` and m = ``hankel_cols``; ``markov_length`` only bounds
-    them (at least l + m, at most p + 1 of the identified xi) and also sets
-    the MHE window of the ``compare`` benchmark.  A sensor, count or
+    ``hankel_rows`` and m = ``hankel_cols``, of which the identified xi has
+    p + 1.  ``markov_length`` (at least 1) is only the MHE window of the
+    ``compare`` benchmark; the design does not read it.  A sensor, count or
     ``order`` that is not an integer, or a string of one, is a
     ValidationError naming it, as is a negative or repeated sensor.  Pole
     placement needs ``poles``, one per state when ``order`` is an integer; a
@@ -216,15 +216,11 @@ class DesignConfig:
         d["sensor"] = tuple(_sensor_list(self.sensor))
         if not self.sensor:
             raise ValidationError("sensor must name at least one sensor, got none")
-        for name in ("markov_length", "hankel_rows", "hankel_cols"):
+        d["markov_length"] = _as_int(self.markov_length, "markov_length", 1)
+        for name in ("hankel_rows", "hankel_cols"):
             d[name] = _as_int(getattr(self, name), name)
-        L, l, m = self.markov_length, self.hankel_rows, self.hankel_cols
-        if l < 2 or m < 2:
+        if self.hankel_rows < 2 or self.hankel_cols < 2:
             raise ValidationError("hankel_rows and hankel_cols must be at least 2")
-        if L < l + m:
-            raise ValidationError(
-                f"markov_length {L} too short for a {l} x {m} block Hankel "
-                f"matrix; need at least {l + m}")
         if self.order != "auto":
             d["order"] = _as_int(self.order, "order")
             if self.order < 1:
@@ -379,9 +375,10 @@ def design_filter_from_xi(xi: IdentifiedXi, cfg: DesignConfig) -> FaultEstimatio
     Runs Markov parameter expansion, realization and stabilization in
     sequence.  Only the l + m window blocks the Hankel matrix reads are
     solved for: T(N) is unit lower block triangular, so its leading
-    blocks depend only on the leading blocks of the right-hand side.
-    Any failure is re-raised with a stage tag (markov,
-    realize, stabilize) so callers can tell which step broke.
+    blocks depend only on the leading blocks of the right-hand side.  So
+    l + m may not exceed the p + 1 blocks of xi, the one length rule (not
+    ``markov_length``).  Any failure is re-raised with a stage tag
+    (markov, realize, stabilize) so callers can tell which step broke.
 
     A xi keeps one realization per key (sensors, hankel_rows, hankel_cols,
     order) while it lives: a design differing only in ``strategy`` or
@@ -392,12 +389,13 @@ def design_filter_from_xi(xi: IdentifiedXi, cfg: DesignConfig) -> FaultEstimatio
     key = (cfg.sensor, cfg.hankel_rows, cfg.hankel_cols, cfg.order)
     stage = "markov"
     try:
-        if cfg.markov_length > xi.p + 1:
-            raise ValidationError(f"markov_length {cfg.markov_length} exceeds the "
-                                  f"{xi.p + 1} identified blocks")
+        L = cfg.hankel_rows + cfg.hankel_cols  # the blocks realize reads
+        if L > xi.p + 1:
+            raise ValidationError(
+                f"hankel_rows {cfg.hankel_rows} + hankel_cols {cfg.hankel_cols} "
+                f"exceed the {xi.p + 1} blocks identified at p = {xi.p}")
         inv = realized.get(key)
         if inv is None:
-            L = cfg.hankel_rows + cfg.hankel_cols  # the blocks realize reads
             Hf = fault_markov(xi.Hy, cfg.sensor, L)
             Hz = z_markov(xi.Hu, xi.Hy, L)
             Wi = _window_blocks(Hf, Hz, L)

@@ -32,6 +32,24 @@ from faultfilter.sysid_markov import _window_residuals
 settings.register_profile("faultfilter", deadline=None, derandomize=True)
 settings.load_profile("faultfilter")
 
+# The registry plant unstable4 with C[1, 0] = 0: sensor 2 cannot see the
+# 1.05 mode, so a fault on sensor 1 leaves that mode an unstable invariant
+# zero, and no stable inversion exists.  Noise and gain as in the registry.
+HIDDEN_MODE_INI = """
+[plant]
+A = 1.05 0 0 0; 0 0.3 0.35 0; 0 0 0.5 -0.3; 0 0.2 0 0.3
+B = 0.2 0; 0 0; 0 0.5; -1 -0.8
+C = 0.6 0 0 1; 0 0.8 0 0
+q = 1e-4
+r = 1e-2
+
+[controller]
+gain = 0.6 1.3; -0.5 0.7
+
+[scenario]
+sensors = 1
+"""
+
 
 def varx_regression(data, p, assume_delay):
     """Target Y and regressor Z of the VARX problem, built explicitly.

@@ -36,7 +36,12 @@ from faultfilter.bench_cli import (
 from faultfilter.inverse_filter import _inverse_system, assemble_filter
 from faultfilter.lti_core import _CHUNK, _write_csv, block_toeplitz, lti_recursion
 
-from conftest import _window_map, planted_zero_predictor, stable_invertible_predictor
+from conftest import (
+    HIDDEN_MODE_INI,
+    _window_map,
+    planted_zero_predictor,
+    stable_invertible_predictor,
+)
 
 
 def per_sample_closed_loop(model, gain, N, rng, scenario=None, eta=None):
@@ -96,7 +101,7 @@ def never_chunk(*args, **kwargs):
 # config values no run could satisfy, each with its message
 REJECTED_INI = [
     pytest.param("[identify]\np = 0\n", "p must be at least 1, got 0", id="zero-p"),
-    pytest.param("[design]\nmarkov_length = -1\n", "markov_length -1 too short",
+    pytest.param("[design]\nmarkov_length = -1\n", "markov_length must be at least 1, got -1",
                  id="negative-markov-length"),
     pytest.param("[design]\nhankel_rows = 0\n",
                  "hankel_rows and hankel_cols must be at least 2", id="zero-hankel-rows"),
@@ -112,6 +117,10 @@ REJECTED_INI = [
     pytest.param("[design]\npoles = 1.5 0.3 0.2 0.1\n",
                  "requested pole 1.5 is not a real number inside the unit circle",
                  id="pole-outside-circle"),
+    pytest.param("[plant]\nA = 1 2; 3\nB = 1; 1\nC = 1 0\n",
+                 "ragged matrix literal '1 2; 3'", id="ragged-matrix"),
+    pytest.param("[plant]\nB = 1; 1\nC = 1 0\n", "[plant] section must define A",
+                 id="plant-without-A"),
 ]
 
 
@@ -136,19 +145,23 @@ window_start = 300
 
 class TestParseFaultSignal:
     def test_grammar(self):
-        assert parse_fault_signal("1.5") == [("step", 1.5)]
-        assert parse_fault_signal("step 2") == [("step", 2.0)]
-        assert parse_fault_signal("sin 0.1pi") == [("sin", 1.0, 0.1 * np.pi)]
-        assert parse_fault_signal("0.5 cos 0.2") == [("cos", 0.5, 0.2)]
-        assert parse_fault_signal("sin pi") == [("sin", 1.0, np.pi)]
-        terms = parse_fault_signal("0.5 sin 0.05pi + step 2")
-        assert terms == [("sin", 0.5, 0.05 * np.pi), ("step", 2.0)]
+        # the values at the sample indices k, terms summed in order
+        k = np.arange(5, 12)
+        for text, want in [
+            ("1.5", np.full(7, 1.5)),
+            ("step 2", np.full(7, 2.0)),
+            ("sin 0.1pi", np.sin(0.1 * np.pi * k)),
+            ("0.5 cos 0.2", 0.5 * np.cos(0.2 * k)),
+            ("sin pi", np.sin(np.pi * k)),
+            ("0.5 sin 0.05pi + step 2", 0.5 * np.sin(0.05 * np.pi * k) + 2.0),
+        ]:
+            assert np.array_equal(parse_fault_signal(text, k), want), text
 
     @pytest.mark.parametrize("bad", ["", "step", "sin", "1 2 3",
                                      "sin one", "x sin 0.1"])
     def test_rejects(self, bad):
         with pytest.raises(ValidationError):
-            parse_fault_signal(bad)
+            parse_fault_signal(bad, np.arange(3))
 
 
 class TestFaultScenario:
@@ -189,6 +202,13 @@ class TestFaultScenario:
                 "signals needs one string per fault, not 'step 1'")):
             FaultScenario(signals="step 1")
 
+    @pytest.mark.parametrize("signals", [5, b"step 1"], ids=["number", "bytes"])
+    def test_signals_not_a_collection_of_strings_rejected(self, signals):
+        # bytes would be read one byte per fault, a number not at all
+        with pytest.raises(ValidationError, match=re.escape(
+                f"signals needs one string per fault, not {signals!r}")):
+            FaultScenario(signals=signals)
+
     @pytest.mark.parametrize("signal", [
         5, [("ramp", 1.0)], [("step",)], [("sin", np.nan, 0.3)], [("step", 1.0)],
     ], ids=["not-a-sequence", "unknown-term", "missing-amplitude", "nan-amplitude", "well-formed"])
@@ -201,19 +221,28 @@ class TestFaultScenario:
                 f"fault signal {signal!r} is not a string in the [scenario] grammar")):
             BenchConfig(scenario=FaultScenario(signals=[signal]))
 
-    def test_term_tuples_match_their_strings(self):
-        parsed = FaultScenario(onset=3, signals=["step 2 + 0.5 cos 0.3"])
-        assert parsed.signals == ((("step", 2.0), ("cos", 0.5, 0.3)),)
-        f = parsed.evaluate(20, 1)[:, 0]
+    def test_signals_keep_their_text(self):
+        scen = FaultScenario(onset=3, signals=["step 2 + 0.5 cos 0.3"])
+        assert scen.signals == ("step 2 + 0.5 cos 0.3",)
+        f = scen.evaluate(20, 1)[:, 0]
         assert not f[:3].any()
         assert np.array_equal(f[3:], 2.0 + 0.5 * np.cos(0.3 * np.arange(3, 20)))
+
+    def test_replace_round_trips(self):
+        # the kept text is checked again and evaluates as when first given
+        scen = dataclasses.replace(FaultScenario(signals=["step 1"]), onset=10)
+        assert scen == FaultScenario(onset=10, signals=["step 1"])
+        assert np.array_equal(scen.evaluate(30, 1),
+                              FaultScenario(onset=10, signals=["step 1"]).evaluate(30, 1))
+        with pytest.raises(ValidationError, match="bad amplitude 'x'"):
+            dataclasses.replace(scen, signals=["x"])
 
     @pytest.mark.parametrize("name, value", [("onset", 5), ("signals", ("step 2",))])
     def test_fields_are_fixed(self, name, value):
         scen = FaultScenario(onset=10, signals=("step 1",))
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(scen, name, value)
-        assert (scen.onset, scen.signals) == (10, ((("step", 1.0),),))
+        assert (scen.onset, scen.signals) == (10, ("step 1",))
 
 
 class TestRegistry:
@@ -565,7 +594,7 @@ class TestBenchConfig:
         (lambda: small_cfg(window_start=500), "bad statistics window [500, 500)"),
         (lambda: small_cfg(window_start=38),
          "bad statistics window [38, 500) for 500 samples"),
-        (lambda: small_cfg(markov_length=-1), "markov_length -1 too short"),
+        (lambda: small_cfg(markov_length=-1), "markov_length must be at least 1, got -1"),
         (lambda: small_cfg(hankel_cols=1), "hankel_rows and hankel_cols must be at least 2"),
         (lambda: small_cfg(order=0), "order must be positive or 'auto'"),
         (lambda: small_cfg(strategy="magic"), "unknown strategy 'magic'"),
@@ -742,6 +771,14 @@ class TestRunComparison:
         assert np.allclose(result(rep, "alg2").estimates,
                            result(plain, "alg2").estimates, rtol=0, atol=1e-12)
 
+    def test_counted_without_copying_a_step_matrix(self, monkeypatch):
+        # step_matrix() returns a fresh copy; the count reads the dimensions
+        def copy_step_matrix(self):
+            raise AssertionError("run_comparison copied a step matrix")
+
+        monkeypatch.setattr(ff.FaultEstimationFilter, "step_matrix", copy_step_matrix)
+        assert self.counts(run_comparison(small_cfg())) == [40, 40, 40, 128]
+
     def test_failed_arm_has_no_count(self):
         # without measurement noise the true plant has no Kalman predictor,
         # so alg0 fails; the identified arms still run and are counted
@@ -749,6 +786,19 @@ class TestRunComparison:
         assert not result(rep, "alg0").ok
         assert "R must be positive definite" in result(rep, "alg0").message
         assert self.counts(rep) == [None, 40, 40, 128]
+
+    def test_short_past_window_keeps_the_mhe_window(self):
+        # the design reads l + m = 20 of the p + 1 = 21 identified blocks;
+        # markov_length 100 is alg3's window alone and bounds no design
+        rep = run_comparison(BenchConfig(p=20, hankel_rows=10, hankel_cols=10,
+                                         strategy="riccati"))
+        assert [res.name for res in rep.results if res.ok] == list(ALGORITHM_NAMES)
+        assert np.trace(result(rep, "alg2").stats.covariance) < 0.05
+        rep = run_comparison(BenchConfig(p=20, hankel_rows=11, hankel_cols=11,
+                                         strategy="riccati"))
+        assert result(rep, "alg2").message == (
+            "alg2: markov: hankel_rows 11 + hankel_cols 11 exceed the 21 blocks "
+            "identified at p = 20")
 
     def test_runs_no_timer(self, monkeypatch):
         def timer(*args, **kwargs):
@@ -1033,7 +1083,7 @@ class TestParseMatrix:
         assert np.allclose(M, [[1.0, 2.0], [3.0, 4.5]])
 
     def test_ragged(self):
-        with pytest.raises(ValidationError, match="matrix literal"):
+        with pytest.raises(ValidationError, match=r"^ragged matrix literal '1 2; 3'$"):
             parse_matrix("1 2; 3")
 
     def test_non_numeric(self):
@@ -1212,6 +1262,15 @@ class TestCli:
         assert "sensors 1:" in out
         assert "no invariant zeros" in out
         assert "stable inversion possible" in out
+
+    def test_zeros_verb_on_an_unstable_zero(self, tmp_path, capsys):
+        # a verdict, not an error: the plant is valid, its inversion is not
+        cfg_path = tmp_path / "hidden.ini"
+        cfg_path.write_text(HIDDEN_MODE_INI)
+        assert main(["zeros", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == (
+            "sensors 1: invariant zeros [1.05]\n"
+            "stable inversion NOT possible (zero on or outside the unit circle)\n")
 
     def test_identify_design_estimate_pipeline(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.ini"
@@ -1617,6 +1676,20 @@ class TestCli:
                 "coefficients") in capsys.readouterr().err
         assert not (tmp_path / "filter.csv").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: ["p,n_u"] + rows[1:], "expected a 'p,n_u,n_y' manifest header and row"),
+        (lambda rows: rows[:-1], "expected 4 data rows, got 3"),
+    ], ids=["bad-manifest", "missing-row"])
+    def test_design_rejects_malformed_xi(self, tmp_path, capsys, rng, edit, message):
+        # rows: manifest (1-2), the n_y = 2 coefficient rows, then the 2
+        # covariance rows
+        path = tmp_path / "xi.csv"
+        ff.xi_from_predictor(stable_invertible_predictor(rng), 30).to_csv(path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        assert main(["design", "--xi", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"validation error: {path}: {message}\n"
+        assert not (tmp_path / "filter.csv").exists()
+
     @staticmethod
     def estimate_with_Af(tmp_path, rng, i, j, value):
         """Exit code of estimate with a stable filter whose Af[i, j] is set to value."""
@@ -1655,7 +1728,12 @@ class TestCli:
          "row 3: matrix Af is 4 x 3, the manifest sizes give 4 x 4"),
         (lambda rows: [rows[0], rows[1].replace("4,2,2,1", "4,2,3,1")] + rows[2:],
          "row 13: matrix By is 4 x 2, the manifest sizes give 4 x 3"),
-    ], ids=["extra-matrix", "repeated-matrix", "non-square-Af", "manifest-sizes"])
+        (lambda rows: ["n,n_u,n_y,n_f"] + rows[1:], "not a filter bundle (bad manifest)"),
+        (lambda rows: rows[:2] + ["0.5,0.5"] + rows[2:], "expected a matrix header at row 3"),
+        (lambda rows: rows[:-1], "truncated matrix Dy"),
+        (lambda rows: rows[:21], "missing matrices ['Dy']"),
+    ], ids=["extra-matrix", "repeated-matrix", "non-square-Af", "manifest-sizes",
+            "bad-manifest", "no-matrix-header", "truncated-matrix", "missing-matrix"])
     def test_estimate_rejects_malformed_filter(self, tmp_path, capsys, rng, edit, message):
         # rows: manifest (1-2), then header + rows of Af (3-7), Bu (8-12),
         # By (13-17), Cf (18-19), Du (20-21) and Dy (22-23)

@@ -293,7 +293,7 @@ class TestRealize:
 
 @pytest.fixture(scope="module")
 def bench_xi():
-    """Identified xi of the benchmark loop at p = 99: markov_length 100 fits."""
+    """Identified xi of the benchmark loop at p = 99: 100 blocks."""
     model, ctrl = ff.get_plant("unstable4").factory(q=1e-6, r=1e-4)
     data = ff.collect_identification_data(ff.sensor_fault_plant(model, 0), ctrl,
                                           4000, seed=5)
@@ -377,18 +377,19 @@ class TestDesignPipeline:
     @pytest.mark.parametrize("sensor", [0, 1])
     def test_markov_length_only_bounds_the_design(self, bench_xi, sensor, strategy):
         # the design reads l + m = 40 window blocks whatever markov_length
-        # allows, and gives the filter the full 100-block solve gives; each
-        # design runs on its own copy, as one xi would reuse its realization
+        # is, below l + m or above the p + 1 = 100 identified blocks, and
+        # gives the filter the full 100-block solve gives; each design runs
+        # on its own copy, as one xi would reuse its realization
         cfgs = [DesignConfig(sensor=sensor, markov_length=L, order=4, strategy=strategy,
-                             poles=list(BENCH_POLES)) for L in (100, 40)]
-        long_, short = (design_filter_from_xi(copy.deepcopy(bench_xi), cfg).step_matrix()
-                        for cfg in cfgs)
+                             poles=list(BENCH_POLES)) for L in (100, 40, 1, 1000)]
+        first, *others = (design_filter_from_xi(copy.deepcopy(bench_xi), cfg).step_matrix()
+                          for cfg in cfgs)
         Hf = fault_markov(bench_xi.Hy, sensor, 100)
         Hz = z_markov(bench_xi.Hu, bench_xi.Hy, 100)
         inv, _ = realize(_window_blocks(Hf, Hz, 100), cfgs[0])
         full = assemble_filter(inv, sensor, strategy=strategy, poles=cfgs[0].poles)
-        assert np.array_equal(long_, short)
-        assert np.array_equal(long_, full.step_matrix())
+        assert all(np.array_equal(first, other) for other in others)
+        assert np.array_equal(first, full.step_matrix())
 
     def test_exact_data_matches_model_based_filter(self, rng):
         # with exact Markov parameters and a basis-independent gain the
@@ -434,10 +435,15 @@ class TestDesignPipeline:
                 xi, DesignConfig(sensor=0, markov_length=50, order=4))
 
     def test_markov_length_failure_is_stage_tagged(self, rng):
+        # the markov stage checks the l + m blocks the design reads against
+        # the p + 1 identified; markov_length 100 > 41 is not read
         xi = exact_xi(random_predictor(rng), p=40)
-        message = "markov: markov_length 100 exceeds the 41 identified blocks"
+        design_filter_from_xi(xi, DesignConfig(sensor=0, markov_length=100, order=4))
+        message = ("markov: hankel_rows 21 + hankel_cols 21 exceed the 41 blocks "
+                   "identified at p = 40")
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            design_filter_from_xi(xi, DesignConfig(sensor=0, markov_length=100, order=4))
+            design_filter_from_xi(xi, DesignConfig(sensor=0, markov_length=100, order=4,
+                                                   hankel_rows=21, hankel_cols=21))
 
     def test_design_from_data_end_to_end(self, rng):
         # noisy data from the registry loop; the designed filter must
@@ -607,9 +613,8 @@ class TestDesignConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
             DesignConfig(sensor=0, hankel_rows=1)
-        with pytest.raises(ValidationError):
-            DesignConfig(sensor=0, markov_length=10, hankel_rows=20,
-                         hankel_cols=20)
+        with pytest.raises(ValidationError, match=r"^markov_length must be at least 1, got 0$"):
+            DesignConfig(sensor=0, markov_length=0)
         with pytest.raises(ValidationError):
             DesignConfig(sensor=0, strategy="magic")
 

@@ -148,13 +148,27 @@ class TestReference:
         assert np.allclose(back.Hu, xi.Hu)
         assert np.allclose(back.Hy, xi.Hy)
 
-    @pytest.mark.parametrize("flat", ["Hu", "Hy"])
-    def test_blocks_must_be_three_dimensional(self, rng, flat):
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda xi: IdentifiedXi(xi.Hu.reshape(6, -1), xi.Hy, 5),
+                     "Hu and Hy must be arrays of shape (blocks, rows, cols)", id="Hu"),
+        pytest.param(lambda xi: IdentifiedXi(xi.Hu, xi.Hy.reshape(5, -1), 5),
+                     "Hu and Hy must be arrays of shape (blocks, rows, cols)", id="Hy"),
+        pytest.param(lambda xi: IdentifiedXi(xi.Hu[1:], xi.Hy, 5),
+                     "expected 6 input blocks, got 5", id="input-block-count"),
+        pytest.param(lambda xi: IdentifiedXi(xi.Hu, xi.Hy[1:], 5),
+                     "expected 5 output blocks, got 4", id="output-block-count"),
+        pytest.param(lambda xi: IdentifiedXi(xi.Hu, xi.Hy[:, :, :1], 5),
+                     "output blocks must be 2 x 2, got (2, 1)", id="output-block-shape"),
+        pytest.param(lambda xi: IdentifiedXi(xi.Hu, xi.Hy, 5, residual_variance=np.eye(3)),
+                     "residual variance must be n_y x n_y", id="covariance-shape"),
+        pytest.param(lambda xi: IdentifiedXi.from_stacked(xi.stacked()[:, 1:], 5, 2, 2),
+                     "stacked shape (2, 21) does not match p=5, n_u=2, n_y=2",
+                     id="stacked-shape"),
+    ])
+    def test_blocks_must_be_three_dimensional(self, rng, build, message):
         xi = xi_from_predictor(to_predictor(random_model(rng, n=3)), p=5)
-        blocks = {"Hu": xi.Hu, "Hy": xi.Hy}
-        blocks[flat] = blocks[flat].reshape(len(blocks[flat]), -1)
-        with pytest.raises(ValidationError, match=r"shape \(blocks, rows, cols\)"):
-            IdentifiedXi(blocks["Hu"], blocks["Hy"], 5)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(xi)
 
 
 class TestFixedXi:

@@ -664,10 +664,10 @@ class BenchConfig:
     q I, R = r I) that is not finite or is negative, a value DesignConfig
     rejects, or a statistics window [window_start, run_samples) that is
     empty or starts before sample markov_length - 1, where the MHE
-    window fills, is a ValidationError naming the field; l + m above
-    p + 1 fails alg1..alg3 in the run.  ``design`` is the checked
-    DesignConfig, built from its fields (``sensor`` from ``sensors``).
-    Assigning a field raises; ``dataclasses.replace`` checks again.
+    window fills, is a ValidationError naming the field.  ``design`` is
+    the checked DesignConfig, built from its fields (``sensor`` from
+    ``sensors``).  Assigning a field raises; ``dataclasses.replace``
+    checks again.
     """
 
     plant: str = "unstable4"
@@ -760,10 +760,10 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     One generator drives both the identification record and the faulty
     run, so a seed pins the whole experiment.  Settings were checked when
     ``cfg`` was built; design settings are read from ``cfg.design``.  A
-    bad plant or controller raises before any simulation; failures of
-    individual algorithms on the data are captured in their result
-    entries.  Nothing is timed: each arm's cost is its multiply-adds per
-    sample, counted from matrix shapes.
+    Hankel size l + m above p + 1, a bad plant or a bad controller raises
+    before any simulation; failures of individual algorithms on the data
+    are captured in their result entries.  Nothing is timed: each arm's
+    cost is its multiply-adds per sample, counted from matrix shapes.
 
     The plant-only half of the work, which depends on (plant, q, r,
     sensors, strategy, poles) and not on the seed, is the faulty plant,
@@ -776,6 +776,7 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     An explicit ``model`` or ``controller`` is built on every call.
     """
     design = cfg.design
+    design._window_length(cfg.p)  # before any plant is built or simulated
     if cfg.model is None and cfg.controller is None:
         plant = (cfg.plant, cfg.q, cfg.r, cfg.sensors)
         loop = _registry_loop(*plant)

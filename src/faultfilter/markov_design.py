@@ -235,6 +235,14 @@ class DesignConfig:
             raise ValidationError(f"pole_placement at order {self.order} needs "
                                   f"{self.order} poles, got {len(self.poles)}")
 
+    def _window_length(self, p: int) -> int:
+        """The l + m window blocks the design reads, at most the p + 1 of xi."""
+        if self.hankel_rows + self.hankel_cols > p + 1:
+            raise ValidationError(
+                f"hankel_rows {self.hankel_rows} + hankel_cols {self.hankel_cols} "
+                f"exceed the {p + 1} blocks identified at p = {p}")
+        return self.hankel_rows + self.hankel_cols
+
 
 def _pick_order(s: np.ndarray, max_order: int) -> int:
     """Order with the largest singular value ratio gap, first maximum."""
@@ -247,18 +255,16 @@ def _pick_order(s: np.ndarray, max_order: int) -> int:
     return int(np.argmax(ratios)) + 1
 
 
-def ho_kalman(seq: np.ndarray, l: int, m: int, order="auto",
-              shift: str = "controllability"):
+def ho_kalman(seq: np.ndarray, l: int, m: int, order="auto"):
     """Minimal state space realization of a Markov parameter sequence.
 
     Builds the l x m block Hankel matrix from blocks 1.., splits its
     truncated SVD into observability and controllability factors and
-    recovers the state map from the block shift: by one block column of
-    the controllability factor (width = input count) or one block row of
-    the observability factor.  Block 0 becomes the feedthrough.  Each
-    kept singular pair is signed so that the largest-magnitude entry of its
-    left vector is positive, which pins the realized state basis against
-    LAPACK's arbitrary sign choice.
+    recovers the state map from the shift of the controllability factor
+    by one block column (width = input count).  Block 0 becomes the
+    feedthrough.  Each kept singular pair is signed so that the
+    largest-magnitude entry of its left vector is positive, which pins
+    the realized state basis against LAPACK's arbitrary sign choice.
 
     Args:
         seq: blocks H_0 .. H_{l+m-1} at least (H_0 used as D only);
@@ -267,7 +273,6 @@ def ho_kalman(seq: np.ndarray, l: int, m: int, order="auto",
             the "auto" rule would take for a gap; :func:`realize` drops
             such rows first.
         order: state dimension, or "auto" for the largest gap rule.
-        shift: which factor carries the shift equation.
 
     Returns:
         (LinearSystem, singular_values) with the full singular value
@@ -298,23 +303,17 @@ def ho_kalman(seq: np.ndarray, l: int, m: int, order="auto",
     from scipy.linalg import lstsq  # deferred: a filter run needs no scipy
     sign = np.sign(U[np.argmax(np.abs(U[:, :n]), axis=0), np.arange(n)])  # kept pairs only
     root = np.sqrt(s[:n])
-    Ow = U[:, :n] * sign * root
     Cw = root[:, None] * (Vt[:n] * sign[:, None])
-    if shift == "controllability":
-        A = lstsq(Cw[:, :q * (m - 1)].T, Cw[:, q:].T, lapack_driver="gelsy")[0].T
-    elif shift == "observability":
-        A = lstsq(Ow[:p * (l - 1)], Ow[p:], lapack_driver="gelsy")[0]
-    else:
-        raise ValidationError(f"unknown shift {shift!r}")
-    return LinearSystem(A, Cw[:, :q], Ow[:p], seq[0]), s
+    A = lstsq(Cw[:, :q * (m - 1)].T, Cw[:, q:].T, lapack_driver="gelsy")[0].T
+    return LinearSystem(A, Cw[:, :q], U[:p, :n] * sign * root, seq[0]), s
 
 
 def realize(Wi: np.ndarray, cfg: DesignConfig):
     """Realize the folded inverse system from the window blocks.
 
     W_0 supplies the feedthrough directly; the Hankel matrix of
-    W_1 .. W_{l+m-1} supplies the dynamic part, with the state map from
-    the controllability shift of block width n_u + n_y.  The system maps
+    W_1 .. W_{l+m-1} supplies the dynamic part through :func:`ho_kalman`,
+    whose shift is one block column of width n_u + n_y.  The system maps
     z = [u; y] to the fault estimate (first n_f rows) and the healthy
     output residual q (the rest), like the model-based inverse.
 
@@ -334,8 +333,7 @@ def realize(Wi: np.ndarray, cfg: DesignConfig):
         raise ValidationError(
             f"window block shape {Wi.shape[1:]} inconsistent with sensors {cfg.sensor}")
     live = np.delete(np.arange(n_f + n_y), np.add(cfg.sensor, n_f))
-    sys, s = ho_kalman(Wi[:, live], cfg.hankel_rows, cfg.hankel_cols, order=cfg.order,
-                       shift="controllability")
+    sys, s = ho_kalman(Wi[:, live], cfg.hankel_rows, cfg.hankel_cols, order=cfg.order)
     C = np.zeros((n_f + n_y, sys.A.shape[0]))
     C[live] = sys.C
     return LinearSystem(sys.A, sys.B, C, Wi[0]), s
@@ -345,8 +343,9 @@ def predictor_from_xi(xi: IdentifiedXi, l: int, m: int, order="auto"):
     """Plant predictor realized from identified Markov parameters.
 
     This is the identified-model route: realize (Phi, [Bt K], C) from
-    the combined [H_i^u H_i^y] blocks by Ho-Kalman with the block row
-    shift, keep the identified H_0^u as the feedthrough, and attach the
+    the combined [H_i^u H_i^y] blocks by :func:`ho_kalman`, with the
+    same controllability shift as the direct design's :func:`realize`,
+    keep the identified H_0^u as the feedthrough, and attach the
     innovation covariance estimate.
 
     Returns:
@@ -356,8 +355,7 @@ def predictor_from_xi(xi: IdentifiedXi, l: int, m: int, order="auto"):
     """
     n_u, n_y = xi.n_u, xi.n_y
     Hy = np.concatenate([np.zeros((1, n_y, n_y)), xi.Hy])  # with the zero H_0^y
-    sys, s = ho_kalman(np.concatenate([xi.Hu, Hy], axis=2), l, m, order=order,
-                       shift="observability")
+    sys, s = ho_kalman(np.concatenate([xi.Hu, Hy], axis=2), l, m, order=order)
     pred = PredictorModel(
         Phi=sys.A,
         Bt=sys.B[:, :n_u],
@@ -389,11 +387,7 @@ def design_filter_from_xi(xi: IdentifiedXi, cfg: DesignConfig) -> FaultEstimatio
     key = (cfg.sensor, cfg.hankel_rows, cfg.hankel_cols, cfg.order)
     stage = "markov"
     try:
-        L = cfg.hankel_rows + cfg.hankel_cols  # the blocks realize reads
-        if L > xi.p + 1:
-            raise ValidationError(
-                f"hankel_rows {cfg.hankel_rows} + hankel_cols {cfg.hankel_cols} "
-                f"exceed the {xi.p + 1} blocks identified at p = {xi.p}")
+        L = cfg._window_length(xi.p)  # the blocks realize reads
         inv = realized.get(key)
         if inv is None:
             Hf = fault_markov(xi.Hy, cfg.sensor, L)

@@ -209,8 +209,7 @@ def full_row_realize(Wi, cfg):
     faulty sensors' q rows, which are exactly zero, so it has l n_f rows
     more and as many more singular values at rounding level.
     """
-    return ho_kalman(Wi, cfg.hankel_rows, cfg.hankel_cols, order=cfg.order,
-                     shift="controllability")
+    return ho_kalman(Wi, cfg.hankel_rows, cfg.hankel_cols, order=cfg.order)
 
 
 def sign_all_ho_kalman(seq, l, m, order):

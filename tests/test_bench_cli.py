@@ -722,6 +722,19 @@ class TestRunComparison:
             assert not res.ok
             assert f"{name}: identify:" in res.message
 
+    def test_realization_failure_marks_alg3_upstream(self, monkeypatch):
+        # alg3 runs on alg1's realized predictor, so when that realization
+        # fails alg3 fails too, and alg2, which realizes its own inverse, runs
+        def no_predictor(*args, **kwargs):
+            raise ValidationError("no predictor")
+
+        monkeypatch.setattr(bench_cli, "predictor_from_xi", no_predictor)
+        rep = run_comparison(small_cfg())
+        assert [res.ok for res in rep.results] == [True, False, True, False]
+        assert result(rep, "alg1").message == "alg1: no predictor"
+        assert result(rep, "alg3").message == (
+            "alg3: needs the realized predictor (alg1 failed upstream)")
+
     def test_noise_free_loop_tracks_exactly(self):
         # with the process noise off and measurement noise negligible the
         # model-based inversion filter reproduces the fault pointwise
@@ -787,18 +800,24 @@ class TestRunComparison:
         assert "R must be positive definite" in result(rep, "alg0").message
         assert self.counts(rep) == [None, 40, 40, 128]
 
-    def test_short_past_window_keeps_the_mhe_window(self):
+    def test_short_past_window_keeps_the_mhe_window(self, monkeypatch):
         # the design reads l + m = 20 of the p + 1 = 21 identified blocks;
         # markov_length 100 is alg3's window alone and bounds no design
         rep = run_comparison(BenchConfig(p=20, hankel_rows=10, hankel_cols=10,
                                          strategy="riccati"))
         assert [res.name for res in rep.results if res.ok] == list(ALGORITHM_NAMES)
         assert np.trace(result(rep, "alg2").stats.covariance) < 0.05
-        rep = run_comparison(BenchConfig(p=20, hankel_rows=11, hankel_cols=11,
-                                         strategy="riccati"))
-        assert result(rep, "alg2").message == (
-            "alg2: markov: hankel_rows 11 + hankel_cols 11 exceed the 21 blocks "
-            "identified at p = 20")
+        # 11 x 11 reads 22 > 21 blocks, which no record can satisfy, so the
+        # run stops before it simulates
+        def never_simulate(*args, **kwargs):
+            raise AssertionError("a record was simulated")
+
+        monkeypatch.setattr(ff.bench_cli._Loop, "simulate", never_simulate)
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                "hankel_rows 11 + hankel_cols 11 exceed the 21 blocks identified at p = 20")
+                + "$"):
+            run_comparison(BenchConfig(p=20, hankel_rows=11, hankel_cols=11,
+                                       strategy="riccati"))
 
     def test_runs_no_timer(self, monkeypatch):
         def timer(*args, **kwargs):
@@ -1510,7 +1529,11 @@ class TestCli:
                 "are p, n_samples, assume_delay") in capsys.readouterr().err
         assert not (tmp_path / "stats.csv").exists()
 
-    @pytest.mark.parametrize("ini, message", REJECTED_INI)
+    @pytest.mark.parametrize("ini, message", REJECTED_INI + [
+        pytest.param("[identify]\np = 20\n[design]\nhankel_rows = 11\nhankel_cols = 11\n",
+                     "hankel_rows 11 + hankel_cols 11 exceed the 21 blocks identified at "
+                     "p = 20", id="hankel-past-identified-blocks"),
+    ])
     def test_compare_rejects_config_before_running(self, tmp_path, capsys, ini, message):
         # no record could satisfy these values, so compare stops before
         # simulating instead of writing every affected arm as failed

@@ -72,6 +72,11 @@ class TestLeftInverse:
         with pytest.raises(FaultDirectionError, match="fault direction rank"):
             left_inverse(G)
 
+    def test_no_columns_rejected(self):
+        with pytest.raises(FaultDirectionError,
+                           match="^fault direction matrix has no columns$"):
+            left_inverse(np.zeros((3, 0)))
+
 
 class TestResidualGenerator:
     def test_zero_residual_matched_faultfree(self, rng):
@@ -317,6 +322,18 @@ class TestStabilizingGain:
                              poles=[0.5, 0.3, 0.2, 1.5])
         with pytest.raises(ValidationError):
             stabilizing_gain(inv.Phi1, inv.C2, strategy="nonsense")
+        with pytest.raises(ValidationError,
+                           match="^pole_placement needs an explicit pole list$"):
+            stabilizing_gain(inv.Phi1, inv.C2, strategy="pole_placement", poles=None)
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                "poles must be a flat list, got shape (2, 2)") + "$"):
+            stabilizing_gain(inv.Phi1, inv.C2, strategy="pole_placement",
+                             poles=[[0.1, 0.2], [0.3, 0.4]])
+        # a stable Phi1 passes the mode check; no gain moves it through C2 = 0
+        with pytest.raises(StabilizationError, match="^C2 is numerically zero; "
+                           "the inverse spectrum cannot be moved$"):
+            stabilizing_gain(np.diag([0.5, 0.2]), np.zeros((1, 2)),
+                             strategy="pole_placement", poles=[0.3, 0.1])
 
     @pytest.mark.parametrize("bad, shown", [
         (np.nan, "nan"), (np.inf, "inf"), (-1.0, "-1"), (0.3 + 0.2j, "0.3+0.2j"),

@@ -368,6 +368,18 @@ class TestMarkov:
             for i in range(L):
                 assert np.allclose(seq[i][:, j], y[i], atol=1e-12)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda pred: markov_from_ss(pred.Phi, pred.Bt, pred.C, pred.D, 0),
+         "need at least one Markov block"),
+        (lambda pred: markov_parameters(pred, "f", 5), "predictor has no fault channel"),
+        (lambda pred: markov_parameters(pred, "x", 5),
+         "unknown channel 'x', expected 'u', 'y' or 'f'"),
+    ], ids=["no-blocks", "no-fault-channel", "unknown-channel"])
+    def test_bad_request_rejected(self, rng, call, message):
+        pred = to_predictor(random_model(rng))  # no fault channel
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(pred)
+
 
 class TestStacking:
     def test_block_toeplitz_structure(self, rng):
@@ -416,6 +428,19 @@ class TestStacking:
         with pytest.raises(ValidationError,
                            match=re.escape(f"A {A_shape} and C {C_shape}")):
             extended_observability(np.ones(A_shape), np.ones(C_shape), 4)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda b: block_toeplitz(b, 5), "need 5 blocks, sequence has 4"),
+        (lambda b: block_hankel(b, 0, 2), "Hankel block counts must be positive"),
+        (lambda b: block_hankel(b, 3, 3),
+         "need 5 blocks for a 3 x 3 block Hankel matrix, have 4"),
+        (lambda b: extended_observability(np.eye(2), b[0], 0),
+         "need at least one block row"),
+    ], ids=["toeplitz-past-the-blocks", "hankel-zero-rows", "hankel-past-the-blocks",
+            "observability-no-rows"])
+    def test_block_count_errors(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(np.ones((4, 2, 2)))
 
     def test_toeplitz_maps_windowed_response(self, rng):
         # stacked outputs of a zero-state run equal T_L times stacked inputs
@@ -544,6 +569,20 @@ class TestLinearSystemRun:
         with pytest.raises(ValidationError,
                            match=re.escape("inputs must be 1-D or 2-D, got shape (30, 1, 1)")):
             sys.run(np.ones((30, 1, 1)))
+
+    def test_input_wider_than_B_rejected(self):
+        sys = LinearSystem(0.5 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.ones((1, 1)))
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                "input width 2 does not match B (1 columns)") + "$"):
+            sys.run(np.ones((30, 2)))
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(Q=-np.eye(2)), "Q must be positive semidefinite"),
+        (dict(E=np.ones((2, 1))), "E given without G"),
+    ], ids=["negative-Q", "E-without-G"])
+    def test_bad_noise_or_fault_channel_rejected(self, kw, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            StateSpaceModel(0.5 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)), **kw)
 
 
 class TestPsdFactor:

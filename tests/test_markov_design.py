@@ -83,6 +83,14 @@ class TestFaultMarkov:
         b = fault_markov(xi.Hy, [1], 10)
         assert np.allclose(a, b)
 
+    @pytest.mark.parametrize("shape, L, message", [
+        ((5, 2, 3), 3, "Hy must hold square output blocks"),
+        ((5, 2, 2), 7, "need 6 output blocks for L=7 fault blocks, have 5"),
+    ], ids=["non-square", "past-the-blocks"])
+    def test_bad_blocks_rejected(self, shape, L, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            fault_markov(np.ones(shape), 0, L)
+
 
 class TestZMarkov:
     def test_block_structure(self, rng):
@@ -105,6 +113,14 @@ class TestZMarkov:
         z = rng.standard_normal((L, 4))
         r = ff.residual_generator(pred).run(z)
         assert np.allclose(Tz @ z.reshape(-1), r.reshape(-1), atol=1e-10)
+
+    @pytest.mark.parametrize("hy_shape, L, message", [
+        ((4, 3, 3), 3, "Hu and Hy block shapes are inconsistent"),
+        ((4, 2, 2), 6, "L=6 exceeds the available blocks (5 input, 4 output)"),
+    ], ids=["mismatched", "past-the-blocks"])
+    def test_bad_blocks_rejected(self, hy_shape, L, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            z_markov(np.ones((5, 2, 1)), np.ones(hy_shape), L)
 
 
 class TestInverseMarkov:
@@ -129,6 +145,12 @@ class TestInverseMarkov:
         with pytest.raises(FaultDirectionError,
                            match="fault feedthrough rank"):
             inverse_markov(blocks, 5)
+
+    def test_length_past_the_blocks_rejected(self):
+        Hf = np.ones((5, 2, 1))
+        with pytest.raises(ValidationError,
+                           match="^L=6 exceeds the 5 available fault blocks$"):
+            inverse_markov(Hf, L=len(Hf) + 1)
 
 
 class TestWindowConvolutions:
@@ -229,6 +251,15 @@ class TestHoKalman:
         seq = rng.standard_normal((5, 1, 1))
         with pytest.raises(ValidationError):
             ho_kalman(seq, 4, 4)
+
+    @pytest.mark.parametrize("seq, message", [
+        (np.ones((2, 1, 1)), "not enough singular values to pick an order"),
+        (np.zeros((9, 2, 2)), "all Markov blocks are zero, nothing to realize"),
+    ], ids=["one-singular-value", "all-zero"])
+    def test_nothing_to_realize(self, seq, message):
+        l = m = len(seq) // 2
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ho_kalman(seq, l, m)
 
     def test_state_basis_ignores_singular_vector_signs(self, rng, monkeypatch):
         # LAPACK may return either sign for each singular pair, and a
@@ -419,6 +450,21 @@ class TestDesignPipeline:
             assert np.allclose(got, ref, atol=1e-8)
         assert np.allclose(realized.D, pred.D)
         assert np.allclose(realized.SigmaE, pred.SigmaE)
+
+    def test_predictor_from_xi_takes_the_one_shift(self, bench_xi):
+        # the identified-model route realizes its [H^u H^y] blocks with the
+        # controllability shift the direct design uses; no other is offered
+        n_y = bench_xi.n_y
+        Hy = np.concatenate([np.zeros((1, n_y, n_y)), bench_xi.Hy])
+        seq = np.concatenate([bench_xi.Hu, Hy], axis=2)
+        pred, s = predictor_from_xi(bench_xi, 20, 20, order=4)
+        sys, want = ho_kalman(seq, 20, 20, 4)
+        assert np.array_equal(s, want)
+        assert np.array_equal(pred.Phi, sys.A)
+        assert np.array_equal(np.hstack([pred.Bt, pred.K]), sys.B)
+        assert np.array_equal(pred.C, sys.C)
+        with pytest.raises(TypeError):
+            ho_kalman(seq, 20, 20, 4, shift="observability")
 
     def test_unstable_zero_fails_at_stabilize_stage(self, rng):
         pred = planted_zero_predictor(rng, 1.2)

@@ -38,6 +38,7 @@ from .errors import (
     FaultFilterError,
     NumericalError,
     ValidationError,
+    rewrap,
 )
 from .inverse_filter import (
     FaultEstimationFilter,
@@ -761,9 +762,12 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
     run, so a seed pins the whole experiment.  Settings were checked when
     ``cfg`` was built; design settings are read from ``cfg.design``.  A
     Hankel size l + m above p + 1, a bad plant or a bad controller raises
-    before any simulation; failures of individual algorithms on the data
-    are captured in their result entries.  Nothing is timed: each arm's
-    cost is its multiply-adds per sample, counted from matrix shapes.
+    before any simulation; a failure of an arm on the data is captured in
+    its result, whose ``message`` is the error's stage-tagged text once.
+    alg1..alg3 share one identification and alg1 and alg3 one realized
+    predictor, so a failed stage fails each arm that reads it.  Nothing
+    is timed: each arm's cost is its multiply-adds per sample, counted
+    from matrix shapes.
 
     The plant-only half of the work, which depends on (plant, q, r,
     sensors, strategy, poles) and not on the seed, is the faulty plant,
@@ -805,61 +809,51 @@ def run_comparison(cfg: BenchConfig) -> ExperimentReport:
         try:
             estimates, macs = fn()
         except FaultFilterError as err:
-            results.append(AlgorithmResult(name=name, ok=False,
-                                           message=f"{name}: {err}"))
+            results.append(AlgorithmResult(name=name, ok=False, message=str(err)))
         else:
             err_series = estimates[cfg.window_start:] - fault[cfg.window_start:]
             results.append(AlgorithmResult(name=name, ok=True, estimates=estimates,
                                            stats=ellipse_stats(err_series),
                                            macs_per_sample=macs))
 
+    # the stages alg1..alg3 share; a cache keeps values, not errors, so an
+    # arm whose stage failed for another arm tries it again and fails alike
+    @functools.cache
+    def xi():
+        try:
+            return identify_xi(ident, cfg.p, assume_delay=cfg.assume_delay)
+        except FaultFilterError as err:
+            raise rewrap(err, "identify") from err
+
+    @functools.cache
+    def pred1():
+        base, _ = predictor_from_xi(xi(), design.hankel_rows, design.hankel_cols,
+                                    order=design.order)
+        return sensor_fault_channel(base, cfg.sensors)
+
+    def alg3():
+        # moving horizon LS on alg1's realized predictor, so the residual
+        # recursion and the window model come from one identified system
+        # (raw identified fault blocks at long lags are noise dominated
+        # and would wreck the window inverse)
+        pred = pred1()
+        problem = build_mhe(pred, design.markov_length)
+        gen = residual_generator(pred)
+        estimates = run_mhe(problem, gen.run(np.hstack([run_data.u, run_data.y])))
+        # a sample costs one residual-generator step and the FIR taps
+        # of the newest gain rows
+        macs = (gen.A.size + gen.B.size + gen.C.size + gen.D.size
+                + problem.gain_rows.size)
+        return estimates, macs
+
     # alg0: inversion filter from the true plant, run on a copy of its own
     attempt("alg0", lambda: run_recursive(copy.copy(alg0_filter())))
-
-    # identification feeds alg1..alg3; a failure here fails all three
-    xi = None
-    try:
-        xi = identify_xi(ident, cfg.p, assume_delay=cfg.assume_delay)
-    except FaultFilterError as err:
-        for name in ("alg1", "alg2", "alg3"):
-            results.append(AlgorithmResult(
-                name=name, ok=False, message=f"{name}: identify: {err}"))
-
-    pred1 = None
-    if xi is not None:
-        # alg1: realize a plant predictor from the Markov parameters,
-        # then run the model based design on it
-        def alg1():
-            nonlocal pred1
-            base, _ = predictor_from_xi(xi, design.hankel_rows, design.hankel_cols,
-                                        order=design.order)
-            pred1 = sensor_fault_channel(base, cfg.sensors)
-            return run_recursive(assemble_filter(_inverse_system(pred1), cfg.sensors,
-                                                 strategy=design.strategy, poles=design.poles))
-
-        attempt("alg1", alg1)
-
-        # alg2: direct data-driven design, no intermediate plant model
-        attempt("alg2", lambda: run_recursive(design_filter_from_xi(xi, design)))
-
-        # alg3: moving horizon LS on alg1's realized predictor, so the
-        # residual recursion and the window model come from one
-        # identified system (raw identified fault blocks at long lags
-        # are noise dominated and would wreck the window inverse)
-        def alg3():
-            if pred1 is None:
-                raise ValidationError(
-                    "needs the realized predictor (alg1 failed upstream)")
-            problem = build_mhe(pred1, design.markov_length)
-            gen = residual_generator(pred1)
-            estimates = run_mhe(problem, gen.run(np.hstack([run_data.u, run_data.y])))
-            # a sample costs one residual-generator step and the FIR taps
-            # of the newest gain rows
-            macs = (gen.A.size + gen.B.size + gen.C.size + gen.D.size
-                    + problem.gain_rows.size)
-            return estimates, macs
-
-        attempt("alg3", alg3)
+    # alg1: the model based design on the predictor realized from xi
+    attempt("alg1", lambda: run_recursive(assemble_filter(
+        _inverse_system(pred1()), cfg.sensors, strategy=design.strategy, poles=design.poles)))
+    # alg2: direct data-driven design, no intermediate plant model
+    attempt("alg2", lambda: run_recursive(design_filter_from_xi(xi(), design)))
+    attempt("alg3", alg3)
 
     return ExperimentReport(
         plant=cfg.plant if cfg.model is None else "custom",

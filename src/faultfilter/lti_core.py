@@ -232,10 +232,6 @@ class PredictorModel:
         return self.Phi.shape[0]
 
     @property
-    def n_inputs(self) -> int:
-        return self.Bt.shape[1]
-
-    @property
     def n_outputs(self) -> int:
         return self.C.shape[0]
 

@@ -50,6 +50,13 @@ gain = 0.6 1.3; -0.5 0.7
 sensors = 1
 """
 
+# The same plant with C[1, 0] = 0.3: sensor 2 sees the 1.05 mode only
+# weakly, so the open-loop inverse for a fault on sensor 1 is unstable
+# (rho(Phi1) = 1.024) while its invariant zeros are not, and only the
+# injection gain makes the inversion stable.
+UNSTABLE_INVERSE_INI = HIDDEN_MODE_INI.replace("C = 0.6 0 0 1; 0 0.8 0 0",
+                                               "C = 0.6 0 0 1; 0.3 0.8 0 0")
+
 
 def varx_regression(data, p, assume_delay):
     """Target Y and regressor Z of the VARX problem, built explicitly.
@@ -396,6 +403,13 @@ def stable_invertible_predictor(rng, n=4, n_u=2, n_y=2, sensors=(0,),
         if spectral_radius(open_loop_inverse(pred).Phi1) < 0.98:
             return pred
     raise AssertionError("no stably invertible predictor found")
+
+
+def filter_markov_gap(got, want, L=30):
+    """Relative Frobenius distance between two filters' first L Markov blocks."""
+    M_got = np.vstack(list(got.as_system().markov(L)))
+    M_want = np.vstack(list(want.as_system().markov(L)))
+    return np.linalg.norm(M_got - M_want) / np.linalg.norm(M_want)
 
 
 def closed_loop_inverse(inv, Kr):

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import faultfilter as ff
@@ -26,6 +26,7 @@ from faultfilter import (
     fault_markov,
     ho_kalman,
     identify_xi,
+    invariant_zeros_stable,
     inverse_markov,
     left_inverse,
     markov_from_ss,
@@ -34,6 +35,7 @@ from faultfilter import (
     predictor_from_xi,
     realize,
     reduced_filter,
+    spectral_radius,
     stabilizing_gain,
     to_predictor,
     xi_from_predictor,
@@ -45,6 +47,7 @@ from faultfilter import markov_design
 from faultfilter.markov_design import _window_blocks
 
 from conftest import (
+    filter_markov_gap,
     full_row_realize,
     gelsy_identify_xi,
     planted_zero_predictor,
@@ -536,6 +539,51 @@ class TestDesignPipeline:
                     got.append(float(cell_g))
         got, want = np.array(got), np.array(want)
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+
+class TestExactDataProperties:
+    """The two identities the direct design rests on, over random draws.
+
+    On exact Markov parameters (p = 60, the default 20 x 20 Hankel matrix,
+    order 4) the direct design reproduces the model-based filter, and it
+    refuses exactly where the model-based inverse cannot be stabilized.
+    Two and three outputs are drawn; with three, the filter comparison
+    faults two sensors so that one healthy output remains.
+    """
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), k_scale=st.sampled_from([0.3, 0.6, 1.0]),
+           channel=st.sampled_from([(2, (0,)), (3, (0, 1)), (3, (0, 2))]))
+    def test_exact_data_gives_the_model_based_filter(self, seed, k_scale, channel):
+        # one healthy output, so pole placement's gain does not depend on
+        # the state basis; the draws include unstable inverses that only
+        # the gain stabilizes.  Past rho(Phi1) ~ 2 the 20 x 20 Hankel
+        # matrix's dynamic range loses the stable modes to rounding, so
+        # draws stop at 1.5
+        n_y, sensors = channel
+        pred = random_predictor(np.random.default_rng(seed), n_y=n_y, sensors=sensors,
+                                rho=0.6, k_scale=k_scale)
+        inv = open_loop_inverse(pred)
+        assume(spectral_radius(inv.Phi1) < 1.5)
+        filt2 = design_filter_from_xi(exact_xi(pred), DesignConfig(
+            sensor=sensors, markov_length=60, order=4, strategy="pole_placement",
+            poles=POLES4))
+        Kr = stabilizing_gain(inv.Phi1, inv.C2, strategy="pole_placement", poles=POLES4)
+        filt0 = reduced_filter(pred, Kr, strategy="pole_placement")
+        assert filter_markov_gap(filt2, filt0) < 1e-6
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lam=st.floats(0.2, 0.9) | st.floats(1.1, 1.5), n_y=st.sampled_from([2, 3]))
+    def test_the_two_routes_refuse_together(self, seed, lam, n_y):
+        pred = planted_zero_predictor(np.random.default_rng(seed), lam, n_y=n_y)
+        ok, _ = invariant_zeros_stable(pred.Phi, pred.Et, pred.C, pred.G)
+        cfg = DesignConfig(sensor=0, markov_length=60, order=4, strategy="riccati")
+        if ok:
+            design_filter_from_xi(exact_xi(pred), cfg)
+        else:
+            with pytest.raises(StabilizationError, match="^stabilize: "):
+                design_filter_from_xi(exact_xi(pred), cfg)
 
 
 def pp_config(**kw):

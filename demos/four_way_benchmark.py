@@ -17,7 +17,6 @@ import os
 import numpy as np
 
 from faultfilter import BenchConfig, run_comparison
-from faultfilter.bench_cli import write_report_svg
 
 
 def main():
@@ -32,9 +31,7 @@ def main():
             print(f"  {res.name}: {np.trace(res.stats.covariance):.5f}")
 
     out = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
-    report.to_csv(out)
-    write_report_svg(report, os.path.join(out, "report.svg"))
-    report.write_cost(os.path.join(out, "cost.txt"))
+    report.write(out)
     print(f"\nwrote estimates.csv, stats.csv, report.svg, cost.txt to {out}")
 
 

@@ -5,81 +5,16 @@ records, inverts the fault-to-residual dynamics with a stabilized
 reduced-order filter (either from a known model or directly from the
 identified parameters), and benchmarks the result against a moving
 horizon least squares baseline.
+
+Each module's ``__all__`` is the one list of its public names; the
+package republishes them all.
 """
-from .errors import (
-    ExcitationError,
-    FaultDirectionError,
-    FaultFilterError,
-    NumericalError,
-    RiccatiError,
-    StabilizationError,
-    ValidationError,
-    WindowRankError,
-)
-from .lti_core import (
-    IOData,
-    LinearSystem,
-    PredictorModel,
-    StateSpaceModel,
-    block_hankel,
-    block_toeplitz,
-    dare_fixed_point,
-    extended_observability,
-    lti_recursion,
-    markov_from_ss,
-    markov_parameters,
-    psd_factor,
-    sensor_fault_channel,
-    sensor_fault_plant,
-    spectral_radius,
-    to_predictor,
-)
-from .sysid_markov import (
-    IdentifiedXi,
-    identify_xi,
-    xi_from_predictor,
-)
-from .inverse_filter import (
-    FaultEstimationFilter,
-    InverseMatrices,
-    invariant_zeros_stable,
-    left_inverse,
-    open_loop_inverse,
-    reduced_filter,
-    residual_generator,
-    run_filter,
-    stabilizing_gain,
-)
-from .markov_design import (
-    DesignConfig,
-    assemble_filter,
-    convolve_Q,
-    convolve_R,
-    design_filter_from_xi,
-    fault_markov,
-    ho_kalman,
-    inverse_markov,
-    predictor_from_xi,
-    realize,
-    z_markov,
-)
-from .mhe_baseline import (
-    MheProblem,
-    build_mhe,
-    mhe_estimate,
-    run_mhe,
-)
-from .bench_cli import (
-    AlgorithmResult,
-    BenchConfig,
-    EllipseStats,
-    ExperimentReport,
-    FaultScenario,
-    closed_loop_sim,
-    collect_identification_data,
-    ellipse_stats,
-    get_plant,
-    run_comparison,
-)
+from .errors import *
+from .lti_core import *
+from .sysid_markov import *
+from .inverse_filter import *
+from .markov_design import *
+from .mhe_baseline import *
+from .bench_cli import *
 
 __version__ = "0.1.0"

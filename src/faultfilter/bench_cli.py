@@ -276,7 +276,6 @@ class _Loop:
     closed_loop_sim less the draws."""
 
     model: StateSpaceModel
-    system: LinearSystem
     w_factor: np.ndarray
     v_factor: np.ndarray
     plan: _RecursionPlan
@@ -284,7 +283,7 @@ class _Loop:
     @classmethod
     def build(cls, model: StateSpaceModel, gain) -> "_Loop":
         system = _closed_loop_system(model, gain)
-        return cls(model, system, psd_factor(model.Q), psd_factor(model.R),
+        return cls(model, psd_factor(model.Q), psd_factor(model.R),
                    _recursion_plan(system.A, system.B, system.C, system.D))
 
     def simulate(self, N: int, rng, scenario: FaultScenario = None, eta=None):
@@ -497,8 +496,8 @@ class ExperimentReport:
                 f"{np.linalg.norm(res.stats.mean):.4g}{cost}")
         return "\n".join(lines)
 
-    def to_csv(self, out_dir) -> None:
-        """Write estimates.csv and stats.csv into a directory."""
+    def write(self, out_dir) -> None:
+        """Write estimates.csv, stats.csv, report.svg and cost.txt into a directory."""
         os.makedirs(out_dir, exist_ok=True)
         nf = self.fault.shape[1]
         ok = [res for res in self.results if res.ok]
@@ -522,12 +521,10 @@ class ExperimentReport:
             else:
                 rows.append([res.name, 0, 0, "", "", "", "", res.message])
         _write_csv(os.path.join(out_dir, "stats.csv"), rows)
-
-    def write_cost(self, path) -> None:
-        with open(path, "w") as fh:
-            for res in self.results:
-                if res.macs_per_sample is not None:
-                    fh.write(f"{res.name} macs_per_sample {res.macs_per_sample}\n")
+        write_report_svg(self, os.path.join(out_dir, "report.svg"))
+        with open(os.path.join(out_dir, "cost.txt"), "w") as fh:
+            fh.writelines(f"{res.name} macs_per_sample {res.macs_per_sample}\n"
+                          for res in self.results if res.macs_per_sample is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +556,11 @@ def write_report_svg(report: ExperimentReport, path) -> None:
     ]
     if ok_results:
         # the first two error components; a row counts where all are finite
-        errs = {r.name: r.estimates[k0:k1, :2] - report.fault[k0:k1, :2]
-                for r in ok_results}
+        with np.errstate(invalid="ignore", over="ignore"):  # such rows are dropped
+            errs = {r.name: r.estimates[k0:k1, :2] - report.fault[k0:k1, :2]
+                    for r in ok_results}
         finite = {name: e[np.all(np.isfinite(e), axis=1)] for name, e in errs.items()}
-        span = max(np.abs(np.vstack(list(finite.values()))).max(), 1e-12) * 1.15
+        span = max(np.abs(np.vstack(list(finite.values()))).max(initial=0.0), 1e-12) * 1.15
         if nf >= 2:
             # two or more fault dimensions: equal-aspect scatter with ellipses
             scale = min(pw, ph) / (2 * span)
@@ -742,7 +740,7 @@ def _check_noise_scales(q, r) -> None:
 def _registry_loop(plant: str, q, r, sensors: tuple) -> _Loop:
     model, controller = get_plant(plant).factory(q=q, r=r)
     loop = _Loop.build(sensor_fault_plant(model, sensors), controller)
-    _read_only(loop, loop.model, loop.system, loop.plan, loop.plan.state)
+    _read_only(loop, loop.model, loop.plan, loop.plan.state)
     return loop
 
 
@@ -939,12 +937,11 @@ def _plant_from_values(vals: dict) -> StateSpaceModel:
     for key in ("A", "B", "C"):
         if key not in kwargs:
             raise ValidationError(f"[plant] section must define {key}")
-    model = StateSpaceModel(**kwargs)
     _check_noise_scales(vals.get("q"), vals.get("r"))
     if "q" in vals and "Q" not in kwargs:
-        kwargs["Q"] = vals["q"] * np.eye(model.F.shape[1])
+        kwargs["Q"] = vals["q"] * np.eye(kwargs.get("F", kwargs["A"]).shape[1])
     if "r" in vals and "R" not in kwargs:
-        kwargs["R"] = vals["r"] * np.eye(model.n_outputs)
+        kwargs["R"] = vals["r"] * np.eye(len(kwargs["C"]))
     return StateSpaceModel(**kwargs)
 
 
@@ -1106,9 +1103,7 @@ def _cmd_compare(args, cfg: BenchConfig) -> int:
     out_dir = _out_dir(args)
     _cli_plant(cfg)  # for the one-based sensor check only
     report = run_comparison(cfg)
-    report.to_csv(out_dir)
-    write_report_svg(report, os.path.join(out_dir, "report.svg"))
-    report.write_cost(os.path.join(out_dir, "cost.txt"))
+    report.write(out_dir)
     print(report.summary())
     print(f"wrote estimates.csv, stats.csv, report.svg, cost.txt -> {out_dir}")
     return 0

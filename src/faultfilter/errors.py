@@ -7,6 +7,17 @@ no stabilizing solution, rank losses or unstabilizable systems (CLI
 exit code 3).
 """
 
+__all__ = [
+    "FaultFilterError",
+    "ValidationError",
+    "FaultDirectionError",
+    "NumericalError",
+    "RiccatiError",
+    "ExcitationError",
+    "StabilizationError",
+    "WindowRankError",
+]
+
 
 class FaultFilterError(Exception):
     """Base class for all errors raised by this package."""

@@ -452,8 +452,8 @@ class TestExperimentReport:
     def test_csv_layout_and_determinism(self, tmp_path):
         rep = synthetic_report()
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        rep.to_csv(d1)
-        rep.to_csv(d2)
+        rep.write(d1)
+        rep.write(d2)
         est = (d1 / "estimates.csv").read_text()
         head = est.splitlines()[0].split(",")
         assert head == ["k", "f1", "alg0_f1"]
@@ -465,6 +465,8 @@ class TestExperimentReport:
         assert stats[2].startswith("alg1,0,0")
         assert "synthetic failure" in stats[2]
         assert stats == (d2 / "stats.csv").read_text().splitlines()
+        assert sorted(p.name for p in d1.iterdir()) == [
+            "cost.txt", "estimates.csv", "report.svg", "stats.csv"]
 
     def test_summary_states_cost(self):
         assert ", 40 MACs/sample" in synthetic_report().summary()
@@ -472,9 +474,8 @@ class TestExperimentReport:
     def test_cost_file(self, tmp_path):
         # the failed alg1 has no count and no line
         rep = synthetic_report()
-        path = tmp_path / "cost.txt"
-        rep.write_cost(path)
-        lines = path.read_text().splitlines()
+        rep.write(tmp_path)
+        lines = (tmp_path / "cost.txt").read_text().splitlines()
         assert lines == ["alg0 macs_per_sample 40"]
 
 
@@ -733,7 +734,7 @@ class TestRunComparison:
         summary = rep.summary()
         assert f"  alg1: FAILED ({SHORT_IDENT})" in summary.split("\n")
         assert "(alg1:" not in summary and "FAILED (alg" not in summary
-        rep.to_csv(tmp_path)
+        rep.write(tmp_path)
         rows = (tmp_path / "stats.csv").read_text().splitlines()
         assert rows[2:] == [f"{name},0,0,,,,,{SHORT_IDENT}"
                             for name in ("alg1", "alg2", "alg3")]
@@ -858,8 +859,7 @@ def cold_plant_cache():
 
 def report_files(report, out_dir):
     """The bytes of the files compare writes that do not name the plant."""
-    report.to_csv(out_dir)
-    report.write_cost(out_dir / "cost.txt")
+    report.write(out_dir)
     return {name: (out_dir / name).read_bytes()
             for name in ("estimates.csv", "stats.csv", "cost.txt")}
 
@@ -971,11 +971,11 @@ class TestPlantMemo:
         # so it holds the quadruple and the plan of (A, I, I, 0) with its
         # four chunk factors
         plans = (loop.plan, loop.plan.state)
-        arrays = [v for obj in (loop, loop.model, loop.system, *plans, filt)
+        arrays = [v for obj in (loop, loop.model, *plans, filt)
                   for v in vars(obj).values() if isinstance(v, np.ndarray)]
         assert bench_cli._registry_loop.cache_info().misses == 1
         assert bench_cli._registry_alg0.cache_info().misses == 1
-        assert len(arrays) == 2 + 9 + 4 + (4 + 8) + 7
+        assert len(arrays) == 2 + 9 + (4 + 8) + 7
         assert not any(a.flags.writeable for a in arrays)
         # alg0 ran on a copy: the kept filter's state never moved
         assert not filt.state.any()
@@ -1002,8 +1002,8 @@ class TestPlantMemo:
         rng = np.random.default_rng(8)  # the same draws, through a fresh plan
         Z = np.hstack([eta, rng.standard_normal((N, 4)) @ loop.w_factor.T,
                        rng.standard_normal((N, 2)) @ loop.v_factor.T, fault])
-        system = loop.system
-        UY, _ = lti_recursion(system.A, system.B, system.C, system.D, Z)
+        plan = loop.plan
+        UY, _ = lti_recursion(plan.A, plan.B, plan.C, plan.D, Z)
         got = np.hstack([data.u, data.y])
         assert np.array_equal(got, UY, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(UY))

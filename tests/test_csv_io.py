@@ -286,7 +286,7 @@ def test_k_column_bytes_of_report_estimates(tmp_path, N):
     stats = ellipse_stats(rng.standard_normal((3, 2)))
     ExperimentReport(plant="unstable4", seed=0, window=(0, N), fault=fault,
                      results=[AlgorithmResult(name="alg0", ok=True, estimates=est,
-                                              stats=stats)]).to_csv(tmp_path)
+                                              stats=stats)]).write(tmp_path)
     float_k_csv(tmp_path / "want.csv", [["k", "f1", "f2", "alg0_f1", "alg0_f2"]],
                 np.column_stack([np.arange(N), fault, est]))
     assert ((tmp_path / "estimates.csv").read_bytes()

@@ -35,6 +35,7 @@ from faultfilter import (
     predictor_from_xi,
     realize,
     reduced_filter,
+    sensor_fault_channel,
     spectral_radius,
     stabilizing_gain,
     to_predictor,
@@ -548,7 +549,8 @@ class TestExactDataProperties:
     order 4) the direct design reproduces the model-based filter, and it
     refuses exactly where the model-based inverse cannot be stabilized.
     Two and three outputs are drawn; with three, the filter comparison
-    faults two sensors so that one healthy output remains.
+    faults two sensors so that one healthy output remains.  The
+    identified-model route, on the same exact data, reproduces it too.
     """
 
     @settings(max_examples=60)
@@ -571,6 +573,21 @@ class TestExactDataProperties:
         Kr = stabilizing_gain(inv.Phi1, inv.C2, strategy="pole_placement", poles=POLES4)
         filt0 = reduced_filter(pred, Kr, strategy="pole_placement")
         assert filter_markov_gap(filt2, filt0) < 1e-6
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), k_scale=st.sampled_from([0.3, 0.6, 1.0]))
+    def test_identified_model_route_gives_the_model_based_filter(self, seed, k_scale):
+        # alg1's route: realize the plant predictor from exact xi, attach the
+        # fault channel, then the model-based design.  It realizes the
+        # decaying predictor, not the inverse, so no rho(Phi1) range applies
+        pred = random_predictor(np.random.default_rng(seed), rho=0.6, k_scale=k_scale)
+        base, _ = predictor_from_xi(exact_xi(pred), 20, 20, order=4)
+        filt1 = assemble_filter(_inverse_system(sensor_fault_channel(base, 0)), 0,
+                                strategy="pole_placement", poles=POLES4)
+        inv = open_loop_inverse(pred)
+        Kr = stabilizing_gain(inv.Phi1, inv.C2, strategy="pole_placement", poles=POLES4)
+        filt0 = reduced_filter(pred, Kr, strategy="pole_placement")
+        assert filter_markov_gap(filt1, filt0) < 1e-6
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1),

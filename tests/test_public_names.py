@@ -7,7 +7,8 @@ name bound to a faultfilter module (``import faultfilter as ff``,
 ``from faultfilter import bench_cli``).  Removing or renaming a public
 name then fails here, not only in a demo, a benchmark run or a reader's
 copy of the README example.  Every name a package module lists in
-``__all__`` must exist too, so a removal cannot leave a stale entry.
+``__all__`` must exist too, so a removal cannot leave a stale entry,
+and the package's public names must be exactly those lists.
 """
 import ast
 import importlib
@@ -18,7 +19,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+SCRIPTS = [path for folder in ("demos", "perfbench", "accuracy")
+           for path in sorted((ROOT / folder).glob("*.py"))]
 README_BLOCKS = [part.split("```", 1)[0]
                  for part in (ROOT / "README.md").read_text().split("```python\n")[1:]]
 SOURCES = ([(f"{p.parent.name}/{p.name}", p.read_text()) for p in SCRIPTS]
@@ -57,7 +59,8 @@ def test_script_names_resolve(name, source):
 
 def test_scripts_are_checked():
     names = {name for name, _ in SOURCES}
-    assert {"perfbench/workloads.py", "demos/data_driven_design.py", "README.md#1"} <= names
+    assert {"perfbench/workloads.py", "demos/data_driven_design.py", "accuracy/run.py",
+            "README.md#1"} <= names
     uses = package_uses(ast.parse(README_BLOCKS[0]))
     assert ("faultfilter", "design_filter_from_xi") in {(m, n) for _, m, n in uses}
     uses = package_uses(ast.parse((ROOT / "perfbench" / "workloads.py").read_text()))
@@ -76,3 +79,20 @@ def test_module_all_names_exist(module):
 
 def test_module_all_is_checked():
     assert {"lti_core", "markov_design", "bench_cli"} <= set(MODULES)
+
+
+def test_package_republishes_each_module_all():
+    # __init__ holds no list of its own: the package's public names are
+    # the module lists, each name listed once and bound to its module's object
+    import faultfilter
+    lists = {module: importlib.import_module(f"faultfilter.{module}").__all__
+             for module in MODULES}
+    listed = [name for names in lists.values() for name in names]
+    assert len(listed) == len(set(listed)), "a name is listed by two modules"
+    public = {name for name, value in vars(faultfilter).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(listed)
+    for module, names in lists.items():
+        mod = importlib.import_module(f"faultfilter.{module}")
+        for name in names:
+            assert getattr(faultfilter, name) is getattr(mod, name), f"{module}.{name}"

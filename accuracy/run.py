@@ -2,20 +2,18 @@
 
 Usage, from the root of a checkout:
 
-    python3 accuracy/run.py [--config INI]
+    python3 accuracy/run.py
 
-Runs ``run_comparison`` on seeds 0-299 and 1000-1299 and writes
-``BENCH_accuracy.json`` at the root of the checkout.  For each seed set
-(0-49, 0-299 and 1000-1299) and each arm the file records the failure
-count, the median, p90 and max of the MSE, the median of the bias and
-the p90 and max of |bias|.  An arm's MSE and bias on one seed are the
-mean squared and the mean estimation error over the scoring window
-[window_start, run_samples), over every fault component; a failed arm
-counts as a failure and adds no figure.  ``--config`` takes the INI file
-``faultfilter compare`` reads, so p, the Hankel size, the strategy, the
-order and the plant are all set there.  Keys are sorted and floats are
-written by ``repr``, so a rerun writes the same bytes.  Nothing is
-timed.
+Runs ``run_comparison`` at the default config on seeds 0-299 and
+1000-1299 and writes ``BENCH_accuracy.json`` at the root of the
+checkout.  For each seed set (0-49, 0-299 and 1000-1299) and each arm
+the file records the failure count, the median, p90 and max of the MSE,
+the median of the bias and the p90 and max of |bias|.  An arm's MSE and
+bias on one seed are the mean squared and the mean estimation error over
+the scoring window [window_start, run_samples), over every fault
+component; a failed arm counts as a failure and adds no figure.  Keys
+are sorted and floats are written by ``repr``, so a rerun writes the
+same bytes.  Nothing is timed.
 """
 from __future__ import annotations
 
@@ -27,7 +25,6 @@ if __name__ == "__main__":
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, "1")
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -44,11 +41,11 @@ OUT = ROOT / "BENCH_accuracy.json"
 SEED_SETS = {"0-49": range(50), "0-299": range(300), "1000-1299": range(1000, 1300)}
 
 
-def arm_errors(seeds, config=None) -> dict:
+def arm_errors(seeds) -> dict:
     """{seed: {arm: (mse, bias), or None where the arm failed}}."""
     out = {}
     for seed in seeds:
-        report = run_comparison(load_bench_config(config, seed=seed))
+        report = run_comparison(load_bench_config(seed=seed))
         k0, k1 = report.window
         out[seed] = dict.fromkeys(res.name for res in report.results)
         for res in report.results:
@@ -77,19 +74,14 @@ def summarize(errors: dict, seeds) -> dict:
     return table
 
 
-def accuracy(config=None, seed_sets=SEED_SETS) -> dict:
+def accuracy(seed_sets=SEED_SETS) -> dict:
     """The file's contents: the per-arm figures of every seed set."""
-    errors = arm_errors(sorted(set().union(*seed_sets.values())), config)
+    errors = arm_errors(sorted(set().union(*seed_sets.values())))
     return {name: summarize(errors, list(seeds)) for name, seeds in seed_sets.items()}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--config", help="INI config file, as faultfilter compare reads it")
-    args = parser.parse_args(argv)
-    result = {"config": None if args.config is None else Path(args.config).read_text(),
-              "seed_sets": accuracy(args.config)}
-    OUT.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+def main() -> int:
+    OUT.write_text(json.dumps(accuracy(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {OUT}")
     return 0
 

@@ -159,7 +159,16 @@ def _phase_tiles(w: np.ndarray, B: int) -> np.ndarray:
     return as_strided(flat, (B, k, B * m), (m * s, B * m * s, s), writeable=False)
 
 
-def _lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
+def _gram_work(m: int, B: int) -> np.ndarray:
+    """An empty buffer for :func:`_lagged_gram`: two (B m)^2 blocks of
+    temporaries, then the Gram buffer, B m rows of (B - 1 + ceil(B/4)) m
+    (a band of ceil(B/4) block rows runs up to ceil(B/4) - 1 blocks past
+    column B m)."""
+    M = B * m
+    return np.empty(M * (2 * M + (B - 1 + -(-B // 4)) * m))
+
+
+def _lagged_gram(w: np.ndarray, B: int, work: np.ndarray = None) -> np.ndarray:
     """Gram matrix of the B-block sliding windows of the sample rows.
 
     Window r is [w(r) .. w(r+B-1)] for r = 0 .. N-B, so the result is
@@ -175,49 +184,61 @@ def _lagged_gram(w: np.ndarray, B: int) -> np.ndarray:
     phase order; the head end terms read the first B - 1 zero-padded
     windows, so a record with fewer windows needs no special case.
 
-    The band passes run over (t, a, b, d) arrays with the lag d
-    innermost, so every numpy inner loop is up to B long, not m; each
-    band of block rows takes the lags d < B - i of its first row only.
-    ``+ first`` writes blocks (i, i+d) and (i+d, i) through two strided
-    views of a buffer 2B-1 blocks square, so entries with i+d >= B fall
-    outside the returned view; the upper view goes last, so diagonal
-    blocks keep their own sums.
+    The band passes run in block-row layout [i, a, d m + b], the lag d
+    and column b of block (i, i+d) along one contiguous row: a sample
+    window flattened is such a row, so each band's end terms are one
+    broadcast product and every numpy inner loop is up to B m long.
+    Each band of block rows takes the lags d < B - i of its first row
+    only and writes its sums as the rows of block rows i from column
+    i m of a buffer wider than B m, so entries with i+d >= B fall
+    outside the returned view.  The strictly lower blocks are then
+    copied from the upper ones; diagonal blocks keep their own sums.
+
+    The pass runs in ``work``, a buffer from :func:`_gram_work` (one is
+    made if none is given); its temporaries, the first 2 (B m)^2
+    doubles, are free again on return.
     """
     N, m = w.shape
     rows = N - B + 1
+    M = B * m
+    if work is None:
+        work = _gram_work(m, B)
+    scratch = work[:M * M]  # the first-row products, then a band's head terms
+    steps = work[M * M:2 * M * M].reshape(B, m, M)  # [i] = end terms for t < i
+    gram = work[2 * M * M:].reshape(M, -1)
     tiles = _phase_tiles(w, B)
     k = tiles.shape[1]
     starts = np.zeros((k * B, m))  # [f + jB] = w(f + jB), zero past the last window
     starts[:rows] = w[:rows]
-    # [f, d m + b, a] = sum_j w(f + jB + d)_b w(f + jB)_a, then over f: [a, b, d]
-    first = np.matmul(tiles.transpose(0, 2, 1), starts.reshape(k, B, m).transpose(1, 0, 2))
-    first = first.sum(axis=0).reshape(B, m, m).transpose(2, 1, 0)
+    # [f, d m + b, a] = sum_j w(f + jB + d)_b w(f + jB)_a, then over f: [a, d m + b]
+    first = np.matmul(tiles.transpose(0, 2, 1), starts.reshape(k, B, m).transpose(1, 0, 2),
+                      out=scratch.reshape(B, M, m)).sum(axis=0).T.copy()
     end = np.concatenate([w[rows:], np.zeros((B - 1, m))])
-    heads = tiles[:B - 1, 0].reshape(B - 1, B, m).transpose(0, 2, 1)  # [t, :, d] = w(t + d)
-    tails = sliding_window_view(end, B, axis=0)
-    steps = np.zeros((B, m, m, B))  # [i] = sum of the end terms for t < i
-    K = 2 * B - 1
-    buf = np.empty((K, m, K, m))  # [i, a, j, b] = block (i, j)[a, b]
-    s_i, s_a, s_j, s_b = buf.strides
-    shape = (B, m, m, B)  # [i, a, b, d] -> block (i, i+d)[a, b]
-    lower = as_strided(buf, shape, (s_i + s_j, s_b, s_a, s_i))  # block (i+d, i)[b, a]
-    upper = as_strided(buf, shape, (s_i + s_j, s_a, s_b, s_j))  # block (i, i+d)[a, b]
+    heads = tiles[:B - 1, 0]  # [t, d m + b] = w(t + d)_b
+    tails = sliding_window_view(end.reshape(-1), M)[::m]  # [t, d m + b] = end(t + d)_b
+    steps[0] = 0.0
+    s_r, s = gram.strides
     height = -(-B // 4)  # four bands of block rows; 3-6 timed alike at B = 101
     for i0 in range(0, B, height):
-        i1, n, lo = min(i0 + height, B), B - i0, max(i0, 1)
-        # end terms t = lo-1 .. i1-2: [t, a, b, d] = w(t)_a w(t+d)_b
+        i1, n, lo = min(i0 + height, B), (B - i0) * m, max(i0, 1)
+        # end terms t = lo-1 .. i1-2: [t, a, d m + b] = w(t)_a w(t+d)_b
         t = slice(lo - 1, i1 - 1)
-        head = np.einsum("ta,tbd->tabd", w[t], heads[t, :, :n])
-        tail = np.einsum("ta,tbd->tabd", end[t], tails[t, :, :n])
-        np.subtract(tail, head, out=steps[lo:i1, :, :, :n])
-        run = steps[max(lo - 1, 1):i1, :, :, :n]  # on from the band before
+        head = scratch[:(i1 - lo) * m * n].reshape(i1 - lo, m, n)
+        np.multiply(w[t, :, None], heads[t, None, :n], out=head)
+        term = steps[lo:i1, :, :n]
+        np.multiply(end[t, :, None], tails[t, None, :n], out=term)
+        np.subtract(term, head, out=term)
+        run = steps[max(lo - 1, 1):i1, :, :n]  # on from the band before
         # a running sum by whole rows; np.cumsum's inner loop would run along
         # the long row stride, one band's height at a time
         for i in range(1, len(run)):
             np.add(run[i - 1], run[i], out=run[i])
-        np.add(first[..., :n], steps[i0:i1, ..., :n], out=lower[i0:i1, ..., :n])
-        np.add(first[..., :n], steps[i0:i1, ..., :n], out=upper[i0:i1, ..., :n])
-    return buf.reshape(K * m, K * m)[:B * m, :B * m]
+        upper = as_strided(gram[i0 * m:, i0 * m:], (i1 - i0, m, n), (m * s_r + m * s, s_r, s))
+        np.add(first[:, :n], steps[i0:i1, :, :n], out=upper)  # block (i, i+d)[a, b]
+    G = gram[:, :M]
+    for i in range(m, M, m):  # block row i/m left of the diagonal, from block column i/m
+        G[i:i + m, :i] = G[:i, i:i + m].T
+    return G
 
 
 def _window_residuals(w: np.ndarray, n_y: int, xi: np.ndarray) -> np.ndarray:
@@ -279,9 +300,14 @@ def identify_xi(data: IOData, p: int, assume_delay: bool = False) -> IdentifiedX
         raise ExcitationError(
             f"insufficient excitation: {rows} regression rows must exceed the "
             f"{ncols} coefficient columns; record more samples or lower p")
+    # one buffer per call holds every (p m)^2-sized temporary: the Gram
+    # pass's, then the equilibrated matrix and its scales where the pass's
+    # temporaries were; separate allocations of these sizes left glibc
+    # mapping fresh pages on every call
+    work = _gram_work(n_u + n_y, p + 1)
     # regressor columns are a prefix of the (p+1)-block windows, targets
     # their last n_y columns
-    G = _lagged_gram(w, p + 1)
+    G = _lagged_gram(w, p + 1, work)
     scale = np.sqrt(np.diag(G)[:ncols])
     if not scale.all():
         raise ExcitationError(
@@ -289,8 +315,9 @@ def identify_xi(data: IOData, p: int, assume_delay: bool = False) -> IdentifiedX
             "is identically zero")
     # deferred: a filter run needs no scipy
     from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
-    A = G[:ncols, :ncols] / np.outer(scale, scale)
-    anorm = np.abs(A).sum(axis=0).max()
+    outer, A = work[:2 * ncols * ncols].reshape(2, ncols, ncols)
+    np.divide(G[:ncols, :ncols], np.outer(scale, scale, out=outer), out=A)
+    anorm = np.abs(A, out=outer).sum(axis=0).max()
     try:
         # A is exactly symmetric, so A.T is the Fortran-ordered matrix
         # LAPACK wants: factored in place, not copied

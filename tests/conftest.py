@@ -6,6 +6,10 @@ so failures reproduce from the printed seed.  Property tests share one
 and LAPACK warm-up) and derandomized draws, so every run replays the
 same examples.
 """
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -31,6 +35,17 @@ from faultfilter.sysid_markov import _window_residuals
 
 settings.register_profile("faultfilter", deadline=None, derandomize=True)
 settings.load_profile("faultfilter")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports the package from src/."""
+    prelude = f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+    child = subprocess.run([sys.executable, "-c", prelude + code],
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+
 
 # The registry plant unstable4 with C[1, 0] = 0: sensor 2 cannot see the
 # 1.05 mode, so a fault on sensor 1 leaves that mode an unstable invariant

@@ -11,15 +11,11 @@ Each case runs in a fresh interpreter, so a later top-level import that
 brings either cost back to ``import faultfilter``, the ``estimate`` and
 ``identify`` verbs, or a riccati or rank-one design fails here.
 """
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 
 import faultfilter as ff
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import run_fresh
 
 NO_SCIPY = "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy was loaded'\n"
 
@@ -31,14 +27,6 @@ class NoScipy:
 
 sys.meta_path.insert(0, NoScipy())
 """
-
-
-def run_fresh(code: str) -> None:
-    """Run ``code`` in a new interpreter that imports the package from src/."""
-    prelude = f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
-    child = subprocess.run([sys.executable, "-c", prelude + code],
-                           capture_output=True, text=True, timeout=120)
-    assert child.returncode == 0, child.stderr
 
 
 def write_inputs(tmp_path, rng):

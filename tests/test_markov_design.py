@@ -42,12 +42,13 @@ from faultfilter import (
     xi_from_predictor,
     z_markov,
 )
-from faultfilter.bench_cli import BENCH_POLES
+from faultfilter.bench_cli import BENCH_POLES, load_bench_config
 from faultfilter.inverse_filter import _inverse_system
 from faultfilter import markov_design
 from faultfilter.markov_design import _window_blocks
 
 from conftest import (
+    HIDDEN_MODE_INI,
     filter_markov_gap,
     full_row_realize,
     gelsy_identify_xi,
@@ -601,6 +602,25 @@ class TestExactDataProperties:
         else:
             with pytest.raises(StabilizationError, match="^stabilize: "):
                 design_filter_from_xi(exact_xi(pred), cfg)
+
+    @pytest.mark.parametrize("strategy, poles", [("riccati", None),
+                                                 ("pole_placement", BENCH_POLES)])
+    def test_the_two_routes_refuse_the_hidden_mode(self, tmp_path, strategy, poles):
+        # HIDDEN_MODE_INI's second sensor cannot see the 1.05 mode, so a
+        # fault on the first leaves it an unstable invariant zero; the data
+        # route refuses it at its stabilize stage as the model route does
+        path = tmp_path / "hidden.ini"
+        path.write_text(HIDDEN_MODE_INI)
+        cfg = load_bench_config(path)
+        model, _ = cfg.resolve_plant()
+        pred = to_predictor(ff.sensor_fault_plant(model, cfg.sensors))
+        with pytest.raises(StabilizationError, match=r"modes \[1\.05\]") as model_route:
+            assemble_filter(_inverse_system(pred), cfg.sensors, strategy=strategy, poles=poles)
+        design = DesignConfig(sensor=cfg.sensors, markov_length=60, order=4,
+                              strategy=strategy, poles=poles)
+        with pytest.raises(StabilizationError) as data_route:
+            design_filter_from_xi(exact_xi(pred), design)
+        assert str(data_route.value) == f"stabilize: {model_route.value}"
 
 
 def pp_config(**kw):

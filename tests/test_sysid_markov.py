@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from faultfilter.sysid_markov import _lagged_gram, _window_residuals
 
 from conftest import (blockwise_lagged_gram, correlate_window_residuals,
                       cumsum_lagged_gram, gelsy_identify_xi, open_loop_sim,
-                      random_model, varx_regression, xi_residuals)
+                      random_model, run_fresh, varx_regression, xi_residuals)
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 
 def equilibrated_gram(data, p, assume_delay=False):
@@ -529,3 +535,31 @@ class TestNonFinite:
         data.to_csv(path)
         assert main(["identify", "--data", str(path), "--out", str(tmp_path)]) == 2
         assert f"non-finite value in sample k=12 of {path}" in capsys.readouterr().err
+
+
+# Steady repeated identification must reuse its memory.  identify_xi keeps
+# its (p m)^2-sized temporaries in one buffer per call; as separate arrays
+# glibc mapped them anew on every call, and the loop below took ~1800-1900
+# minor page faults per call against ~0.14 with the one buffer, so 50 per
+# call leaves room for host noise and still catches that
+FAULTS_PER_CALL = 50
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or resource is None,
+                    reason="counts minor page faults through resource on Linux")
+def test_repeated_identification_reuses_its_memory():
+    run_fresh(f"""
+import resource
+import numpy as np
+from faultfilter import IOData, identify_xi
+
+rng = np.random.default_rng(0)
+data = IOData(rng.standard_normal((10_000, 2)), rng.standard_normal((10_000, 2)))
+for _ in range(3):  # warm-up: imports, BLAS buffers, the allocator's thresholds
+    identify_xi(data, 100, assume_delay=True)
+before, calls = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, 20
+for _ in range(calls):
+    identify_xi(data, 100, assume_delay=True)
+faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+assert faults <= {FAULTS_PER_CALL}, f"{{faults}} minor page faults per call"
+""")

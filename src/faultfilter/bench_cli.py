@@ -96,8 +96,6 @@ __all__ = [
 # well damped real poles that every gain strategy can reach.
 BENCH_POLES = (0.948, 0.532, 0.225, 0.141)
 
-ALGORITHM_NAMES = ("alg0", "alg1", "alg2", "alg3")
-
 
 # ---------------------------------------------------------------------------
 # fault scenarios, plants
@@ -877,26 +875,28 @@ def parse_matrix(text: str) -> np.ndarray:
         raise ValidationError(f"bad matrix literal {text!r}") from exc
 
 
-_PLANT_KEYS = {"name": str, **dict.fromkeys("ABCDEGFQR", parse_matrix),
-               "q": float, "r": float}
-
-
 def _read_ini(path, missing: str = None):
     """ConfigParser loaded from one INI file, without interpolation.
 
     Keys are case sensitive, so matrix keys tell Q from q.  An
     unreadable file raises ValidationError with ``missing`` (default:
-    "cannot read config file <path>"); a malformed one raises
-    ValidationError naming the file and the parse error.
+    "cannot read config file <path>"); a malformed one, or one that
+    does not decode as text, raises ValidationError naming the file and
+    the error, and a section outside ``_SECTIONS`` one naming the
+    section.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ValidationError(missing or f"cannot read config file {path}")
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ValidationError(f"[{name}]: unknown section; accepted sections are "
+                                  f"{', '.join(_SECTIONS)}")
     return parser
 
 
@@ -931,18 +931,17 @@ def _one_based(raw: str) -> list:
     return [v - 1 for v in vals]
 
 
-def _plant_from_values(vals: dict) -> StateSpaceModel:
-    """Plant model from the parsed matrix and noise keys of [plant]."""
-    kwargs = {key: vals[key] for key in "ABCDEGFQR" if key in vals}
+def _plant_from_values(matrices: dict, q, r) -> StateSpaceModel:
+    """Plant model from the [plant] matrices and scalar noise scales."""
     for key in ("A", "B", "C"):
-        if key not in kwargs:
+        if key not in matrices:
             raise ValidationError(f"[plant] section must define {key}")
-    _check_noise_scales(vals.get("q"), vals.get("r"))
-    if "q" in vals and "Q" not in kwargs:
-        kwargs["Q"] = vals["q"] * np.eye(kwargs.get("F", kwargs["A"]).shape[1])
-    if "r" in vals and "R" not in kwargs:
-        kwargs["R"] = vals["r"] * np.eye(len(kwargs["C"]))
-    return StateSpaceModel(**kwargs)
+    _check_noise_scales(q, r)
+    if q is not None and "Q" not in matrices:
+        matrices["Q"] = q * np.eye(matrices.get("F", matrices["A"]).shape[1])
+    if r is not None and "R" not in matrices:
+        matrices["R"] = r * np.eye(len(matrices["C"]))
+    return StateSpaceModel(**matrices)
 
 
 def _boolean(raw: str) -> bool:
@@ -953,82 +952,70 @@ def _boolean(raw: str) -> bool:
         raise ValueError("not a boolean") from None
 
 
+# Each config file section with its keys and their parsers, in the order
+# the sections are read.  A key sets the BenchConfig field of its name,
+# apart from the remaps in load_bench_config.
+_SECTIONS = {
+    "plant": {"name": str, **dict.fromkeys("ABCDFQR", parse_matrix), "q": float, "r": float},
+    "controller": {"gain": parse_matrix},
+    "scenario": {"onset": int, "sensors": _one_based,
+                 "signals": lambda raw: [part.strip() for part in raw.split(";")]},
+    "identify": {"p": int, "n_samples": int, "assume_delay": _boolean},
+    "design": {"markov_length": int, "hankel_rows": int, "hankel_cols": int,
+               "order": lambda raw: raw if raw == "auto" else int(raw), "strategy": str,
+               "poles": lambda raw: (None if raw == "none" else
+                                     [float(v) for v in raw.replace(",", " ").split()])},
+    "bench": dict.fromkeys(("run_samples", "window_start"), int),
+}
+
+
 def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
     """Assemble a BenchConfig from an INI file plus the CLI options.
 
-    Recognized sections: [plant] (registry ``name`` or explicit
-    matrices, optional scalar ``q`` / ``r``), [controller] (``gain``
-    matrix), [scenario] (``onset``, one based ``sensors``, ``signals``
-    separated by ';'), [identify] (``p``, ``n_samples``,
-    ``assume_delay``), [design] (``markov_length``, ``hankel_rows``,
-    ``hankel_cols``, ``order``, ``strategy``, ``poles``), [bench]
-    (``run_samples``, ``window_start``).  ``plant`` may name a
-    registry entry, which replaces the [plant] ``name`` and matrices,
-    or a config file with its own [plant] section.
+    ``_SECTIONS`` lists the sections and the keys each accepts.  Keys
+    set the BenchConfig fields of their names, except that [plant]
+    ``name`` sets ``plant`` and its matrices ``model``, [controller]
+    ``gain`` sets ``controller``, [identify] ``n_samples`` sets
+    ``n_ident`` and [scenario] ``onset`` and ``signals`` the
+    ``scenario``.  ``plant`` may name a registry entry, which replaces
+    the [plant] ``name`` and matrices, or a config file whose [plant]
+    and [controller] sections replace those of ``config_path``.
     """
-    kwargs = {}
     parser = (configparser.ConfigParser() if config_path is None
               else _read_ini(config_path))
-
     plant_parser = parser
     if plant is not None and plant not in _REGISTRY:
         plant_parser = _read_ini(
             plant, missing=f"--plant {plant!r} is neither a registered plant "
                            "nor a readable config file")
 
-    if "plant" in plant_parser:
-        vals = _ini_values(plant_parser["plant"], _PLANT_KEYS)
-        if any(key in vals for key in "ABCDEGFQR"):
-            kwargs["model"] = _plant_from_values(vals)
-        elif "name" in vals:
-            kwargs["plant"] = vals["name"]
-        kwargs.update({key: vals[key] for key in ("q", "r") if key in vals})
-    if plant in _REGISTRY:
-        kwargs.update(plant=plant, model=None)
-    if "controller" in plant_parser:
-        ctrl = _ini_values(plant_parser["controller"], {"gain": parse_matrix})
-        if "gain" in ctrl:
-            kwargs["controller"] = ctrl["gain"]
-
-    if "scenario" in parser:
-        scen = _ini_values(parser["scenario"], {
-            "onset": int,
-            "sensors": _one_based,
-            "signals": lambda raw: [part.strip() for part in raw.split(";")],
-        })
-        if "sensors" in scen:
-            kwargs["sensors"] = scen.pop("sensors")
-        kwargs["scenario"] = FaultScenario(**scen)
-
-    if "identify" in parser:
-        ident = _ini_values(parser["identify"], {
-            "p": int, "n_samples": int, "assume_delay": _boolean})
-        if "n_samples" in ident:
-            ident["n_ident"] = ident.pop("n_samples")
-        kwargs.update(ident)
-
-    if "design" in parser:
-        if "sensor" in parser["design"]:
+    vals = {}
+    for section, keys in _SECTIONS.items():
+        source = plant_parser if section in ("plant", "controller") else parser
+        if section not in source:
+            continue
+        if section == "design" and "sensor" in source[section]:
             raise ValidationError(
                 "[design] sensor is not used by benchmark configs; set the "
                 "faulty sensors with [scenario] sensors")
-        kwargs.update(_ini_values(parser["design"], {
-            "markov_length": int,
-            "hankel_rows": int,
-            "hankel_cols": int,
-            "order": lambda raw: raw if raw == "auto" else int(raw),
-            "strategy": str,
-            "poles": lambda raw: (None if raw == "none" else
-                                  [float(v) for v in raw.replace(",", " ").split()]),
-        }))
+        vals.update(_ini_values(source[section], keys))
 
-    if "bench" in parser:
-        kwargs.update(_ini_values(parser["bench"], dict.fromkeys(
-            ("run_samples", "window_start"), int)))
-
+    matrices = {key: vals.pop(key) for key in "ABCDFQR" if key in vals}
+    name = vals.pop("name", None)
+    if matrices:
+        vals["model"] = _plant_from_values(matrices, vals.get("q"), vals.get("r"))
+    elif name is not None:
+        vals["plant"] = name
+    if plant in _REGISTRY:
+        vals.update(plant=plant, model=None)
+    for key, field_name in (("gain", "controller"), ("n_samples", "n_ident")):
+        if key in vals:
+            vals[field_name] = vals.pop(key)
+    vals["scenario"] = FaultScenario(
+        **{key: vals.pop(key) for key in ("onset", "signals") if key in vals})
     if seed is not None:
-        kwargs["seed"] = int(seed)
-    return BenchConfig(**kwargs)
+        vals["seed"] = int(seed)
+    return BenchConfig(**vals)
 
 
 # ---------------------------------------------------------------------------

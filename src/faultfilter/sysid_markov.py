@@ -168,7 +168,7 @@ def _gram_work(m: int, B: int) -> np.ndarray:
     return np.empty(M * (2 * M + (B - 1 + -(-B // 4)) * m))
 
 
-def _lagged_gram(w: np.ndarray, B: int, work: np.ndarray = None) -> np.ndarray:
+def _lagged_gram(w: np.ndarray, B: int, work: np.ndarray) -> np.ndarray:
     """Gram matrix of the B-block sliding windows of the sample rows.
 
     Window r is [w(r) .. w(r+B-1)] for r = 0 .. N-B, so the result is
@@ -194,15 +194,12 @@ def _lagged_gram(w: np.ndarray, B: int, work: np.ndarray = None) -> np.ndarray:
     outside the returned view.  The strictly lower blocks are then
     copied from the upper ones; diagonal blocks keep their own sums.
 
-    The pass runs in ``work``, a buffer from :func:`_gram_work` (one is
-    made if none is given); its temporaries, the first 2 (B m)^2
-    doubles, are free again on return.
+    The pass runs in ``work``, a buffer from :func:`_gram_work`; its
+    temporaries, the first 2 (B m)^2 doubles, are free again on return.
     """
     N, m = w.shape
     rows = N - B + 1
     M = B * m
-    if work is None:
-        work = _gram_work(m, B)
     scratch = work[:M * M]  # the first-row products, then a band's head terms
     steps = work[M * M:2 * M * M].reshape(B, m, M)  # [i] = end terms for t < i
     gram = work[2 * M * M:].reshape(M, -1)

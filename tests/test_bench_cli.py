@@ -22,7 +22,6 @@ from faultfilter import (
 )
 from faultfilter import bench_cli
 from faultfilter.bench_cli import (
-    ALGORITHM_NAMES,
     AlgorithmResult,
     BENCH_POLES,
     load_bench_config,
@@ -80,6 +79,10 @@ def with_feedthrough(model, D):
                               Q=model.Q, R=model.R)
 
 
+# the arms of run_comparison, in report order
+ALGORITHM_NAMES = ("alg0", "alg1", "alg2", "alg3")
+
+
 def result(report, name):
     return next(res for res in report.results if res.name == name)
 
@@ -107,6 +110,10 @@ def never_chunk(*args, **kwargs):
     raise AssertionError("a record took the chunked path")
 
 
+PLANT_KEYS = "name, A, B, C, D, F, Q, R, q, r"
+UNKNOWN_SECTION = ("unknown section; accepted sections are plant, controller, scenario, "
+                   "identify, design, bench")
+
 # config values no run could satisfy, each with its message
 REJECTED_INI = [
     pytest.param("[identify]\np = 0\n", "p must be at least 1, got 0", id="zero-p"),
@@ -130,6 +137,16 @@ REJECTED_INI = [
                  "ragged matrix literal '1 2; 3'", id="ragged-matrix"),
     pytest.param("[plant]\nB = 1; 1\nC = 1 0\n", "[plant] section must define A",
                  id="plant-without-A"),
+    # compare and zeros put the fault in through sensor_fault_plant, and
+    # identify and design simulate fault free, so [plant] takes no E or G
+    pytest.param("[plant]\nA = 0.5\nB = 1\nC = 1\nE = 1\n",
+                 "[plant] E: unknown key; accepted keys are " + PLANT_KEYS, id="plant-E"),
+    pytest.param("[plant]\nname = unstable4\nG = 1\n",
+                 "[plant] G: unknown key; accepted keys are " + PLANT_KEYS, id="plant-G"),
+    pytest.param("[desing]\nhankel_rows = 12\n", "[desing]: " + UNKNOWN_SECTION,
+                 id="misspelt-section"),
+    pytest.param("[Identify]\np = 5\n", "[Identify]: " + UNKNOWN_SECTION,
+                 id="capitalized-section"),
 ]
 
 
@@ -1543,6 +1560,20 @@ class TestCli:
         assert main(["zeros", "--plant", str(path)]) == 2
         assert "[plant] rr: unknown key; accepted keys are name, A, B" in (
             capsys.readouterr().err)
+
+    def test_unknown_section_in_plant_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "plant.ini"
+        path.write_text("[plant]\nname = unstable4\n[controler]\ngain = 0.1\n")
+        assert main(["zeros", "--plant", str(path)]) == 2
+        assert f"validation error: [controler]: {UNKNOWN_SECTION}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--config", "--plant"])
+    def test_config_file_not_utf8_exit_code(self, tmp_path, capsys, option):
+        path = tmp_path / "bench.ini"
+        path.write_text("[plant]\nname = unstable4\n", encoding="utf-16")
+        assert main(["zeros", option, str(path)]) == 2
+        assert (f"validation error: malformed config file {path}: 'utf-8' codec can't "
+                "decode") in capsys.readouterr().err
 
     def test_design_sensor_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.ini"

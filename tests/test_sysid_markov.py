@@ -22,7 +22,7 @@ from faultfilter import (
 )
 
 from faultfilter.bench_cli import main
-from faultfilter.sysid_markov import _lagged_gram, _window_residuals
+from faultfilter.sysid_markov import _gram_work, _lagged_gram, _window_residuals
 
 from conftest import (blockwise_lagged_gram, correlate_window_residuals,
                       cumsum_lagged_gram, gelsy_identify_xi, open_loop_sim,
@@ -311,7 +311,7 @@ class TestAgainstGelsyOracle:
                                            assume_delay):
         data = random_record(seed, p, n_u, n_y, extra, assume_delay)
         Y, Z = varx_regression(data, p, assume_delay)
-        G = _lagged_gram(np.hstack([data.u, data.y]), p + 1)
+        G = _lagged_gram(np.hstack([data.u, data.y]), p + 1, _gram_work(n_u + n_y, p + 1))
         ncols = Z.shape[1]
         ZtZ = Z.T @ Z
         scale = np.abs(ZtZ).max()
@@ -337,7 +337,7 @@ class TestAgainstGelsyOracle:
         w[draw.draw(st.lists(st.integers(0, N - 1), max_size=N // 3), label="zero rows")] = 0.0
         Z = sliding_window_view(w, B, axis=0).transpose(0, 2, 1).reshape(rows, B * m)
         ZtZ = Z.T @ Z
-        G = _lagged_gram(w, B)
+        G = _lagged_gram(w, B, _gram_work(m, B))
         assert G.shape == (B * m, B * m)
         assert np.abs(G - ZtZ).max() <= 1e-12 * np.abs(ZtZ).max()
 
@@ -375,7 +375,7 @@ class TestAgainstGelsyOracle:
                               label="column exponents")
         w = rng.standard_normal((N, m)) * 10.0 ** np.array(exponents)
         w[draw.draw(st.lists(st.integers(0, N - 1), max_size=N // 3), label="zero rows")] = 0.0
-        got, want = _lagged_gram(w, B), blockwise_lagged_gram(w, B)
+        got, want = _lagged_gram(w, B, _gram_work(m, B)), blockwise_lagged_gram(w, B)
         assert got.shape == want.shape == (B * m, B * m)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -387,7 +387,7 @@ class TestAgainstGelsyOracle:
         rng = np.random.default_rng(N)
         w = rng.standard_normal((N, 4)) * np.array([1.0, 1e-3, 10.0, 1e2])
         w[rng.choice(N, 20, replace=False)] = 0.0
-        got, want = _lagged_gram(w, 101), cumsum_lagged_gram(w, 101)
+        got, want = _lagged_gram(w, 101, _gram_work(4, 101)), cumsum_lagged_gram(w, 101)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -543,10 +543,12 @@ class TestNonFinite:
 # minor page faults per call against ~0.14 with the one buffer, so 50 per
 # call leaves room for host noise and still catches that
 FAULTS_PER_CALL = 50
+counts_page_faults = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or resource is None,
+    reason="counts minor page faults through resource on Linux")
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux") or resource is None,
-                    reason="counts minor page faults through resource on Linux")
+@counts_page_faults
 def test_repeated_identification_reuses_its_memory():
     run_fresh(f"""
 import resource
@@ -560,6 +562,25 @@ for _ in range(3):  # warm-up: imports, BLAS buffers, the allocator's thresholds
 before, calls = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, 20
 for _ in range(calls):
     identify_xi(data, 100, assume_delay=True)
+faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+assert faults <= {FAULTS_PER_CALL}, f"{{faults}} minor page faults per call"
+""")
+
+
+@counts_page_faults
+def test_repeated_comparison_reuses_its_memory():
+    # the whole compare operation, whose identification runs at N = 1000:
+    # under 2 faults per call, where p^2-sized temporaries mapped afresh
+    # (the Gram pass with separate arrays) took ~1000
+    run_fresh(f"""
+import resource
+from faultfilter import BenchConfig, run_comparison
+
+for seed in range(3):  # warm-up: imports, the kept registry loop, the allocator
+    run_comparison(BenchConfig(seed=seed))
+before, calls = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, 30
+for seed in range(3, 3 + calls):
+    run_comparison(BenchConfig(seed=seed))
 faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
 assert faults <= {FAULTS_PER_CALL}, f"{{faults}} minor page faults per call"
 """)

@@ -59,6 +59,7 @@ from .lti_core import (
     _finite_samples,
     _read_only,
     _recursion_plan,
+    _rewrite,
     _write_csv,
     psd_factor,
     sensor_fault_channel,
@@ -520,7 +521,7 @@ class ExperimentReport:
                 rows.append([res.name, 0, 0, "", "", "", "", res.message])
         _write_csv(os.path.join(out_dir, "stats.csv"), rows)
         write_report_svg(self, os.path.join(out_dir, "report.svg"))
-        with open(os.path.join(out_dir, "cost.txt"), "w") as fh:
+        with _rewrite(os.path.join(out_dir, "cost.txt")) as fh:
             fh.writelines(f"{res.name} macs_per_sample {res.macs_per_sample}\n"
                           for res in self.results if res.macs_per_sample is not None)
 
@@ -633,7 +634,7 @@ def write_report_svg(report: ExperimentReport, path) -> None:
                   f'<text x="{x0 + pw + 34}" y="{yy}" font-family="sans-serif" '
                   f'font-size="12">{label}</text>']
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with _rewrite(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -979,7 +980,8 @@ def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
     ``n_ident`` and [scenario] ``onset`` and ``signals`` the
     ``scenario``.  ``plant`` may name a registry entry, which replaces
     the [plant] ``name`` and matrices, or a config file whose [plant]
-    and [controller] sections replace those of ``config_path``.
+    and [controller] sections replace those of ``config_path``, which
+    are still checked.
     """
     parser = (configparser.ConfigParser() if config_path is None
               else _read_ini(config_path))
@@ -992,6 +994,8 @@ def load_bench_config(config_path=None, plant=None, seed=None) -> BenchConfig:
     vals = {}
     for section, keys in _SECTIONS.items():
         source = plant_parser if section in ("plant", "controller") else parser
+        if source is not parser and section in parser:
+            _ini_values(parser[section], keys)  # checked, though replaced
         if section not in source:
             continue
         if section == "design" and "sensor" in source[section]:

@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import csv
 import operator
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,6 +271,24 @@ class LinearSystem:
         return markov_from_ss(self.A, self.B, self.C, self.D, L)
 
 
+@contextmanager
+def _rewrite(path):
+    """``path`` opened for text writing over its old bytes; every writer's way out.
+
+    It opens without ``O_TRUNC``: ext4 (default ``auto_da_alloc``) writes
+    a truncated and rewritten file out on close.  A regular file, not a
+    device or a pipe, is cut at the last byte written when the block
+    ends, also on an error.
+    """
+    with open(path, "w", newline="",
+              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def _write_csv(path, *parts) -> None:
     """Write each part in turn: a list of rows as given, or a table.
 
@@ -278,7 +299,7 @@ def _write_csv(path, *parts) -> None:
     Cells are filled a column at a time, so an integer column reaches
     ``%d`` as Python ints.
     """
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path) as fh:
         for part in parts:
             if isinstance(part, (np.ndarray, tuple)):
                 cols = [c[:, None] if c.ndim == 1 else c

@@ -149,6 +149,19 @@ REJECTED_INI = [
                  id="capitalized-section"),
 ]
 
+# [plant] and [controller] sections a --plant config file replaces, each
+# with its message: they are checked all the same
+REJECTED_UNDER_PLANT_FILE = [
+    pytest.param("[plant]\nnmae = x\n",
+                 "[plant] nmae: unknown key; accepted keys are " + PLANT_KEYS,
+                 id="plant-unknown-key"),
+    pytest.param("[controller]\ngains = 1\n",
+                 "[controller] gains: unknown key; accepted keys are gain",
+                 id="controller-unknown-key"),
+    pytest.param("[plant]\nA = 1 2; 3\nB = 1; 1\nC = 1 0\n",
+                 "ragged matrix literal '1 2; 3'", id="plant-ragged-matrix"),
+]
+
 
 SMALL_INI = """
 [identify]
@@ -1301,6 +1314,14 @@ class TestLoadBenchConfig:
         with pytest.raises(ValidationError, match="neither a registered"):
             load_bench_config(plant="no_such_plant_or_file")
 
+    @pytest.mark.parametrize("ini, message", REJECTED_UNDER_PLANT_FILE)
+    def test_sections_replaced_by_plant_file_are_checked(self, tmp_path, ini, message):
+        cfg_path, plant_path = tmp_path / "bench.ini", tmp_path / "plant.ini"
+        cfg_path.write_text(ini)
+        plant_path.write_text("[plant]\nname = unstable4\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            load_bench_config(cfg_path, plant=str(plant_path))
+
 
 TOP_HELP = """\
 usage: faultfilter [-h] {identify,design,estimate,compare,zeros} ...
@@ -1560,6 +1581,15 @@ class TestCli:
         assert main(["zeros", "--plant", str(path)]) == 2
         assert "[plant] rr: unknown key; accepted keys are name, A, B" in (
             capsys.readouterr().err)
+
+    def test_unknown_key_under_plant_file_exit_code(self, tmp_path, capsys):
+        # the --plant file replaces the --config file's [plant], which is
+        # checked all the same
+        cfg_path, plant_path = tmp_path / "bench.ini", tmp_path / "plant.ini"
+        cfg_path.write_text("[plant]\nnmae = x\n")
+        plant_path.write_text("[plant]\nname = unstable4\n")
+        assert main(["zeros", "--config", str(cfg_path), "--plant", str(plant_path)]) == 2
+        assert "validation error: [plant] nmae: unknown key" in capsys.readouterr().err
 
     def test_unknown_section_in_plant_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "plant.ini"

@@ -10,9 +10,14 @@ no sign in the text format).  Records may hold nan and inf, which the
 verbs reject by sample; a Markov parameter file or a filter bundle with
 one is refused on reading.  The three tables led by the sample counter
 ``k`` write it with ``%d``; their bytes are pinned against the former
-all-``%.17g`` writer.
+all-``%.17g`` writer.  Every writer rewrites an existing file in place
+and cuts it to length, so a rewrite leaves no old tail, a device or a
+pipe still takes the bytes, and a symlink and the target's mode stay.
 """
 import csv
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -310,3 +315,96 @@ def test_k_column_bytes_of_estimate_verb(tmp_path, N):
                 np.column_stack([np.arange(N), fhat]))
     assert ((tmp_path / "out" / "estimates.csv").read_bytes()
             == (tmp_path / "want.csv").read_bytes())
+
+
+_rng = np.random.default_rng(4)
+_RECORD = IOData(_rng.standard_normal((30, 1)), _rng.standard_normal((30, 2)))
+_XI = IdentifiedXi.from_stacked(_rng.standard_normal((2, 7)), 2, 1, 2,
+                                residual_variance=np.eye(2))
+_FILTER = FaultEstimationFilter(0.5 * np.eye(2), np.ones((2, 1)), np.ones((2, 2)),
+                                np.ones((1, 2)), np.zeros((1, 1)), np.ones((1, 2)))
+_fault, _est = _rng.standard_normal((40, 2)), _rng.standard_normal((40, 2))
+_REPORT = ExperimentReport(
+    plant="unstable4", seed=0, window=(0, 40), fault=_fault,
+    results=[AlgorithmResult(name="alg0", ok=True, estimates=_est,
+                             stats=ellipse_stats(_est - _fault), macs_per_sample=12),
+             AlgorithmResult(name="alg1", ok=False, message="identify: failed")])
+# each package writer, writing its files into a directory
+WRITERS = {
+    "iodata": lambda d: _RECORD.to_csv(d / "run.csv"),
+    "xi": lambda d: _XI.to_csv(d / "xi.csv"),
+    "filter": lambda d: _FILTER.to_csv(d / "filter.csv"),
+    "report": _REPORT.write,
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS)
+def test_rewrite_leaves_no_old_tail(tmp_path, writer):
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    fresh.mkdir()
+    old.mkdir()
+    writer(fresh)
+    names = sorted(path.name for path in fresh.iterdir())
+    for name in names:
+        (old / name).write_bytes(b"junk," * (len((fresh / name).read_bytes()) + 100))
+    writer(old)
+    for name in names:
+        assert (fresh / name).stat().st_size > 0
+        assert (old / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_writes_to_a_device_and_a_pipe(tmp_path):
+    _RECORD.to_csv(os.devnull)
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes here")
+    _RECORD.to_csv(tmp_path / "want.csv")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # the read end opens without blocking, so the writer's open finds a
+    # reader; a second write end, held until to_csv returns, keeps the
+    # reader from seeing the end of the data before to_csv opens the pipe
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    os.set_blocking(fd, True)
+    hold = os.open(fifo, os.O_WRONLY)
+    got = []
+    with os.fdopen(fd, "rb") as fh:
+        reader = threading.Thread(target=lambda: got.append(fh.read()))
+        reader.start()
+        try:
+            _RECORD.to_csv(fifo)
+        finally:
+            os.close(hold)
+            reader.join()
+    assert got == [(tmp_path / "want.csv").read_bytes()]
+
+
+def test_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"junk," * 1000)
+    target.chmod(0o600)
+    try:
+        link.symlink_to(target.name)
+    except (OSError, NotImplementedError):
+        pytest.skip("no symlinks here")
+    _RECORD.to_csv(link)
+    _RECORD.to_csv(tmp_path / "want.csv")
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+@pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS)
+def test_writers_open_without_truncating(tmp_path, monkeypatch, writer):
+    # truncating a file and writing it again makes ext4 write the blocks
+    # out on close; this holds on any file system
+    opened, real_open = {}, os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened[os.fspath(path)] = flags
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    writer(tmp_path)
+    written = {str(path) for path in tmp_path.iterdir()}
+    assert written and written <= set(opened)
+    assert [path for path, flags in opened.items() if flags & os.O_TRUNC] == []
